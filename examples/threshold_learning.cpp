@@ -41,7 +41,7 @@ int main() {
                         "P_H (W)", "adjustments"});
   for (int minute = 5; minute <= 90; minute += 5) {
     cl.run(Seconds{300.0});
-    const auto& learner = mgr->thresholds();
+    const auto& learner = mgr->root().thresholds();
     table.cell(static_cast<std::int64_t>(minute))
         .cell(learner.training() ? "training" : "managing")
         .cell(cl.last_power().value(), 0)

@@ -14,7 +14,7 @@ CappingEngine::CappingEngine(CappingParams params) : params_(params) {
   }
 }
 
-CycleDecision CappingEngine::cycle(Watts measured, Watts p_low, Watts p_high,
+CycleDecision CappingEngine::cycle(PowerState band,
                                    TargetSelectionPolicy& policy,
                                    const PolicyContext& ctx) {
   // Nodes that left the candidate set (job churn, reconfiguration) are no
@@ -27,18 +27,8 @@ CycleDecision CappingEngine::cycle(Watts measured, Watts p_low, Watts p_high,
     }
   }
 
-  switch (classify_power(measured, p_low, p_high)) {
+  switch (band) {
     case PowerState::kGreen:
-      // Predictive elevation: the meter says green, but a forecast-driven
-      // policy expects the threshold to be crossed within its horizon —
-      // run the yellow path now so the saving lands before the crossing.
-      // Only green→yellow: a red decision stays strictly meter-driven so
-      // a bad forecast can never floor the whole cluster.
-      if (ctx.has_forecast && policy.forecast_driven() &&
-          ctx.forecast_power >= p_low) {
-        ++predictive_elevations_;
-        return yellow_cycle(policy, ctx);
-      }
       return green_cycle(ctx);
     case PowerState::kYellow:
       return yellow_cycle(policy, ctx);

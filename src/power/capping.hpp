@@ -12,7 +12,9 @@
 //                      its lowest level; A_degraded := A_candidate.
 //
 // The engine is pure decision logic: it emits (node, target level)
-// commands and never touches hardware.
+// commands and never touches hardware. It does not classify either — the
+// control root (power/control_root.hpp) reads the meter and hands the
+// engine the band to run.
 #pragma once
 
 #include <cstdint>
@@ -58,12 +60,13 @@ class CappingEngine {
  public:
   explicit CappingEngine(CappingParams params);
 
-  /// Runs one cycle of Algorithm 1. `ctx` must describe the current
-  /// candidate set (ctx.nodes) and job aggregation; `policy` is consulted
-  /// only in the yellow state. p_low/p_high are taken from ctx-independent
-  /// threshold state, passed explicitly to keep the engine reusable.
-  CycleDecision cycle(Watts measured, Watts p_low, Watts p_high,
-                      TargetSelectionPolicy& policy, const PolicyContext& ctx);
+  /// Runs one cycle of Algorithm 1 in `band` — the state the control root
+  /// decided (power/control_root.hpp), after any predictive elevation.
+  /// `ctx` must describe the current candidate set (ctx.nodes) and job
+  /// aggregation; `policy` is consulted only in yellow, where it reads the
+  /// saving to find from ctx.required_saving().
+  CycleDecision cycle(PowerState band, TargetSelectionPolicy& policy,
+                      const PolicyContext& ctx);
 
   /// A_degraded: candidates this engine has pushed below their top level.
   [[nodiscard]] const std::set<hw::NodeId>& degraded() const {
@@ -76,12 +79,6 @@ class CappingEngine {
   /// counted warning and the rest of the decision still lands.
   [[nodiscard]] std::uint64_t skipped_targets() const {
     return skipped_targets_;
-  }
-  /// Green cycles promoted to the yellow path because a forecast-driven
-  /// policy saw the threshold crossing coming (lifetime, process-scoped
-  /// like skipped_targets()).
-  [[nodiscard]] std::uint64_t predictive_elevations() const {
-    return predictive_elevations_;
   }
   [[nodiscard]] const CappingParams& params() const { return params_; }
 
@@ -117,7 +114,6 @@ class CappingEngine {
   CappingParams params_;
   std::int64_t time_g_ = 0;
   std::uint64_t skipped_targets_ = 0;
-  std::uint64_t predictive_elevations_ = 0;
   std::set<hw::NodeId> degraded_;  ///< A_degraded
 };
 

@@ -4,6 +4,9 @@
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+
+#include "power/state.hpp"
 
 namespace pcap::power {
 
@@ -238,7 +241,14 @@ TreeCheckpoint decode_tree_checkpoint(const std::string& text) {
   cp.learner = decode_learner(t);
   cp.predictor_state = decode_doubles(t, "predictor");
   t.expect("state");
-  cp.last_state = static_cast<int>(t.next_i64("last_state"));
+  const std::int64_t state = t.next_i64("last_state");
+  if (state != static_cast<int>(PowerState::kGreen) &&
+      state != static_cast<int>(PowerState::kYellow) &&
+      state != static_cast<int>(PowerState::kRed)) {
+    throw std::runtime_error("checkpoint: bad power state " +
+                             std::to_string(state));
+  }
+  cp.last_state = static_cast<int>(state);
   cp.job_events_seen = t.next_u64("job_events_seen");
   t.expect("zones");
   const std::uint64_t zones = t.next_u64("zone count");

@@ -65,6 +65,9 @@ struct ReconcilerCheckpoint {
 };
 
 /// One CappingManager's restorable state (flat manager or zone shard).
+/// The learner and predictor images are its control root's; a zone shard
+/// has none (the tree's root decides for it), so its image carries a
+/// default learner line and an empty predictor vector.
 struct ShardCheckpoint {
   LearnerCheckpoint learner;
   EngineCheckpoint engine;
@@ -94,7 +97,7 @@ struct ZoneHintCheckpoint {
 
 /// The whole zone tree: root learner + per-shard state + quiescence hints.
 struct TreeCheckpoint {
-  LearnerCheckpoint learner;  ///< the root's (only live) learner
+  LearnerCheckpoint learner;  ///< the tree root's (only) learner
   std::vector<ShardCheckpoint> shards;
   std::vector<ZoneHintCheckpoint> hints;  ///< parallel to shards
   int last_state = 0;                     ///< root dirty-trigger state

@@ -24,20 +24,30 @@ bool plausible_sample(const telemetry::NodeSample& s, const hw::Node& node) {
 
 CappingManager::CappingManager(CappingManagerParams params, PolicyPtr policy,
                                common::Rng rng)
+    : CappingManager(std::move(params), std::move(policy), rng, true) {}
+
+CappingManager::CappingManager(CappingManagerParams params, PolicyPtr policy,
+                               common::Rng rng, ShardTag)
+    : CappingManager(std::move(params), std::move(policy), rng, false) {}
+
+CappingManager::CappingManager(CappingManagerParams params, PolicyPtr policy,
+                               common::Rng rng, bool with_root)
     : params_(params),
       policy_(std::move(policy)),
       // Fork order ("collector" first, then "actuation") is part of the
       // seed-compatibility contract: swapping it would reshuffle every
       // telemetry fault stream from earlier experiments.
       collector_(params.collector, rng.fork("collector")),
-      learner_(params.thresholds),
       engine_(params.capping),
       channel_(params.actuation, rng.fork("actuation")),
-      reconciler_(params.reconciliation),
-      // "control" is forked LAST: appending the new stream after the two
-      // existing forks leaves every pre-existing seed's collector and
-      // actuation streams untouched.
-      ctrl_faults_(params.control, rng.fork("control")) {
+      reconciler_(params.reconciliation) {
+  // "control" is forked LAST: appending the new stream after the two
+  // existing forks leaves every pre-existing seed's collector and
+  // actuation streams untouched.
+  if (with_root) {
+    root_.emplace(params_.thresholds, params_.prediction, params_.control,
+                  rng.fork("control"));
+  }
   if (!policy_) throw std::invalid_argument("CappingManager: null policy");
   if (params_.cycle_period <= Seconds{0.0}) {
     throw std::invalid_argument("CappingManager: bad cycle period");
@@ -57,14 +67,6 @@ CappingManager::CappingManager(CappingManagerParams params, PolicyPtr policy,
   // in-context transport-delay staleness only.
   collect_stride_ = params_.green_collect_stride;
   collector_.set_cycle_period(params_.cycle_period);
-  if (params_.prediction.enabled) {
-    params_.prediction.validate();
-    predictor_ = make_predictor(params_.prediction);
-    predictor_refresh_cycles_ = params_.prediction.refresh_cycles > 0
-                                    ? params_.prediction.refresh_cycles
-                                    : params_.thresholds.adjust_period_cycles;
-    scorer_.reset(params_.prediction.horizon_cycles);
-  }
   // The incremental context plane needs the collector's per-slot change
   // cursors; whether a pure temperature drift counts as a change depends
   // on whether this manager's policy will ever read it.
@@ -75,6 +77,16 @@ CappingManager::CappingManager(CappingManagerParams params, PolicyPtr policy,
 
 std::string CappingManager::name() const {
   return "capping:" + policy_->name();
+}
+
+const ControlRoot& CappingManager::root() const {
+  if (!root_) throw std::logic_error("CappingManager: zone shard has no root");
+  return *root_;
+}
+
+ControlRoot& CappingManager::root() {
+  if (!root_) throw std::logic_error("CappingManager: zone shard has no root");
+  return *root_;
 }
 
 void CappingManager::set_candidate_set(const std::vector<hw::NodeId>& ids) {
@@ -316,11 +328,13 @@ PolicyContext CappingManager::build_context(
 void CappingManager::build_context_into(
     PolicyContext& ctx, Watts measured, const std::vector<hw::Node>& nodes,
     const sched::Scheduler& scheduler) const {
-  build_context_with(ctx, measured, nodes, scheduler, nullptr, nullptr);
+  build_context_with(ctx, nodes, scheduler, nullptr, nullptr);
+  ctx.system_power = measured;
+  ctx.p_low = root().thresholds().p_low();
 }
 
 void CappingManager::build_context_with(
-    PolicyContext& ctx, Watts measured, const std::vector<hw::Node>& nodes,
+    PolicyContext& ctx, const std::vector<hw::Node>& nodes,
     const sched::Scheduler& scheduler, ActuationReconciler* rec,
     ActuationReconciler::CycleWork* work) const {
   const std::uint64_t now_cycle = collector_.cycle_count();
@@ -342,13 +356,9 @@ void CappingManager::build_context_with(
   // read-only builds with rec == nullptr) always assemble from scratch.
   if (params_.incremental_context && rec != nullptr && &ctx == &scratch_ctx_ &&
       inc_valid_ && view_records_.size() == candidates.size()) {
-    build_context_delta(ctx, measured, nodes, scheduler, rec, work, now_cycle,
-                        max_age);
+    build_context_delta(ctx, nodes, scheduler, rec, work, now_cycle, max_age);
     return;
   }
-
-  ctx.system_power = measured;
-  ctx.p_low = learner_.p_low();
 
   // Phase 1 — sharded view assembly. One ViewRecord per candidate slot,
   // from strictly per-node inputs: this slot's telemetry history, this
@@ -483,47 +493,46 @@ void CappingManager::fill_view_record(std::size_t slot,
   vr.status = ViewRecord::Status::kOk;
 }
 
-void CappingManager::merge_records_full(PolicyContext& ctx,
-                                        const std::vector<hw::Node>& nodes,
-                                        ActuationReconciler* rec,
-                                        ActuationReconciler::CycleWork* work,
-                                        std::uint64_t now_cycle,
-                                        bool inc_track) const {
-  // Serial merge, in candidate order — exactly the order the pre-shard
-  // loop visited nodes, so reconciler mutations, heal emission, counters
-  // and the context layout are all bit-identical to it. clear() keeps the
-  // capacity, so after the first cycle this fills existing storage.
-  //
-  // Also correct as the delta path's fallback over persisted records:
-  // re-observing a clean slot's (unchanged) sample cycle is a reconciler
-  // no-op by its staleness guard, and persisted records never carry the
-  // in-flight inflation (it is applied to the copy `nv`, below).
-  ctx.stale_nodes = 0;
-  ctx.missing_nodes = 0;
-  ctx.fallback_nodes = 0;
-  ctx.rejected_samples = 0;
-  ctx.unresponsive_nodes = 0;
-  if (inc_track) {
-    inc_pos_.assign(view_records_.size(), kNoPos);
-    inc_degraded_.assign(view_records_.size(), 0);
+void CappingManager::tally_record(PolicyContext& ctx, const ViewRecord& vr,
+                                  bool retract) {
+  const auto bump = [retract](std::size_t& tally, std::size_t by = 1) {
+    tally = retract ? tally - by : tally + by;
+  };
+  bump(ctx.rejected_samples, vr.rejected);
+  switch (vr.status) {
+    case ViewRecord::Status::kMissing:
+      bump(ctx.missing_nodes);
+      break;
+    case ViewRecord::Status::kMissingUnresponsive:
+    case ViewRecord::Status::kExcludedUnresponsive:
+      bump(ctx.unresponsive_nodes);
+      break;
+    case ViewRecord::Status::kOk:
+      if (vr.view.stale) {
+        bump(ctx.stale_nodes);
+        bump(ctx.fallback_nodes);
+      } else if (vr.substituted) {
+        bump(ctx.fallback_nodes);
+      }
+      break;
   }
-  ctx.nodes.clear();
-  for (std::size_t slot = 0; slot < view_records_.size(); ++slot) {
-    ViewRecord& vr = view_records_[slot];
-    ctx.rejected_samples += vr.rejected;
-    if (vr.status == ViewRecord::Status::kMissing) {
-      ++ctx.missing_nodes;
-      if (inc_track) inc_degraded_[slot] = 1;
-      continue;
-    }
-    if (vr.status == ViewRecord::Status::kMissingUnresponsive ||
-        vr.status == ViewRecord::Status::kExcludedUnresponsive) {
-      ++ctx.unresponsive_nodes;
-      if (inc_track) inc_degraded_[slot] = 1;
-      continue;
-    }
-    NodeView nv = vr.view;
-    if (rec != nullptr && !nv.stale) {
+}
+
+bool CappingManager::merge_slot(std::size_t slot, PolicyContext& ctx,
+                                const std::vector<hw::Node>& nodes,
+                                ActuationReconciler* rec,
+                                ActuationReconciler::CycleWork* work,
+                                std::uint64_t now_cycle, bool inc_track,
+                                NodeView& nv) const {
+  const ViewRecord& vr = view_records_[slot];
+  tally_record(ctx, vr, false);
+  if (vr.status != ViewRecord::Status::kOk) {
+    if (inc_track) inc_degraded_[slot] = 1;
+    return false;
+  }
+  nv = vr.view;
+  if (rec != nullptr) {
+    if (!nv.stale) {
       if (watchdog_ != nullptr && watchdog_->adoption_pending(nv.id)) {
         // The failsafe changed this node during an outage. A fresh sample
         // showing the node's ACTUAL current level is the post-failsafe
@@ -544,37 +553,64 @@ void CappingManager::merge_records_full(PolicyContext& ctx,
         rec->observe_node(nv.id, nv.level, vr.sample_cycle, now_cycle, *work);
       }
     }
-    if (nv.stale) {
-      ++ctx.stale_nodes;
-      ++ctx.fallback_nodes;
-    } else if (vr.substituted) {
-      ++ctx.fallback_nodes;
-    }
-    if (rec != nullptr) {
-      // Safe-side accounting for whatever is (still) unacked after the
-      // observation above. An unacked restore is assumed already applied
-      // when computing headroom (the node may be drawing the higher power
-      // right now); an unacked throttle claims nothing — the telemetry
-      // power stands and the job-level saving below excludes the node.
-      // Both errors overestimate draw, never savings.
-      if (const std::optional<hw::Level> target =
-              rec->pending_target(nv.id)) {
-        nv.command_in_flight = true;
-        if (*target > nv.level) {
-          const Watts assumed = nodes[nv.id].estimated_power_at(*target);
-          if (assumed > nv.power) nv.power = assumed;
-        }
+    // Safe-side accounting for whatever is (still) unacked after the
+    // observation above. An unacked restore is assumed already applied
+    // when computing headroom (the node may be drawing the higher power
+    // right now); an unacked throttle claims nothing — the telemetry
+    // power stands and the job-level saving below excludes the node.
+    // Both errors overestimate draw, never savings.
+    if (const std::optional<hw::Level> target = rec->pending_target(nv.id)) {
+      nv.command_in_flight = true;
+      if (*target > nv.level) {
+        const Watts assumed = nodes[nv.id].estimated_power_at(*target);
+        if (assumed > nv.power) nv.power = assumed;
       }
+    }
+  }
+  if (inc_track) {
+    // A record whose view depends on clock or actuation state (not just
+    // delivered sample content) must be re-derived every cycle even
+    // without a telemetry change.
+    inc_degraded_[slot] = (vr.rejected > 0 || nv.stale || vr.substituted ||
+                           nv.command_in_flight)
+                              ? 1
+                              : 0;
+  }
+  return true;
+}
+
+void CappingManager::merge_records_full(PolicyContext& ctx,
+                                        const std::vector<hw::Node>& nodes,
+                                        ActuationReconciler* rec,
+                                        ActuationReconciler::CycleWork* work,
+                                        std::uint64_t now_cycle,
+                                        bool inc_track) const {
+  // Serial merge, in candidate order — exactly the order the pre-shard
+  // loop visited nodes, so reconciler mutations, heal emission, counters
+  // and the context layout are all bit-identical to it. clear() keeps the
+  // capacity, so after the first cycle this fills existing storage.
+  //
+  // Also correct as the delta path's fallback over persisted records:
+  // re-observing a clean slot's (unchanged) sample cycle is a reconciler
+  // no-op by its staleness guard, and persisted records never carry the
+  // in-flight inflation (merge_slot applies it to a copy).
+  ctx.stale_nodes = 0;
+  ctx.missing_nodes = 0;
+  ctx.fallback_nodes = 0;
+  ctx.rejected_samples = 0;
+  ctx.unresponsive_nodes = 0;
+  if (inc_track) {
+    inc_pos_.assign(view_records_.size(), kNoPos);
+    inc_degraded_.assign(view_records_.size(), 0);
+  }
+  ctx.nodes.clear();
+  NodeView nv;
+  for (std::size_t slot = 0; slot < view_records_.size(); ++slot) {
+    if (!merge_slot(slot, ctx, nodes, rec, work, now_cycle, inc_track, nv)) {
+      continue;
     }
     if (inc_track) {
       inc_pos_[slot] = static_cast<std::uint32_t>(ctx.nodes.size());
-      // A record whose view depends on clock or actuation state (not just
-      // delivered sample content) must be re-derived every cycle even
-      // without a telemetry change.
-      inc_degraded_[slot] = (vr.rejected > 0 || nv.stale || vr.substituted ||
-                             nv.command_in_flight)
-                                ? 1
-                                : 0;
     }
     ctx.nodes.push_back(nv);
   }
@@ -673,13 +709,10 @@ void CappingManager::rebuild_job_csr() const {
 }
 
 void CappingManager::build_context_delta(
-    PolicyContext& ctx, Watts measured, const std::vector<hw::Node>& nodes,
+    PolicyContext& ctx, const std::vector<hw::Node>& nodes,
     const sched::Scheduler& scheduler, ActuationReconciler* rec,
     ActuationReconciler::CycleWork* work, std::uint64_t now_cycle,
     std::uint64_t max_age) const {
-  ctx.system_power = measured;
-  ctx.p_low = learner_.p_low();
-
   const std::vector<hw::NodeId>& candidates = collector_.candidate_set();
 
   job_index_.sync(scheduler);
@@ -722,24 +755,7 @@ void CappingManager::build_context_delta(
   // the records in place.
   for (const std::uint32_t slot : inc_dirty_) {
     const ViewRecord& vr = view_records_[slot];
-    ctx.rejected_samples -= vr.rejected;
-    switch (vr.status) {
-      case ViewRecord::Status::kMissing:
-        --ctx.missing_nodes;
-        break;
-      case ViewRecord::Status::kMissingUnresponsive:
-      case ViewRecord::Status::kExcludedUnresponsive:
-        --ctx.unresponsive_nodes;
-        break;
-      case ViewRecord::Status::kOk:
-        if (vr.view.stale) {
-          --ctx.stale_nodes;
-          --ctx.fallback_nodes;
-        } else if (vr.substituted) {
-          --ctx.fallback_nodes;
-        }
-        break;
-    }
+    tally_record(ctx, vr, true);
     inc_old_present_.push_back(vr.status == ViewRecord::Status::kOk ? 1 : 0);
   }
 
@@ -779,47 +795,11 @@ void CappingManager::build_context_delta(
   // relative order the full merge visits them, so reconciler mutations
   // and heal emission stay bit-identical to it (clean slots in between
   // would all have been no-ops).
+  NodeView nv;
   for (const std::uint32_t slot : inc_dirty_) {
-    ViewRecord& vr = view_records_[slot];
-    ctx.rejected_samples += vr.rejected;
-    if (vr.status != ViewRecord::Status::kOk) {
-      if (vr.status == ViewRecord::Status::kMissing) {
-        ++ctx.missing_nodes;
-      } else {
-        ++ctx.unresponsive_nodes;
-      }
-      inc_degraded_[slot] = 1;
-      continue;
+    if (merge_slot(slot, ctx, nodes, rec, work, now_cycle, true, nv)) {
+      ctx.nodes[inc_pos_[slot]] = nv;
     }
-    NodeView nv = vr.view;
-    if (!nv.stale) {
-      if (watchdog_ != nullptr && watchdog_->adoption_pending(nv.id)) {
-        if (nv.level == nodes[nv.id].level()) {
-          rec->adopt_reality(nv.id, nv.level, vr.sample_cycle, *work);
-          watchdog_->resolve_adoption(nv.id);
-        }
-      } else {
-        rec->observe_node(nv.id, nv.level, vr.sample_cycle, now_cycle, *work);
-      }
-    }
-    if (nv.stale) {
-      ++ctx.stale_nodes;
-      ++ctx.fallback_nodes;
-    } else if (vr.substituted) {
-      ++ctx.fallback_nodes;
-    }
-    if (const std::optional<hw::Level> target = rec->pending_target(nv.id)) {
-      nv.command_in_flight = true;
-      if (*target > nv.level) {
-        const Watts assumed = nodes[nv.id].estimated_power_at(*target);
-        if (assumed > nv.power) nv.power = assumed;
-      }
-    }
-    inc_degraded_[slot] = (vr.rejected > 0 || nv.stale || vr.substituted ||
-                           nv.command_in_flight)
-                              ? 1
-                              : 0;
-    ctx.nodes[inc_pos_[slot]] = nv;
   }
 
   if (jobs_churned) {
@@ -892,11 +872,10 @@ void CappingManager::begin_actuation_phase(std::vector<hw::Node>& nodes) {
   channel_.begin_cycle(nodes, delivered_scratch_);
 }
 
-void CappingManager::context_phase(Watts measured,
-                                   const std::vector<hw::Node>& nodes,
+void CappingManager::context_phase(const std::vector<hw::Node>& nodes,
                                    const sched::Scheduler& scheduler,
                                    ManagerReport& report) {
-  build_context_with(scratch_ctx_, measured, nodes, scheduler, &reconciler_,
+  build_context_with(scratch_ctx_, nodes, scheduler, &reconciler_,
                      &recon_work_);
   reconciler_.finish_observation(collector_.cycle_count(), recon_work_);
   // Failsafe levels adopted above join A_degraded: steady green is what
@@ -916,16 +895,11 @@ void CappingManager::context_phase(Watts measured,
   report.unresponsive_nodes = scratch_ctx_.unresponsive_nodes;
 }
 
-CycleDecision CappingManager::select_phase(Watts measured, Watts p_low,
-                                           Watts p_high) {
-  // Keep the context's classification inputs consistent with the decision
-  // being made: the flat cycle passes the same values the context was
-  // built with (a no-op overwrite), while the zone tree re-aims the
-  // shard's context at synthetic thresholds encoding its deficit share,
-  // so ctx.required_saving() must track (system_power, p_low) here.
-  scratch_ctx_.system_power = measured;
+CycleDecision CappingManager::select_phase(PowerState band,
+                                           Watts system_power, Watts p_low) {
+  scratch_ctx_.system_power = system_power;
   scratch_ctx_.p_low = p_low;
-  return engine_.cycle(measured, p_low, p_high, *policy_, scratch_ctx_);
+  return engine_.cycle(band, *policy_, scratch_ctx_);
 }
 
 std::size_t CappingManager::actuate_phase(const CycleDecision& decision,
@@ -957,97 +931,46 @@ void CappingManager::stamp_delivery_contacts() {
   }
 }
 
-void CappingManager::fill_telemetry_totals(ManagerReport& report) const {
-  // Fault/transport ground truth is cumulative collector state — cheap to
-  // read and meaningful on every path, including training, steady green
-  // and controller outages where no context is assembled.
-  report.samples_lost = collector_.samples_lost();
-  report.samples_suppressed = collector_.samples_suppressed();
+void CappingManager::add_shard_totals(ManagerReport& report) const {
+  // Fault/transport ground truth is cumulative collector, channel and
+  // reconciler state — cheap to read and meaningful on every path,
+  // including training, steady green and controller outages where no
+  // context is assembled.
+  report.manager_utilization += collector_.last_cycle_manager_utilization();
+  report.samples_lost += collector_.samples_lost();
+  report.samples_suppressed += collector_.samples_suppressed();
   const telemetry::FaultInjector& faults = collector_.fault_injector();
-  report.samples_corrupted = faults.samples_corrupted();
-  report.crash_events = faults.crash_events();
-  report.recovery_events = faults.recovery_events();
-  report.agents_down = faults.silent_count();
+  report.samples_corrupted += faults.samples_corrupted();
+  report.crash_events += faults.crash_events();
+  report.recovery_events += faults.recovery_events();
+  report.agents_down += faults.silent_count();
+  report.commands_lost += channel_.commands_lost();
+  report.commands_rebooting += channel_.commands_dropped_rebooting();
+  report.transitions_failed += channel_.transitions_failed();
+  report.transitions_partial += channel_.transitions_partial();
+  report.reboot_events += channel_.reboot_events();
+  report.commands_abandoned += reconciler_.total_abandoned();
+  report.commands_clamped += controller_.commands_clamped();
+  report.commands_in_flight += reconciler_.pending_count();
+  report.acks += recon_work_.acks;
+  report.retries += recon_work_.retries;
+  report.divergences += recon_work_.divergences;
+  report.heals += recon_work_.heals;
 }
 
-void CappingManager::fill_actuation_totals(ManagerReport& report) const {
-  report.commands_lost = channel_.commands_lost();
-  report.commands_rebooting = channel_.commands_dropped_rebooting();
-  report.transitions_failed = channel_.transitions_failed();
-  report.transitions_partial = channel_.transitions_partial();
-  report.reboot_events = channel_.reboot_events();
-  report.commands_abandoned = reconciler_.total_abandoned();
-  report.commands_clamped = controller_.commands_clamped();
-  report.commands_in_flight = reconciler_.pending_count();
-}
-
-void CappingManager::predictor_phase(Watts measured, ManagerReport& report) {
-  if (!predictor_) return;
-  predictor_->observe(measured);
-  ++predictor_observations_;
-  if (auto* periodic = dynamic_cast<PeriodicityPredictor*>(predictor_.get());
-      periodic != nullptr &&
-      predictor_observations_ % predictor_refresh_cycles_ == 0) {
-    // The only super-O(1) model work, scheduled on the learner's t_p
-    // cadence — never on the per-cycle hot path.
-    periodic->refresh();
-  }
-  forecast_ = predictor_->forecast(params_.prediction.horizon_cycles);
-  std::optional<double> raw;
-  if (forecast_) raw = forecast_->value();
-  const std::optional<ForecastScorer::Score> score =
-      scorer_.step(measured.value(), learner_.p_low().value(), raw);
-  if (score) {
-    report.forecast_abs_error = score->abs_error;
-    report.forecast_scored = true;
-  }
-  report.has_forecast = forecast_.has_value();
-  if (forecast_) report.forecast = *forecast_;
-}
-
-void CappingManager::fill_predictor_totals(ManagerReport& report) const {
-  report.predictor_overshoots = scorer_.overshoots();
-  report.predictor_misses = scorer_.misses();
-  report.predictive_elevations = engine_.predictive_elevations();
-}
-
-void CappingManager::fill_control_totals(ManagerReport& report) const {
-  report.ctrl_outages = ctrl_faults_.outages_started();
-  report.ctrl_outage_cycles = ctrl_faults_.outage_cycles();
-  report.ctrl_delayed_cycles = ctrl_faults_.delayed_cycles();
-  report.ctrl_zone_outage_cycles = ctrl_faults_.zone_outage_cycles();
-  report.zones_down = ctrl_faults_.zones_down();
-}
-
-ManagerReport CappingManager::dead_cycle(Watts measured,
+ManagerReport CappingManager::dead_cycle(ManagerReport report,
                                          std::vector<hw::Node>& nodes,
                                          const sched::Scheduler& scheduler,
                                          Seconds now) {
-  ManagerReport report;
-  report.controller_down = true;
-  report.measured = measured;
-  report.p_low = learner_.p_low();
-  report.p_high = learner_.p_high();
-  report.training = learner_.training();
-  // The band is physical reality whether or not the controller sees it —
-  // classify against the last-learned thresholds so observers (and the
-  // chaos invariant) keep an honest green/yellow/red record of the
-  // outage. The learner itself observes nothing: a dead controller reads
-  // no meter, so its observation window freezes mid-outage.
-  report.state = classify_power(measured, report.p_low, report.p_high);
   // No heartbeat (that is the whole point), no sweep — but the collector
   // clock ticks so per-slot sample ages stay well-defined at recovery.
   collect_phase(false, nodes, now, scheduler.running_count());
-  report.manager_utilization = collector_.last_cycle_manager_utilization();
-  fill_telemetry_totals(report);
   // Hardware does not pause with the controller: reboots happen and
   // already-sent delayed commands still land (stamping watchdog contacts
   // — the node cannot tell the sender is dead).
   begin_actuation_phase(nodes);
   report.transitions = apply_deliveries(nodes);
-  fill_actuation_totals(report);
-  fill_control_totals(report);
-  fill_predictor_totals(report);
+  add_shard_totals(report);
   metrics_.publish(report, reconciler_.unresponsive_count());
   return report;
 }
@@ -1056,43 +979,26 @@ ManagerReport CappingManager::cycle(Watts measured,
                                     std::vector<hw::Node>& nodes,
                                     const sched::Scheduler& scheduler,
                                     Seconds now) {
-  // 0. Control-plane fault process. A blacked-out (or stalled) controller
-  // contributes nothing this cycle — the dead path models exactly what
-  // still happens without it. With faults disabled begin_cycle() draws
-  // nothing and the healthy path below is bit-identical to pre-fault
-  // builds.
-  if (ctrl_faults_.begin_cycle()) {
-    return dead_cycle(measured, nodes, scheduler, now);
+  // 0/1. The root: control-fault windows, threshold learning, forecasting
+  // and the band this cycle runs in. The learner reads only the facility
+  // meter, never the collector, so it goes first: whether this cycle
+  // needs a full telemetry sweep depends on the band. A blacked-out (or
+  // stalled) controller contributes nothing else — the dead path models
+  // exactly what still happens without it.
+  ManagerReport report = root().cycle(measured, policy_->forecast_driven());
+  if (report.controller_down) {
+    return dead_cycle(report, nodes, scheduler, now);
   }
+  const PowerState band = report.state;
   // A live cycle IS the liveness beacon: every node in this manager's
   // group hears from its controller this control period.
   if (watchdog_ != nullptr) watchdog_->heartbeat(watchdog_group_);
 
-  // 0b. Candidate set re-selection (§III.A algorithm (c)). Routed through
+  // 1b. Candidate set re-selection (§III.A algorithm (c)). Routed through
   // set_candidate_set so the actuation channel learns new nodes too.
   if (selector_ && selector_->due()) {
     set_candidate_set(selector_->select(nodes, scheduler));
   }
-
-  // 1. Threshold learning / classification first: whether this cycle
-  // needs a full telemetry sweep depends on the classified state, and the
-  // learner reads only the facility meter, never the collector.
-  learner_.observe(measured);
-
-  ManagerReport report;
-  report.measured = measured;
-  report.p_low = learner_.p_low();
-  report.p_high = learner_.p_high();
-  report.training = learner_.training();
-  report.state = classify_power(measured, report.p_low, report.p_high);
-
-  // 1b. Forecasting: model update + this cycle's forecast. Runs during
-  // training too (the model is warm the moment capping starts), but only
-  // arms the predictive path once training is over.
-  predictor_phase(measured, report);
-  const bool predictive_alarm =
-      !report.training && forecast_.has_value() &&
-      policy_->forecast_driven() && *forecast_ >= report.p_low;
 
   // 2. Telemetry sweep over A_candidate — or, on a quiet green cycle
   // between stride marks, just a clock tick. The context/collect gate is
@@ -1101,18 +1007,14 @@ ManagerReport CappingManager::cycle(Watts measured,
   // in-flight set, so a second evaluation after it could disagree with
   // the collect decision made now — skipping the sweep yet building a
   // context, or (worse) collecting and then not consuming the acks. A
-  // predictive alarm forces the build the same way a non-green state
-  // does: the elevated yellow path selects against this context, so it
-  // must be fresh.
-  const bool needs_context = context_gate(report.state) || predictive_alarm;
+  // predictively elevated band forces the build like any yellow one: the
+  // selection acts on data as fresh as any reactive yellow cycle's.
+  const bool needs_context = context_gate(band);
   const bool collect_now = needs_context || collect_due();
   {
     const obs::SpanTimer::Scope span = metrics_.collect_span.start();
     collect_phase(collect_now, nodes, now, scheduler.running_count());
   }
-  report.manager_utilization = collector_.last_cycle_manager_utilization();
-
-  fill_telemetry_totals(report);
 
   // 2b. Actuation-plane hardware events happen whether or not the manager
   // is ready to react: nodes reboot (resetting to their highest level)
@@ -1123,9 +1025,7 @@ ManagerReport CappingManager::cycle(Watts measured,
   // 3. During training the system runs unmanaged (§V.C).
   if (report.training) {
     apply_deliveries(nodes);
-    fill_actuation_totals(report);
-    fill_control_totals(report);
-    fill_predictor_totals(report);
+    add_shard_totals(report);
     metrics_.publish(report, reconciler_.unresponsive_count());
     return report;
   }
@@ -1139,22 +1039,19 @@ ManagerReport CappingManager::cycle(Watts measured,
   // unresponsive nodes can only be readmitted by looking at telemetry.
   if (needs_context) {
     const obs::SpanTimer::Scope span = metrics_.context_span.start();
-    context_phase(measured, nodes, scheduler, report);
+    context_phase(nodes, scheduler, report);
   }
   // Stamp THIS cycle's forecast into the context (clearing any stale
-  // stamp from a previous build): the engine's predictive elevation and
-  // the forecast-driven policies read it from here. When the alarm is
-  // armed the context above was just rebuilt, so the selection acts on
-  // data as fresh as any reactive yellow cycle's.
-  scratch_ctx_.has_forecast = !report.training && forecast_.has_value();
-  scratch_ctx_.forecast_power =
-      forecast_.has_value() ? *forecast_ : Watts{0.0};
+  // stamp from a previous build): the forecast-driven policies read it
+  // from here.
+  const std::optional<Watts> forecast = root_->forecast();
+  scratch_ctx_.has_forecast = forecast.has_value();
+  scratch_ctx_.forecast_power = forecast.value_or(Watts{0.0});
   CycleDecision decision;
   {
     const obs::SpanTimer::Scope span = metrics_.policy_span.start();
-    decision = select_phase(measured, report.p_low, report.p_high);
+    decision = select_phase(band, measured, report.p_low);
   }
-  report.state = decision.state;
   report.targets = decision.commands.size();
   report.skipped_targets = decision.skipped;
   report.deferred_targets = decision.deferred_in_flight;
@@ -1164,47 +1061,25 @@ ManagerReport CappingManager::cycle(Watts measured,
     report.transitions = actuate_phase(decision, nodes);
   }
 
-  report.acks = recon_work_.acks;
-  report.retries = recon_work_.retries;
-  report.divergences = recon_work_.divergences;
-  report.heals = recon_work_.heals;
-  fill_actuation_totals(report);
-  fill_control_totals(report);
-  fill_predictor_totals(report);
+  add_shard_totals(report);
   metrics_.publish(report, reconciler_.unresponsive_count());
   return report;
 }
 
 ShardCheckpoint CappingManager::checkpoint() const {
   ShardCheckpoint cp;
-  cp.learner = learner_.checkpoint();
+  if (root_) root_->checkpoint(cp.learner, cp.predictor_state);
   cp.engine = engine_.checkpoint();
   cp.reconciler = reconciler_.checkpoint();
   cp.collector_cycles = collector_.cycle_count();
-  // The observation counter rides in front of the opaque model state so
-  // the restored refresh cadence stays phase-aligned with the old run.
-  if (predictor_) {
-    cp.predictor_state.push_back(
-        static_cast<double>(predictor_observations_));
-    const std::vector<double> model = predictor_->checkpoint_state();
-    cp.predictor_state.insert(cp.predictor_state.end(), model.begin(),
-                              model.end());
-  }
   cp.policy_state = policy_->checkpoint_state();
   return cp;
 }
 
 void CappingManager::restore(const ShardCheckpoint& cp) {
-  learner_.restore(cp.learner);
+  if (root_) root_->restore(cp.learner, cp.predictor_state);
   engine_.restore(cp.engine);
   reconciler_.restore(cp.reconciler);
-  if (predictor_ && !cp.predictor_state.empty()) {
-    predictor_observations_ =
-        static_cast<std::int64_t>(cp.predictor_state[0]);
-    predictor_->restore_state(std::vector<double>(
-        cp.predictor_state.begin() + 1, cp.predictor_state.end()));
-    forecast_ = predictor_->forecast(params_.prediction.horizon_cycles);
-  }
   if (!cp.policy_state.empty()) policy_->restore_state(cp.policy_state);
   // Believed/observed stamps in the restored shadow tables are in the
   // checkpointed collector timebase; resume the clock there or every ack

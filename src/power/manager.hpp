@@ -1,10 +1,12 @@
 // The global power manager (§II, Figure 1).
 //
 // One instance runs on the management node. Each control cycle it:
-//   1. collects samples from the candidate set's profiling agents,
-//   2. feeds the facility meter reading to the threshold learner,
-//   3. (after training) runs Algorithm 1 with the configured target set
-//      selection policy, and
+//   1. runs its ControlRoot: the facility meter reading feeds the
+//      threshold learner and the predictor and is classified into the
+//      cycle's band (power/control_root.hpp),
+//   2. collects samples from the candidate set's profiling agents,
+//   3. (after training) runs Algorithm 1 in that band with the configured
+//      target set selection policy, and
 //   4. dispatches the resulting level commands to the node controllers.
 //
 // PowerManagerBase is the interface the cluster drives; the baselines
@@ -13,10 +15,9 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
-
-#include <optional>
 
 #include "common/thread_pool.hpp"
 #include "common/units.hpp"
@@ -27,6 +28,7 @@
 #include "power/candidate_selector.hpp"
 #include "power/capping.hpp"
 #include "power/control_fault_injector.hpp"
+#include "power/control_root.hpp"
 #include "power/job_index.hpp"
 #include "power/node_controller.hpp"
 #include "power/policy.hpp"
@@ -96,7 +98,7 @@ struct ManagerReport {
   /// (made horizon cycles ago); valid only when forecast_scored.
   double forecast_abs_error = 0.0;
   bool forecast_scored = false;
-  // Cumulative predictor ground truth (scorer/engine lifetime totals).
+  // Cumulative predictor ground truth (control-root lifetime totals).
   std::uint64_t predictor_overshoots = 0;  ///< false alarms (pred>=P_L, real<P_L)
   std::uint64_t predictor_misses = 0;      ///< unseen ramps (pred<P_L, real>=P_L)
   std::uint64_t predictive_elevations = 0; ///< green cycles promoted to yellow
@@ -224,7 +226,7 @@ struct CappingManagerParams {
   /// Controller-failure model (outage/stall windows). Default-constructed
   /// = an immortal controller; the injector then draws nothing and the
   /// healthy path is byte-for-byte what it was without one. Under the
-  /// zone tree the root owns all windows and clears this on the shards.
+  /// zone tree the tree's root owns all windows; shards never read this.
   ControlFaultParams control;
   /// System-power forecasting. Disabled by default; when enabled the
   /// manager runs a PowerPredictor over the facility meter stream, stamps
@@ -249,6 +251,15 @@ class CappingManager final : public PowerManagerBase {
  public:
   CappingManager(CappingManagerParams params, PolicyPtr policy,
                  common::Rng rng);
+
+  /// Constructor tag for a zone-tree shard: telemetry, context, selection
+  /// and actuation only. A shard owns no ControlRoot — the tree's root
+  /// learns, forecasts, classifies and draws every outage window for all
+  /// zones — so params.thresholds, params.prediction and params.control
+  /// are not read.
+  struct ShardTag {};
+  CappingManager(CappingManagerParams params, PolicyPtr policy,
+                 common::Rng rng, ShardTag);
 
   [[nodiscard]] std::string name() const override;
 
@@ -277,10 +288,10 @@ class CappingManager final : public PowerManagerBase {
     collector_.set_thread_pool(pool);
   }
 
-  [[nodiscard]] const ThresholdLearner& thresholds() const {
-    return learner_;
-  }
-  [[nodiscard]] ThresholdLearner& thresholds() { return learner_; }
+  /// The learner, predictor and outage windows of this manager. A zone
+  /// shard has none (the tree's root decides for it): std::logic_error.
+  [[nodiscard]] const ControlRoot& root() const;
+  [[nodiscard]] ControlRoot& root();
   [[nodiscard]] const CappingEngine& engine() const { return engine_; }
   [[nodiscard]] const telemetry::Collector& collector() const {
     return collector_;
@@ -294,28 +305,8 @@ class CappingManager final : public PowerManagerBase {
   [[nodiscard]] const ActuationReconciler& reconciler() const {
     return reconciler_;
   }
-  [[nodiscard]] const ControlFaultInjector& control_faults() const {
-    return ctrl_faults_;
-  }
-  /// Mutable access for drills: inject a forced outage window from a test
-  /// or an operator console. Serial with cycle().
-  [[nodiscard]] ControlFaultInjector& control_faults() {
-    return ctrl_faults_;
-  }
   [[nodiscard]] const TargetSelectionPolicy& policy() const {
     return *policy_;
-  }
-  /// The forecaster, or nullptr when params.prediction is disabled.
-  [[nodiscard]] const PowerPredictor* predictor() const {
-    return predictor_.get();
-  }
-  /// The forecast made this cycle for horizon cycles ahead (empty before
-  /// the predictor warms up, on dead cycles, or without a predictor).
-  [[nodiscard]] std::optional<Watts> current_forecast() const {
-    return forecast_;
-  }
-  [[nodiscard]] const ForecastScorer& forecast_scorer() const {
-    return scorer_;
   }
 
   /// Which path each context build took (lifetime totals). Lets tests and
@@ -346,8 +337,9 @@ class CappingManager final : public PowerManagerBase {
            watchdog_->adoption_pending_in_group(watchdog_group_);
   }
 
-  /// Captures/restores the warm-restart state (learner, engine,
-  /// reconciler shadow tables, collector clock). Restore into a freshly
+  /// Captures/restores the warm-restart state (root learner/predictor,
+  /// engine, reconciler shadow tables, collector clock; a shard's image
+  /// carries a default learner and no predictor). Restore into a freshly
   /// constructed manager AFTER set_candidate_set: policy scratch and the
   /// job index rebuild from the first context, and injector fault streams
   /// restart — the outside world does not rewind with the controller.
@@ -368,11 +360,12 @@ class CappingManager final : public PowerManagerBase {
                           const sched::Scheduler& scheduler) const;
 
   // --- Shard phase API -------------------------------------------------
-  // cycle() is expressed through these phases; the zone tree drives the
-  // same phases per shard with the learner/classification hoisted to the
-  // root. Call order within one cycle: context_gate (once!) →
+  // cycle() is expressed through these phases after its root decided the
+  // band; the zone tree drives the same phases per shard against its own
+  // root's band. Call order within one cycle: context_gate (once!) →
   // collect_phase → begin_actuation_phase → [apply_deliveries on the
-  // training path | context_phase → select_phase → actuate_phase].
+  // training path | context_phase → select_phase → actuate_phase] →
+  // add_shard_totals.
 
   /// The single context/collect gate: true when this cycle must build a
   /// policy context (and therefore must have collected first). Evaluate
@@ -408,16 +401,16 @@ class CappingManager final : public PowerManagerBase {
 
   /// Builds the persistent policy context through the reconciler and
   /// closes the observation window (retries/abandons into recon_work_).
-  /// Fills the telemetry-health and per-cycle reconciliation fields of
-  /// `report`.
-  void context_phase(Watts measured, const std::vector<hw::Node>& nodes,
+  /// Fills the telemetry-health fields of `report`.
+  void context_phase(const std::vector<hw::Node>& nodes,
                      const sched::Scheduler& scheduler, ManagerReport& report);
 
-  /// Runs Algorithm 1 against the context built by context_phase,
-  /// overriding the classification inputs: the zone tree passes synthetic
-  /// thresholds that encode (global state, zone deficit share).
-  [[nodiscard]] CycleDecision select_phase(Watts measured, Watts p_low,
-                                           Watts p_high);
+  /// Runs Algorithm 1 in `band` against the context built by
+  /// context_phase. (system_power, p_low) become the context's P and P_L,
+  /// so a yellow policy sheds ctx.required_saving(): the flat cycle passes
+  /// the meter and the learned P_L, the zone tree passes (zone share, 0).
+  [[nodiscard]] CycleDecision select_phase(PowerState band, Watts system_power,
+                                           Watts p_low);
 
   /// Admits the decision through the reconciler, sends via the channel,
   /// applies everything delivered (mutates nodes — serialise across
@@ -433,6 +426,12 @@ class CappingManager final : public PowerManagerBase {
   /// timer resets exactly as if a yellow/red decision had run.
   void note_non_green_cycle() { engine_.note_non_green_cycle(); }
 
+  /// Adds this shard's part of the report: manager utilisation, the
+  /// lifetime telemetry/actuation/reconciler totals and this cycle's
+  /// reconciler work (acks, retries, divergences, heals). Cheap and valid
+  /// on every path — training, steady green, dead cycles.
+  void add_shard_totals(ManagerReport& report) const;
+
   /// The context select_phase decided against (persistent scratch).
   [[nodiscard]] const PolicyContext& context() const { return scratch_ctx_; }
   /// This cycle's reconciler work (valid after context_phase).
@@ -442,28 +441,16 @@ class CappingManager final : public PowerManagerBase {
   [[nodiscard]] const CappingManagerParams& params() const { return params_; }
 
  private:
-  /// The outage path: the controller is silent this cycle. No meter read
-  /// reaches the learner, no heartbeat, no sweep, no decision — but
+  CappingManager(CappingManagerParams params, PolicyPtr policy,
+                 common::Rng rng, bool with_root);
+
+  /// The outage path: the root reported the controller silent this cycle
+  /// (`report` is its header). No heartbeat, no sweep, no decision — but
   /// hardware keeps moving (reboots, due deliveries land and stamp
   /// watchdog contacts) and the collector clock ticks so staleness stays
-  /// well-defined. The report still classifies against the last-learned
-  /// thresholds: the band is physically real whether or not anyone is
-  /// watching it.
-  ManagerReport dead_cycle(Watts measured, std::vector<hw::Node>& nodes,
+  /// well-defined.
+  ManagerReport dead_cycle(ManagerReport report, std::vector<hw::Node>& nodes,
                            const sched::Scheduler& scheduler, Seconds now);
-
-  /// Feeds the meter reading through the predictor (model update, t_p
-  /// spectrum refresh, fresh forecast, accuracy scoring) and stamps the
-  /// forecast fields of `report`. No-op without a predictor. Runs only on
-  /// live cycles — a dead controller reads no meter, so the predictor's
-  /// window freezes mid-outage exactly like the learner's.
-  void predictor_phase(Watts measured, ManagerReport& report);
-
-  /// Report-filling helpers shared by the live and dead paths.
-  void fill_telemetry_totals(ManagerReport& report) const;
-  void fill_actuation_totals(ManagerReport& report) const;
-  void fill_control_totals(ManagerReport& report) const;
-  void fill_predictor_totals(ManagerReport& report) const;
 
   /// Stamps watchdog contact for every command in delivered_scratch_ —
   /// a delivery is the one controller signal a node can see directly.
@@ -482,7 +469,7 @@ class CappingManager final : public PowerManagerBase {
   /// (reconciler mutation, counters, safe-side pending accounting). The
   /// merge sees the same values in the same order the old single serial
   /// loop did, so output is bit-identical across worker counts.
-  void build_context_with(PolicyContext& ctx, Watts measured,
+  void build_context_with(PolicyContext& ctx,
                           const std::vector<hw::Node>& nodes,
                           const sched::Scheduler& scheduler,
                           ActuationReconciler* rec,
@@ -512,6 +499,24 @@ class CappingManager final : public PowerManagerBase {
                         const ActuationReconciler* rec,
                         std::uint64_t now_cycle, std::uint64_t max_age) const;
 
+  /// Adds (or, with `retract`, removes) one record's contribution to the
+  /// context's integer health tallies.
+  static void tally_record(PolicyContext& ctx, const ViewRecord& vr,
+                           bool retract);
+
+  /// The per-slot merge rule shared by the full and the delta merge:
+  /// tallies the record, runs the reconciler on a fresh view (adopt a
+  /// failsafe level awaiting adoption, otherwise observe), applies the
+  /// pending-command safe-side accounting and, when `inc_track`, derives
+  /// inc_degraded_[slot]. Returns false when the slot has no context view;
+  /// otherwise `nv` is the view to place. `rec` may be null (read-only
+  /// assembly): no observation and no pending accounting.
+  bool merge_slot(std::size_t slot, PolicyContext& ctx,
+                  const std::vector<hw::Node>& nodes, ActuationReconciler* rec,
+                  ActuationReconciler::CycleWork* work,
+                  std::uint64_t now_cycle, bool inc_track,
+                  NodeView& nv) const;
+
   /// The serial order-sensitive merge over ALL persisted records, plus
   /// index_nodes(). Resets and re-accumulates the context tallies. When
   /// `inc_track` it also rebuilds inc_pos_/inc_degraded_.
@@ -537,7 +542,7 @@ class CappingManager final : public PowerManagerBase {
   /// The delta path: dirty-slot scan, tally retraction, parallel refill,
   /// in-place serial merge of dirty slots and per-entry job refresh.
   /// Falls back to merge_records_full/job_pass_full on presence flips.
-  void build_context_delta(PolicyContext& ctx, Watts measured,
+  void build_context_delta(PolicyContext& ctx,
                            const std::vector<hw::Node>& nodes,
                            const sched::Scheduler& scheduler,
                            ActuationReconciler* rec,
@@ -551,24 +556,14 @@ class CappingManager final : public PowerManagerBase {
   // the rng fork order "collector" then "actuation" is part of the seed
   // compatibility contract — reordering would reshuffle every stream.
   telemetry::Collector collector_;
-  ThresholdLearner learner_;
   CappingEngine engine_;
   NodeController controller_;
   ActuationChannel channel_;
   ActuationReconciler reconciler_;
-  // ctrl_faults_'s rng fork ("control") is appended strictly after
-  // "collector" and "actuation": the new stream must not perturb either
-  // existing one, or every pre-PR-8 seed would replay differently.
-  ControlFaultInjector ctrl_faults_;
-  /// Forecasting (params_.prediction.enabled). The predictor is fed the
-  /// facility meter on every live cycle; forecast_ is this cycle's output.
-  PredictorPtr predictor_;
-  ForecastScorer scorer_;
-  std::optional<Watts> forecast_;
-  /// Resolved spectrum refresh cadence (params value, or the learner's
-  /// t_p when configured 0); counts live observations.
-  std::int64_t predictor_refresh_cycles_ = 0;
-  std::int64_t predictor_observations_ = 0;
+  /// Empty on zone-tree shards. Emplaced in the constructor body: its rng
+  /// fork ("control") comes strictly after "collector" and "actuation", so
+  /// the control-fault stream never perturbs either existing one.
+  std::optional<ControlRoot> root_;
   hw::FailsafeWatchdog* watchdog_ = nullptr;
   std::size_t watchdog_group_ = 0;
   /// True when this manager owns the watchdog's grouping (flat mode);

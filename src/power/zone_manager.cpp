@@ -1,27 +1,11 @@
 #include "power/zone_manager.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
 
 #include "power/checkpoint.hpp"
 
 namespace pcap::power {
-
-namespace {
-
-// Synthetic threshold triples the shards' engines classify against. The
-// watt values carry no physical meaning — they exist purely so
-// classify_power lands in the intended branch and, in yellow, so
-// ctx.required_saving() == the zone's deficit share.
-constexpr Watts kGreenP{0.0};
-constexpr Watts kGreenLow{1.0};
-constexpr Watts kGreenHigh{2.0};
-constexpr Watts kRedP{2.0};
-constexpr Watts kRedLow{0.0};
-constexpr Watts kRedHigh{1.0};
-
-}  // namespace
 
 ZoneTreeParams::Assignment parse_zone_assignment(const std::string& s) {
   if (s == "block") return ZoneTreeParams::Assignment::kBlock;
@@ -42,7 +26,7 @@ ZoneTreeManager::ZoneTreeManager(ZoneTreeParams params,
                                  CappingManagerParams shard_params,
                                  std::function<PolicyPtr()> policy_factory,
                                  common::Rng rng)
-    : params_(params), learner_(shard_params.thresholds) {
+    : params_(params) {
   if (params_.zone_count < 1) {
     throw std::invalid_argument("ZoneTreeManager: zone_count must be >= 1");
   }
@@ -54,42 +38,21 @@ ZoneTreeManager::ZoneTreeManager(ZoneTreeParams params,
         "ZoneTreeManager: dynamic candidate selection is not supported "
         "under zoning (the selector would re-partition every reselect)");
   }
-  // The shards never classify or learn: freeze their learners at the
-  // provision so their construction is valid and inert, and root-managed
-  // training never double-counts. Their control-fault injectors are
-  // cleared for the same reason: the tree owns every outage window (root
-  // blackouts and per-zone crashes alike), drawn from its own streams.
-  CappingManagerParams zp = shard_params;
-  zp.thresholds.freeze_at_provision = true;
-  zp.control = ControlFaultParams{};
-  // Prediction runs at the root for the same reason learning does: there
-  // is one facility meter, so there is one forecastable power series. The
-  // shards' prediction params are cleared so they never grow predictors
-  // of their own (their "meter" input is the global reading anyway).
-  zp.prediction = PredictionParams{};
   orphan_margin_ = shard_params.stale_power_margin;
-  prediction_ = shard_params.prediction;
-  if (prediction_.enabled) {
-    prediction_.validate();
-    predictor_ = make_predictor(prediction_);
-    predictor_refresh_cycles_ =
-        prediction_.refresh_cycles > 0
-            ? prediction_.refresh_cycles
-            : shard_params.thresholds.adjust_period_cycles;
-    scorer_.reset(prediction_.horizon_cycles);
-  }
   zones_.resize(params_.zone_count);
   for (std::size_t z = 0; z < zones_.size(); ++z) {
     // One rng branch per zone: zone z's fault/transport streams depend
     // only on (seed, z), not on the zone count or membership.
     zones_[z].shard = std::make_unique<CappingManager>(
-        zp, policy_factory(), rng.fork("zone" + std::to_string(z)));
+        shard_params, policy_factory(), rng.fork("zone" + std::to_string(z)),
+        CappingManager::ShardTag{});
   }
   // Forked after every zone branch so enabling/disabling control faults —
   // or adding this fork at all — cannot perturb the zone streams existing
   // seeds depend on.
-  ctrl_faults_.emplace(shard_params.control, rng.fork("control"));
-  ctrl_faults_->ensure_zones(zones_.size());
+  root_.emplace(shard_params.thresholds, shard_params.prediction,
+                shard_params.control, rng.fork("control"));
+  root_->control_faults().ensure_zones(zones_.size());
 }
 
 std::string ZoneTreeManager::name() const {
@@ -174,47 +137,17 @@ ManagerReport ZoneTreeManager::cycle(Watts measured,
                                      std::vector<hw::Node>& nodes,
                                      const sched::Scheduler& scheduler,
                                      Seconds now) {
-  // Control-fault windows advance first: a root blackout silences the
-  // whole tree (no learning, no heartbeats, no decisions), a zone window
-  // silences just that shard while the root conservatively re-plans
-  // around the orphan.
-  const bool root_down = ctrl_faults_->begin_cycle();
-
-  // Root: threshold learning + global classification — one learner, one
-  // facility meter reading, exactly like the flat manager's step 1. A
-  // dead root cannot observe, but the band it last learned is still real,
-  // so classification (and the report) use the frozen thresholds.
-  if (!root_down) learner_.observe(measured);
-
-  ManagerReport report;
-  report.controller_down = root_down;
-  report.measured = measured;
-  report.p_low = learner_.p_low();
-  report.p_high = learner_.p_high();
-  report.training = learner_.training();
-  report.state = classify_power(measured, report.p_low, report.p_high);
-  const PowerState state = report.state;
-
-  // Root forecasting (the flat manager's step 1b): model update + this
-  // cycle's forecast. Runs during training too — the model is warm the
-  // moment capping starts — but only arms the predictive path after.
-  if (!root_down) predictor_phase(measured, report);
-  const bool predictive_alarm =
-      !root_down && !report.training && forecast_.has_value() &&
-      zones_.front().shard->policy().forecast_driven() &&
-      *forecast_ >= report.p_low;
-
-  // Predictive elevation: a green root cycle with an armed alarm drives
-  // the zones down the yellow deficit-distribution path, shedding for
-  // where the meter is heading instead of where it is. Green→yellow only,
-  // never →red — a bad forecast can cost a few conservative throttles but
-  // can never floor the whole cluster.
-  PowerState effective = state;
-  if (predictive_alarm && state == PowerState::kGreen) {
-    effective = PowerState::kYellow;
-    ++predictive_elevations_;
-    report.state = effective;
-  }
+  // The root first: control-fault windows, learning, forecasting and the
+  // band — exactly the flat manager's steps 0–1. A root blackout silences
+  // the whole tree (no learning, no heartbeats, no decisions); a zone
+  // window silences just that shard while the root conservatively
+  // re-plans around the orphan. An elevated band drives the zones down
+  // the yellow deficit-distribution path, shedding for where the meter is
+  // heading instead of where it is.
+  ManagerReport report =
+      root_->cycle(measured, zones_.front().shard->policy().forecast_driven());
+  const bool root_down = report.controller_down;
+  const PowerState effective = report.state;
 
   if (root_down) {
     // The root is blind this cycle: whatever it believed about the zones
@@ -242,7 +175,7 @@ ManagerReport ZoneTreeManager::cycle(Watts measured,
   // traffic it could actually have seen.
   for (std::size_t z = 0; z < zones_.size(); ++z) {
     Zone& zone = zones_[z];
-    zone.down = root_down || ctrl_faults_->zone_down(z);
+    zone.down = root_down || root_->control_faults().zone_down(z);
     if (zone.down) {
       zone.hints_valid = false;
     } else if (watchdog_ != nullptr) {
@@ -313,14 +246,18 @@ ManagerReport ZoneTreeManager::cycle(Watts measured,
   common::ThreadPool* const collect_pool =
       collecting_zones >= 2 ? pool_ : nullptr;
   common::ThreadPool* const active_pool = active_zones >= 2 ? pool_ : nullptr;
-  common::maybe_parallel_for(
-      collect_pool, zones_.size(), 2, 1,
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t z = begin; z < end; ++z) {
-          Zone& zone = zones_[z];
-          zone.shard->collect_phase(zone.collected, nodes, now, running_jobs);
-        }
-      });
+  {
+    const obs::SpanTimer::Scope span = metrics_.collect_span.start();
+    common::maybe_parallel_for(
+        collect_pool, zones_.size(), 2, 1,
+        [&](std::size_t begin, std::size_t end) {
+          for (std::size_t z = begin; z < end; ++z) {
+            Zone& zone = zones_[z];
+            zone.shard->collect_phase(zone.collected, nodes, now,
+                                      running_jobs);
+          }
+        });
+  }
 
   // Phase B — actuation-plane hardware events (reboots, due deliveries)
   // mutate nodes: strictly serial, fixed zone order. A reboot resets a
@@ -337,42 +274,6 @@ ManagerReport ZoneTreeManager::cycle(Watts measured,
     }
   }
 
-  const auto fill_totals = [&] {
-    double utilization = 0.0;
-    for (Zone& zone : zones_) {
-      const CappingManager& m = *zone.shard;
-      utilization += m.collector().last_cycle_manager_utilization();
-      report.samples_lost += m.collector().samples_lost();
-      report.samples_suppressed += m.collector().samples_suppressed();
-      const telemetry::FaultInjector& faults = m.collector().fault_injector();
-      report.samples_corrupted += faults.samples_corrupted();
-      report.crash_events += faults.crash_events();
-      report.recovery_events += faults.recovery_events();
-      report.agents_down += faults.silent_count();
-      report.commands_lost += m.actuation_channel().commands_lost();
-      report.commands_rebooting +=
-          m.actuation_channel().commands_dropped_rebooting();
-      report.transitions_failed += m.actuation_channel().transitions_failed();
-      report.transitions_partial +=
-          m.actuation_channel().transitions_partial();
-      report.reboot_events += m.actuation_channel().reboot_events();
-      report.commands_abandoned += m.reconciler().total_abandoned();
-      report.commands_clamped += m.controller().commands_clamped();
-      report.commands_in_flight += m.reconciler().pending_count();
-    }
-    report.manager_utilization = utilization;
-    // Control-plane fault truth lives in the tree's injector (the shards'
-    // own injectors are cleared at construction and count nothing).
-    report.zones_down = ctrl_faults_->zones_down();
-    report.predictor_overshoots = scorer_.overshoots();
-    report.predictor_misses = scorer_.misses();
-    report.predictive_elevations = predictive_elevations_;
-    report.ctrl_outages = ctrl_faults_->outages_started();
-    report.ctrl_outage_cycles = ctrl_faults_->outage_cycles();
-    report.ctrl_delayed_cycles = ctrl_faults_->delayed_cycles();
-    report.ctrl_zone_outage_cycles = ctrl_faults_->zone_outage_cycles();
-  };
-
   const auto publish = [&] {
     std::size_t unresponsive_now = 0;
     std::size_t active = 0;
@@ -387,13 +288,13 @@ ManagerReport ZoneTreeManager::cycle(Watts measured,
       }
     }
     active_last_cycle_ = active;
+    for (const Zone& zone : zones_) zone.shard->add_shard_totals(report);
     metrics_.publish(report, unresponsive_now);
   };
 
   // Training: the system runs unmanaged — only due deliveries land.
   if (training) {
     for (Zone& zone : zones_) zone.shard->apply_deliveries(nodes);
-    fill_totals();
     publish();
     return report;
   }
@@ -403,30 +304,33 @@ ManagerReport ZoneTreeManager::cycle(Watts measured,
   // disjoint). The zone's power and shed capacity are serial per-zone
   // folds over its own context, so they are identical whichever worker
   // computed them.
-  common::maybe_parallel_for(
-      active_pool, zones_.size(), 2, 1,
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t z = begin; z < end; ++z) {
-          Zone& zone = zones_[z];
-          if (!zone.active) continue;
-          zone.shard->context_phase(measured, nodes, scheduler, zone.report);
-          const PolicyContext& ctx = zone.shard->context();
-          Watts power{0.0};
-          bool floored = true;
-          for (const NodeView& nv : ctx.nodes) {
-            power += nv.power;
-            if (!nv.at_lowest) floored = false;
+  {
+    const obs::SpanTimer::Scope span = metrics_.context_span.start();
+    common::maybe_parallel_for(
+        active_pool, zones_.size(), 2, 1,
+        [&](std::size_t begin, std::size_t end) {
+          for (std::size_t z = begin; z < end; ++z) {
+            Zone& zone = zones_[z];
+            if (!zone.active) continue;
+            zone.shard->context_phase(nodes, scheduler, zone.report);
+            const PolicyContext& ctx = zone.shard->context();
+            Watts power{0.0};
+            bool floored = true;
+            for (const NodeView& nv : ctx.nodes) {
+              power += nv.power;
+              if (!nv.at_lowest) floored = false;
+            }
+            Watts capacity{0.0};
+            for (const JobView& jv : ctx.jobs) {
+              capacity += jv.saving_one_level;
+            }
+            zone.power = power;
+            zone.capacity = capacity;
+            zone.floored = floored;
+            zone.ever_measured = true;
           }
-          Watts capacity{0.0};
-          for (const JobView& jv : ctx.jobs) {
-            capacity += jv.saving_one_level;
-          }
-          zone.power = power;
-          zone.capacity = capacity;
-          zone.floored = floored;
-          zone.ever_measured = true;
-        }
-      });
+        });
+  }
 
   // Root fold — deficit shares, serial in fixed zone order (the only
   // cross-zone arithmetic in the cycle; its inputs are per-zone values
@@ -441,8 +345,8 @@ ManagerReport ZoneTreeManager::cycle(Watts measured,
     // drops below the measured reading: a forecast that undershoots
     // reality can't shrink the reactive response.
     Watts deficit_base = measured;
-    if (predictive_alarm && *forecast_ > deficit_base) {
-      deficit_base = *forecast_;
+    if (root_->alarm() && *root_->forecast() > deficit_base) {
+      deficit_base = *root_->forecast();
     }
     Watts deficit = std::max(Watts{0.0}, deficit_base - report.p_low);
     // Orphan-zone adoption: a downed shard cannot shed its share, and the
@@ -494,40 +398,34 @@ ManagerReport ZoneTreeManager::cycle(Watts measured,
   // handoff). Green runs every zone's engine — O(1) with nothing
   // degraded — so each shard's green timer ticks exactly as the flat
   // engine's would. Skipped yellow/red zones reset their timer without a
-  // decision, as if a decision had run and emitted nothing.
-  common::maybe_parallel_for(
-      active_pool, zones_.size(), 2, 1,
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t z = begin; z < end; ++z) {
-          Zone& zone = zones_[z];
-          CappingManager& m = *zone.shard;
-          // A crashed shard decides nothing — not even a green-timer tick
-          // or a non-green reset; its engine clock freezes mid-outage
-          // exactly as the flat manager's does on a dead cycle.
-          if (zone.down) continue;
-          switch (effective) {
-            case PowerState::kGreen:
-              zone.decision = m.select_phase(kGreenP, kGreenLow, kGreenHigh);
-              break;
-            case PowerState::kYellow:
-              if (zone.active && zone.share > Watts{0.0}) {
-                zone.decision = m.select_phase(
-                    zone.share, Watts{0.0},
-                    Watts{std::numeric_limits<double>::max()});
-              } else {
-                m.note_non_green_cycle();
-              }
-              break;
-            case PowerState::kRed:
-              if (zone.active) {
-                zone.decision = m.select_phase(kRedP, kRedLow, kRedHigh);
-              } else {
-                m.note_non_green_cycle();
-              }
-              break;
+  // decision, as if a decision had run and emitted nothing. A deciding
+  // shard's context carries (P, P_L) = (share, 0): in yellow its policy
+  // sheds exactly the zone's share; green and red consult no policy.
+  {
+    const obs::SpanTimer::Scope span = metrics_.policy_span.start();
+    common::maybe_parallel_for(
+        active_pool, zones_.size(), 2, 1,
+        [&](std::size_t begin, std::size_t end) {
+          for (std::size_t z = begin; z < end; ++z) {
+            Zone& zone = zones_[z];
+            CappingManager& m = *zone.shard;
+            // A crashed shard decides nothing — not even a green-timer
+            // tick or a non-green reset; its engine clock freezes
+            // mid-outage exactly as the flat manager's does on a dead
+            // cycle.
+            if (zone.down) continue;
+            const bool decides =
+                effective == PowerState::kGreen ||
+                (zone.active && (effective == PowerState::kRed ||
+                                 zone.share > Watts{0.0}));
+            if (decides) {
+              zone.decision = m.select_phase(effective, zone.share, Watts{0.0});
+            } else {
+              m.note_non_green_cycle();
+            }
           }
-        }
-      });
+        });
+  }
 
   // Phase E — actuation mutates nodes: strictly serial, fixed zone order.
   // Every zone actuates every cycle (an empty decision still flushes the
@@ -535,24 +433,28 @@ ManagerReport ZoneTreeManager::cycle(Watts measured,
   // here, after actuation: a zone that just sent commands has pending
   // state, so its hints stay invalid until the acks come back through a
   // clean build.
-  for (Zone& zone : zones_) {
-    CappingManager& m = *zone.shard;
-    if (zone.down) {
-      // Dead shard: no admissions, no retries, no heals — but commands
-      // already in the network still land (stamping watchdog contacts;
-      // the node cannot tell the sender died after transmitting).
-      zone.transitions = m.apply_deliveries(nodes);
-      continue;
-    }
-    zone.transitions = m.actuate_phase(zone.decision, nodes);
-    if (zone.active) {
-      const ManagerReport& zr = zone.report;
-      zone.hints_valid =
-          zr.stale_nodes == 0 && zr.missing_nodes == 0 &&
-          zr.fallback_nodes == 0 && zr.rejected_samples == 0 &&
-          zr.unresponsive_nodes == 0 && m.reconciler().pending_count() == 0 &&
-          m.reconciler().unresponsive_count() == 0 &&
-          m.actuation_channel().in_flight_count() == 0;
+  {
+    const obs::SpanTimer::Scope span = metrics_.actuate_span.start();
+    for (Zone& zone : zones_) {
+      CappingManager& m = *zone.shard;
+      if (zone.down) {
+        // Dead shard: no admissions, no retries, no heals — but commands
+        // already in the network still land (stamping watchdog contacts;
+        // the node cannot tell the sender died after transmitting).
+        zone.transitions = m.apply_deliveries(nodes);
+        continue;
+      }
+      zone.transitions = m.actuate_phase(zone.decision, nodes);
+      if (zone.active) {
+        const ManagerReport& zr = zone.report;
+        zone.hints_valid = zr.stale_nodes == 0 && zr.missing_nodes == 0 &&
+                           zr.fallback_nodes == 0 &&
+                           zr.rejected_samples == 0 &&
+                           zr.unresponsive_nodes == 0 &&
+                           m.reconciler().pending_count() == 0 &&
+                           m.reconciler().unresponsive_count() == 0 &&
+                           m.actuation_channel().in_flight_count() == 0;
+      }
     }
   }
 
@@ -567,54 +469,15 @@ ManagerReport ZoneTreeManager::cycle(Watts measured,
     report.fallback_nodes += zone.report.fallback_nodes;
     report.rejected_samples += zone.report.rejected_samples;
     report.unresponsive_nodes += zone.report.unresponsive_nodes;
-    const ActuationReconciler::CycleWork& work = zone.shard->recon_work();
-    report.acks += work.acks;
-    report.retries += work.retries;
-    report.divergences += work.divergences;
-    report.heals += work.heals;
     report.watchdog_adoptions += zone.report.watchdog_adoptions;
   }
-  fill_totals();
   publish();
   return report;
 }
 
-void ZoneTreeManager::predictor_phase(Watts measured, ManagerReport& report) {
-  if (!predictor_) return;
-  predictor_->observe(measured);
-  ++predictor_observations_;
-  if (auto* periodic = dynamic_cast<PeriodicityPredictor*>(predictor_.get());
-      periodic != nullptr &&
-      predictor_observations_ % predictor_refresh_cycles_ == 0) {
-    // The only super-O(1) model work, scheduled on the root learner's t_p
-    // cadence — never on the per-cycle hot path.
-    periodic->refresh();
-  }
-  forecast_ = predictor_->forecast(prediction_.horizon_cycles);
-  std::optional<double> raw;
-  if (forecast_) raw = forecast_->value();
-  const std::optional<ForecastScorer::Score> score =
-      scorer_.step(measured.value(), learner_.p_low().value(), raw);
-  if (score) {
-    report.forecast_abs_error = score->abs_error;
-    report.forecast_scored = true;
-  }
-  report.has_forecast = forecast_.has_value();
-  if (forecast_) report.forecast = *forecast_;
-}
-
 TreeCheckpoint ZoneTreeManager::checkpoint() const {
   TreeCheckpoint cp;
-  cp.learner = learner_.checkpoint();
-  // The observation counter rides in front of the opaque model state so
-  // the restored refresh cadence stays phase-aligned with the old run.
-  if (predictor_) {
-    cp.predictor_state.push_back(
-        static_cast<double>(predictor_observations_));
-    const std::vector<double> model = predictor_->checkpoint_state();
-    cp.predictor_state.insert(cp.predictor_state.end(), model.begin(),
-                              model.end());
-  }
+  root_->checkpoint(cp.learner, cp.predictor_state);
   cp.last_state = static_cast<int>(last_state_);
   cp.job_events_seen = job_events_seen_;
   cp.shards.reserve(zones_.size());
@@ -640,14 +503,7 @@ void ZoneTreeManager::restore(const TreeCheckpoint& cp) {
         std::to_string(cp.shards.size()) + ") != tree zone count (" +
         std::to_string(zones_.size()) + ")");
   }
-  learner_.restore(cp.learner);
-  if (predictor_ && !cp.predictor_state.empty()) {
-    predictor_observations_ =
-        static_cast<std::int64_t>(cp.predictor_state[0]);
-    predictor_->restore_state(std::vector<double>(
-        cp.predictor_state.begin() + 1, cp.predictor_state.end()));
-    forecast_ = predictor_->forecast(prediction_.horizon_cycles);
-  }
+  root_->restore(cp.learner, cp.predictor_state);
   last_state_ = static_cast<PowerState>(cp.last_state);
   job_events_seen_ = cp.job_events_seen;
   for (std::size_t z = 0; z < zones_.size(); ++z) {

@@ -4,24 +4,29 @@
 // The flat CappingManager runs one telemetry/context/selection sweep over
 // the whole candidate set every non-green cycle. The zone tree partitions
 // A_candidate into Z zones, gives each zone its own collector/reconciler/
-// channel/engine shard (an unmodified CappingManager driven through its
-// phase API), and keeps exactly one learner at the root:
+// channel/engine shard (a CappingManager built without a root and driven
+// through its phase API), and runs exactly one ControlRoot — the same
+// root the flat manager runs (power/control_root.hpp):
 //
-//   root:  observe the facility meter, classify green/yellow/red against
-//          the learned thresholds, compute the global deficit
-//          D = max(0, P - P_L), and split it into per-zone shares
-//          (uniform or usage-proportional over the zones that can still
-//          shed). Zone power/capacity are folded in fixed zone order, so
-//          the root's arithmetic is one serial reduction regardless of
-//          how many workers ran the zone sweeps.
+//   root:  observe the facility meter, learn P_L/P_H, forecast, decide
+//          the band (with predictive elevation) and draw every outage
+//          window — root blackouts and zone-shard crashes alike. In
+//          yellow, compute the global deficit D = max(0, P - P_L) and
+//          split it into per-zone shares (uniform or usage-proportional
+//          over the zones that can still shed). Zone power/capacity are
+//          folded in fixed zone order, so the root's arithmetic is one
+//          serial reduction regardless of how many workers ran the zone
+//          sweeps.
 //   zones: collect + build context + select fully in parallel (disjoint
 //          per-shard state; the shards themselves run serially inside a
 //          zone task, so there is no nested pool use). Each shard's
-//          engine sees synthetic thresholds that encode (global state,
-//          zone share): green → (0,1,2) W, yellow with share s →
-//          (s, 0, +inf) so ctx.required_saving() == s, red → (2,0,1) W.
+//          engine runs the root's band; in yellow the shard's context
+//          carries (P, P_L) = (share s, 0) so ctx.required_saving() == s.
 //          Node-mutating steps (reboot/delivery processing, actuation)
 //          run serially in fixed zone order.
+//
+// Phases A (collect), C (context), D (policy) and E (actuate) publish the
+// same pcap_cycle_phase_seconds spans the flat manager does.
 //
 // Quiescence: a zone that last built a CLEAN context (no stale/missing/
 // fallback/rejected views, nothing pending, unresponsive or in flight)
@@ -47,10 +52,9 @@
 #include "common/thread_pool.hpp"
 #include "common/units.hpp"
 #include "obs/registry.hpp"
+#include "power/control_root.hpp"
 #include "power/manager.hpp"
-#include "power/predictor.hpp"
 #include "power/state.hpp"
-#include "power/thresholds.hpp"
 
 namespace pcap::power {
 
@@ -78,11 +82,12 @@ ZoneTreeParams::Redistribution parse_zone_redistribution(const std::string& s);
 
 class ZoneTreeManager final : public PowerManagerBase {
  public:
-  /// `shard_params` configures every zone shard (its thresholds sub-struct
-  /// is inert — the root owns classification). `policy_factory` is
-  /// invoked once per zone so each shard gets its own selection-policy
-  /// state. Dynamic candidate selection (shard_params.selector) is not
-  /// supported under zoning and throws.
+  /// `shard_params` configures every zone shard; its thresholds,
+  /// prediction and control sub-structs configure the tree's root (the
+  /// shards have none). `policy_factory` is invoked once per zone so each
+  /// shard gets its own selection-policy state. Dynamic candidate
+  /// selection (shard_params.selector) is not supported under zoning and
+  /// throws.
   ZoneTreeManager(ZoneTreeParams params, CappingManagerParams shard_params,
                   std::function<PolicyPtr()> policy_factory, common::Rng rng);
 
@@ -111,19 +116,15 @@ class ZoneTreeManager final : public PowerManagerBase {
   /// and the tree owns the grouping (refreshed on every repartition).
   void set_watchdog(hw::FailsafeWatchdog* wd) override;
 
-  /// The tree's control-fault process (root blackouts + per-zone crash
-  /// windows; the shards' own injectors are cleared at construction so
-  /// every window is drawn here, from streams keyed by (seed, zone)).
-  [[nodiscard]] const ControlFaultInjector& control_faults() const {
-    return *ctrl_faults_;
-  }
-  /// Mutable access for drills: inject a forced outage window from a test
-  /// or an operator console. Serial with cycle().
-  [[nodiscard]] ControlFaultInjector& control_faults() { return *ctrl_faults_; }
+  /// The tree's root: learner, forecaster, band, and the control-fault
+  /// process (root blackouts + per-zone crash windows, drawn from streams
+  /// keyed by (seed, zone)).
+  [[nodiscard]] const ControlRoot& root() const { return *root_; }
+  [[nodiscard]] ControlRoot& root() { return *root_; }
 
-  /// Captures/restores warm-restart state: root learner, per-shard
-  /// learner/engine/reconciler/collector-clock, zone quiescence hints and
-  /// the root dirty triggers. Restore into a tree with the same zone
+  /// Captures/restores warm-restart state: root learner/predictor,
+  /// per-shard engine/reconciler/collector-clock, zone quiescence hints
+  /// and the root dirty triggers. Restore into a tree with the same zone
   /// count AFTER set_candidate_set. See power/checkpoint.hpp.
   [[nodiscard]] TreeCheckpoint checkpoint() const;
   void restore(const TreeCheckpoint& cp);
@@ -135,27 +136,6 @@ class ZoneTreeManager final : public PowerManagerBase {
   }
   [[nodiscard]] const CappingManager& zone(std::size_t z) const {
     return *zones_[z].shard;
-  }
-  [[nodiscard]] const ThresholdLearner& thresholds() const {
-    return learner_;
-  }
-  [[nodiscard]] ThresholdLearner& thresholds() { return learner_; }
-  /// The root forecaster, or nullptr when shard_params.prediction is
-  /// disabled. Prediction runs at the root only — the shards' params are
-  /// cleared at construction, exactly like their control-fault injectors.
-  [[nodiscard]] const PowerPredictor* predictor() const {
-    return predictor_.get();
-  }
-  [[nodiscard]] std::optional<Watts> current_forecast() const {
-    return forecast_;
-  }
-  [[nodiscard]] const ForecastScorer& forecast_scorer() const {
-    return scorer_;
-  }
-  /// Green root cycles promoted to the yellow deficit-distribution path
-  /// by a forecast (lifetime total).
-  [[nodiscard]] std::uint64_t predictive_elevations() const {
-    return predictive_elevations_;
   }
   [[nodiscard]] const ZoneTreeParams& params() const { return params_; }
   /// Zones that ran collect+context+select last cycle (quiescence probe).
@@ -206,34 +186,16 @@ class ZoneTreeManager final : public PowerManagerBase {
   void invalidate_hints();
   /// Re-derives the watchdog's group partition (group z = zone z members).
   void refresh_watchdog_groups();
-  /// Root forecasting: model update on the facility meter, t_p spectrum
-  /// refresh, fresh forecast, accuracy scoring, report stamps. No-op
-  /// without a predictor; called on live root cycles only (a dead root
-  /// reads no meter, so the predictor window freezes like the learner's).
-  void predictor_phase(Watts measured, ManagerReport& report);
 
   ZoneTreeParams params_;
-  ThresholdLearner learner_;  ///< the root's (only live) learner
-  /// Root forecasting (shard_params.prediction). The predictor sees the
-  /// facility meter on every live root cycle; forecast_ is this cycle's
-  /// output, consumed by the deficit fold and the elevation gate.
-  PredictionParams prediction_;
-  PredictorPtr predictor_;
-  ForecastScorer scorer_;
-  std::optional<Watts> forecast_;
-  /// Resolved spectrum refresh cadence (param value, or the root
-  /// learner's t_p when configured 0); counts live observations.
-  std::int64_t predictor_refresh_cycles_ = 0;
-  std::int64_t predictor_observations_ = 0;
-  std::uint64_t predictive_elevations_ = 0;
   std::vector<Zone> zones_;
   common::ThreadPool* pool_ = nullptr;
   ManagerMetrics metrics_;  ///< root aggregate series
   obs::Registry* reg_ = nullptr;
   /// Optional only for construction order: its "control" rng fork must
-  /// come AFTER the per-zone forks (seed compatibility with PR 7 zone
+  /// come AFTER the per-zone forks (seed compatibility with the zone
   /// streams), so it is emplaced at the end of the constructor body.
-  std::optional<ControlFaultInjector> ctrl_faults_;
+  std::optional<ControlRoot> root_;
   hw::FailsafeWatchdog* watchdog_ = nullptr;
   /// Safe-side inflation for a downed zone's accounted power — reuses the
   /// shards' stale_power_margin (both cover "we cannot see this anymore").

@@ -61,8 +61,7 @@ TEST(Capping, GreenWithNothingDegradedDoesNothing) {
   CappingEngine e(tg(3));
   FixedPolicy policy({});
   const auto ctx = make_ctx(4, 9);
-  const CycleDecision d =
-      e.cycle(Watts{100.0}, Watts{900.0}, Watts{950.0}, policy, ctx);
+  const CycleDecision d = e.cycle(PowerState::kGreen, policy, ctx);
   EXPECT_EQ(d.state, PowerState::kGreen);
   EXPECT_TRUE(d.commands.empty());
   EXPECT_EQ(e.green_timer(), 1);
@@ -72,8 +71,7 @@ TEST(Capping, YellowDegradesPolicyTargetsByOneLevel) {
   CappingEngine e(tg(3));
   FixedPolicy policy({0, 2});
   const auto ctx = make_ctx(4, 9);
-  const CycleDecision d =
-      e.cycle(Watts{920.0}, Watts{900.0}, Watts{950.0}, policy, ctx);
+  const CycleDecision d = e.cycle(PowerState::kYellow, policy, ctx);
   EXPECT_EQ(d.state, PowerState::kYellow);
   ASSERT_EQ(d.commands.size(), 2u);
   EXPECT_EQ(d.commands[0], (LevelCommand{0, 8}));
@@ -86,8 +84,7 @@ TEST(Capping, RedFloorsEveryCandidate) {
   CappingEngine e(tg(3));
   FixedPolicy policy({});
   const auto ctx = make_ctx(5, 6);
-  const CycleDecision d =
-      e.cycle(Watts{999.0}, Watts{900.0}, Watts{950.0}, policy, ctx);
+  const CycleDecision d = e.cycle(PowerState::kRed, policy, ctx);
   EXPECT_EQ(d.state, PowerState::kRed);
   ASSERT_EQ(d.commands.size(), 5u);
   for (const LevelCommand& c : d.commands) EXPECT_EQ(c.level, 0);
@@ -99,19 +96,17 @@ TEST(Capping, GreenTimerMustReachTgBeforeRestore) {
   FixedPolicy policy({0});
   auto ctx = make_ctx(2, 9);
   // One yellow cycle degrades node 0 to level 8.
-  e.cycle(Watts{920.0}, Watts{900.0}, Watts{950.0}, policy, ctx);
+  e.cycle(PowerState::kYellow, policy, ctx);
   ctx = make_ctx(2, 9);
   ctx.nodes[0].level = 8;
 
   // Two green cycles: timer 1, 2 — below T_g = 3, no restore.
   for (int i = 0; i < 2; ++i) {
-    const auto d =
-        e.cycle(Watts{100.0}, Watts{900.0}, Watts{950.0}, policy, ctx);
+    const auto d = e.cycle(PowerState::kGreen, policy, ctx);
     EXPECT_TRUE(d.commands.empty());
   }
   // Third green cycle: steady green, restore by one level.
-  const auto d =
-      e.cycle(Watts{100.0}, Watts{900.0}, Watts{950.0}, policy, ctx);
+  const auto d = e.cycle(PowerState::kGreen, policy, ctx);
   ASSERT_EQ(d.commands.size(), 1u);
   EXPECT_EQ(d.commands[0], (LevelCommand{0, 9}));
   // Node reached the top level: it leaves A_degraded.
@@ -123,21 +118,21 @@ TEST(Capping, RestoreContinuesEveryGreenCycleOnceSteady) {
   FixedPolicy policy({0});
   // Degrade node 0 twice: level 9 -> 8 -> 7.
   auto ctx = make_ctx(1, 9);
-  e.cycle(Watts{920.0}, Watts{900.0}, Watts{950.0}, policy, ctx);
+  e.cycle(PowerState::kYellow, policy, ctx);
   ctx = make_ctx(1, 8);
-  e.cycle(Watts{920.0}, Watts{900.0}, Watts{950.0}, policy, ctx);
+  e.cycle(PowerState::kYellow, policy, ctx);
   ctx = make_ctx(1, 7);
 
   // Green cycles: restore fires at timer = 2 and every green cycle after.
-  auto d = e.cycle(Watts{0.0}, Watts{900.0}, Watts{950.0}, policy, ctx);
+  auto d = e.cycle(PowerState::kGreen, policy, ctx);
   EXPECT_TRUE(d.commands.empty());  // timer = 1
-  d = e.cycle(Watts{0.0}, Watts{900.0}, Watts{950.0}, policy, ctx);
+  d = e.cycle(PowerState::kGreen, policy, ctx);
   ASSERT_EQ(d.commands.size(), 1u);  // timer = 2: restore to 8
   EXPECT_EQ(d.commands[0].level, 8);
   EXPECT_FALSE(e.degraded().empty());  // not yet at the top
 
   ctx = make_ctx(1, 8);
-  d = e.cycle(Watts{0.0}, Watts{900.0}, Watts{950.0}, policy, ctx);
+  d = e.cycle(PowerState::kGreen, policy, ctx);
   ASSERT_EQ(d.commands.size(), 1u);  // restore to 9 and leave A_degraded
   EXPECT_EQ(d.commands[0].level, 9);
   EXPECT_TRUE(e.degraded().empty());
@@ -147,9 +142,9 @@ TEST(Capping, YellowResetsGreenTimer) {
   CappingEngine e(tg(3));
   FixedPolicy policy({0});
   auto ctx = make_ctx(1, 9);
-  e.cycle(Watts{0.0}, Watts{900.0}, Watts{950.0}, policy, ctx);
+  e.cycle(PowerState::kGreen, policy, ctx);
   EXPECT_EQ(e.green_timer(), 1);
-  e.cycle(Watts{920.0}, Watts{900.0}, Watts{950.0}, policy, ctx);
+  e.cycle(PowerState::kYellow, policy, ctx);
   EXPECT_EQ(e.green_timer(), 0);
 }
 
@@ -157,8 +152,8 @@ TEST(Capping, RedResetsGreenTimer) {
   CappingEngine e(tg(3));
   FixedPolicy policy({});
   const auto ctx = make_ctx(1, 9);
-  e.cycle(Watts{0.0}, Watts{900.0}, Watts{950.0}, policy, ctx);
-  e.cycle(Watts{9999.0}, Watts{900.0}, Watts{950.0}, policy, ctx);
+  e.cycle(PowerState::kGreen, policy, ctx);
+  e.cycle(PowerState::kRed, policy, ctx);
   EXPECT_EQ(e.green_timer(), 0);
 }
 
@@ -166,11 +161,11 @@ TEST(Capping, DepartedCandidateLeavesDegradedSet) {
   CappingEngine e(tg(1));
   FixedPolicy policy({0, 1});
   auto ctx = make_ctx(2, 9);
-  e.cycle(Watts{920.0}, Watts{900.0}, Watts{950.0}, policy, ctx);
+  e.cycle(PowerState::kYellow, policy, ctx);
   EXPECT_EQ(e.degraded().size(), 2u);
   // Node 1 leaves the candidate set (e.g. now runs a privileged task).
   auto ctx_one = make_ctx(1, 8);
-  e.cycle(Watts{0.0}, Watts{900.0}, Watts{950.0}, policy, ctx_one);
+  e.cycle(PowerState::kGreen, policy, ctx_one);
   for (const hw::NodeId id : e.degraded()) EXPECT_NE(id, 1u);
 }
 
@@ -194,8 +189,7 @@ TEST(Capping, PolicyReturningIdleNodeIsSkippedNotFatal) {
   BlindPolicy policy({0, 1});
   auto ctx = make_ctx(2, 9);
   ctx.nodes[0].busy = false;  // idle node must not be targeted (§III.B-4)
-  const CycleDecision d =
-      e.cycle(Watts{920.0}, Watts{900.0}, Watts{950.0}, policy, ctx);
+  const CycleDecision d = e.cycle(PowerState::kYellow, policy, ctx);
   // The invalid target is dropped; the valid one still lands.
   EXPECT_EQ(d.skipped, 1u);
   ASSERT_EQ(d.commands.size(), 1u);
@@ -207,8 +201,7 @@ TEST(Capping, PolicyReturningFlooredNodeIsSkippedNotFatal) {
   CappingEngine e(tg(3));
   BlindPolicy policy({0});
   const auto ctx = make_ctx(1, 0);  // already at the lowest level
-  const CycleDecision d =
-      e.cycle(Watts{920.0}, Watts{900.0}, Watts{950.0}, policy, ctx);
+  const CycleDecision d = e.cycle(PowerState::kYellow, policy, ctx);
   EXPECT_EQ(d.skipped, 1u);
   EXPECT_TRUE(d.commands.empty());
   EXPECT_TRUE(e.degraded().empty());
@@ -218,8 +211,7 @@ TEST(Capping, PolicyReturningUnknownNodeIsSkippedNotFatal) {
   CappingEngine e(tg(3));
   BlindPolicy policy({7});  // not in the candidate set
   const auto ctx = make_ctx(2, 9);
-  const CycleDecision d =
-      e.cycle(Watts{920.0}, Watts{900.0}, Watts{950.0}, policy, ctx);
+  const CycleDecision d = e.cycle(PowerState::kYellow, policy, ctx);
   EXPECT_EQ(d.skipped, 1u);
   EXPECT_TRUE(d.commands.empty());
 }
@@ -229,8 +221,7 @@ TEST(Capping, StaleTargetIsSkippedAndCounted) {
   BlindPolicy policy({0, 1});
   auto ctx = make_ctx(2, 9);
   ctx.nodes[0].stale = true;  // the manager flagged node 0's view as stale
-  const CycleDecision d =
-      e.cycle(Watts{920.0}, Watts{900.0}, Watts{950.0}, policy, ctx);
+  const CycleDecision d = e.cycle(PowerState::kYellow, policy, ctx);
   EXPECT_EQ(d.skipped, 1u);
   ASSERT_EQ(d.commands.size(), 1u);
   EXPECT_EQ(d.commands[0].node, 1u);
@@ -245,13 +236,13 @@ TEST(Capping, RedIsIdempotentAtTheFloor) {
   CappingEngine e(tg(3));
   FixedPolicy policy({});
   auto ctx = make_ctx(3, 6);
-  auto d = e.cycle(Watts{999.0}, Watts{900.0}, Watts{950.0}, policy, ctx);
+  auto d = e.cycle(PowerState::kRed, policy, ctx);
   EXPECT_EQ(d.commands.size(), 3u);
 
   // Actuated: everyone is at the floor now. A second red cycle must not
   // re-command anyone.
   ctx = make_ctx(3, 0);
-  d = e.cycle(Watts{999.0}, Watts{900.0}, Watts{950.0}, policy, ctx);
+  d = e.cycle(PowerState::kRed, policy, ctx);
   EXPECT_TRUE(d.commands.empty());
   EXPECT_EQ(e.degraded().size(), 3u);  // still tracked for restore
 }
@@ -262,7 +253,7 @@ TEST(Capping, RedDoesNotAdoptNodesAlreadyAtTheFloor) {
   auto ctx = make_ctx(2, 6);
   ctx.nodes[1].level = 0;  // floored by someone else, not this engine
   ctx.nodes[1].at_lowest = true;
-  const auto d = e.cycle(Watts{999.0}, Watts{900.0}, Watts{950.0}, policy, ctx);
+  const auto d = e.cycle(PowerState::kRed, policy, ctx);
   ASSERT_EQ(d.commands.size(), 1u);
   EXPECT_EQ(d.commands[0].node, 0u);
   // Node 1 never entered A_degraded: the engine will not later "restore"
@@ -274,12 +265,12 @@ TEST(Capping, SteadyGreenSkipsStaleNodesButKeepsThemDegraded) {
   CappingEngine e(tg(1));
   FixedPolicy policy({0, 1});
   auto ctx = make_ctx(2, 9);
-  e.cycle(Watts{920.0}, Watts{900.0}, Watts{950.0}, policy, ctx);
+  e.cycle(PowerState::kYellow, policy, ctx);
   EXPECT_EQ(e.degraded().size(), 2u);
 
   ctx = make_ctx(2, 8);
   ctx.nodes[0].stale = true;
-  const auto d = e.cycle(Watts{0.0}, Watts{900.0}, Watts{950.0}, policy, ctx);
+  const auto d = e.cycle(PowerState::kGreen, policy, ctx);
   // Only the fresh node is restored; the stale one stays in A_degraded
   // until its telemetry comes back.
   ASSERT_EQ(d.commands.size(), 1u);
@@ -294,8 +285,7 @@ TEST(Capping, YellowSkipsNodeWithCommandInFlight) {
   // Node 0 has an unacked command outstanding: throttling it again would
   // act on a level the manager only believes, not knows.
   ctx.nodes[0].command_in_flight = true;
-  const CycleDecision d =
-      e.cycle(Watts{920.0}, Watts{900.0}, Watts{950.0}, policy, ctx);
+  const CycleDecision d = e.cycle(PowerState::kYellow, policy, ctx);
   EXPECT_EQ(d.deferred_in_flight, 1u);
   EXPECT_EQ(d.skipped, 0u);  // a deferral is routine, not a bad target
   ASSERT_EQ(d.commands.size(), 1u);
@@ -307,12 +297,12 @@ TEST(Capping, SteadyGreenSkipsInFlightNodesButKeepsThemDegraded) {
   CappingEngine e(tg(1));
   FixedPolicy policy({0, 1});
   auto ctx = make_ctx(2, 9);
-  e.cycle(Watts{920.0}, Watts{900.0}, Watts{950.0}, policy, ctx);
+  e.cycle(PowerState::kYellow, policy, ctx);
   EXPECT_EQ(e.degraded().size(), 2u);
 
   ctx = make_ctx(2, 8);
   ctx.nodes[0].command_in_flight = true;
-  const auto d = e.cycle(Watts{0.0}, Watts{900.0}, Watts{950.0}, policy, ctx);
+  const auto d = e.cycle(PowerState::kGreen, policy, ctx);
   // Only the settled node is restored; the one with a command in flight
   // stays in A_degraded until its actuation state is known again.
   ASSERT_EQ(d.commands.size(), 1u);
@@ -329,13 +319,13 @@ TEST(Capping, RejoiningNodeIsNotRestoredAbovePreThrottleLevel) {
   CappingEngine e(tg(1));
   FixedPolicy policy({0, 1});
   auto ctx = make_ctx(2, 9);
-  e.cycle(Watts{920.0}, Watts{900.0}, Watts{950.0}, policy, ctx);
+  e.cycle(PowerState::kYellow, policy, ctx);
   EXPECT_EQ(e.degraded(), (std::set<hw::NodeId>{0, 1}));
 
   // Node 1 leaves A_candidate while degraded (level 8); the yellow
   // pressure keeps node 0 degraded (8 -> 7) through the churn.
   auto ctx_one = make_ctx(1, 8);
-  e.cycle(Watts{920.0}, Watts{900.0}, Watts{950.0}, policy, ctx_one);
+  e.cycle(PowerState::kYellow, policy, ctx_one);
   EXPECT_EQ(e.degraded(), (std::set<hw::NodeId>{0}));
 
   // Node 1 rejoins, still at its throttled level 8, and the system goes
@@ -345,8 +335,7 @@ TEST(Capping, RejoiningNodeIsNotRestoredAbovePreThrottleLevel) {
   ctx.nodes[0].level = 7;
   ctx.nodes[1].level = 8;
   for (int i = 0; i < 5; ++i) {
-    const auto d =
-        e.cycle(Watts{0.0}, Watts{900.0}, Watts{950.0}, policy, ctx);
+    const auto d = e.cycle(PowerState::kGreen, policy, ctx);
     for (const LevelCommand& c : d.commands) {
       EXPECT_NE(c.node, 1u);
       ctx.nodes[c.node].level = c.level;  // actuate
@@ -361,7 +350,7 @@ TEST(Capping, ResetForgetsHistory) {
   CappingEngine e(tg(3));
   FixedPolicy policy({0});
   const auto ctx = make_ctx(1, 9);
-  e.cycle(Watts{920.0}, Watts{900.0}, Watts{950.0}, policy, ctx);
+  e.cycle(PowerState::kYellow, policy, ctx);
   e.reset();
   EXPECT_TRUE(e.degraded().empty());
   EXPECT_EQ(e.green_timer(), 0);
@@ -410,8 +399,9 @@ TEST_P(CappingRandomWalk, CommandsAlwaysValid) {
       ctx.jobs.push_back(jv);
     }
 
-    const CycleDecision d = e.cycle(ctx.system_power, Watts{900.0},
-                                    Watts{1000.0}, policy, ctx);
+    const CycleDecision d = e.cycle(
+        classify_power(ctx.system_power, Watts{900.0}, Watts{1000.0}),
+        policy, ctx);
     std::set<hw::NodeId> seen;
     for (const LevelCommand& c : d.commands) {
       ASSERT_LT(c.node, 6u);

@@ -400,7 +400,7 @@ TEST(ControllerOutage, DeadCyclesDecideNothingAndWatchdogCaps) {
 
   // The controller blacks out for six cycles. Dead cycles decide nothing;
   // after two silent cycles the local agents step every node to level 1.
-  m.control_faults().inject_outage(6);
+  m.root().control_faults().inject_outage(6);
   for (int i = 0; i < 6; ++i) {
     const auto r =
         m.cycle(Watts{1700.0}, rig.nodes, rig.scheduler, Seconds{3.0 + i});
@@ -471,7 +471,7 @@ TEST(ZoneOutage, OrphanZoneInflatesSiblingShares) {
   // Zone 1's shard crashes. Its nodes keep their levels (no commands can
   // reach them), and zone 0 inherits the whole deficit inflated by the
   // orphan margin on zone 1's last-known power.
-  m.control_faults().inject_zone_outage(1, 2);
+  m.root().control_faults().inject_zone_outage(1, 2);
   const auto levels_before = std::vector<hw::Level>{rig.nodes[2].level(),
                                                     rig.nodes[3].level()};
   r = m.cycle(Watts{1700.0}, rig.nodes, rig.scheduler, Seconds{2.0});
@@ -505,7 +505,7 @@ TEST(ZoneOutage, NeverMeasuredOrphanIsAccountedAtWorstCase) {
 
   // Zone 1 is down from the very first non-training cycle: the root has
   // never seen it, so it is accounted at its members' theoretical max.
-  m.control_faults().inject_zone_outage(1, 1);
+  m.root().control_faults().inject_zone_outage(1, 1);
   const auto r =
       m.cycle(Watts{1700.0}, rig.nodes, rig.scheduler, Seconds{1.0});
   ASSERT_EQ(r.state, PowerState::kYellow);
@@ -526,7 +526,7 @@ TEST(ZoneOutage, RootBlackoutSilencesTheWholeTree) {
   auto r = m.cycle(Watts{1700.0}, rig.nodes, rig.scheduler, Seconds{1.0});
   const double p_low_before = r.p_low.value();
 
-  m.control_faults().inject_outage(2);
+  m.root().control_faults().inject_outage(2);
   for (int i = 0; i < 2; ++i) {
     r = m.cycle(Watts{1900.0}, rig.nodes, rig.scheduler, Seconds{2.0 + i});
     EXPECT_TRUE(r.controller_down) << "cycle " << i;
@@ -581,6 +581,24 @@ TEST(Checkpoint, MalformedImagesThrow) {
                std::runtime_error);
 }
 
+TEST(Checkpoint, TreeImageWithAnOutOfRangeStateThrows) {
+  TreeCheckpoint cp;
+  cp.shards.resize(1);
+  cp.hints.resize(1);
+  cp.last_state = static_cast<int>(PowerState::kRed);
+  const std::string text = encode_checkpoint(cp);
+  EXPECT_EQ(decode_tree_checkpoint(text).last_state, cp.last_state);
+  // The root's dirty-trigger state becomes a PowerState on restore: a
+  // value outside green/yellow/red must fail decoding, not reach the cast.
+  const std::size_t at = text.find("\nstate 2 ");
+  ASSERT_NE(at, std::string::npos);
+  for (const char* bad : {"3", "-1", "4294967296"}) {
+    std::string image = text;
+    image.replace(at + 7, 1, bad);
+    EXPECT_THROW(decode_tree_checkpoint(image), std::runtime_error) << bad;
+  }
+}
+
 TEST(Checkpoint, WarmRestartContinuesExactlyWhereTheOldControllerStopped) {
   // Twin rigs: A runs 4 cycles and checkpoints; C runs 8 uninterrupted.
   // B = fresh manager + restore must replay C's cycles 5..8 exactly —
@@ -605,8 +623,9 @@ TEST(Checkpoint, WarmRestartContinuesExactlyWhereTheOldControllerStopped) {
   CappingManager b = make_manager();
   b.set_candidate_set({0, 1, 2, 3});
   b.restore(decode_shard_checkpoint(image));
-  EXPECT_FALSE(b.thresholds().training());
-  EXPECT_EQ(b.thresholds().p_low().value(), a.thresholds().p_low().value());
+  EXPECT_FALSE(b.root().thresholds().training());
+  EXPECT_EQ(b.root().thresholds().p_low().value(),
+            a.root().thresholds().p_low().value());
 
   for (int i = 0; i < 4; ++i) {
     const auto rb =
@@ -638,7 +657,7 @@ TEST(Checkpoint, ColdRestartRetrainsButWarmRestartResumesCapped) {
   for (int i = 0; i < 5; ++i) {
     a.cycle(Watts{1700.0}, rig.nodes, rig.scheduler, Seconds{1.0 + i});
   }
-  ASSERT_FALSE(a.thresholds().training());
+  ASSERT_FALSE(a.root().thresholds().training());
   const std::string image = encode_checkpoint(a.checkpoint());
 
   // Training observed a 1700 W peak, so the learned thresholds are
@@ -682,8 +701,8 @@ TEST(Checkpoint, TreeCodecRoundTripsAndValidatesZoneCount) {
   ZoneTreeManager fresh = make_tree(2);
   fresh.set_candidate_set({0, 1, 2, 3});
   fresh.restore(decoded);
-  EXPECT_EQ(fresh.thresholds().p_low().value(),
-            m.thresholds().p_low().value());
+  EXPECT_EQ(fresh.root().thresholds().p_low().value(),
+            m.root().thresholds().p_low().value());
 
   ZoneTreeManager wrong_shape = make_tree(3);
   wrong_shape.set_candidate_set({0, 1, 2, 3});
@@ -758,8 +777,8 @@ ChaosResult run_controller_chaos_cluster(std::size_t worker_threads,
   // Phase 2: a forced 10-cycle blackout — twice the watchdog timeout, so
   // every node's failsafe must trip — plus a zone-shard drill.
   auto& tree = dynamic_cast<ZoneTreeManager&>(cl.manager());
-  tree.control_faults().inject_outage(10);
-  tree.control_faults().inject_zone_outage(0, 6);
+  tree.root().control_faults().inject_outage(10);
+  tree.root().control_faults().inject_zone_outage(0, 6);
   cl.run(Seconds{120.0});
   const power::ManagerReport pre_restart = cl.last_report();
   // Phase 3: warm restart — encode/decode through the wire image, restore

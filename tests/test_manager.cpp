@@ -193,8 +193,8 @@ TEST(CappingManager, ThresholdsLearnFromPeak) {
 
   m.cycle(Watts{1500.0}, rig.nodes, rig.scheduler, Seconds{1.0});
   m.cycle(Watts{1200.0}, rig.nodes, rig.scheduler, Seconds{2.0});
-  EXPECT_FALSE(m.thresholds().training());
-  EXPECT_EQ(m.thresholds().p_peak(), Watts{1500.0});
+  EXPECT_FALSE(m.root().thresholds().training());
+  EXPECT_EQ(m.root().thresholds().p_peak(), Watts{1500.0});
 }
 
 TEST(CappingManager, UncontrollableNodesNeverChange) {

@@ -17,6 +17,7 @@
 #include "obs/spans.hpp"
 #include "power/manager.hpp"
 #include "power/policy_registry.hpp"
+#include "power/zone_manager.hpp"
 
 namespace pcap {
 namespace {
@@ -306,6 +307,30 @@ TEST(ObsCluster, TimingGateDisablesSpansButKeepsCounters) {
   ASSERT_TRUE(tick_span.has_value());
   EXPECT_EQ(reg.count(*tick_span), 0u);
   EXPECT_EQ(reg.counter_value("pcap_cluster_ticks_total"), 100u);
+}
+
+TEST(ObsCluster, ZoneTreePublishesEveryCyclePhaseSpan) {
+  cluster::Cluster cl(capped_config(1));
+  power::CappingManagerParams p;
+  p.thresholds.provision = cl.theoretical_peak() * 0.8;
+  p.thresholds.training_cycles = 0;
+  p.thresholds.freeze_at_provision = true;
+  p.cycle_period = cl.config().control_period;
+  power::ZoneTreeParams zp;
+  zp.zone_count = 2;
+  auto tree = std::make_unique<power::ZoneTreeManager>(
+      zp, p, [] { return power::make_policy("mpc"); },
+      common::Rng(cl.config().seed ^ 0x9d2c5680u));
+  tree->set_candidate_set(cl.controllable_nodes());
+  cl.set_manager(std::move(tree));
+  cl.run(Seconds{400.0});
+  const obs::Registry& reg = cl.metrics();
+  for (const char* phase : {"collect", "context", "policy", "actuate"}) {
+    const auto span = reg.find_histogram(
+        std::string("pcap_cycle_phase_seconds{phase=\"") + phase + "\"}");
+    ASSERT_TRUE(span.has_value()) << phase;
+    EXPECT_GT(reg.count(*span), 0u) << phase;
+  }
 }
 
 TEST(ObsCluster, SimulationSeriesTrackEngineState) {

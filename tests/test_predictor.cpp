@@ -1,6 +1,6 @@
 // Predictive capping (ROADMAP "Predictive capping"): the PowerPredictor
 // models (Holt EWMA trend, windowed periodicity), the forecast accuracy
-// scorer, the forecast-driven policies (PI-C, PRED-C), the engine's
+// scorer, the forecast-driven policies (PI-C, PRED-C), the control root's
 // predictive elevation of green cycles, manager/tree integration with
 // warm restart, and whole-cluster determinism of the predictive stack
 // under a degraded management plane.
@@ -20,6 +20,7 @@
 #include "metrics/trace_recorder.hpp"
 #include "power/capping.hpp"
 #include "power/checkpoint.hpp"
+#include "power/control_root.hpp"
 #include "power/manager.hpp"
 #include "power/policies_predictive.hpp"
 #include "power/policies_state_based.hpp"
@@ -382,18 +383,45 @@ TEST(Registry, PiTuningFlowsThroughMakePolicy) {
   EXPECT_NO_THROW(make_policy("mpc-c", t));
 }
 
-// -- engine: predictive elevation ----------------------------------------
+// -- root: predictive elevation -----------------------------------------
+//
+// The control root decides the band (elevating green to yellow when a
+// forecast-driven policy sees P_L coming) and the engine runs whatever
+// band it is handed.
+
+/// A root with P_L = 1680, P_H = 1860 from the first cycle and a Holt
+/// predictor at horizon 5 (the manager tests' predictive_params()).
+ControlRoot predictive_root() {
+  ThresholdParams t;
+  t.provision = Watts{2000.0};
+  t.training_cycles = 0;
+  t.adjust_period_cycles = 1000;
+  PredictionParams p;
+  p.enabled = true;
+  p.kind = "ewma";
+  p.horizon_cycles = 5;
+  return ControlRoot(t, p, ControlFaultParams{}, common::Rng(1));
+}
 
 TEST(CappingEngine, ElevatesGreenToYellowWhenTheForecastCrossesPLow) {
+  ControlRoot root = predictive_root();
+  root.cycle(Watts{1500.0}, /*forecast_driven=*/true);
+  // Ramp +60 W/cycle: the horizon-5 forecast is 1860 >= P_L while the
+  // meter (1560) is solidly green.
+  const ManagerReport r = root.cycle(Watts{1560.0}, true);
+  EXPECT_EQ(classify_power(r.measured, r.p_low, r.p_high), PowerState::kGreen);
+  EXPECT_TRUE(root.alarm());
+  EXPECT_EQ(r.state, PowerState::kYellow);
+  EXPECT_EQ(root.predictive_elevations(), 1u);
+  EXPECT_EQ(r.predictive_elevations, 1u);
+
   CappingEngine e(CappingParams{});
   PiCollection pi;
   auto ctx = three_job_ctx(-100.0);  // meter 900: solidly green
   ctx.has_forecast = true;
   ctx.forecast_power = Watts{1050.0};
-  const CycleDecision d =
-      e.cycle(ctx.system_power, ctx.p_low, Watts{1200.0}, pi, ctx);
+  const CycleDecision d = e.cycle(r.state, pi, ctx);
   EXPECT_EQ(d.state, PowerState::kYellow);
-  EXPECT_EQ(e.predictive_elevations(), 1u);
   // error 0.05 -> demand 1000*(0.05 + 0.05*0.05) = 52.5 W -> the 600-W
   // job (40) plus the 450-W job (60): five nodes throttled before the
   // meter ever crossed the threshold.
@@ -401,32 +429,38 @@ TEST(CappingEngine, ElevatesGreenToYellowWhenTheForecastCrossesPLow) {
 }
 
 TEST(CappingEngine, ReactivePoliciesAreNeverElevated) {
+  ControlRoot root = predictive_root();
+  root.cycle(Watts{1500.0}, /*forecast_driven=*/false);
+  const ManagerReport r = root.cycle(Watts{1560.0}, false);
+  ASSERT_TRUE(r.has_forecast);
+  EXPECT_FALSE(root.alarm());
+  EXPECT_EQ(r.state, PowerState::kGreen);
+  EXPECT_EQ(root.predictive_elevations(), 0u);
+
   CappingEngine e(CappingParams{});
   MostPowerConsumingCollection mpc_c;
   auto ctx = three_job_ctx(-100.0);
   ctx.has_forecast = true;
   ctx.forecast_power = Watts{1050.0};
-  const CycleDecision d =
-      e.cycle(ctx.system_power, ctx.p_low, Watts{1200.0}, mpc_c, ctx);
+  const CycleDecision d = e.cycle(r.state, mpc_c, ctx);
   EXPECT_EQ(d.state, PowerState::kGreen);
-  EXPECT_EQ(e.predictive_elevations(), 0u);
   EXPECT_TRUE(d.commands.empty());
 }
 
 TEST(CappingEngine, ElevationRequiresAForecastAndNeverReachesRed) {
-  CappingEngine e(CappingParams{});
-  PiCollection pi;
-  auto ctx = three_job_ctx(-100.0);
-  // No forecast: plain green cycle.
-  CycleDecision d = e.cycle(ctx.system_power, ctx.p_low, Watts{1200.0}, pi, ctx);
-  EXPECT_EQ(d.state, PowerState::kGreen);
-  // A catastrophic forecast still only reaches the yellow path — red
-  // stays strictly meter-driven so a bad model cannot floor the cluster.
-  ctx.has_forecast = true;
-  ctx.forecast_power = Watts{5000.0};
-  d = e.cycle(ctx.system_power, ctx.p_low, Watts{1200.0}, pi, ctx);
-  EXPECT_EQ(d.state, PowerState::kYellow);
-  EXPECT_EQ(e.predictive_elevations(), 1u);
+  ControlRoot root = predictive_root();
+  // No forecast yet (one sample, no trend): plain green cycle.
+  ManagerReport r = root.cycle(Watts{1500.0}, true);
+  EXPECT_FALSE(r.has_forecast);
+  EXPECT_EQ(r.state, PowerState::kGreen);
+  // A catastrophic forecast (1670 + 5 * 170 = 2520 W, far above P_H) still
+  // only reaches the yellow path — red stays strictly meter-driven so a
+  // bad model cannot floor the cluster.
+  r = root.cycle(Watts{1670.0}, true);
+  ASSERT_TRUE(r.has_forecast);
+  EXPECT_GE(r.forecast.value(), r.p_high.value());
+  EXPECT_EQ(r.state, PowerState::kYellow);
+  EXPECT_EQ(root.predictive_elevations(), 1u);
 }
 
 // -- manager integration -------------------------------------------------
@@ -503,8 +537,8 @@ TEST(CappingManager, ActsBeforeTheMeterCrossesTheThreshold) {
   EXPECT_EQ(r.state, PowerState::kYellow);
   EXPECT_EQ(r.predictive_elevations, 1u);
   EXPECT_GT(r.targets, 0u);
-  EXPECT_EQ(m.current_forecast()->value(), 1860.0);
-  ASSERT_NE(m.predictor(), nullptr);
+  EXPECT_EQ(m.root().forecast()->value(), 1860.0);
+  ASSERT_NE(m.root().predictor(), nullptr);
 }
 
 TEST(CappingManager, PredictionDisabledIsByteForByteReactive) {
@@ -523,8 +557,8 @@ TEST(CappingManager, PredictionDisabledIsByteForByteReactive) {
     // 1500..1650 all under P_L = 1680: a reactive PI-C stays green.
     EXPECT_EQ(r.state, PowerState::kGreen);
   }
-  EXPECT_EQ(m.predictor(), nullptr);
-  EXPECT_FALSE(m.current_forecast().has_value());
+  EXPECT_EQ(m.root().predictor(), nullptr);
+  EXPECT_FALSE(m.root().forecast().has_value());
 }
 
 TEST(CappingManager, ScorerReportsAccuracyOncePipelineFills) {
@@ -544,7 +578,7 @@ TEST(CappingManager, ScorerReportsAccuracyOncePipelineFills) {
   EXPECT_DOUBLE_EQ(r.forecast_abs_error, 0.0);
   EXPECT_EQ(r.predictor_overshoots, 0u);
   EXPECT_EQ(r.predictor_misses, 0u);
-  EXPECT_GT(m.forecast_scorer().scored(), 0u);
+  EXPECT_GT(m.root().forecast_scorer().scored(), 0u);
 }
 
 TEST(Checkpoint, PredictorWarmRestartResumesBitIdentically) {
@@ -572,8 +606,8 @@ TEST(Checkpoint, PredictorWarmRestartResumesBitIdentically) {
   CappingManager b(predictive_params(), make_policy("pi-c"), common::Rng(5));
   b.set_candidate_set({0, 1, 2, 3});
   b.restore(decode_shard_checkpoint(image));
-  ASSERT_TRUE(b.current_forecast().has_value());
-  EXPECT_EQ(b.current_forecast()->value(), a.current_forecast()->value());
+  ASSERT_TRUE(b.root().forecast().has_value());
+  EXPECT_EQ(b.root().forecast()->value(), a.root().forecast()->value());
 
   for (int i = 6; i < 12; ++i) {
     const auto rb =
@@ -616,8 +650,8 @@ TEST(Checkpoint, FftPredictorAndPiIntegralSurviveTheImage) {
   ASSERT_NE(pi_a, nullptr);
   ASSERT_NE(pi_b, nullptr);
   EXPECT_EQ(pi_b->integral(), pi_a->integral());
-  ASSERT_TRUE(b.current_forecast().has_value());
-  EXPECT_EQ(b.current_forecast()->value(), a.current_forecast()->value());
+  ASSERT_TRUE(b.root().forecast().has_value());
+  EXPECT_EQ(b.root().forecast()->value(), a.root().forecast()->value());
 }
 
 // -- zone tree integration -----------------------------------------------
@@ -639,7 +673,7 @@ TEST(ZoneTree, RootForecastElevatesTheTreeAndCheckpoints) {
   ASSERT_TRUE(r.has_forecast);
   EXPECT_DOUBLE_EQ(r.forecast.value(), 1860.0);  // >= P_L = 1680
   EXPECT_EQ(r.state, PowerState::kYellow);
-  EXPECT_GE(m.predictive_elevations(), 1u);
+  EXPECT_GE(m.root().predictive_elevations(), 1u);
   EXPECT_GE(r.predictive_elevations, 1u);
 
   const TreeCheckpoint cp = m.checkpoint();
@@ -652,8 +686,8 @@ TEST(ZoneTree, RootForecastElevatesTheTreeAndCheckpoints) {
       common::Rng(1));
   fresh.set_candidate_set({0, 1, 2, 3});
   fresh.restore(decode_tree_checkpoint(text));
-  ASSERT_TRUE(fresh.current_forecast().has_value());
-  EXPECT_EQ(fresh.current_forecast()->value(), m.current_forecast()->value());
+  ASSERT_TRUE(fresh.root().forecast().has_value());
+  EXPECT_EQ(fresh.root().forecast()->value(), m.root().forecast()->value());
 }
 
 // -- whole-cluster determinism of the predictive stack -------------------
