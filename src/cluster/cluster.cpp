@@ -54,6 +54,8 @@ Cluster::Cluster(ClusterConfig config)
   common::Rng variation_rng = rng_.fork("variation");
   common::Rng noise_root = rng_.fork("util-noise");
   nodes_.reserve(n);
+  util_noise_.reserve(n);
+  smoothed_util_.reserve(n);
   noise_rngs_.reserve(n);
   std::vector<int> cores;
   cores.reserve(n);

@@ -37,6 +37,16 @@ void FailsafeWatchdog::set_groups(
   pending_per_group_.assign(groups_.size(), 0);
   pending_count_ = 0;
   engaged_count_ = 0;
+  // Size the slot table once for the highest member id rather than
+  // growing it id by id below: a growth chain leaves a trail of freed
+  // blocks behind in the heap.
+  std::size_t end = slots_.size();
+  for (const std::vector<NodeId>& members : groups_) {
+    for (const NodeId id : members) {
+      end = std::max(end, static_cast<std::size_t>(id) + 1);
+    }
+  }
+  slots_.resize(end);
   for (std::size_t g = 0; g < groups_.size(); ++g) {
     for (NodeId id : groups_[g]) {
       Slot& s = slot(id);

@@ -1,5 +1,6 @@
 #include "power/actuation_channel.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -30,10 +31,12 @@ ActuationChannel::ActuationChannel(ActuationFaultParams params,
 }
 
 void ActuationChannel::ensure_nodes(const std::vector<hw::NodeId>& ids) {
+  // A bypassed channel passes commands straight through and never reads
+  // per-node state, so it keeps none.
+  if (!params_.enabled() || ids.empty()) return;
+  const auto [lo, hi] = std::minmax_element(ids.begin(), ids.end());
+  states_.cover(*lo, *hi);
   for (const hw::NodeId id : ids) {
-    if (static_cast<std::size_t>(id) >= states_.size()) {
-      states_.resize(static_cast<std::size_t>(id) + 1);
-    }
     NodeState& st = states_[id];
     if (!st.known) {
       // stream(id) derives the node's fault stream as a pure function of
@@ -72,7 +75,7 @@ void ActuationChannel::begin_cycle(std::vector<hw::Node>& nodes,
   ++cycle_;
   if (!params_.enabled()) return;
 
-  for (std::size_t id = 0; id < states_.size(); ++id) {
+  for (std::size_t id = states_.begin_id(); id < states_.end_id(); ++id) {
     NodeState& st = states_[id];
     if (!st.known) continue;
 
@@ -125,14 +128,14 @@ void ActuationChannel::send(const std::vector<LevelCommand>& commands,
     return;
   }
   for (const LevelCommand& cmd : commands) {
-    if (static_cast<std::size_t>(cmd.node) >= states_.size() ||
-        !states_[cmd.node].known) {
+    NodeState* found = states_.find(cmd.node);
+    if (found == nullptr || !found->known) {
       // Unregistered node (manager bug rather than injected fault): pass
       // the command through untouched.
       delivered.push_back(cmd);
       continue;
     }
-    NodeState& st = states_[cmd.node];
+    NodeState& st = *found;
     if (st.reboot_cycles_left > 0) {
       ++dropped_rebooting_;
       continue;
@@ -156,8 +159,8 @@ void ActuationChannel::send(const std::vector<LevelCommand>& commands,
 }
 
 bool ActuationChannel::rebooting(hw::NodeId id) const {
-  return static_cast<std::size_t>(id) < states_.size() &&
-         states_[id].known && states_[id].reboot_cycles_left > 0;
+  const NodeState* st = states_.find(id);
+  return st != nullptr && st->known && st->reboot_cycles_left > 0;
 }
 
 }  // namespace pcap::power

@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/id_table.hpp"
 #include "common/rng.hpp"
 #include "hw/node.hpp"
 #include "power/capping.hpp"
@@ -66,7 +67,8 @@ class ActuationChannel {
   /// Registers nodes commands may address. Serial — call on candidate-set
   /// changes, never mid-sweep. Per-node fault state (reboot windows,
   /// queued commands) persists across candidate churn: a node that leaves
-  /// the candidate set mid-reboot is still rebooting when it returns.
+  /// the candidate set mid-reboot is still rebooting when it returns. A
+  /// bypassed channel (no fault enabled) registers nothing.
   void ensure_nodes(const std::vector<hw::NodeId>& ids);
 
   /// Advances every node's fault process by one control cycle: ticks and
@@ -123,7 +125,8 @@ class ActuationChannel {
   common::Rng root_;
   std::uint64_t cycle_ = 0;
   std::size_t in_flight_ = 0;
-  std::vector<NodeState> states_;  ///< indexed by node id
+  /// Indexed by node id, over the span of registered ids only.
+  common::IdTable<NodeState> states_;
   std::uint64_t lost_ = 0;
   std::uint64_t dropped_rebooting_ = 0;
   std::uint64_t failed_ = 0;

@@ -6,14 +6,14 @@
 namespace pcap::power {
 
 void JobIndex::set_candidate_set(const std::vector<hw::NodeId>& candidates) {
-  std::fill(is_candidate_.begin(), is_candidate_.end(),
-            static_cast<unsigned char>(0));
-  for (const hw::NodeId id : candidates) {
-    if (static_cast<std::size_t>(id) >= is_candidate_.size()) {
-      is_candidate_.resize(static_cast<std::size_t>(id) + 1, 0);
-    }
-    is_candidate_[id] = 1;
+  if (candidates.empty()) {
+    is_candidate_.clear();
+  } else {
+    const auto [lo, hi] =
+        std::minmax_element(candidates.begin(), candidates.end());
+    is_candidate_.reset(*lo, *hi, 0);
   }
+  for (const hw::NodeId id : candidates) is_candidate_[id] = 1;
   filter_dirty_ = true;
 }
 

@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/id_table.hpp"
 #include "hw/node.hpp"
 #include "sched/scheduler.hpp"
 #include "workload/job.hpp"
@@ -67,14 +68,15 @@ class JobIndex {
  private:
   void refilter(Entry& entry) const;
   [[nodiscard]] bool is_candidate(hw::NodeId id) const {
-    return static_cast<std::size_t>(id) < is_candidate_.size() &&
-           is_candidate_[id] != 0;
+    const unsigned char* member = is_candidate_.find(id);
+    return member != nullptr && *member != 0;
   }
 
   std::vector<Entry> entries_;
   std::vector<Entry> spare_;  ///< retired entries, kept for their capacity
   std::size_t event_cursor_ = 0;
-  std::vector<unsigned char> is_candidate_;  ///< node id -> membership
+  /// Node id -> membership, over the candidates' id span.
+  common::IdTable<unsigned char> is_candidate_;
   bool filter_dirty_ = false;
   std::uint64_t change_epoch_ = 0;
 };

@@ -14,10 +14,13 @@ namespace {
 /// utilisation overshoot), so allow headroom over the board's theoretical
 /// ceiling; anything negative, non-finite, or far beyond it is a torn or
 /// byte-swapped counter, not a measurement.
-bool plausible_sample(const telemetry::NodeSample& s, const hw::Node& node) {
+Watts plausible_ceiling(const hw::Node& node) {
+  return node.spec().power_model.theoretical_max() * 1.5;
+}
+
+bool plausible_sample(const telemetry::NodeSample& s, Watts ceiling) {
   const double w = s.estimated_power.value();
-  return std::isfinite(w) && w >= 0.0 &&
-         s.estimated_power <= node.spec().power_model.theoretical_max() * 1.5;
+  return std::isfinite(w) && w >= 0.0 && s.estimated_power <= ceiling;
 }
 
 }  // namespace
@@ -416,10 +419,11 @@ void CappingManager::fill_view_record(std::size_t slot,
 
   // Walk the history newest-to-oldest for a sample that passes the sanity
   // check; corrupted deliveries are skipped, not trusted.
+  const Watts ceiling = plausible_ceiling(node);
   std::size_t chosen = 0;
   bool found = false;
   for (std::size_t i = hist.size(); i-- > 0;) {
-    if (plausible_sample(hist[i], node)) {
+    if (plausible_sample(hist[i], ceiling)) {
       chosen = i;
       found = true;
       break;
@@ -474,7 +478,7 @@ void CappingManager::fill_view_record(std::size_t slot,
     vr.substituted = true;
   }
   for (std::size_t i = chosen; i-- > 0;) {
-    if (plausible_sample(hist[i], node)) {
+    if (plausible_sample(hist[i], ceiling)) {
       nv.power_prev = hist[i].estimated_power;
       nv.has_prev = true;
       break;
@@ -683,20 +687,27 @@ void CappingManager::job_pass_full(PolicyContext& ctx, bool inc_track) const {
 void CappingManager::rebuild_job_csr() const {
   // Node id -> list of job-entry indices (ascending, since entries are
   // scanned in order): maps a dirty slot to exactly the JobViews its view
-  // feeds.
+  // feeds. Offsets span the candidates' ids [lo, hi] plus one end slot;
+  // entries only ever list candidates, so every id below falls inside.
   const std::vector<JobIndex::Entry>& entries = job_index_.entries();
-  const std::size_t width =
-      collector_.candidate_set().empty()
-          ? 0
-          : static_cast<std::size_t>(collector_.max_candidate_id()) + 1;
-  inc_csr_off_.assign(width + 1, 0);
+  const std::vector<hw::NodeId>& candidates = collector_.candidate_set();
+  if (candidates.empty()) {
+    inc_csr_off_.clear();
+    inc_csr_.clear();
+    return;
+  }
+  const std::size_t lo = candidates.front();
+  const std::size_t hi = candidates.back();
+  inc_csr_off_.reset(lo, hi + 1, 0);
   std::size_t total = 0;
   for (const JobIndex::Entry& e : entries) {
     total += e.candidate_nodes.size();
     for (const hw::NodeId nid : e.candidate_nodes) ++inc_csr_off_[nid + 1];
   }
   inc_csr_.resize(total);
-  for (std::size_t i = 1; i <= width; ++i) inc_csr_off_[i] += inc_csr_off_[i - 1];
+  for (std::size_t i = lo + 1; i <= hi + 1; ++i) {
+    inc_csr_off_[i] += inc_csr_off_[i - 1];
+  }
   for (std::size_t k = 0; k < entries.size(); ++k) {
     for (const hw::NodeId nid : entries[k].candidate_nodes) {
       inc_csr_[inc_csr_off_[nid]++] = static_cast<std::uint32_t>(k);
@@ -704,8 +715,8 @@ void CappingManager::rebuild_job_csr() const {
   }
   // The cursor fill shifted every offset to its range end; rotate back so
   // [off[id], off[id+1]) is node id's range again.
-  for (std::size_t i = width; i > 0; --i) inc_csr_off_[i] = inc_csr_off_[i - 1];
-  if (width > 0) inc_csr_off_[0] = 0;
+  for (std::size_t i = hi + 1; i > lo; --i) inc_csr_off_[i] = inc_csr_off_[i - 1];
+  inc_csr_off_[lo] = 0;
 }
 
 void CappingManager::build_context_delta(

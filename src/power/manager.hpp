@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "common/id_table.hpp"
 #include "common/thread_pool.hpp"
 #include "common/units.hpp"
 #include "hw/watchdog.hpp"
@@ -611,7 +612,8 @@ class CappingManager final : public PowerManagerBase {
   mutable std::vector<std::uint32_t> inc_dirty_;        ///< scratch: dirty slots
   mutable std::vector<std::uint8_t> inc_old_present_;   ///< scratch, per dirty
   mutable std::vector<std::uint32_t> inc_job_pos_;  ///< entry -> ctx.jobs index
-  mutable std::vector<std::uint32_t> inc_csr_off_;  ///< node id -> csr offset
+  /// Node id -> csr offset, over the candidates' id span plus one.
+  mutable common::IdTable<std::uint32_t> inc_csr_off_;
   mutable std::vector<std::uint32_t> inc_csr_;      ///< job-entry indices
   mutable std::vector<std::uint8_t> inc_job_dirty_; ///< scratch, per entry
   mutable JobView inc_job_scratch_;

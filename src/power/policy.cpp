@@ -10,16 +10,19 @@ Watts PolicyContext::required_saving() const {
 }
 
 const NodeView* PolicyContext::node(hw::NodeId id) const {
-  if (static_cast<std::size_t>(id) >= node_index_.size()) return nullptr;
-  const std::uint32_t idx = node_index_[id];
-  return idx == kNoIndex ? nullptr : &nodes[idx];
+  const std::uint32_t* idx = node_index_.find(id);
+  return idx == nullptr || *idx == kNoIndex ? nullptr : &nodes[*idx];
 }
 
 void PolicyContext::index_nodes() {
-  hw::NodeId max_id = 0;
-  for (const NodeView& nv : nodes) max_id = std::max(max_id, nv.id);
-  node_index_.assign(nodes.empty() ? 0 : static_cast<std::size_t>(max_id) + 1,
-                     kNoIndex);
+  if (nodes.empty()) {
+    node_index_.clear();
+    return;
+  }
+  const auto [lo, hi] = std::minmax_element(
+      nodes.begin(), nodes.end(),
+      [](const NodeView& a, const NodeView& b) { return a.id < b.id; });
+  node_index_.reset(lo->id, hi->id, kNoIndex);
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     node_index_[nodes[i].id] = static_cast<std::uint32_t>(i);
   }

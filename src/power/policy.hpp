@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/id_table.hpp"
 #include "common/units.hpp"
 #include "hw/dvfs.hpp"
 #include "hw/node.hpp"
@@ -104,11 +105,11 @@ struct PolicyContext {
   void index_nodes();  ///< must be called after filling `nodes`
 
  private:
-  /// Flat id -> index table (node ids are dense small integers). Sized to
-  /// the largest candidate id; rebuilt each cycle without allocating once
-  /// it has grown to the working-set size.
+  /// Flat id -> index table over the views' id span [min id, max id];
+  /// rebuilt each cycle without allocating once it has grown to the
+  /// working-set size.
   static constexpr std::uint32_t kNoIndex = 0xffffffffu;
-  std::vector<std::uint32_t> node_index_;
+  common::IdTable<std::uint32_t> node_index_;
 };
 
 /// Reusable, policy-owned working storage for select(). Every selection

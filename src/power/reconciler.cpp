@@ -48,12 +48,6 @@ std::uint64_t ActuationReconciler::backoff(int retries) const {
   return std::min(base << retries, cap);
 }
 
-ActuationReconciler::Slot& ActuationReconciler::slot(hw::NodeId id) {
-  const auto idx = static_cast<std::size_t>(id);
-  if (idx >= slots_.size()) slots_.resize(idx + 1);
-  return slots_[idx];
-}
-
 void ActuationReconciler::register_pending(Slot& s, hw::Level target,
                                            std::uint64_t cycle) {
   if (!s.has_pending) ++pending_count_;
@@ -64,16 +58,11 @@ void ActuationReconciler::register_pending(Slot& s, hw::Level target,
   s.pending_retries = 0;
 }
 
-void ActuationReconciler::register_pending(hw::NodeId id, hw::Level target,
-                                           std::uint64_t cycle) {
-  register_pending(slot(id), target, cycle);
-}
-
 void ActuationReconciler::observe_node(hw::NodeId id, hw::Level observed,
                                        std::uint64_t sample_cycle,
                                        std::uint64_t now_cycle,
                                        CycleWork& work) {
-  Slot& s = slot(id);
+  Slot& s = slots_.touch(id);
   if (s.unresponsive) {
     // A fresh report from a node we gave up on: readmit it, adopting its
     // actual state as the new truth — our old intent was abandoned with
@@ -136,7 +125,7 @@ void ActuationReconciler::observe_node(hw::NodeId id, hw::Level observed,
 void ActuationReconciler::adopt_reality(hw::NodeId id, hw::Level observed,
                                         std::uint64_t sample_cycle,
                                         CycleWork& work) {
-  Slot& s = slot(id);
+  Slot& s = slots_.touch(id);
   if (s.unresponsive) {
     s.unresponsive = false;
     --unresponsive_count_;
@@ -160,7 +149,7 @@ void ActuationReconciler::adopt_reality(hw::NodeId id, hw::Level observed,
 void ActuationReconciler::finish_observation(std::uint64_t cycle,
                                              CycleWork& work) {
   if (pending_count_ == 0) return;
-  for (std::size_t idx = 0; idx < slots_.size(); ++idx) {
+  for (std::size_t idx = slots_.begin_id(); idx < slots_.end_id(); ++idx) {
     Slot& s = slots_[idx];
     if (!s.has_pending || s.next_retry_cycle > cycle) continue;
     if (s.pending_retries >= params_.max_retries) {
@@ -192,7 +181,7 @@ void ActuationReconciler::finish_observation(std::uint64_t cycle,
 
 void ActuationReconciler::collect_watch(std::vector<hw::NodeId>& out) const {
   if (pending_count_ == 0 && unresponsive_count_ == 0) return;
-  for (std::size_t idx = 0; idx < slots_.size(); ++idx) {
+  for (std::size_t idx = slots_.begin_id(); idx < slots_.end_id(); ++idx) {
     const Slot& s = slots_[idx];
     if (s.has_pending || s.unresponsive) {
       out.push_back(static_cast<hw::NodeId>(idx));
@@ -203,7 +192,7 @@ void ActuationReconciler::collect_watch(std::vector<hw::NodeId>& out) const {
 void ActuationReconciler::admit(const std::vector<LevelCommand>& decided,
                                 std::uint64_t cycle, CycleWork& work) {
   for (const LevelCommand& cmd : decided) {
-    Slot& s = slot(cmd.node);
+    Slot& s = slots_.touch(cmd.node);
     if (s.unresponsive) {
       ++work.suppressed;
       ++suppressed_;
@@ -220,13 +209,6 @@ void ActuationReconciler::admit(const std::vector<LevelCommand>& decided,
   }
 }
 
-std::optional<hw::Level> ActuationReconciler::pending_target(
-    hw::NodeId id) const {
-  const Slot* s = find_slot(id);
-  if (s == nullptr || !s->has_pending) return std::nullopt;
-  return s->pending_target;
-}
-
 hw::Level ActuationReconciler::believed(hw::NodeId id,
                                         hw::Level fallback) const {
   const Slot* s = find_slot(id);
@@ -235,7 +217,7 @@ hw::Level ActuationReconciler::believed(hw::NodeId id,
 
 ReconcilerCheckpoint ActuationReconciler::checkpoint() const {
   ReconcilerCheckpoint cp;
-  for (std::size_t idx = 0; idx < slots_.size(); ++idx) {
+  for (std::size_t idx = slots_.begin_id(); idx < slots_.end_id(); ++idx) {
     const Slot& s = slots_[idx];
     if (!s.has_pending && !s.has_believed && !s.unresponsive) continue;
     ReconcilerSlotCheckpoint sc;
@@ -259,7 +241,7 @@ void ActuationReconciler::restore(const ReconcilerCheckpoint& cp) {
   pending_count_ = 0;
   unresponsive_count_ = 0;
   for (const ReconcilerSlotCheckpoint& sc : cp.slots) {
-    Slot& s = slot(sc.node);
+    Slot& s = slots_.touch(sc.node);
     s.pending_target = sc.pending_target;
     s.issued_cycle = sc.issued_cycle;
     s.next_retry_cycle = sc.next_retry_cycle;

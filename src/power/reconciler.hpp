@@ -35,6 +35,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/id_table.hpp"
 #include "hw/node.hpp"
 #include "power/capping.hpp"
 
@@ -121,8 +122,13 @@ class ActuationReconciler {
     const Slot* s = find_slot(id);
     return s != nullptr && s->has_pending;
   }
-  /// Target level of the outstanding command, if any.
-  [[nodiscard]] std::optional<hw::Level> pending_target(hw::NodeId id) const;
+  /// Target level of the outstanding command, if any. Inline: the
+  /// context merge asks once per candidate slot per build.
+  [[nodiscard]] std::optional<hw::Level> pending_target(hw::NodeId id) const {
+    const Slot* s = find_slot(id);
+    if (s == nullptr || !s->has_pending) return std::nullopt;
+    return s->pending_target;
+  }
   /// Last confirmed level, or `fallback` if the node was never observed.
   [[nodiscard]] hw::Level believed(hw::NodeId id, hw::Level fallback) const;
   [[nodiscard]] bool unresponsive(hw::NodeId id) const {
@@ -166,10 +172,9 @@ class ActuationReconciler {
  private:
   /// Per-node reconciliation state, indexed directly by node id. The
   /// observe path runs once per candidate per non-green cycle, so probes
-  /// must be O(1) array hits, not tree walks: node ids are dense in this
-  /// tree (the node table, the collector's slot array and the policy
-  /// context's node index all assume it), and a slot is ~48 bytes, so the
-  /// whole table stays resident for even very large machines.
+  /// must be O(1) array hits, not tree walks. The table covers only the
+  /// id span this reconciler has touched (~48 bytes per id in it): a zone
+  /// shard pays for its own zone's ids, not for every id below them.
   struct Slot {
     hw::Level pending_target = 0;            ///< valid iff has_pending
     std::uint64_t issued_cycle = 0;          ///< valid iff has_pending
@@ -182,25 +187,20 @@ class ActuationReconciler {
     bool unresponsive = false;
   };
 
-  /// Grows the table to cover `id` (new slots are empty) and returns its
-  /// slot. State therefore persists across candidate-set churn, exactly
-  /// as the old ordered-map tables did.
-  Slot& slot(hw::NodeId id);
   [[nodiscard]] const Slot* find_slot(hw::NodeId id) const {
-    const auto idx = static_cast<std::size_t>(id);
-    return idx < slots_.size() ? &slots_[idx] : nullptr;
+    return slots_.find(id);
   }
 
-  void register_pending(hw::NodeId id, hw::Level target,
-                        std::uint64_t cycle);
   void register_pending(Slot& s, hw::Level target, std::uint64_t cycle);
   [[nodiscard]] std::uint64_t backoff(int retries) const;
 
   ReconcilerParams params_;
   // Every sweep over the table runs in ascending node-id order — the same
   // order the old ordered-map iteration produced — which keeps emitted
-  // command order, and therefore whole runs, deterministic.
-  std::vector<Slot> slots_;
+  // command order, and therefore whole runs, deterministic. touch(id)
+  // widens the span to cover a new id (new slots are empty), so state
+  // persists across candidate-set churn.
+  common::IdTable<Slot> slots_;
   std::size_t pending_count_ = 0;
   std::size_t unresponsive_count_ = 0;
   std::uint64_t acks_ = 0;

@@ -35,10 +35,13 @@ void Collector::set_candidate_set(const std::vector<hw::NodeId>& nodes) {
   // state (agent RNG, history, in-flight reports) over — their history
   // column moves from the old arena stripe-by-stripe; dropped nodes lose
   // theirs.
-  std::vector<Monitored> next_slots;
-  next_slots.reserve(next.size());
+  // The history arena is by far the largest block here, so it is
+  // allocated first: it then takes the same free region of the heap on
+  // every rebuild instead of whatever the smaller blocks leave over.
   const std::size_t depth = params_.history_depth;
   std::vector<NodeSample> next_store(depth * next.size());
+  std::vector<Monitored> next_slots;
+  next_slots.reserve(next.size());
   std::vector<std::uint32_t> next_head(next.size(), 0);
   std::vector<std::uint32_t> next_size(next.size(), 0);
   for (std::size_t s = 0; s < next.size(); ++s) {
@@ -87,11 +90,11 @@ void Collector::set_candidate_set(const std::vector<hw::NodeId>& nodes) {
   watched_.assign(candidates_.size(), 0);
   if (params_.faults.enabled()) fault_injector_.ensure_nodes(candidates_);
 
-  slot_of_.assign(
-      candidates_.empty()
-          ? 0
-          : static_cast<std::size_t>(candidates_.back()) + 1,
-      kNoSlot);
+  if (candidates_.empty()) {
+    slot_of_.clear();
+  } else {
+    slot_of_.reset(candidates_.front(), candidates_.back(), kNoSlot);
+  }
   for (std::size_t i = 0; i < candidates_.size(); ++i) {
     slot_of_[candidates_[i]] = static_cast<std::uint32_t>(i);
   }
@@ -238,11 +241,16 @@ void Collector::collect_one(std::size_t slot, const hw::Node& node,
   }
 
   // Deliver whatever has arrived by now (in order).
-  while (!m.in_flight.empty() &&
-         m.in_flight.front().deliver_at_cycle <= cycle_counter_) {
-    deliver(slot, m.in_flight.front().sample);
-    m.in_flight.pop_front();
-    ++delivered;
+  std::size_t due = 0;
+  while (due < m.in_flight.size() &&
+         m.in_flight[due].deliver_at_cycle <= cycle_counter_) {
+    deliver(slot, m.in_flight[due].sample);
+    ++due;
+  }
+  if (due > 0) {
+    m.in_flight.erase(m.in_flight.begin(),
+                      m.in_flight.begin() + static_cast<std::ptrdiff_t>(due));
+    delivered += due;
   }
 }
 

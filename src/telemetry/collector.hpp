@@ -9,10 +9,10 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <vector>
 
+#include "common/id_table.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "telemetry/agent.hpp"
@@ -229,7 +229,11 @@ class Collector {
   struct Monitored {
     ProfilingAgent agent;
     common::Rng transport_rng;
-    std::deque<InFlight> in_flight;
+    /// Delayed reports, oldest first. Holds at most delay_cycles entries
+    /// (each sweep queues one and delivers every report now due), so a
+    /// vector with front erase is the whole FIFO — and, unlike a deque,
+    /// costs nothing under an exact transport, where it stays empty.
+    std::vector<InFlight> in_flight;
   };
 
   /// One candidate's sweep step: sample, transport (loss/delay), deliver.
@@ -255,8 +259,8 @@ class Collector {
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
   /// Slot index of a node in slots_/candidates_, or kNoSlot.
   [[nodiscard]] std::uint32_t slot_of(hw::NodeId id) const {
-    return static_cast<std::size_t>(id) < slot_of_.size() ? slot_of_[id]
-                                                          : kNoSlot;
+    const std::uint32_t* slot = slot_of_.find(id);
+    return slot != nullptr ? *slot : kNoSlot;
   }
 
   CollectorParams params_;
@@ -268,9 +272,10 @@ class Collector {
   std::vector<hw::NodeId> candidates_;
   /// Per-candidate state, aligned with candidates_: the sweep indexes
   /// straight into this array — no hash probe per sample. slot_of_ maps a
-  /// node id to its slot for the point lookups (history/latest/previous).
+  /// node id to its slot for the point lookups (history/latest/previous),
+  /// over the candidates' id span only.
   std::vector<Monitored> slots_;
-  std::vector<std::uint32_t> slot_of_;
+  common::IdTable<std::uint32_t> slot_of_;
   /// Sample histories, depth-striped: stripe d of slot s lives at
   /// hist_store_[d * hist_stride_ + s]. Heads start aligned across slots,
   /// so the common collect cycle (every candidate delivers) writes one

@@ -1,5 +1,6 @@
 #include "telemetry/fault_injector.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace pcap::telemetry {
@@ -22,10 +23,10 @@ FaultInjector::FaultInjector(FaultParams params, common::Rng rng)
 }
 
 void FaultInjector::ensure_nodes(const std::vector<hw::NodeId>& ids) {
+  if (ids.empty()) return;
+  const auto [lo, hi] = std::minmax_element(ids.begin(), ids.end());
+  states_.cover(*lo, *hi);
   for (const hw::NodeId id : ids) {
-    if (static_cast<std::size_t>(id) >= states_.size()) {
-      states_.resize(static_cast<std::size_t>(id) + 1);
-    }
     NodeState& st = states_[id];
     if (!st.known) {
       // stream(id) derives the node's fault stream as a pure function of
@@ -38,13 +39,13 @@ void FaultInjector::ensure_nodes(const std::vector<hw::NodeId>& ids) {
 
 FaultInjector::Outcome FaultInjector::apply(NodeSample& sample) {
   Outcome out;
-  if (static_cast<std::size_t>(sample.node) >= states_.size() ||
-      !states_[sample.node].known) {
+  NodeState* found = states_.find(sample.node);
+  if (found == nullptr || !found->known) {
     // Unregistered node (collector bug rather than injected fault): let
     // the sample through untouched.
     return out;
   }
-  NodeState& st = states_[sample.node];
+  NodeState& st = *found;
 
   // Crash process. An open window silences the node; on expiry the node
   // rejoins with its agent up (a rebooted node restarts its agent too).
@@ -101,16 +102,15 @@ FaultInjector::Outcome FaultInjector::apply(NodeSample& sample) {
 }
 
 bool FaultInjector::is_silent(hw::NodeId id) const {
-  if (static_cast<std::size_t>(id) >= states_.size() || !states_[id].known) {
-    return false;
-  }
-  const NodeState& st = states_[id];
-  return st.crash_cycles_left > 0 || !st.agent_up;
+  const NodeState* st = states_.find(id);
+  return st != nullptr && st->known &&
+         (st->crash_cycles_left > 0 || !st->agent_up);
 }
 
 std::size_t FaultInjector::silent_count() const {
   std::size_t n = 0;
-  for (const NodeState& st : states_) {
+  for (std::size_t id = states_.begin_id(); id < states_.end_id(); ++id) {
+    const NodeState& st = states_[id];
     if (st.known && (st.crash_cycles_left > 0 || !st.agent_up)) ++n;
   }
   return n;

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/id_table.hpp"
 #include "common/rng.hpp"
 #include "telemetry/sample.hpp"
 
@@ -111,7 +112,8 @@ class FaultInjector {
 
   FaultParams params_;
   common::Rng root_;
-  std::vector<NodeState> states_;  ///< indexed by node id
+  /// Indexed by node id, over the span of registered ids only.
+  common::IdTable<NodeState> states_;
   std::atomic<std::uint64_t> samples_suppressed_{0};
   std::atomic<std::uint64_t> samples_corrupted_{0};
   std::atomic<std::uint64_t> agent_dropouts_{0};

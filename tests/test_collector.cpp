@@ -237,6 +237,62 @@ TEST(CollectorTransport, DelayedSampleKeepsItsSamplingCycleStamp) {
   EXPECT_EQ(c.cycle_count() - s->cycle, 3u);
 }
 
+TEST(CollectorTransport, QueuedReportsWaitOutSkippedCyclesInSendOrder) {
+  // A strided (skipped) cycle sweeps no agent, so nothing in flight can
+  // arrive during it; the queued report lands on the next real sweep, in
+  // the order it was sent and stamped with the cycle it was taken in.
+  CollectorParams p = quiet_params();
+  p.transport.delay_cycles = 2;
+  Collector c(p, common::Rng(33));
+  c.set_candidate_set({0});
+  auto nodes = make_nodes(1);
+  c.collect(nodes, Seconds{1.0}, 1);  // cycle 1: due at cycle 3
+  for (int k = 0; k < 3; ++k) {
+    c.skip_cycle(1);  // cycles 2, 3, 4
+    EXPECT_FALSE(c.latest(0).has_value());
+  }
+  EXPECT_EQ(c.samples_delivered(), 0u);
+  c.collect(nodes, Seconds{5.0}, 1);  // cycle 5: delivers cycle 1's report
+  ASSERT_TRUE(c.latest(0).has_value());
+  EXPECT_EQ(c.latest(0)->cycle, 1u);
+  EXPECT_DOUBLE_EQ(c.latest(0)->time.value(), 1.0);
+  EXPECT_FALSE(c.previous(0).has_value());  // cycle 5's is still in flight
+  EXPECT_EQ(c.samples_delivered(), 1u);
+  c.collect(nodes, Seconds{6.0}, 1);  // cycle 6: nothing due yet
+  EXPECT_EQ(c.latest(0)->cycle, 1u);
+  c.collect(nodes, Seconds{7.0}, 1);  // cycle 7: cycle 5's report lands
+  EXPECT_EQ(c.latest(0)->cycle, 5u);
+  EXPECT_EQ(c.previous(0)->cycle, 1u);
+  EXPECT_EQ(c.samples_delivered(), 2u);
+}
+
+TEST(CollectorTransport, InFlightReportsFollowTheirNodeAcrossSetChange) {
+  // Reports in flight belong to their node: a retained node's still
+  // arrive after the candidate set changes, a dropped node's are gone —
+  // even when the node is re-added before they would have landed.
+  CollectorParams p = quiet_params();
+  p.transport.delay_cycles = 2;
+  Collector c(p, common::Rng(34));
+  c.set_candidate_set({0, 1});
+  auto nodes = make_nodes(2);
+  c.collect(nodes, Seconds{1.0}, 1);  // cycle 1: both due at cycle 3
+  c.set_candidate_set({0});
+  c.collect(nodes, Seconds{2.0}, 1);
+  c.set_candidate_set({0, 1});
+  c.collect(nodes, Seconds{3.0}, 1);  // cycle 3: node 0's cycle-1 report
+  ASSERT_TRUE(c.latest(0).has_value());
+  EXPECT_EQ(c.latest(0)->cycle, 1u);
+  EXPECT_FALSE(c.latest(1).has_value());
+  c.collect(nodes, Seconds{4.0}, 1);
+  EXPECT_EQ(c.latest(0)->cycle, 2u);
+  EXPECT_FALSE(c.latest(1).has_value());  // its first report is cycle 3's
+  c.collect(nodes, Seconds{5.0}, 1);
+  ASSERT_TRUE(c.latest(1).has_value());
+  EXPECT_EQ(c.latest(1)->cycle, 3u);
+  EXPECT_FALSE(c.previous(1).has_value());
+  EXPECT_EQ(c.samples_delivered(), 4u);  // node 0: cycles 1-3; node 1: 3
+}
+
 TEST(CollectorTransport, BadParamsThrow) {
   CollectorParams p = quiet_params();
   p.transport.loss_rate = 1.0;

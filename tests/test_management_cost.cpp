@@ -46,7 +46,8 @@ TEST(ManagementCost, UtilizationIsCostOverPeriod) {
 
 TEST(ManagementCost, BadPeriodThrows) {
   const ManagementCostModel m;
-  EXPECT_THROW(m.cpu_utilization(1, 1, Seconds{0.0}), std::invalid_argument);
+  EXPECT_THROW((void)m.cpu_utilization(1, 1, Seconds{0.0}),
+               std::invalid_argument);
 }
 
 TEST(ManagementCost, NegativeCoefficientThrows) {

@@ -93,7 +93,7 @@ TEST(JobRecord, EnergyDelayProduct) {
   EXPECT_DOUBLE_EQ(r.energy_delay(0), 500.0);
   EXPECT_DOUBLE_EQ(r.energy_delay(1), 500.0 * 120.0);
   EXPECT_DOUBLE_EQ(r.energy_delay(2), 500.0 * 120.0 * 120.0);
-  EXPECT_THROW(r.energy_delay(-1), std::invalid_argument);
+  EXPECT_THROW((void)r.energy_delay(-1), std::invalid_argument);
 }
 
 TEST(SummarizeByApp, GroupsAndAverages) {

@@ -786,7 +786,9 @@ void expect_identical(const PredictiveRun& a, const PredictiveRun& b,
   // gauge — including the pcap_predictor_* series — in one diff.
   // Incremental/rebuild runs legitimately differ in the context-build
   // statistics, so only thread-count comparisons include it.
-  if (compare_prom) EXPECT_EQ(a.prom, b.prom);
+  if (compare_prom) {
+    EXPECT_EQ(a.prom, b.prom);
+  }
 }
 
 TEST(PredictiveDeterminism, PiCDegradedRunIsThreadInvariant) {

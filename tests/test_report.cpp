@@ -81,7 +81,9 @@ TEST(Table, NoTrailingSpaces) {
   for (const char* line = rendered.c_str(); *line != '\0';) {
     const char* nl = line;
     while (*nl != '\0' && *nl != '\n') ++nl;
-    if (nl > line) EXPECT_NE(*(nl - 1), ' ');
+    if (nl > line) {
+      EXPECT_NE(*(nl - 1), ' ');
+    }
     line = *nl == '\0' ? nl : nl + 1;
   }
 }
