@@ -1,6 +1,7 @@
 #include "power/manager.hpp"
 
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 
 #include "power/checkpoint.hpp"
@@ -320,29 +321,22 @@ void ManagerMetrics::publish(const ManagerReport& report,
 
 void CappingManager::bind_metrics(obs::Registry& reg) { metrics_.bind(reg); }
 
-PolicyContext CappingManager::build_context(
-    Watts measured, const std::vector<hw::Node>& nodes,
-    const sched::Scheduler& scheduler) const {
-  PolicyContext ctx;
-  build_context_into(ctx, measured, nodes, scheduler);
-  return ctx;
-}
-
 void CappingManager::build_context_into(
     PolicyContext& ctx, Watts measured, const std::vector<hw::Node>& nodes,
     const sched::Scheduler& scheduler) const {
-  build_context_with(ctx, nodes, scheduler, nullptr, nullptr);
+  assemble_context(ctx, nodes, scheduler, nullptr, nullptr);
   ctx.system_power = measured;
   ctx.p_low = root().thresholds().p_low();
 }
 
-void CappingManager::build_context_with(
+void CappingManager::assemble_context(
     PolicyContext& ctx, const std::vector<hw::Node>& nodes,
     const sched::Scheduler& scheduler, ActuationReconciler* rec,
     ActuationReconciler::CycleWork* work) const {
   const std::uint64_t now_cycle = collector_.cycle_count();
   const auto max_age = static_cast<std::uint64_t>(params_.max_sample_age_cycles);
   const std::vector<hw::NodeId>& candidates = collector_.candidate_set();
+  const std::size_t n = candidates.size();
 
   // The candidate set is sorted, so its maximum id validates the whole
   // sweep against the node table in one comparison; every per-candidate
@@ -351,56 +345,155 @@ void CappingManager::build_context_with(
       static_cast<std::size_t>(collector_.max_candidate_id()) >=
           nodes.size()) {
     throw std::out_of_range(
-        "CappingManager::build_context: candidate id out of range");
+        "CappingManager::assemble_context: candidate id out of range");
   }
 
-  // Delta dispatch: only the persistent reconciled context carries valid
-  // incremental state — benchmark builds into caller-owned contexts (and
-  // read-only builds with rec == nullptr) always assemble from scratch.
-  if (params_.incremental_context && rec != nullptr && &ctx == &scratch_ctx_ &&
-      inc_valid_ && view_records_.size() == candidates.size()) {
-    build_context_delta(ctx, nodes, scheduler, rec, work, now_cycle, max_age);
-    return;
+  // Only a reconciled build (the persistent scratch_ctx_, fed through the
+  // reconciler) leaves state the next build may trust. A read-only build
+  // refills the same per-slot records without the reconciler, so it is
+  // always full and leaves the persisted state invalid.
+  const bool keep = params_.incremental_context && rec != nullptr;
+  const bool full = !keep || !inc_valid_ || view_records_.size() != n;
+  job_index_.sync(scheduler);
+  const bool jobs_churned =
+      full || job_index_.change_epoch() != inc_job_epoch_;
+
+  // 1. The dirty slot set. A slot must be re-derived when its telemetry
+  // content changed since the last build, when its last delivery is not
+  // this cycle's confirmation (lost/delayed samples age the view), when
+  // its previous record depended on clock or actuation state, or when the
+  // actuation plane is mid-flight on it (pending command, abandoned, or
+  // awaiting watchdog adoption — those paths mutate reconciler state in
+  // the merge and must keep doing so every cycle).
+  inc_dirty_.clear();
+  if (full) {
+    view_records_.resize(n);
+    inc_dirty_.resize(n);
+    std::iota(inc_dirty_.begin(), inc_dirty_.end(), 0u);
+    if (rec != nullptr) ++inc_stats_.full_builds;
+  } else {
+    for (std::size_t slot = 0; slot < n; ++slot) {
+      bool dirty = inc_degraded_[slot] != 0 ||
+                   collector_.change_cycle(slot) > inc_build_cycle_ ||
+                   collector_.confirm_cycle(slot) != now_cycle;
+      if (!dirty) {
+        const hw::NodeId id = candidates[slot];
+        dirty = rec->in_flight(id) || rec->unresponsive(id) ||
+                (watchdog_ != nullptr && watchdog_->adoption_pending(id));
+      }
+      if (dirty) inc_dirty_.push_back(static_cast<std::uint32_t>(slot));
+    }
+    ++inc_stats_.delta_builds;
+    inc_stats_.dirty_slots += inc_dirty_.size();
+    if (inc_dirty_.empty() && !jobs_churned) {
+      // Quiescent: the persisted context IS this cycle's context. This is
+      // the empty-dirty-set special case the zone tree's quiescence hints
+      // approximate from outside.
+      ++inc_stats_.noop_builds;
+      inc_build_cycle_ = now_cycle;
+      return;
+    }
+    // Retract the dirty slots' old tally contributions (integer running
+    // totals); the refill below overwrites the records in place.
+    for (const std::uint32_t slot : inc_dirty_) {
+      tally_record(ctx, view_records_[slot], true);
+    }
   }
 
-  // Phase 1 — sharded view assembly. One ViewRecord per candidate slot,
-  // from strictly per-node inputs: this slot's telemetry history, this
-  // node's spec/power model (its memoisation caches are touched by
-  // exactly one worker), and this node's reconciler entries (read-only
-  // here — unresponsive(id) never changes while the shards run, because
-  // all reconciler mutation is deferred to the serial merge, and
-  // observe_node(j) only ever touches node j's state). Chunk boundaries
-  // are fixed by the grain, so the records are identical for any worker
-  // count.
-  view_records_.resize(candidates.size());
+  // 2. Parallel refill of exactly the dirty slots from strictly per-node
+  // inputs: this slot's telemetry history, this node's spec/power model
+  // (its memoisation caches are touched by exactly one worker), and this
+  // node's reconciler entries (read-only here — all reconciler mutation is
+  // deferred to the serial merge, and observe_node(j) only ever touches
+  // node j's state). Chunk boundaries are fixed by the grain, so the
+  // records are identical for any worker count.
   common::maybe_parallel_for(
-      pool_, candidates.size(), params_.collector.parallel_threshold,
+      pool_, inc_dirty_.size(), params_.collector.parallel_threshold,
       params_.collector.parallel_grain,
       [&](std::size_t begin, std::size_t end) {
-        for (std::size_t slot = begin; slot < end; ++slot) {
-          fill_view_record(slot, candidates, nodes, rec, now_cycle, max_age);
+        for (std::size_t i = begin; i < end; ++i) {
+          fill_view_record(inc_dirty_[i], candidates, nodes, rec, now_cycle,
+                           max_age);
         }
       });
 
-  const bool inc_track =
-      params_.incremental_context && rec != nullptr && &ctx == &scratch_ctx_;
-  if (rec != nullptr && &ctx == &scratch_ctx_) ++inc_stats_.full_builds;
-
-  merge_records_full(ctx, nodes, rec, work, now_cycle, inc_track);
-
-  // Phase 2 — job views from the persistent index. entries() mirrors
-  // scheduler.running_jobs() in order, and each entry's candidate_nodes
-  // keeps Nodes(J) order, so every per-job power sum adds the same values
-  // in the same order the full rebuild did.
-  job_index_.sync(scheduler);
-  job_pass_full(ctx, inc_track);
-
-  if (inc_track) {
-    rebuild_job_csr();
-    inc_build_cycle_ = now_cycle;
-    inc_job_epoch_ = job_index_.change_epoch();
-    inc_valid_ = true;
+  // A slot is in the persisted context exactly when it has a position.
+  bool compact = full;
+  for (std::size_t i = 0; i < inc_dirty_.size() && !compact; ++i) {
+    const std::uint32_t slot = inc_dirty_[i];
+    const bool present = view_records_[slot].status == ViewRecord::Status::kOk;
+    compact = present != (inc_pos_[slot] != kNoPos);
   }
+
+  // 3. Serial merge in candidate order — the order the reconciler, heal
+  // emission and the counters must see.
+  NodeView nv;
+  if (compact) {
+    // Full build, or a slot entered or left the context so every position
+    // after it shifts: compact over all persisted records. Re-observing a
+    // clean slot's unchanged sample cycle is a reconciler no-op by its
+    // staleness guard, and persisted records never carry the in-flight
+    // inflation (merge_slot applies it to a copy). clear() keeps the
+    // capacity, so after the first cycle this fills existing storage.
+    ctx.stale_nodes = 0;
+    ctx.missing_nodes = 0;
+    ctx.fallback_nodes = 0;
+    ctx.rejected_samples = 0;
+    ctx.unresponsive_nodes = 0;
+    inc_pos_.assign(n, kNoPos);
+    inc_degraded_.assign(n, 0);
+    ctx.nodes.clear();
+    for (std::size_t slot = 0; slot < n; ++slot) {
+      if (!merge_slot(slot, ctx, nodes, rec, work, now_cycle, nv)) continue;
+      inc_pos_[slot] = static_cast<std::uint32_t>(ctx.nodes.size());
+      ctx.nodes.push_back(nv);
+    }
+    ctx.index_nodes();
+  } else {
+    // In place, dirty slots ascending — the relative order the compaction
+    // visits them, and the clean slots in between would all have been
+    // no-ops.
+    for (const std::uint32_t slot : inc_dirty_) {
+      if (merge_slot(slot, ctx, nodes, rec, work, now_cycle, nv)) {
+        ctx.nodes[inc_pos_[slot]] = nv;
+      }
+    }
+  }
+
+  // 4. Job views. entries() mirrors scheduler.running_jobs() in order, and
+  // each entry's candidate_nodes keeps Nodes(J) order, so every per-job
+  // power sum adds the same values in the same order on either path.
+  if (keep && jobs_churned) rebuild_job_csr();
+  if (compact || jobs_churned) {
+    job_pass_full(ctx);
+  } else {
+    // Same job list and positions as last build: refresh only the
+    // JobViews that contain a dirty slot, in ascending entry order.
+    const std::vector<JobIndex::Entry>& entries = job_index_.entries();
+    inc_job_dirty_.assign(entries.size(), 0);
+    for (const std::uint32_t slot : inc_dirty_) {
+      const hw::NodeId id = candidates[slot];
+      for (std::uint32_t c = inc_csr_off_[id]; c < inc_csr_off_[id + 1]; ++c) {
+        inc_job_dirty_[inc_csr_[c]] = 1;
+      }
+    }
+    for (std::size_t k = 0; k < entries.size(); ++k) {
+      if (inc_job_dirty_[k] == 0) continue;
+      fill_job_view(entries[k], ctx, inc_job_scratch_);
+      const bool now_empty = inc_job_scratch_.nodes.empty();
+      if (now_empty != (inc_job_pos_[k] == kNoPos)) {
+        // A job gained its first usable view or lost its last one: the
+        // compacted ctx.jobs positions shift.
+        job_pass_full(ctx);
+        break;
+      }
+      if (!now_empty) std::swap(ctx.jobs[inc_job_pos_[k]], inc_job_scratch_);
+    }
+  }
+
+  inc_build_cycle_ = now_cycle;
+  inc_job_epoch_ = job_index_.change_epoch();
+  inc_valid_ = keep;
 }
 
 void CappingManager::fill_view_record(std::size_t slot,
@@ -526,12 +619,11 @@ bool CappingManager::merge_slot(std::size_t slot, PolicyContext& ctx,
                                 const std::vector<hw::Node>& nodes,
                                 ActuationReconciler* rec,
                                 ActuationReconciler::CycleWork* work,
-                                std::uint64_t now_cycle, bool inc_track,
-                                NodeView& nv) const {
+                                std::uint64_t now_cycle, NodeView& nv) const {
   const ViewRecord& vr = view_records_[slot];
   tally_record(ctx, vr, false);
   if (vr.status != ViewRecord::Status::kOk) {
-    if (inc_track) inc_degraded_[slot] = 1;
+    inc_degraded_[slot] = 1;
     return false;
   }
   nv = vr.view;
@@ -571,54 +663,14 @@ bool CappingManager::merge_slot(std::size_t slot, PolicyContext& ctx,
       }
     }
   }
-  if (inc_track) {
-    // A record whose view depends on clock or actuation state (not just
-    // delivered sample content) must be re-derived every cycle even
-    // without a telemetry change.
-    inc_degraded_[slot] = (vr.rejected > 0 || nv.stale || vr.substituted ||
-                           nv.command_in_flight)
-                              ? 1
-                              : 0;
-  }
+  // A record whose view depends on clock or actuation state (not just
+  // delivered sample content) must be re-derived every cycle even without
+  // a telemetry change.
+  inc_degraded_[slot] =
+      (vr.rejected > 0 || nv.stale || vr.substituted || nv.command_in_flight)
+          ? 1
+          : 0;
   return true;
-}
-
-void CappingManager::merge_records_full(PolicyContext& ctx,
-                                        const std::vector<hw::Node>& nodes,
-                                        ActuationReconciler* rec,
-                                        ActuationReconciler::CycleWork* work,
-                                        std::uint64_t now_cycle,
-                                        bool inc_track) const {
-  // Serial merge, in candidate order — exactly the order the pre-shard
-  // loop visited nodes, so reconciler mutations, heal emission, counters
-  // and the context layout are all bit-identical to it. clear() keeps the
-  // capacity, so after the first cycle this fills existing storage.
-  //
-  // Also correct as the delta path's fallback over persisted records:
-  // re-observing a clean slot's (unchanged) sample cycle is a reconciler
-  // no-op by its staleness guard, and persisted records never carry the
-  // in-flight inflation (merge_slot applies it to a copy).
-  ctx.stale_nodes = 0;
-  ctx.missing_nodes = 0;
-  ctx.fallback_nodes = 0;
-  ctx.rejected_samples = 0;
-  ctx.unresponsive_nodes = 0;
-  if (inc_track) {
-    inc_pos_.assign(view_records_.size(), kNoPos);
-    inc_degraded_.assign(view_records_.size(), 0);
-  }
-  ctx.nodes.clear();
-  NodeView nv;
-  for (std::size_t slot = 0; slot < view_records_.size(); ++slot) {
-    if (!merge_slot(slot, ctx, nodes, rec, work, now_cycle, inc_track, nv)) {
-      continue;
-    }
-    if (inc_track) {
-      inc_pos_[slot] = static_cast<std::uint32_t>(ctx.nodes.size());
-    }
-    ctx.nodes.push_back(nv);
-  }
-  ctx.index_nodes();
 }
 
 void CappingManager::fill_job_view(const JobIndex::Entry& e,
@@ -654,7 +706,7 @@ void CappingManager::fill_job_view(const JobIndex::Entry& e,
   if (!have_all_prev) jv.power_prev = Watts{0.0};  // no rate
 }
 
-void CappingManager::job_pass_full(PolicyContext& ctx, bool inc_track) const {
+void CappingManager::job_pass_full(PolicyContext& ctx) const {
   // Each stage slot is written by one worker and reads only the frozen
   // context, so this pass shards.
   const std::vector<JobIndex::Entry>& entries = job_index_.entries();
@@ -667,14 +719,14 @@ void CappingManager::job_pass_full(PolicyContext& ctx, bool inc_track) const {
           fill_job_view(entries[k], ctx, job_stage_[k]);
         }
       });
-  if (inc_track) inc_job_pos_.assign(entries.size(), kNoPos);
+  inc_job_pos_.assign(entries.size(), kNoPos);
   // Serial compaction: jobs with no usable node this cycle drop out,
   // order is preserved, and swap keeps both sides' vector capacity.
   std::size_t used = 0;
   for (std::size_t k = 0; k < job_stage_.size(); ++k) {
     JobView& staged = job_stage_[k];
     if (staged.nodes.empty()) continue;
-    if (inc_track) inc_job_pos_[k] = static_cast<std::uint32_t>(used);
+    inc_job_pos_[k] = static_cast<std::uint32_t>(used);
     if (used == ctx.jobs.size()) ctx.jobs.emplace_back();
     std::swap(ctx.jobs[used], staged);
     ++used;
@@ -719,140 +771,6 @@ void CappingManager::rebuild_job_csr() const {
   inc_csr_off_[lo] = 0;
 }
 
-void CappingManager::build_context_delta(
-    PolicyContext& ctx, const std::vector<hw::Node>& nodes,
-    const sched::Scheduler& scheduler, ActuationReconciler* rec,
-    ActuationReconciler::CycleWork* work, std::uint64_t now_cycle,
-    std::uint64_t max_age) const {
-  const std::vector<hw::NodeId>& candidates = collector_.candidate_set();
-
-  job_index_.sync(scheduler);
-  const bool jobs_churned = job_index_.change_epoch() != inc_job_epoch_;
-
-  // Dirty scan: a slot must be re-derived when its telemetry content
-  // changed since the last build, when its last delivery is not this
-  // cycle's confirmation (lost/delayed samples age the view), when its
-  // previous record depended on clock or actuation state, or when the
-  // actuation plane is mid-flight on it (pending command, abandoned, or
-  // awaiting watchdog adoption — those paths mutate reconciler state in
-  // the merge and must keep doing so every cycle).
-  inc_dirty_.clear();
-  inc_old_present_.clear();
-  for (std::size_t slot = 0; slot < candidates.size(); ++slot) {
-    bool dirty = inc_degraded_[slot] != 0 ||
-                 collector_.change_cycle(slot) > inc_build_cycle_ ||
-                 collector_.confirm_cycle(slot) != now_cycle;
-    if (!dirty) {
-      const hw::NodeId id = candidates[slot];
-      dirty = rec->in_flight(id) || rec->unresponsive(id) ||
-              (watchdog_ != nullptr && watchdog_->adoption_pending(id));
-    }
-    if (dirty) inc_dirty_.push_back(static_cast<std::uint32_t>(slot));
-  }
-  ++inc_stats_.delta_builds;
-  inc_stats_.dirty_slots += inc_dirty_.size();
-
-  if (inc_dirty_.empty() && !jobs_churned) {
-    ++inc_stats_.noop_builds;
-    // Quiescent: the persisted context IS this cycle's context. This is
-    // the empty-dirty-set special case the zone tree's quiescence hints
-    // approximate from outside.
-    inc_build_cycle_ = now_cycle;
-    return;
-  }
-
-  // Retract the dirty slots' old tally contributions (integer running
-  // totals) and remember their old presence; the refill below overwrites
-  // the records in place.
-  for (const std::uint32_t slot : inc_dirty_) {
-    const ViewRecord& vr = view_records_[slot];
-    tally_record(ctx, vr, true);
-    inc_old_present_.push_back(vr.status == ViewRecord::Status::kOk ? 1 : 0);
-  }
-
-  // Parallel refill of exactly the dirty slots — the same strictly
-  // per-node derivation as the full sharded pass, so chunk boundaries
-  // cannot change the records.
-  common::maybe_parallel_for(
-      pool_, inc_dirty_.size(), params_.collector.parallel_threshold,
-      params_.collector.parallel_grain,
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          fill_view_record(inc_dirty_[i], candidates, nodes, rec, now_cycle,
-                           max_age);
-        }
-      });
-
-  bool flipped = false;
-  for (std::size_t i = 0; i < inc_dirty_.size() && !flipped; ++i) {
-    const bool present =
-        view_records_[inc_dirty_[i]].status == ViewRecord::Status::kOk;
-    flipped = present != (inc_old_present_[i] != 0);
-  }
-
-  if (flipped) {
-    // A slot entered or left the context, so every position after it
-    // shifts: fall back to the full serial merge + job pass over the
-    // persisted records (clean slots keep theirs untouched).
-    merge_records_full(ctx, nodes, rec, work, now_cycle, true);
-    if (jobs_churned) rebuild_job_csr();
-    job_pass_full(ctx, true);
-    inc_build_cycle_ = now_cycle;
-    inc_job_epoch_ = job_index_.change_epoch();
-    return;
-  }
-
-  // In-place serial merge of the dirty slots, ascending — the same
-  // relative order the full merge visits them, so reconciler mutations
-  // and heal emission stay bit-identical to it (clean slots in between
-  // would all have been no-ops).
-  NodeView nv;
-  for (const std::uint32_t slot : inc_dirty_) {
-    if (merge_slot(slot, ctx, nodes, rec, work, now_cycle, true, nv)) {
-      ctx.nodes[inc_pos_[slot]] = nv;
-    }
-  }
-
-  if (jobs_churned) {
-    // Job start/finish or candidate refilter: entry list shape changed,
-    // recompute every JobView and the node -> entry map.
-    rebuild_job_csr();
-    job_pass_full(ctx, true);
-    inc_build_cycle_ = now_cycle;
-    inc_job_epoch_ = job_index_.change_epoch();
-    return;
-  }
-
-  // Same job list as last build: refresh only the JobViews that contain a
-  // dirty slot, via the CSR. Ascending entry order keeps the recompute
-  // deterministic; the arithmetic is the staged pass's, so values are
-  // bit-identical to a full job pass.
-  const std::vector<JobIndex::Entry>& entries = job_index_.entries();
-  inc_job_dirty_.assign(entries.size(), 0);
-  for (const std::uint32_t slot : inc_dirty_) {
-    const hw::NodeId id = candidates[slot];
-    for (std::uint32_t c = inc_csr_off_[id]; c < inc_csr_off_[id + 1]; ++c) {
-      inc_job_dirty_[inc_csr_[c]] = 1;
-    }
-  }
-  bool job_flip = false;
-  for (std::size_t k = 0; k < entries.size(); ++k) {
-    if (inc_job_dirty_[k] == 0) continue;
-    fill_job_view(entries[k], ctx, inc_job_scratch_);
-    const bool now_empty = inc_job_scratch_.nodes.empty();
-    if (now_empty != (inc_job_pos_[k] == kNoPos)) {
-      // A job gained its first usable view or lost its last one: the
-      // compacted ctx.jobs positions shift. CSR stays valid (no churn).
-      job_flip = true;
-      break;
-    }
-    if (!now_empty) std::swap(ctx.jobs[inc_job_pos_[k]], inc_job_scratch_);
-  }
-  if (job_flip) job_pass_full(ctx, true);
-
-  inc_build_cycle_ = now_cycle;
-}
-
 void CappingManager::collect_phase(bool collect_now,
                                    const std::vector<hw::Node>& nodes,
                                    Seconds now, std::size_t monitored_jobs) {
@@ -886,8 +804,8 @@ void CappingManager::begin_actuation_phase(std::vector<hw::Node>& nodes) {
 void CappingManager::context_phase(const std::vector<hw::Node>& nodes,
                                    const sched::Scheduler& scheduler,
                                    ManagerReport& report) {
-  build_context_with(scratch_ctx_, nodes, scheduler, &reconciler_,
-                     &recon_work_);
+  assemble_context(scratch_ctx_, nodes, scheduler, &reconciler_,
+                   &recon_work_);
   reconciler_.finish_observation(collector_.cycle_count(), recon_work_);
   // Failsafe levels adopted above join A_degraded: steady green is what
   // restores them back up once the controller has been back long enough.

@@ -282,7 +282,7 @@ class CappingManager final : public PowerManagerBase {
   void bind_metrics(obs::Registry& reg) override;
 
   /// The pool parallelises both the telemetry sweep and context assembly
-  /// (sharded over candidate slots; see build_context_with). Results are
+  /// (sharded over candidate slots; see assemble_context). Results are
   /// bit-identical with or without it.
   void set_thread_pool(common::ThreadPool* pool) override {
     pool_ = pool;
@@ -310,12 +310,13 @@ class CappingManager final : public PowerManagerBase {
     return *policy_;
   }
 
-  /// Which path each context build took (lifetime totals). Lets tests and
-  /// benches assert the delta plane actually engages instead of inferring
-  /// it from wall time.
+  /// How each reconciled context build chose its dirty set (lifetime
+  /// totals; read-only builds are not counted). Lets tests and benches
+  /// assert the delta plane actually engages instead of inferring it from
+  /// wall time.
   struct IncrementalStats {
-    std::uint64_t full_builds = 0;   ///< sharded O(candidates) assemblies
-    std::uint64_t delta_builds = 0;  ///< delta path (includes no-ops)
+    std::uint64_t full_builds = 0;   ///< every slot dirty: O(candidates)
+    std::uint64_t delta_builds = 0;  ///< dirty set from the scan (incl. no-ops)
     std::uint64_t noop_builds = 0;   ///< empty dirty set + unchanged jobs
     std::uint64_t dirty_slots = 0;   ///< Σ dirty slots over delta builds
   };
@@ -347,15 +348,11 @@ class CappingManager final : public PowerManagerBase {
   [[nodiscard]] ShardCheckpoint checkpoint() const;
   void restore(const ShardCheckpoint& cp);
 
-  /// Builds the policy context from current telemetry and scheduler state;
-  /// public so benchmarks can measure selection cost in isolation.
-  PolicyContext build_context(Watts measured,
-                              const std::vector<hw::Node>& nodes,
-                              const sched::Scheduler& scheduler) const;
-
-  /// In-place variant: refills `ctx` reusing its existing node/job buffer
-  /// capacity, so a steady-state control cycle performs no allocation for
-  /// context assembly. cycle() feeds its persistent context through here.
+  /// Read-only context build from current telemetry and scheduler state,
+  /// into `ctx` (its node/job buffers are reused). Public so tests and
+  /// benchmarks can inspect the context and measure selection cost in
+  /// isolation. It bypasses the reconciler and refills the per-slot
+  /// records, so the next control cycle rebuilds its own context in full.
   void build_context_into(PolicyContext& ctx, Watts measured,
                           const std::vector<hw::Node>& nodes,
                           const sched::Scheduler& scheduler) const;
@@ -457,24 +454,29 @@ class CappingManager final : public PowerManagerBase {
   /// a delivery is the one controller signal a node can see directly.
   void stamp_delivery_contacts();
 
-  /// The real context assembly. When `rec` is non-null, each fresh node
-  /// view is fed through the reconciler (acks/divergences/heals into
-  /// `work`), in-flight commands mark their views, and the safe-side
-  /// power accounting is applied. The public const overloads pass
-  /// nullptr: pure read-only assembly for benchmarks.
+  /// The one context-build routine. When `rec` is non-null, each fresh
+  /// node view is fed through the reconciler (acks/divergences/heals into
+  /// `work`), in-flight commands mark their views, and the safe-side power
+  /// accounting is applied; build_context_into passes nullptr for a
+  /// read-only build.
   ///
-  /// Two-phase: a sharded pass builds one ViewRecord per candidate slot
-  /// from strictly per-node inputs (telemetry history, node table,
-  /// per-node reconciler state — all read-only there), then a serial
-  /// merge in candidate order applies everything order-sensitive
-  /// (reconciler mutation, counters, safe-side pending accounting). The
-  /// merge sees the same values in the same order the old single serial
-  /// loop did, so output is bit-identical across worker counts.
-  void build_context_with(PolicyContext& ctx,
-                          const std::vector<hw::Node>& nodes,
-                          const sched::Scheduler& scheduler,
-                          ActuationReconciler* rec,
-                          ActuationReconciler::CycleWork* work) const;
+  /// Steps: (1) decide the dirty slot set — every slot for a full build
+  /// (no valid persisted state, incremental_context off, or a read-only
+  /// build), otherwise the slots whose view may have moved since the last
+  /// build; (2) refill the dirty slots' ViewRecords in parallel from
+  /// strictly per-node inputs; (3) a serial merge in candidate order
+  /// applies everything order-sensitive (reconciler mutation, tallies,
+  /// safe-side pending accounting) — in place, or as a compaction over all
+  /// slots when the build is full or a slot entered or left the context;
+  /// (4) refresh the job views fed by dirty slots through the node -> job
+  /// CSR, or run the whole job pass when the build compacted or jobs
+  /// churned. Output is bit-identical across worker counts and between
+  /// full and incremental builds.
+  void assemble_context(PolicyContext& ctx,
+                        const std::vector<hw::Node>& nodes,
+                        const sched::Scheduler& scheduler,
+                        ActuationReconciler* rec,
+                        ActuationReconciler::CycleWork* work) const;
 
   /// One candidate slot's output from the sharded assembly pass.
   struct ViewRecord {
@@ -491,9 +493,8 @@ class CappingManager final : public PowerManagerBase {
     bool substituted = false;  ///< fresh only after skipping corrupt ones
   };
 
-  /// Phase-1 body for one slot: derives view_records_[slot] from strictly
-  /// per-node inputs. Shared by the full sharded pass and the delta
-  /// refill.
+  /// Refill body for one slot: derives view_records_[slot] from strictly
+  /// per-node inputs.
   void fill_view_record(std::size_t slot,
                         const std::vector<hw::NodeId>& candidates,
                         const std::vector<hw::Node>& nodes,
@@ -505,51 +506,29 @@ class CappingManager final : public PowerManagerBase {
   static void tally_record(PolicyContext& ctx, const ViewRecord& vr,
                            bool retract);
 
-  /// The per-slot merge rule shared by the full and the delta merge:
-  /// tallies the record, runs the reconciler on a fresh view (adopt a
-  /// failsafe level awaiting adoption, otherwise observe), applies the
-  /// pending-command safe-side accounting and, when `inc_track`, derives
-  /// inc_degraded_[slot]. Returns false when the slot has no context view;
-  /// otherwise `nv` is the view to place. `rec` may be null (read-only
-  /// assembly): no observation and no pending accounting.
+  /// The per-slot merge rule: tallies the record, runs the reconciler on
+  /// a fresh view (adopt a failsafe level awaiting adoption, otherwise
+  /// observe), applies the pending-command safe-side accounting and
+  /// derives inc_degraded_[slot]. Returns false when the slot has no
+  /// context view; otherwise `nv` is the view to place. `rec` may be null
+  /// (read-only build): no observation and no pending accounting.
   bool merge_slot(std::size_t slot, PolicyContext& ctx,
                   const std::vector<hw::Node>& nodes, ActuationReconciler* rec,
                   ActuationReconciler::CycleWork* work,
-                  std::uint64_t now_cycle, bool inc_track,
-                  NodeView& nv) const;
+                  std::uint64_t now_cycle, NodeView& nv) const;
 
-  /// The serial order-sensitive merge over ALL persisted records, plus
-  /// index_nodes(). Resets and re-accumulates the context tallies. When
-  /// `inc_track` it also rebuilds inc_pos_/inc_degraded_.
-  void merge_records_full(PolicyContext& ctx,
-                          const std::vector<hw::Node>& nodes,
-                          ActuationReconciler* rec,
-                          ActuationReconciler::CycleWork* work,
-                          std::uint64_t now_cycle, bool inc_track) const;
-
-  /// Phase 2 over every job entry (parallel stage + serial compaction).
-  /// When `inc_track` it records entry -> ctx.jobs positions.
-  void job_pass_full(PolicyContext& ctx, bool inc_track) const;
+  /// The whole job pass: every job entry (parallel stage + serial
+  /// compaction), recording entry -> ctx.jobs positions.
+  void job_pass_full(PolicyContext& ctx) const;
 
   /// Computes one entry's JobView against the current ctx.nodes — the
-  /// exact arithmetic of the staged job pass, reused by the delta path.
+  /// arithmetic of both the whole job pass and the CSR refresh.
   static void fill_job_view(const JobIndex::Entry& e, const PolicyContext& ctx,
                             JobView& jv);
 
   /// Rebuilds the node-id -> job-entry CSR used to map dirty slots to the
   /// job views they feed.
   void rebuild_job_csr() const;
-
-  /// The delta path: dirty-slot scan, tally retraction, parallel refill,
-  /// in-place serial merge of dirty slots and per-entry job refresh.
-  /// Falls back to merge_records_full/job_pass_full on presence flips.
-  void build_context_delta(PolicyContext& ctx,
-                           const std::vector<hw::Node>& nodes,
-                           const sched::Scheduler& scheduler,
-                           ActuationReconciler* rec,
-                           ActuationReconciler::CycleWork* work,
-                           std::uint64_t now_cycle,
-                           std::uint64_t max_age) const;
 
   CappingManagerParams params_;
   PolicyPtr policy_;
@@ -576,8 +555,8 @@ class CappingManager final : public PowerManagerBase {
   std::int64_t collect_stride_ = 1;
   common::ThreadPool* pool_ = nullptr;
   ManagerMetrics metrics_;
-  /// Per-slot staging for the sharded assembly pass; persists across
-  /// cycles so the steady state allocates nothing.
+  /// Per-slot records from the refill; persist across cycles so clean
+  /// slots keep theirs and the steady state allocates nothing.
   mutable std::vector<ViewRecord> view_records_;
   /// Incremental mirror of the scheduler's running set; synced (O(churn))
   /// at the top of every context build. Mutable because assembly is
@@ -595,14 +574,15 @@ class CappingManager final : public PowerManagerBase {
   ActuationReconciler::CycleWork recon_work_;
 
   // --- Incremental context plane (params_.incremental_context) ---------
-  // Valid only between builds of the persistent scratch_ctx_ through the
-  // reconciler; any structural change (candidate churn, warm restart)
-  // drops inc_valid_ and the next build is a full one.
+  // Valid only between reconciled builds of the persistent scratch_ctx_;
+  // a read-only build or any structural change (candidate churn, warm
+  // restart) drops inc_valid_ and the next build is a full one.
   static constexpr std::uint32_t kNoPos = 0xffffffffu;
   mutable bool inc_valid_ = false;
   mutable std::uint64_t inc_build_cycle_ = 0;  ///< collector cycle of last build
   mutable std::uint64_t inc_job_epoch_ = 0;    ///< JobIndex epoch of last build
-  mutable std::vector<std::uint32_t> inc_pos_;  ///< slot -> ctx.nodes index
+  /// Slot -> ctx.nodes index; kNoPos when the slot has no view.
+  mutable std::vector<std::uint32_t> inc_pos_;
   /// Slot's record was not clean-and-fresh at the last build (missing,
   /// unresponsive, stale, substituted, rejected deliveries, or carrying
   /// in-flight inflation): must be re-derived even without a telemetry
@@ -610,7 +590,6 @@ class CappingManager final : public PowerManagerBase {
   /// the clock.
   mutable std::vector<std::uint8_t> inc_degraded_;
   mutable std::vector<std::uint32_t> inc_dirty_;        ///< scratch: dirty slots
-  mutable std::vector<std::uint8_t> inc_old_present_;   ///< scratch, per dirty
   mutable std::vector<std::uint32_t> inc_job_pos_;  ///< entry -> ctx.jobs index
   /// Node id -> csr offset, over the candidates' id span plus one.
   mutable common::IdTable<std::uint32_t> inc_csr_off_;

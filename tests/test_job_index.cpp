@@ -171,7 +171,7 @@ CappingManagerParams quiet_params() {
   p.thresholds.adjust_period_cycles = 1000;
   p.collector.agent.utilization_noise = 0.0;
   p.collector.agent.nic_noise = 0.0;
-  // These tests inspect build_context right after single green cycles;
+  // These tests inspect build_context_into right after single green cycles;
   // collect every cycle so the context is always populated.
   p.green_collect_stride = 1;
   return p;
@@ -192,13 +192,13 @@ TEST(CappingManagerJobIndex, JobFinishingMidDegradationLeavesContext) {
   ASSERT_EQ(r.state, PowerState::kYellow);
   ASSERT_FALSE(m.engine().degraded().empty());
 
-  PolicyContext ctx =
-      m.build_context(Watts{1700.0}, rig.nodes, rig.scheduler);
+  PolicyContext ctx;
+  m.build_context_into(ctx, Watts{1700.0}, rig.nodes, rig.scheduler);
   ASSERT_EQ(ctx.jobs.size(), 2u);
 
   finish_job(rig.scheduler, 1);
   m.cycle(Watts{1700.0}, rig.nodes, rig.scheduler, Seconds{2.0});
-  ctx = m.build_context(Watts{1700.0}, rig.nodes, rig.scheduler);
+  m.build_context_into(ctx, Watts{1700.0}, rig.nodes, rig.scheduler);
   ASSERT_EQ(ctx.jobs.size(), 1u);
   EXPECT_EQ(ctx.jobs[0].id, 2u);
 }
@@ -212,14 +212,15 @@ TEST(CappingManagerJobIndex, CandidateChurnDropsJobFromContext) {
   m.set_candidate_set({0, 1, 2, 3});
 
   m.cycle(Watts{100.0}, rig.nodes, rig.scheduler, Seconds{1.0});
-  PolicyContext ctx = m.build_context(Watts{100.0}, rig.nodes, rig.scheduler);
+  PolicyContext ctx;
+  m.build_context_into(ctx, Watts{100.0}, rig.nodes, rig.scheduler);
   ASSERT_EQ(ctx.jobs.size(), 2u);
 
   // Remove job 1's nodes from A_candidate mid-run: the job must vanish
   // from the context even though it is still running.
   m.set_candidate_set({2, 3});
   m.cycle(Watts{100.0}, rig.nodes, rig.scheduler, Seconds{2.0});
-  ctx = m.build_context(Watts{100.0}, rig.nodes, rig.scheduler);
+  m.build_context_into(ctx, Watts{100.0}, rig.nodes, rig.scheduler);
   ASSERT_EQ(ctx.jobs.size(), 1u);
   EXPECT_EQ(ctx.jobs[0].id, 2u);
   EXPECT_EQ(ctx.jobs[0].nodes, (std::vector<hw::NodeId>{2, 3}));
@@ -233,7 +234,8 @@ TEST(CappingManagerJobIndex, LevelResetRefreshesPerJobSaving) {
   m.set_candidate_set({0, 1});
 
   m.cycle(Watts{100.0}, rig.nodes, rig.scheduler, Seconds{1.0});
-  PolicyContext ctx = m.build_context(Watts{100.0}, rig.nodes, rig.scheduler);
+  PolicyContext ctx;
+  m.build_context_into(ctx, Watts{100.0}, rig.nodes, rig.scheduler);
   ASSERT_EQ(ctx.jobs.size(), 1u);
   const Watts saving_before = ctx.jobs[0].saving_one_level;
   ASSERT_GT(saving_before, Watts{0.0});
@@ -245,7 +247,7 @@ TEST(CappingManagerJobIndex, LevelResetRefreshesPerJobSaving) {
   rig.nodes[0].set_level(3);
   rig.nodes[1].set_level(3);
   m.cycle(Watts{100.0}, rig.nodes, rig.scheduler, Seconds{2.0});
-  ctx = m.build_context(Watts{100.0}, rig.nodes, rig.scheduler);
+  m.build_context_into(ctx, Watts{100.0}, rig.nodes, rig.scheduler);
   ASSERT_EQ(ctx.jobs.size(), 1u);
   EXPECT_NE(ctx.jobs[0].saving_one_level, saving_before);
 

@@ -155,8 +155,8 @@ TEST(CappingManager, BuildContextMapsJobsToCandidates) {
   m.set_candidate_set({0, 1});  // only job 1's nodes monitored
 
   m.cycle(Watts{100.0}, rig.nodes, rig.scheduler, Seconds{1.0});
-  const PolicyContext ctx =
-      m.build_context(Watts{100.0}, rig.nodes, rig.scheduler);
+  PolicyContext ctx;
+  m.build_context_into(ctx, Watts{100.0}, rig.nodes, rig.scheduler);
   EXPECT_EQ(ctx.nodes.size(), 2u);
   ASSERT_EQ(ctx.jobs.size(), 1u);  // job 2 invisible: no candidate nodes
   EXPECT_EQ(ctx.jobs[0].id, 1u);
@@ -175,11 +175,12 @@ TEST(CappingManager, ContextRateNeedsTwoCycles) {
   m.set_candidate_set({0, 1});
 
   m.cycle(Watts{100.0}, rig.nodes, rig.scheduler, Seconds{1.0});
-  PolicyContext ctx = m.build_context(Watts{100.0}, rig.nodes, rig.scheduler);
+  PolicyContext ctx;
+  m.build_context_into(ctx, Watts{100.0}, rig.nodes, rig.scheduler);
   EXPECT_DOUBLE_EQ(ctx.jobs[0].rate_of_increase(), 0.0);  // no history yet
 
   m.cycle(Watts{100.0}, rig.nodes, rig.scheduler, Seconds{2.0});
-  ctx = m.build_context(Watts{100.0}, rig.nodes, rig.scheduler);
+  m.build_context_into(ctx, Watts{100.0}, rig.nodes, rig.scheduler);
   EXPECT_GT(ctx.jobs[0].power_prev, Watts{0.0});
 }
 
@@ -340,8 +341,8 @@ TEST(CappingManager, ZeroWattPreviousSampleStillCountsAsHistory) {
 
   m.cycle(Watts{100.0}, rig.nodes, rig.scheduler, Seconds{1.0});
   m.cycle(Watts{100.0}, rig.nodes, rig.scheduler, Seconds{2.0});
-  const PolicyContext ctx =
-      m.build_context(Watts{100.0}, rig.nodes, rig.scheduler);
+  PolicyContext ctx;
+  m.build_context_into(ctx, Watts{100.0}, rig.nodes, rig.scheduler);
   ASSERT_EQ(ctx.jobs.size(), 1u);
   const NodeView* zero = ctx.node(0);
   ASSERT_NE(zero, nullptr);
@@ -378,8 +379,8 @@ TEST(CappingManager, DelayedTelemetryGoesStaleAndGetsFallback) {
   EXPECT_EQ(r.targets, 0u);
   for (const auto& n : rig.nodes) EXPECT_TRUE(n.at_highest());
 
-  const PolicyContext ctx =
-      m.build_context(Watts{1700.0}, rig.nodes, rig.scheduler);
+  PolicyContext ctx;
+  m.build_context_into(ctx, Watts{1700.0}, rig.nodes, rig.scheduler);
   ASSERT_EQ(ctx.nodes.size(), 2u);
   for (const NodeView& nv : ctx.nodes) {
     EXPECT_TRUE(nv.stale);
@@ -416,7 +417,7 @@ TEST(CappingManager, CorruptSamplesAreRejectedNotActedOn) {
   for (const auto& n : rig.nodes) EXPECT_TRUE(n.at_highest());
 }
 
-// Regression: build_context_with priced every node's one-level-down
+// Regression: context assembly priced every node's one-level-down
 // hypothetical as estimated_power_at(level - 1), indexing off the bottom
 // of the DVFS table for a node already at the ladder floor. A floored
 // candidate must contribute exactly 0 W of saving_one_level — there is no
@@ -432,8 +433,8 @@ TEST(CappingManager, FlooredCandidateContributesNoSavingOneLevelDown) {
 
   rig.nodes[0].set_level(0);  // already at the ladder floor
   m.cycle(Watts{100.0}, rig.nodes, rig.scheduler, Seconds{1.0});
-  const PolicyContext ctx =
-      m.build_context(Watts{100.0}, rig.nodes, rig.scheduler);
+  PolicyContext ctx;
+  m.build_context_into(ctx, Watts{100.0}, rig.nodes, rig.scheduler);
   const NodeView* floored = ctx.node(0);
   ASSERT_NE(floored, nullptr);
   EXPECT_TRUE(floored->at_lowest);
@@ -515,6 +516,66 @@ TEST(CappingManager, DeliveryDrainCycleStillObservesDivergence) {
   EXPECT_EQ(r5.heals, 1u);
   EXPECT_EQ(rig.nodes[0].level(), 8);  // c1's throttles landed this cycle
   EXPECT_EQ(rig.nodes[1].level(), 8);
+}
+
+// Regression: a read-only context build between control cycles refilled
+// the persisted per-slot records without the reconciler (an abandoned
+// node read as plain missing, not missing-and-unresponsive) yet left the
+// persisted context marked valid, so the next incremental build retracted
+// its health tallies from the wrong records: missing_nodes wrapped below
+// zero and unresponsive_nodes double-counted, cycle after cycle.
+std::vector<ManagerReport> run_abandon_sequence(bool read_only_build) {
+  Rig rig(3);
+  rig.load(0.9);
+  rig.run_job(1, 24);  // nodes 0, 1
+  CappingManagerParams p = fast_params();
+  p.thresholds.training_cycles = 0;
+  p.thresholds.adjust_period_cycles = 1000;
+  p.collector.transport.delay_cycles = 3;
+  p.max_sample_age_cycles = 10;
+  p.actuation.delivery_delay_cycles = 4;
+  p.reconciliation.max_retries = 0;  // abandon at the first due check
+  p.reconciliation.retry_backoff_base_cycles = 1;
+  CappingManager m(p, make_policy("mpc"), common::Rng(1));
+  m.set_candidate_set({0, 1, 2});
+
+  double now = 1.0;
+  const auto step = [&](double watts) {
+    const ManagerReport r =
+        m.cycle(Watts{watts}, rig.nodes, rig.scheduler, Seconds{now});
+    now += 1.0;
+    return r;
+  };
+  for (int c = 0; c < 5; ++c) step(100.0);
+  EXPECT_EQ(step(1700.0).state, PowerState::kYellow);  // throttles 0, 1
+  step(100.0);  // their unacked commands come due: both abandoned
+  m.set_candidate_set({2});
+  m.set_candidate_set({0, 1, 2});
+  step(100.0);
+  if (read_only_build) {
+    PolicyContext ctx;
+    m.build_context_into(ctx, Watts{100.0}, rig.nodes, rig.scheduler);
+  }
+  std::vector<ManagerReport> after;
+  for (int c = 0; c < 3; ++c) after.push_back(step(100.0));
+  return after;
+}
+
+TEST(CappingManager, ReadOnlyBuildDoesNotCorruptTheNextCycle) {
+  const std::vector<ManagerReport> plain = run_abandon_sequence(false);
+  const std::vector<ManagerReport> probed = run_abandon_sequence(true);
+  ASSERT_EQ(plain.size(), probed.size());
+  EXPECT_EQ(plain[0].missing_nodes, 0u);
+  EXPECT_EQ(plain[0].unresponsive_nodes, 2u);
+  for (std::size_t i = 0; i < plain.size(); ++i) {
+    EXPECT_EQ(probed[i].missing_nodes, plain[i].missing_nodes) << i;
+    EXPECT_EQ(probed[i].unresponsive_nodes, plain[i].unresponsive_nodes) << i;
+    EXPECT_EQ(probed[i].stale_nodes, plain[i].stale_nodes) << i;
+    EXPECT_EQ(probed[i].fallback_nodes, plain[i].fallback_nodes) << i;
+    EXPECT_EQ(probed[i].rejected_samples, plain[i].rejected_samples) << i;
+    EXPECT_EQ(probed[i].targets, plain[i].targets) << i;
+    EXPECT_EQ(probed[i].transitions, plain[i].transitions) << i;
+  }
 }
 
 TEST(CappingManager, ManagerUtilizationReported) {

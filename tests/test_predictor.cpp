@@ -714,15 +714,19 @@ struct PredictiveRun {
   std::vector<metrics::CyclePoint> points;
   std::string prom;
   std::uint64_t samples_lost = 0;
+  CappingManager::IncrementalStats stats;
+  std::size_t candidates = 0;
 };
 
 /// A degraded-plane cluster run under a predictive policy: lossy delayed
 /// transport, agent dropout and corruption, forecasts live — the whole
 /// stack must stay bit-identical across worker-thread counts and across
-/// incremental/rebuild context modes.
+/// incremental/rebuild context modes. With `clean_slots`, agent noise and
+/// transport delay are zeroed so quiet slots stay clean between builds.
 PredictiveRun run_predictive_cluster(std::size_t worker_threads,
                                      const std::string& policy,
-                                     bool incremental) {
+                                     bool incremental,
+                                     bool clean_slots = false) {
   cluster::ClusterConfig cfg;
   cfg.num_nodes = 100;
   cfg.spec = hw::tianhe1a_node_spec();
@@ -736,7 +740,9 @@ PredictiveRun run_predictive_cluster(std::size_t worker_threads,
   cluster::Cluster cl(cfg);
 
   CappingManagerParams p;
-  p.thresholds.provision = cl.theoretical_peak() * 0.75;
+  // The clean-slot variant runs under a tighter provision: at 0.75 some
+  // swept seeds never leave quiet green and build no context at all.
+  p.thresholds.provision = cl.theoretical_peak() * (clean_slots ? 0.5 : 0.75);
   p.thresholds.training_cycles = 0;
   p.thresholds.freeze_at_provision = true;
   p.cycle_period = cfg.control_period;
@@ -752,9 +758,15 @@ PredictiveRun run_predictive_cluster(std::size_t worker_threads,
   p.prediction.enabled = true;
   p.prediction.kind = "ewma";
   p.prediction.horizon_cycles = 5;
+  if (clean_slots) {
+    p.collector.agent.utilization_noise = 0.0;
+    p.collector.agent.nic_noise = 0.0;
+    p.collector.transport.delay_cycles = 0;
+  }
   auto mgr = std::make_unique<CappingManager>(
       p, make_policy(policy), common::Rng(cfg.seed ^ 0x9d2c5680u));
   mgr->set_candidate_set(cl.controllable_nodes());
+  const CappingManager& flat = *mgr;
   cl.set_manager(std::move(mgr));
 
   cl.start_recording();
@@ -764,6 +776,8 @@ PredictiveRun run_predictive_cluster(std::size_t worker_threads,
   out.points = cl.recorder().points();
   out.prom = strip_spans(cl.metrics().prometheus_text());
   out.samples_lost = cl.last_report().samples_lost;
+  out.stats = flat.incremental_stats();
+  out.candidates = flat.candidate_set().size();
   return out;
 }
 
@@ -810,6 +824,21 @@ TEST(PredictiveDeterminism, PredCDegradedRunIsThreadInvariant) {
 TEST(PredictiveDeterminism, IncrementalAndRebuildContextsAgree) {
   const PredictiveRun inc = run_predictive_cluster(1, "pi-c", true);
   const PredictiveRun rebuild = run_predictive_cluster(1, "pi-c", false);
+  expect_identical(inc, rebuild, /*compare_prom=*/false);
+}
+
+// The rig above dirties every slot every cycle (agent noise, two-cycle
+// delay). Zeroing both keeps quiet slots clean, so the selective delta
+// path meets the stale, rejected and missing views the faults make.
+TEST(PredictiveDeterminism, IncrementalAndRebuildAgreeWithCleanSlots) {
+  const PredictiveRun inc = run_predictive_cluster(1, "pi-c", true, true);
+  ASSERT_GT(inc.points.size(), 250u);
+  EXPECT_GT(inc.samples_lost, 0u);
+  EXPECT_GT(inc.stats.full_builds, 0u);
+  EXPECT_GT(inc.stats.delta_builds, 0u);
+  EXPECT_LT(inc.stats.dirty_slots, inc.stats.delta_builds * inc.candidates);
+  const PredictiveRun rebuild = run_predictive_cluster(1, "pi-c", false, true);
+  EXPECT_EQ(rebuild.stats.delta_builds, 0u);
   expect_identical(inc, rebuild, /*compare_prom=*/false);
 }
 
