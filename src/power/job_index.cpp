@@ -17,16 +17,21 @@ void JobIndex::set_candidate_set(const std::vector<hw::NodeId>& candidates) {
   filter_dirty_ = true;
 }
 
-void JobIndex::refilter(Entry& entry) const {
+void JobIndex::refilter(Entry& entry,
+                        const std::vector<hw::NodeId>& nodes) const {
   entry.candidate_nodes.clear();
-  for (const hw::NodeId id : entry.nodes) {
+  for (const hw::NodeId id : nodes) {
     if (is_candidate(id)) entry.candidate_nodes.push_back(id);
   }
 }
 
 void JobIndex::sync(const sched::Scheduler& scheduler) {
   if (filter_dirty_) {
-    for (Entry& entry : entries_) refilter(entry);
+    // Entries whose finish is still unreplayed refilter too: the
+    // scheduler keeps every job it has seen, placement included.
+    for (Entry& entry : entries_) {
+      refilter(entry, scheduler.find(entry.id)->nodes());
+    }
     filter_dirty_ = false;
     ++change_epoch_;
   }
@@ -43,8 +48,7 @@ void JobIndex::sync(const sched::Scheduler& scheduler) {
         spare_.pop_back();
       }
       entry.id = ev.id;
-      entry.nodes.assign(job->nodes().begin(), job->nodes().end());
-      refilter(entry);
+      refilter(entry, job->nodes());
       entries_.push_back(std::move(entry));
     } else {
       const auto it =

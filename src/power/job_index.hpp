@@ -7,9 +7,12 @@
 // Tianhe-1A candidate counts that rebuild rivals the telemetry sweep
 // itself. This index instead mirrors the scheduler's running set
 // incrementally: it replays the scheduler's append-only JobEvent log from
-// a cursor (O(churn) per cycle, not O(jobs)), captures each job's node
+// a cursor (O(churn) per cycle, not O(jobs)), filters each job's node
 // list once at start, and refilters against the candidate set only when
-// the set actually changes.
+// the set actually changes. It keeps only the filtered list: a job's
+// placement is immutable and the scheduler keeps it, so a refilter reads
+// it from there instead of every index (one per zone shard) holding its
+// own copy.
 //
 // Invariants (pinned by tests/test_job_index.cpp):
 //   * entries() mirrors scheduler.running_jobs() element-for-element, in
@@ -36,8 +39,6 @@ class JobIndex {
  public:
   struct Entry {
     workload::JobId id = 0;
-    /// Nodes(J) as allocated at job start (immutable for a job's life).
-    std::vector<hw::NodeId> nodes;
     /// Nodes(J) ∩ A_candidate, preserving Nodes(J) order.
     std::vector<hw::NodeId> candidate_nodes;
   };
@@ -66,7 +67,8 @@ class JobIndex {
   [[nodiscard]] std::uint64_t change_epoch() const { return change_epoch_; }
 
  private:
-  void refilter(Entry& entry) const;
+  /// Refills entry.candidate_nodes from the job's placement, `nodes`.
+  void refilter(Entry& entry, const std::vector<hw::NodeId>& nodes) const;
   [[nodiscard]] bool is_candidate(hw::NodeId id) const {
     const unsigned char* member = is_candidate_.find(id);
     return member != nullptr && *member != 0;

@@ -1,6 +1,7 @@
 #include "telemetry/collector.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 namespace pcap::telemetry {
@@ -14,7 +15,16 @@ Collector::Collector(CollectorParams params, common::Rng rng)
     throw std::invalid_argument(
         "Collector: history must hold at least two samples");
   }
-  hist_depth_ = static_cast<std::uint32_t>(params_.history_depth);
+  // The stripe cursors are 32-bit.
+  if (params_.history_depth > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument("Collector: history depth exceeds 2^32 - 1");
+  }
+  // Only a corrupt delivery makes the manager read past the newest two
+  // samples (it skips implausible entries), so without corruption the
+  // window is latest + previous.
+  hist_depth_ = params_.faults.corruption_rate > 0.0
+                    ? static_cast<std::uint32_t>(params_.history_depth)
+                    : 2;
   if (params_.transport.loss_rate < 0.0 ||
       params_.transport.loss_rate >= 1.0) {
     throw std::invalid_argument("Collector: loss rate must be in [0, 1)");
@@ -29,26 +39,35 @@ void Collector::set_candidate_set(const std::vector<hw::NodeId>& nodes) {
   std::sort(next.begin(), next.end());
   next.erase(std::unique(next.begin(), next.end()), next.end());
 
-  // Build the new slot array (and re-striped history arena) up front, so
-  // the sweep itself never mutates any shared structure (a parallel sweep
-  // only touches distinct pre-existing slots). Retained nodes carry their
-  // state (agent RNG, history, in-flight reports) over — their history
-  // column moves from the old arena stripe-by-stripe; dropped nodes lose
-  // theirs.
-  // The history arena is by far the largest block here, so it is
-  // allocated first: it then takes the same free region of the heap on
-  // every rebuild instead of whatever the smaller blocks leave over.
-  const std::size_t depth = params_.history_depth;
+  // Build the new per-slot arrays (and re-striped history arena) up
+  // front, so the sweep itself never mutates any shared structure (a
+  // parallel sweep only touches distinct pre-existing slots). Retained
+  // nodes carry their state (agent RNG, history, transport state) over —
+  // their history column moves from the old arena stripe-by-stripe;
+  // dropped nodes lose theirs.
+  // The history arena is the largest block here (even two samples deep it
+  // outweighs the agents), so it is allocated first: it then takes the
+  // same free region of the heap on every rebuild instead of whatever the
+  // smaller blocks leave over.
+  const std::size_t depth = hist_depth_;
+  const bool lossy = params_.transport.loss_rate > 0.0;
+  const bool delayed = params_.transport.delay_cycles > 0;
   std::vector<NodeSample> next_store(depth * next.size());
-  std::vector<Monitored> next_slots;
-  next_slots.reserve(next.size());
+  std::vector<ProfilingAgent> next_agents;
+  next_agents.reserve(next.size());
+  std::vector<common::Rng> next_loss;
+  if (lossy) next_loss.reserve(next.size());
+  std::vector<std::vector<InFlight>> next_in_flight(delayed ? next.size()
+                                                            : 0);
   std::vector<std::uint32_t> next_head(next.size(), 0);
   std::vector<std::uint32_t> next_size(next.size(), 0);
   for (std::size_t s = 0; s < next.size(); ++s) {
     const hw::NodeId id = next[s];
     const std::uint32_t old_slot = slot_of(id);
     if (old_slot != kNoSlot) {
-      next_slots.push_back(std::move(slots_[old_slot]));
+      next_agents.push_back(std::move(agents_[old_slot]));
+      if (lossy) next_loss.push_back(loss_rng_[old_slot]);
+      if (delayed) next_in_flight[s] = std::move(in_flight_[old_slot]);
       for (std::size_t d = 0; d < depth; ++d) {
         next_store[d * next.size() + s] =
             hist_store_[d * hist_stride_ + old_slot];
@@ -56,10 +75,12 @@ void Collector::set_candidate_set(const std::vector<hw::NodeId>& nodes) {
       next_head[s] = hist_head_[old_slot];
       next_size[s] = hist_size_[old_slot];
     } else {
-      next_slots.push_back(
-          Monitored{ProfilingAgent(id, params_.agent, rng_.fork(id)),
-                    rng_.fork(common::hash_tag("transport") ^ id),
-                    {}});
+      next_agents.emplace_back(id, params_.agent, rng_.fork(id));
+      // Forked for every new slot, lossy or not: fork advances rng_, and
+      // the agent streams of later slots must not shift with the config.
+      const common::Rng transport =
+          rng_.fork(common::hash_tag("transport") ^ id);
+      if (lossy) next_loss.push_back(transport);
     }
   }
   // Change-tracking state travels with the history it describes.
@@ -78,7 +99,9 @@ void Collector::set_candidate_set(const std::vector<hw::NodeId>& nodes) {
   }
 
   candidates_ = std::move(next);
-  slots_ = std::move(next_slots);
+  agents_ = std::move(next_agents);
+  loss_rng_ = std::move(next_loss);
+  in_flight_ = std::move(next_in_flight);
   hist_store_ = std::move(next_store);
   hist_head_ = std::move(next_head);
   hist_size_ = std::move(next_size);
@@ -167,7 +190,6 @@ void Collector::deliver(std::size_t slot, const NodeSample& s) {
 void Collector::collect_one(std::size_t slot, const hw::Node& node,
                             Seconds now, std::uint64_t& delivered,
                             std::uint64_t& lost) {
-  Monitored& m = slots_[slot];
   const TransportParams& tp = params_.transport;
 
   // Dedup: when the transport is exact and draw-free (dedup_active_) and
@@ -215,7 +237,7 @@ void Collector::collect_one(std::size_t slot, const hw::Node& node,
     }
   }
 
-  NodeSample sample = m.agent.sample(node, now);
+  NodeSample sample = agents_[slot].sample(node, now);
   sample.cycle = cycle_counter_;
 
   // Fault disposition first: a report that never leaves the node sees no
@@ -225,7 +247,7 @@ void Collector::collect_one(std::size_t slot, const hw::Node& node,
       fault_injector_.apply(sample).suppressed) {
     // Anything already in flight still arrives (it was sent before the
     // fault), so fall through to the delivery loop below.
-  } else if (tp.loss_rate > 0.0 && m.transport_rng.bernoulli(tp.loss_rate)) {
+  } else if (tp.loss_rate > 0.0 && loss_rng_[slot].bernoulli(tp.loss_rate)) {
     ++lost;
   } else if (tp.delay_cycles == 0) {
     deliver(slot, sample);
@@ -235,21 +257,23 @@ void Collector::collect_one(std::size_t slot, const hw::Node& node,
     if (dedup_active_) sampled_epoch_[slot] = node.state_epoch();
     ++delivered;
   } else {
-    m.in_flight.push_back(
+    in_flight_[slot].push_back(
         InFlight{cycle_counter_ + static_cast<std::uint64_t>(tp.delay_cycles),
                  sample});
   }
+  if (tp.delay_cycles == 0) return;
 
   // Deliver whatever has arrived by now (in order).
+  std::vector<InFlight>& queue = in_flight_[slot];
   std::size_t due = 0;
-  while (due < m.in_flight.size() &&
-         m.in_flight[due].deliver_at_cycle <= cycle_counter_) {
-    deliver(slot, m.in_flight[due].sample);
+  while (due < queue.size() &&
+         queue[due].deliver_at_cycle <= cycle_counter_) {
+    deliver(slot, queue[due].sample);
     ++due;
   }
   if (due > 0) {
-    m.in_flight.erase(m.in_flight.begin(),
-                      m.in_flight.begin() + static_cast<std::ptrdiff_t>(due));
+    queue.erase(queue.begin(),
+                queue.begin() + static_cast<std::ptrdiff_t>(due));
     delivered += due;
   }
 }

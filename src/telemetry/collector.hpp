@@ -5,6 +5,14 @@
 // (current estimated power) and change-based ones (ΔP between the last two
 // samples, §IV.B). The candidate set can change at runtime (§II.A: the set
 // "may vary during the execution of the system").
+//
+// Per-candidate state is sized by the configured fault model. The history
+// holds the newest two samples — all the manager ever reads — unless
+// deliveries can be corrupted, when it holds `history_depth` so the
+// manager's plausibility walk can look past corrupt entries. Loss, delay,
+// dropout and crashes never make a delivered sample implausible, so they
+// need no deeper window. The loss stream and the in-flight queue exist
+// only when the transport draws loss or delays reports.
 #pragma once
 
 #include <atomic>
@@ -32,6 +40,11 @@ struct TransportParams {
 
 struct CollectorParams {
   AgentParams agent;
+  /// Samples kept per candidate when `faults.corruption_rate > 0`: the
+  /// window the manager walks back through for the newest plausible
+  /// sample. Without corruption every delivery is plausible, and the
+  /// collector keeps only the newest two (latest and previous). Must lie in
+  /// [2, UINT32_MAX].
   std::size_t history_depth = 8;
   ManagementCostParams cost;
   TransportParams transport;
@@ -221,21 +234,6 @@ class Collector {
     std::uint64_t deliver_at_cycle;
     NodeSample sample;
   };
-  /// The sweep-local state of one candidate (histories live in the shared
-  /// striped arena, see hist_store_). Two workers sampling different
-  /// candidates share no state. The transport RNG is per node: report
-  /// loss is drawn per candidate, not from one shared sequence, which is
-  /// what makes the sweep order-independent.
-  struct Monitored {
-    ProfilingAgent agent;
-    common::Rng transport_rng;
-    /// Delayed reports, oldest first. Holds at most delay_cycles entries
-    /// (each sweep queues one and delivers every report now due), so a
-    /// vector with front erase is the whole FIFO — and, unlike a deque,
-    /// costs nothing under an exact transport, where it stays empty.
-    std::vector<InFlight> in_flight;
-  };
-
   /// One candidate's sweep step: sample, transport (loss/delay), deliver.
   /// Samples one node and routes the report through the transport model.
   /// Delivered/lost counts accumulate into the caller's locals so a sweep
@@ -257,7 +255,7 @@ class Collector {
   }
 
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
-  /// Slot index of a node in slots_/candidates_, or kNoSlot.
+  /// Slot index of a node in candidates_, or kNoSlot.
   [[nodiscard]] std::uint32_t slot_of(hw::NodeId id) const {
     const std::uint32_t* slot = slot_of_.find(id);
     return slot != nullptr ? *slot : kNoSlot;
@@ -270,11 +268,21 @@ class Collector {
   Seconds cycle_period_{1.0};
   common::ThreadPool* pool_ = nullptr;
   std::vector<hw::NodeId> candidates_;
-  /// Per-candidate state, aligned with candidates_: the sweep indexes
-  /// straight into this array — no hash probe per sample. slot_of_ maps a
-  /// node id to its slot for the point lookups (history/latest/previous),
-  /// over the candidates' id span only.
-  std::vector<Monitored> slots_;
+  /// Per-candidate sweep state, aligned with candidates_: the sweep
+  /// indexes straight into these arrays — no hash probe per sample — and
+  /// two workers sampling different candidates share no state. slot_of_
+  /// maps a node id to its slot for the point lookups
+  /// (history/latest/previous), over the candidates' id span only.
+  std::vector<ProfilingAgent> agents_;
+  /// Per-slot transport loss streams; empty unless loss_rate > 0. Loss is
+  /// drawn per candidate, not from one shared sequence, which is what
+  /// makes the sweep order-independent.
+  std::vector<common::Rng> loss_rng_;
+  /// Per-slot delayed reports, oldest first; empty unless delay_cycles > 0.
+  /// A queue holds at most delay_cycles entries (each sweep queues one and
+  /// delivers every report now due), so a vector with front erase is the
+  /// whole FIFO.
+  std::vector<std::vector<InFlight>> in_flight_;
   common::IdTable<std::uint32_t> slot_of_;
   /// Sample histories, depth-striped: stripe d of slot s lives at
   /// hist_store_[d * hist_stride_ + s]. Heads start aligned across slots,
@@ -310,7 +318,9 @@ class Collector {
   bool dedup_temperature_ = false;
   bool dedup_active_ = false;
   std::size_t hist_stride_ = 0;           ///< == candidates_.size()
-  std::uint32_t hist_depth_ = 1;          ///< == params_.history_depth
+  /// Samples held per slot: params_.history_depth when corruption is
+  /// configured, else 2.
+  std::uint32_t hist_depth_ = 2;
   std::uint64_t cycle_counter_ = 0;
   std::atomic<std::uint64_t> samples_lost_{0};
   std::atomic<std::uint64_t> samples_delivered_{0};

@@ -145,6 +145,14 @@ TEST(Collector, TooShallowHistoryThrows) {
   EXPECT_THROW(Collector(p, common::Rng(1)), std::invalid_argument);
 }
 
+TEST(Collector, HistoryDepthBeyondStripeCursorThrows) {
+  CollectorParams p = quiet_params();
+  p.history_depth = std::size_t{0xffffffffu} + 1;
+  EXPECT_THROW(Collector(p, common::Rng(1)), std::invalid_argument);
+  p.faults.corruption_rate = 0.1;  // the depth would be used: same verdict
+  EXPECT_THROW(Collector(p, common::Rng(1)), std::invalid_argument);
+}
+
 TEST(CollectorTransport, LossDropsSomeReports) {
   CollectorParams p = quiet_params();
   p.transport.loss_rate = 0.5;

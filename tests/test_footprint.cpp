@@ -65,38 +65,86 @@ namespace {
 
 // (c) The sample layout: narrow fields packed together, no 8-byte word
 // spent on a lone 4-byte or 1-byte field. Every history arena slot pays
-// this size history_depth times per candidate.
+// this size once per held sample per candidate.
 static_assert(sizeof(telemetry::NodeSample) <= 72,
               "NodeSample must stay packed (node, level, busy together)");
 
-// (a) Installing 4096 candidates under an exact transport allocates the
-// sample-history arena (history_depth x sizeof(NodeSample) per candidate)
-// plus a small fixed per-candidate budget: the slot's agent and transport
-// streams, its empty in-flight queue, the id -> slot entry and the
-// per-slot cursors and change-tracking words. Measured at 154 B per
-// candidate on x86-64 / libstdc++ (the slot struct plus ~42 B of parallel
-// arrays); the budget of 256 B leaves room for another toolchain's layout.
-// A per-slot container that allocates while empty breaks it: with a
-// std::deque in-flight queue (its default constructor allocates a 512-byte
-// node plus a map) the same call measured 1218 B per candidate.
-TEST(Footprint, CollectorCandidateSetCostsArenaPlusSmallPerSlotBudget) {
-  constexpr std::size_t kCandidates = 4096;
-  constexpr std::size_t kPerSlotBudget = 256;
-  telemetry::CollectorParams p;  // exact transport: no loss, no delay
+constexpr std::size_t kCandidates = 4096;
+
+/// What installing kCandidates candidates into a fresh collector
+/// allocates: the sample-history arena (the window the collector actually
+/// holds x sizeof(NodeSample) per candidate) and the per-candidate rest.
+struct CollectorInstall {
+  std::size_t window = 0;
+  std::size_t arena = 0;
+  std::size_t bytes = 0;
+  [[nodiscard]] double per_slot() const {
+    return static_cast<double>(bytes - arena) / kCandidates;
+  }
+};
+
+CollectorInstall install_candidates(const telemetry::CollectorParams& p) {
   telemetry::Collector c(p, common::Rng(7));
   std::vector<hw::NodeId> ids(kCandidates);
   std::iota(ids.begin(), ids.end(), hw::NodeId{0});
-
   const std::int64_t before = g_allocated.load();
   c.set_candidate_set(ids);
-  const auto bytes = static_cast<std::size_t>(g_allocated.load() - before);
+  CollectorInstall out;
+  out.bytes = static_cast<std::size_t>(g_allocated.load() - before);
+  out.window = c.history(0)->capacity();
+  out.arena = out.window * sizeof(telemetry::NodeSample) * kCandidates;
+  return out;
+}
 
-  const std::size_t arena =
-      p.history_depth * sizeof(telemetry::NodeSample) * kCandidates;
-  EXPECT_GE(bytes, arena);
-  EXPECT_LE(bytes, arena + kPerSlotBudget * kCandidates)
-      << "per-candidate overhead "
-      << static_cast<double>(bytes - arena) / kCandidates << " B";
+// (a) Installing 4096 candidates under an exact transport with no fault
+// process allocates a two-sample history arena plus a small fixed
+// per-candidate budget: the slot's agent, the id -> slot entry and the
+// per-slot cursors and change-tracking words — no transport state. Measured
+// at 98 B per candidate on x86-64 / libstdc++ (a 56 B agent plus ~42 B of
+// parallel arrays); the budget of 128 B leaves room for another
+// toolchain's layout. A per-slot container that allocates while empty
+// breaks it: with a std::deque in-flight queue (its default constructor
+// allocates a 512-byte node plus a map) the call measured 1218 B per
+// candidate; holding the loss stream and an empty in-flight vector per
+// slot regardless of the transport cost 154 B.
+TEST(Footprint, CollectorCandidateSetCostsArenaPlusSmallPerSlotBudget) {
+  constexpr std::size_t kPerSlotBudget = 128;
+  telemetry::CollectorParams p;  // exact transport, no faults
+  const CollectorInstall r = install_candidates(p);
+  EXPECT_EQ(r.window, 2u);
+  EXPECT_GE(r.bytes, r.arena);
+  EXPECT_LE(r.bytes, r.arena + kPerSlotBudget * kCandidates)
+      << "per-candidate overhead " << r.per_slot() << " B";
+}
+
+// (a') Corruption is the one fault that makes the manager read past the
+// newest two samples, so it alone buys the history_depth-deep arena. The
+// fault injector adds its per-node state (40 B); the rest is the same as
+// (a). Measured at 138 B per candidate; budget 192 B.
+TEST(Footprint, CollectorWithCorruptionHoldsTheFullHistoryDepth) {
+  constexpr std::size_t kPerSlotBudget = 192;
+  telemetry::CollectorParams p;
+  p.faults.corruption_rate = 0.01;
+  const CollectorInstall r = install_candidates(p);
+  EXPECT_EQ(r.window, p.history_depth);
+  EXPECT_GE(r.bytes, r.arena);
+  EXPECT_LE(r.bytes, r.arena + kPerSlotBudget * kCandidates)
+      << "per-candidate overhead " << r.per_slot() << " B";
+}
+
+// (a'') A lossy, delayed transport keeps the two-sample window and adds
+// its per-slot state: the loss stream (32 B) and the in-flight queue
+// (24 B while empty). Measured at 154 B per candidate; budget 192 B.
+TEST(Footprint, CollectorWithLossAndDelayAddsOnlyTransportState) {
+  constexpr std::size_t kPerSlotBudget = 192;
+  telemetry::CollectorParams p;
+  p.transport.loss_rate = 0.1;
+  p.transport.delay_cycles = 2;
+  const CollectorInstall r = install_candidates(p);
+  EXPECT_EQ(r.window, 2u);
+  EXPECT_GE(r.bytes, r.arena);
+  EXPECT_LE(r.bytes, r.arena + kPerSlotBudget * kCandidates)
+      << "per-candidate overhead " << r.per_slot() << " B";
 }
 
 /// Nodes, a scheduler and one job spanning every node: enough for both
@@ -158,9 +206,9 @@ std::int64_t live_bytes_after_first_build(std::size_t n, MakeManager make) {
 // Z=8 block-zoned tree over N nodes holds its per-node tables per shard,
 // each covering only that shard's id span, so after the first context
 // build it holds about what one flat manager over the same N nodes does.
-// Measured at 1.05x (N = 4096, x86-64 / libstdc++): the residue is
-// per-shard fixed cost (eight policies and job indexes, each job index
-// holding the running job's node list). The bound is 1.10x. With every
+// Measured at 1.04x (N = 4096, x86-64 / libstdc++): the residue is
+// per-shard fixed cost (eight policies and job indexes). The bound is
+// 1.10x. With every
 // shard's tables sized [0, max id] (shard z covering z + 1 eighths of the
 // id range: 4.5 N entries per table over the eight shards) it measured
 // 1.46x.

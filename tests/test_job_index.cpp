@@ -84,7 +84,7 @@ TEST(JobIndex, CandidateFilterPreservesJobNodeOrder) {
 
   ASSERT_EQ(idx.entries().size(), 1u);
   const JobIndex::Entry& e = idx.entries()[0];
-  EXPECT_EQ(e.nodes, s.find(1)->nodes());
+  EXPECT_EQ(e.id, 1u);
   // Intersection with A_candidate, in Nodes(J) order — the aggregation
   // order the context build sums per-job power in.
   EXPECT_EQ(e.candidate_nodes, (std::vector<hw::NodeId>{1, 3}));
@@ -110,7 +110,13 @@ TEST(JobIndex, CandidateChurnRefiltersExistingEntries) {
   idx.set_candidate_set({2, 3});
   idx.sync(s);
   EXPECT_TRUE(idx.entries()[0].candidate_nodes.empty());
-  EXPECT_EQ(idx.entries()[0].nodes.size(), 2u);  // membership is immutable
+
+  // Membership is immutable: widening the set again recovers the job's
+  // whole placement, read back from the scheduler.
+  idx.set_candidate_set({0, 1, 2, 3});
+  idx.sync(s);
+  EXPECT_EQ(idx.entries()[0].candidate_nodes,
+            (std::vector<hw::NodeId>{0, 1}));
 }
 
 TEST(JobIndex, SyncIsIdempotent) {

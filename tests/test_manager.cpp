@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstdlib>
 #include <memory>
 
 #include "hw/node_spec.hpp"
@@ -586,6 +589,131 @@ TEST(CappingManager, ManagerUtilizationReported) {
   const auto r =
       m.cycle(Watts{500.0}, rig.nodes, rig.scheduler, Seconds{1.0});
   EXPECT_GT(r.manager_utilization, 0.0);
+}
+
+/// CI sweeps the window-invariant runs across PCAP_FAULT_SEED=1..N.
+std::uint64_t fault_seed(std::uint64_t fallback) {
+  const char* env = std::getenv("PCAP_FAULT_SEED");
+  if (env == nullptr || *env == '\0') return fallback;
+  return std::strtoull(env, nullptr, 10);
+}
+
+/// A seeded noisy run of `cycles` cycles over 16 nodes under the given
+/// telemetry faults, metered at the nodes' real draw against a provision
+/// of 85 % of the uncapped draw (so the manager throttles and restores).
+/// After every cycle `check` gets the manager and a read-only context.
+template <typename Check>
+void run_windowed(const telemetry::CollectorParams& collector, int cycles,
+                  Check check) {
+  constexpr int kNodes = 16;
+  Rig rig(kNodes);
+  rig.load(0.9);
+  rig.run_job(1, 12 * kNodes);
+  const auto draw = [&rig] {
+    Watts total{0.0};
+    for (const hw::Node& n : rig.nodes) total += n.estimated_power();
+    return total;
+  };
+  CappingManagerParams p = fast_params();
+  p.collector = collector;
+  p.thresholds.provision = draw() * 0.85;
+  p.thresholds.training_cycles = 0;
+  CappingManager m(p, make_policy("mpc"),
+                   common::Rng(fault_seed(11)).fork("window"));
+  std::vector<hw::NodeId> ids(kNodes);
+  for (int i = 0; i < kNodes; ++i) ids[i] = static_cast<hw::NodeId>(i);
+  m.set_candidate_set(ids);
+
+  PolicyContext ctx;
+  for (int c = 1; c <= cycles; ++c) {
+    m.cycle(draw(), rig.nodes, rig.scheduler, Seconds{static_cast<double>(c)});
+    m.build_context_into(ctx, draw(), rig.nodes, rig.scheduler);
+    check(m, ctx, rig.nodes, c);
+  }
+}
+
+/// Loss, delay, dropout and crashes with agent noise on, no corruption.
+telemetry::CollectorParams lossy_uncorrupted() {
+  telemetry::CollectorParams p;
+  p.transport.loss_rate = 0.2;
+  p.transport.delay_cycles = 2;
+  p.faults.agent_dropout_rate = 0.05;
+  p.faults.crash_rate = 0.02;
+  p.faults.crash_duration_cycles = 4;
+  return p;
+}
+
+// Without corruption every delivered sample is plausible, so the view the
+// manager builds is exactly the collector's newest sample and the one
+// before it — which is why the collector holds only those two.
+TEST(TelemetryWindow, ViewsReadNewestTwoSamplesWithoutCorruption) {
+  std::size_t fresh_views = 0;
+  std::size_t with_prev = 0;
+  const auto check = [&](const CappingManager& m, const PolicyContext& ctx,
+                         const std::vector<hw::Node>&, int c) {
+    const telemetry::Collector& col = m.collector();
+    EXPECT_EQ(ctx.rejected_samples, 0u) << "cycle " << c;
+    // Every fallback is a stale view: nothing was substituted for an
+    // implausible newer sample.
+    EXPECT_EQ(ctx.fallback_nodes, ctx.stale_nodes) << "cycle " << c;
+    for (const hw::NodeId id : col.candidate_set()) {
+      ASSERT_EQ(col.history(id)->capacity(), 2u);
+    }
+    for (const NodeView& nv : ctx.nodes) {
+      const auto latest = col.latest(nv.id);
+      ASSERT_TRUE(latest.has_value());
+      if (!nv.stale) {
+        ++fresh_views;
+        EXPECT_EQ(nv.power.value(), latest->estimated_power.value())
+            << "cycle " << c << " node " << nv.id;
+      }
+      const auto prev = col.previous(nv.id);
+      ASSERT_EQ(nv.has_prev, prev.has_value())
+          << "cycle " << c << " node " << nv.id;
+      if (prev) {
+        ++with_prev;
+        EXPECT_EQ(nv.power_prev.value(), prev->estimated_power.value())
+            << "cycle " << c << " node " << nv.id;
+      }
+    }
+  };
+  run_windowed(lossy_uncorrupted(), 300, check);
+  // The faults must not have blinded the whole run.
+  EXPECT_GT(fresh_views, 1000u);
+  EXPECT_GT(with_prev, 1000u);
+}
+
+// With corruption configured the collector keeps history_depth samples,
+// and a corrupt newest entry is skipped for the newest plausible one.
+TEST(TelemetryWindow, CorruptionKeepsDeepWindowAndSkipsCorruptNewest) {
+  telemetry::CollectorParams p = lossy_uncorrupted();
+  p.faults.corruption_rate = 0.2;
+  std::size_t skipped_newest = 0;
+  const auto check = [&](const CappingManager& m, const PolicyContext& ctx,
+                         const std::vector<hw::Node>& nodes, int c) {
+    for (const NodeView& nv : ctx.nodes) {
+      const telemetry::SampleHistoryView h = *m.collector().history(nv.id);
+      ASSERT_EQ(h.capacity(), p.history_depth);
+      // The manager's sanity bound: finite, non-negative, at most 1.5x the
+      // board's theoretical maximum.
+      const double ceiling =
+          nodes[nv.id].spec().power_model.theoretical_max().value() * 1.5;
+      std::size_t k = h.size();
+      while (k > 0) {
+        const double w = h[k - 1].estimated_power.value();
+        if (std::isfinite(w) && w >= 0.0 && w <= ceiling) break;
+        --k;
+      }
+      ASSERT_GT(k, 0u) << "a view needs a plausible sample";
+      if (k != h.size()) ++skipped_newest;
+      if (!nv.stale) {
+        EXPECT_EQ(nv.power.value(), h[k - 1].estimated_power.value())
+            << "cycle " << c << " node " << nv.id;
+      }
+    }
+  };
+  run_windowed(p, 300, check);
+  EXPECT_GT(skipped_newest, 0u);
 }
 
 }  // namespace
