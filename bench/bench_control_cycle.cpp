@@ -17,18 +17,8 @@
 //              the gap between the two columns is the quiescence win.
 //   zone-r   — same protocol with the meter pinned above P_H
 //
-// --drain mode instead measures the transient the quiescence win cannot
-// touch: a demand step lands the meter in yellow and every zone sweeps
-// until the shed power brings the reading back under P_L and the acks
-// drain. The meter is responsive (true population draw + an external
-// offset, computed outside the timed region) so shedding actually ends
-// the episode. Measured twice — incremental context plane on and off —
-// over the identical cycle sequence; both modes must take the same
-// number of cycles (bit-identical decisions) or the run warns.
-//
-// Usage: bench_control_cycle [--json] [--zones=Z] [--drain] [node_count...]
+// Usage: bench_control_cycle [--json] [--zones=Z] [node_count...]
 //   default node counts: 1024 8192 32768 131072 1048576; default Z = 8
-//   --drain defaults: 8192 131072 1048576
 //
 // Serial = no thread pool attached; parallel = pool at hardware
 // concurrency. Results land in BENCH_control_cycle.json at the repo root
@@ -304,155 +294,10 @@ ZoneResult run_zone_case(const Case& c, bool parallel, std::size_t zones) {
   return out;
 }
 
-struct DrainResult {
-  int warm_cycles = 0;  ///< untimed warmup-excursion drain length
-  int cycles = 0;       ///< timed demand-step drain length
-  double secs = 0.0;    ///< wall time inside cycle() over the timed drain
-};
-
-DrainResult run_drain_case(std::size_t n, bool parallel, std::size_t zones,
-                           bool incremental) {
-  std::unique_ptr<common::ThreadPool> pool;
-  if (parallel) pool = std::make_unique<common::ThreadPool>(0);
-
-  Rig rig(n);
-  // Responsive meter: the population's true draw plus an external offset.
-  // Shedding a target actually lowers the next reading, so the episode
-  // ends the way a real one does — power back under P_L, acks drained,
-  // every zone quiescent. Summed OUTSIDE the timed region.
-  const auto draw = [&] {
-    Watts total{0.0};
-    for (const hw::Node& node : rig.nodes) total += node.estimated_power();
-    return total;
-  };
-  const Watts provision = draw() * 2.0;  // the base draw sits mid-green
-
-  std::vector<hw::NodeId> all_ids;
-  all_ids.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    all_ids.push_back(static_cast<hw::NodeId>(i));
-  }
-
-  power::ZoneTreeParams zp;
-  zp.zone_count = zones;
-  zp.redistribution = power::ZoneTreeParams::Redistribution::kProportional;
-  power::CappingManagerParams params = manager_params(provision);
-  params.incremental_context = incremental;
-  power::ZoneTreeManager mgr(
-      zp, params, [] { return power::make_policy("mpc-c"); }, common::Rng(42));
-  mgr.set_thread_pool(pool.get());
-  mgr.set_candidate_set(all_ids);
-
-  double now = 1.0;
-  for (int i = 0; i < 4; ++i) {  // fill histories
-    mgr.cycle(draw(), rig.nodes, *rig.scheduler, Seconds{now});
-    now += 1.0;
-  }
-
-  // One drain episode: a transient demand spike. The external offset
-  // holds until the shed brings the reading back under P_L (the shed
-  // leg), then recedes; the episode keeps cycling through the T_g-paced
-  // restore — every one of those green cycles still builds a context,
-  // because the capped nodes sit in A_degraded — until the last node is
-  // back at its top level and every zone requiesces (the restore leg).
-  // A permanent offset would never get there: the restore re-inflates the
-  // draw past P_L and the system rings at the threshold forever.
-  const auto episode = [&](double* secs) {
-    const Watts offset = provision * 0.845 - draw();
-    bool spiked = true;
-    int cycles = 0;
-    while (cycles < 2048) {
-      const Watts measured =
-          (spiked ? offset : Watts{0.0}) + draw();  // outside the timed region
-      power::ManagerReport rep;
-      if (secs != nullptr) {
-        *secs += timed([&] {
-          rep = mgr.cycle(measured, rig.nodes, *rig.scheduler, Seconds{now});
-        });
-      } else {
-        rep = mgr.cycle(measured, rig.nodes, *rig.scheduler, Seconds{now});
-      }
-      now += 1.0;
-      ++cycles;
-      if (spiked && rep.state == power::PowerState::kGreen) spiked = false;
-      if (!spiked && mgr.zones_active_last_cycle() == 0) break;
-    }
-    return cycles;
-  };
-
-  DrainResult out;
-  // Warmup episode, untimed: leaves every shard's persistent context
-  // warm — the production steady state — so the timed episode measures
-  // drain cost, not the one-off first-build cost both modes share.
-  out.warm_cycles = episode(nullptr);
-  out.cycles = episode(&out.secs);
-  if (out.cycles >= 2048) {
-    std::fprintf(stderr,
-                 "warning: %zu-node drain hit the cycle cap without "
-                 "quiescing\n",
-                 n);
-  }
-  return out;
-}
-
-int run_drain(bool json, std::size_t zones,
-              const std::vector<std::size_t>& node_counts) {
-  if (json) std::printf("[");
-  bool first = true;
-  if (!json) {
-    std::printf("drain: ZoneTreeManager, Z=%zu, demand step to 0.845x "
-                "provision, warm contexts\n",
-                zones);
-    std::printf("%8s  %6s  %11s  %11s  %8s  %12s  %12s  %9s\n", "nodes",
-                "cycles", "inc ms", "rebuild ms", "speedup", "inc-par ms",
-                "rebu-par ms", "speedup");
-  }
-  for (const std::size_t n : node_counts) {
-    const DrainResult inc_s = run_drain_case(n, false, zones, true);
-    const DrainResult reb_s = run_drain_case(n, false, zones, false);
-    const DrainResult inc_p = run_drain_case(n, true, zones, true);
-    const DrainResult reb_p = run_drain_case(n, true, zones, false);
-    if (inc_s.cycles != reb_s.cycles || inc_p.cycles != reb_p.cycles) {
-      std::fprintf(stderr,
-                   "warning: %zu-node drain lengths differ between modes "
-                   "(serial %d vs %d, parallel %d vs %d) — decisions are "
-                   "supposed to be bit-identical\n",
-                   n, inc_s.cycles, reb_s.cycles, inc_p.cycles, reb_p.cycles);
-    }
-    const double serial_speedup =
-        inc_s.secs > 0.0 ? reb_s.secs / inc_s.secs : 0.0;
-    const double parallel_speedup =
-        inc_p.secs > 0.0 ? reb_p.secs / inc_p.secs : 0.0;
-    if (json) {
-      std::printf(
-          "%s\n  {\"nodes\": %zu, \"zones\": %zu, \"drain_cycles\": %d, "
-          "\"drain_serial_incremental_ms\": %.3f, "
-          "\"drain_serial_rebuild_ms\": %.3f, "
-          "\"drain_serial_speedup\": %.2f, "
-          "\"drain_parallel_incremental_ms\": %.3f, "
-          "\"drain_parallel_rebuild_ms\": %.3f, "
-          "\"drain_parallel_speedup\": %.2f}",
-          first ? "" : ",", n, zones, inc_s.cycles, inc_s.secs * 1e3,
-          reb_s.secs * 1e3, serial_speedup, inc_p.secs * 1e3, reb_p.secs * 1e3,
-          parallel_speedup);
-      first = false;
-    } else {
-      std::printf("%8zu  %6d  %11.3f  %11.3f  %8.2f  %12.3f  %12.3f  %9.2f\n",
-                  n, inc_s.cycles, inc_s.secs * 1e3, reb_s.secs * 1e3,
-                  serial_speedup, inc_p.secs * 1e3, reb_p.secs * 1e3,
-                  parallel_speedup);
-    }
-    std::fflush(stdout);
-  }
-  if (json) std::printf("\n]\n");
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   bool json = false;
-  bool drain = false;
   std::size_t zones = 8;
   std::vector<Case> cases = {{1024, 4000, 4000, 6000},
                              {8192, 600, 600, 800},
@@ -463,10 +308,6 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0) {
       json = true;
-      continue;
-    }
-    if (std::strcmp(argv[i], "--drain") == 0) {
-      drain = true;
       continue;
     }
     if (std::strncmp(argv[i], "--zones=", 8) == 0) {
@@ -505,12 +346,6 @@ int main(int argc, char** argv) {
           std::max<std::size_t>(20, 4'000'000 / std::max<std::size_t>(want, 1)));
       chosen.push_back(Case{want, budget, budget, budget});
     }
-  }
-  if (drain) {
-    std::vector<std::size_t> node_counts;
-    for (const Case& c : chosen) node_counts.push_back(c.nodes);
-    if (node_counts.empty()) node_counts = {8192, 131072, 1048576};
-    return run_drain(json, zones, node_counts);
   }
   if (!chosen.empty()) cases = std::move(chosen);
 

@@ -10,9 +10,9 @@ the tolerance below its recorded value fails the job.
 
 Usage: check_bench_regression.py <bench-binary> [reference-json] [block]
 
-`block` picks the reference block inside the JSON (default `ci_reference`);
-e.g. `ci_reference_drain` gates the `--drain` episode speedups. A block may
-carry an `args` list (extra bench flags inserted before the size argument).
+`block` picks the reference block inside the JSON (default `ci_reference`).
+A block may carry an `args` list (extra bench flags inserted before the
+size argument).
 All gated metrics are higher-is-better: record rates/speedups, never
 milliseconds.
 

@@ -46,7 +46,6 @@ const std::set<std::string>& known_keys() {
       "telemetry.corruption_rate",
       "telemetry.max_sample_age_cycles",
       "telemetry.stale_margin",
-      "context.incremental",
       "actuation.loss_rate",
       "actuation.delay_cycles",
       "actuation.failure_rate",
@@ -202,10 +201,6 @@ ExperimentConfig apply_config(ExperimentConfig base,
       cfg, "telemetry.max_sample_age_cycles", out.max_sample_age_cycles);
   out.stale_power_margin =
       checked_double(cfg, "telemetry.stale_margin", out.stale_power_margin);
-
-  // [context]
-  out.incremental_context =
-      cfg.get_bool("context.incremental", out.incremental_context);
 
   // [actuation]
   out.actuation.command_loss_rate = checked_double(

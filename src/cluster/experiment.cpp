@@ -118,7 +118,6 @@ std::unique_ptr<power::PowerManagerBase> make_manager(
   p.collector.faults = config.faults;
   p.max_sample_age_cycles = config.max_sample_age_cycles;
   p.stale_power_margin = config.stale_power_margin;
-  p.incremental_context = config.incremental_context;
   p.actuation = config.actuation;
   p.reconciliation = config.reconciliation;
   p.control = config.control;

@@ -65,10 +65,6 @@ struct ExperimentConfig {
   /// Manager-side staleness policy (see CappingManagerParams).
   std::int64_t max_sample_age_cycles = 5;
   double stale_power_margin = 0.10;
-  /// Delta-maintained per-zone policy contexts (`context.incremental`):
-  /// persist each shard's PolicyContext across cycles and fold in only
-  /// changed slots. Off = full rebuild every active cycle (A/B reference).
-  bool incremental_context = true;
   /// Actuation-plane fault model: command loss/delay, failed or partial
   /// DVFS transitions, node reboots. All-zero (off) by default. Only the
   /// capping managers route commands through the channel; the baselines

@@ -86,11 +86,6 @@ class Node {
   [[nodiscard]] double nic_bytes() const { return pool_->nic_bytes(slot_); }
   [[nodiscard]] bool busy() const { return pool_->busy(slot_); }
   void set_busy(bool busy) { pool_->set_busy(slot_, busy); }
-  /// Mutation epoch (see NodeStatePool::state_epoch): unchanged ⟹ every
-  /// sample-visible field except board temperature is unchanged.
-  [[nodiscard]] std::uint64_t state_epoch() const {
-    return pool_->state_epoch(slot_);
-  }
 
   // -- power ----------------------------------------------------------------
   /// Physical power draw: formula (1) plus process variation plus

@@ -38,8 +38,7 @@ NodeStatePool::NodeStatePool(std::size_t n)
       true_valid_(n, 0),
       est_valid_(n, 0),
       static_valid_(n, 0),
-      changed_mark_(n, 0),
-      state_epoch_(n, 0) {}
+      changed_mark_(n, 0) {}
 
 void NodeStatePool::init_slot(std::size_t i, const NodeSpec* spec,
                               double variation) {
@@ -59,7 +58,6 @@ void NodeStatePool::init_slot(std::size_t i, const NodeSpec* spec,
   true_valid_[i] = 0;
   est_valid_[i] = 0;
   static_valid_[i] = 0;
-  ++state_epoch_[i];
 }
 
 OperatingPoint NodeStatePool::operating_point(std::size_t i) const {
@@ -92,7 +90,6 @@ Level NodeStatePool::set_level(std::size_t i, Level l) {
     static_valid_[i] = 0;
     true_valid_[i] = 0;
     est_valid_[i] = 0;
-    ++state_epoch_[i];
     note_power_change(i);
   }
   return next;
@@ -108,7 +105,6 @@ void NodeStatePool::set_static_op(std::size_t i, double mem_used,
   static_valid_[i] = 0;
   true_valid_[i] = 0;
   est_valid_[i] = 0;
-  ++state_epoch_[i];
 }
 
 void NodeStatePool::set_operating_point(std::size_t i,
@@ -134,7 +130,6 @@ void NodeStatePool::set_operating_point(std::size_t i,
   }
   true_valid_[i] = 0;
   est_valid_[i] = 0;
-  ++state_epoch_[i];
 }
 
 void NodeStatePool::refresh_static(std::size_t i) const {

@@ -81,7 +81,6 @@ class NodeStatePool {
     cpu_utilization_[i] = u;
     true_valid_[i] = 0;
     est_valid_[i] = 0;
-    ++state_epoch_[i];
   }
 
   /// Rewrites the static operating-point fields (memory footprint, NIC
@@ -92,7 +91,6 @@ class NodeStatePool {
 
   void set_busy(std::size_t i, bool b) {
     busy_[i] = b ? 1 : 0;
-    ++state_epoch_[i];
   }
 
   /// Full operating-point write with the Node::set_operating_point
@@ -140,17 +138,6 @@ class NodeStatePool {
     return changed_list_;
   }
   void clear_changed();
-
-  // -- state epoch ----------------------------------------------------------
-  /// Bumped by every sample-visible mutation (level, busy, utilisation,
-  /// operating point, slot re-init). An unchanged epoch certifies that a
-  /// fresh telemetry sample would reproduce the previous one bit for bit
-  /// — EXCEPT for board temperature, which drifts with sim-time and never
-  /// passes through a mutator; temperature-sensitive consumers must check
-  /// it separately. Monotonic per slot; never reset.
-  [[nodiscard]] std::uint64_t state_epoch(std::size_t i) const {
-    return state_epoch_[i];
-  }
 
  private:
   void refresh_static(std::size_t i) const;
@@ -204,7 +191,6 @@ class NodeStatePool {
   bool track_changes_ = false;
   std::vector<std::uint8_t> changed_mark_;
   std::vector<std::uint32_t> changed_list_;
-  std::vector<std::uint64_t> state_epoch_;
 };
 
 }  // namespace pcap::hw

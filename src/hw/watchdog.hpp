@@ -79,17 +79,6 @@ class FailsafeWatchdog {
   [[nodiscard]] bool adoption_pending_in_group(std::size_t group) const {
     return group < pending_per_group_.size() && pending_per_group_[group] > 0;
   }
-  /// Appends group g's adoption-pending members, in ascending node order.
-  /// The controller's telemetry watch set: a pending node must be sampled
-  /// and folded every cycle so the adoption handshake (observe → adopt →
-  /// resolve) is driven off the stream, never off content dedup.
-  void collect_adoption_pending(std::size_t group,
-                                std::vector<NodeId>& out) const {
-    if (!adoption_pending_in_group(group)) return;
-    for (const NodeId id : groups_[group]) {
-      if (slots_[id].pending) out.push_back(id);
-    }
-  }
   /// The controller observed this node's post-failsafe level and adopted
   /// it into its shadow tables.
   void resolve_adoption(NodeId id);

@@ -33,10 +33,8 @@ void JobIndex::sync(const sched::Scheduler& scheduler) {
       refilter(entry, scheduler.find(entry.id)->nodes());
     }
     filter_dirty_ = false;
-    ++change_epoch_;
   }
   const std::vector<sched::JobEvent>& events = scheduler.job_events();
-  if (event_cursor_ < events.size()) ++change_epoch_;
   for (; event_cursor_ < events.size(); ++event_cursor_) {
     const sched::JobEvent& ev = events[event_cursor_];
     if (ev.kind == sched::JobEvent::Kind::kStarted) {

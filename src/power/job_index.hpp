@@ -25,7 +25,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "common/id_table.hpp"
@@ -59,13 +58,6 @@ class JobIndex {
   /// Events consumed so far (diagnostics / tests).
   [[nodiscard]] std::size_t event_cursor() const { return event_cursor_; }
 
-  /// Monotonic stamp bumped whenever entries() could have changed shape —
-  /// any replayed start/finish or candidate refilter. The incremental
-  /// context plane compares epochs across builds: equal epochs mean the
-  /// job list (ids, order, candidate_nodes) is byte-for-byte the one the
-  /// previous context was assembled from.
-  [[nodiscard]] std::uint64_t change_epoch() const { return change_epoch_; }
-
  private:
   /// Refills entry.candidate_nodes from the job's placement, `nodes`.
   void refilter(Entry& entry, const std::vector<hw::NodeId>& nodes) const;
@@ -80,7 +72,6 @@ class JobIndex {
   /// Node id -> membership, over the candidates' id span.
   common::IdTable<unsigned char> is_candidate_;
   bool filter_dirty_ = false;
-  std::uint64_t change_epoch_ = 0;
 };
 
 }  // namespace pcap::power

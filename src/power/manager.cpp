@@ -1,7 +1,6 @@
 #include "power/manager.hpp"
 
 #include <cmath>
-#include <numeric>
 #include <stdexcept>
 
 #include "power/checkpoint.hpp"
@@ -71,11 +70,6 @@ CappingManager::CappingManager(CappingManagerParams params, PolicyPtr policy,
   // in-context transport-delay staleness only.
   collect_stride_ = params_.green_collect_stride;
   collector_.set_cycle_period(params_.cycle_period);
-  // The incremental context plane needs the collector's per-slot change
-  // cursors; whether a pure temperature drift counts as a change depends
-  // on whether this manager's policy will ever read it.
-  collector_.configure_dedup(params_.incremental_context,
-                             policy_->temperature_sensitive());
   if (params_.selector) selector_.emplace(*params_.selector);
 }
 
@@ -100,9 +94,6 @@ void CappingManager::set_candidate_set(const std::vector<hw::NodeId>& ids) {
   // index so both agree on membership. The refilter itself is deferred to
   // the next context build.
   job_index_.set_candidate_set(collector_.candidate_set());
-  // Slot layout and context positions are stale now: the next context
-  // build must be a full one.
-  inc_valid_ = false;
   if (owns_watchdog_groups_ && watchdog_ != nullptr) {
     watchdog_->set_groups({collector_.candidate_set()});
   }
@@ -348,152 +339,47 @@ void CappingManager::assemble_context(
         "CappingManager::assemble_context: candidate id out of range");
   }
 
-  // Only a reconciled build (the persistent scratch_ctx_, fed through the
-  // reconciler) leaves state the next build may trust. A read-only build
-  // refills the same per-slot records without the reconciler, so it is
-  // always full and leaves the persisted state invalid.
-  const bool keep = params_.incremental_context && rec != nullptr;
-  const bool full = !keep || !inc_valid_ || view_records_.size() != n;
   job_index_.sync(scheduler);
-  const bool jobs_churned =
-      full || job_index_.change_epoch() != inc_job_epoch_;
 
-  // 1. The dirty slot set. A slot must be re-derived when its telemetry
-  // content changed since the last build, when its last delivery is not
-  // this cycle's confirmation (lost/delayed samples age the view), when
-  // its previous record depended on clock or actuation state, or when the
-  // actuation plane is mid-flight on it (pending command, abandoned, or
-  // awaiting watchdog adoption — those paths mutate reconciler state in
-  // the merge and must keep doing so every cycle).
-  inc_dirty_.clear();
-  if (full) {
-    view_records_.resize(n);
-    inc_dirty_.resize(n);
-    std::iota(inc_dirty_.begin(), inc_dirty_.end(), 0u);
-    if (rec != nullptr) ++inc_stats_.full_builds;
-  } else {
-    for (std::size_t slot = 0; slot < n; ++slot) {
-      bool dirty = inc_degraded_[slot] != 0 ||
-                   collector_.change_cycle(slot) > inc_build_cycle_ ||
-                   collector_.confirm_cycle(slot) != now_cycle;
-      if (!dirty) {
-        const hw::NodeId id = candidates[slot];
-        dirty = rec->in_flight(id) || rec->unresponsive(id) ||
-                (watchdog_ != nullptr && watchdog_->adoption_pending(id));
-      }
-      if (dirty) inc_dirty_.push_back(static_cast<std::uint32_t>(slot));
-    }
-    ++inc_stats_.delta_builds;
-    inc_stats_.dirty_slots += inc_dirty_.size();
-    if (inc_dirty_.empty() && !jobs_churned) {
-      // Quiescent: the persisted context IS this cycle's context. This is
-      // the empty-dirty-set special case the zone tree's quiescence hints
-      // approximate from outside.
-      ++inc_stats_.noop_builds;
-      inc_build_cycle_ = now_cycle;
-      return;
-    }
-    // Retract the dirty slots' old tally contributions (integer running
-    // totals); the refill below overwrites the records in place.
-    for (const std::uint32_t slot : inc_dirty_) {
-      tally_record(ctx, view_records_[slot], true);
-    }
-  }
-
-  // 2. Parallel refill of exactly the dirty slots from strictly per-node
+  // 1. Parallel refill of every slot's ViewRecord from strictly per-node
   // inputs: this slot's telemetry history, this node's spec/power model
   // (its memoisation caches are touched by exactly one worker), and this
   // node's reconciler entries (read-only here — all reconciler mutation is
   // deferred to the serial merge, and observe_node(j) only ever touches
   // node j's state). Chunk boundaries are fixed by the grain, so the
   // records are identical for any worker count.
+  view_records_.resize(n);
   common::maybe_parallel_for(
-      pool_, inc_dirty_.size(), params_.collector.parallel_threshold,
+      pool_, n, params_.collector.parallel_threshold,
       params_.collector.parallel_grain,
       [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          fill_view_record(inc_dirty_[i], candidates, nodes, rec, now_cycle,
-                           max_age);
+        for (std::size_t slot = begin; slot < end; ++slot) {
+          fill_view_record(slot, candidates, nodes, rec, now_cycle, max_age);
         }
       });
 
-  // A slot is in the persisted context exactly when it has a position.
-  bool compact = full;
-  for (std::size_t i = 0; i < inc_dirty_.size() && !compact; ++i) {
-    const std::uint32_t slot = inc_dirty_[i];
-    const bool present = view_records_[slot].status == ViewRecord::Status::kOk;
-    compact = present != (inc_pos_[slot] != kNoPos);
-  }
-
-  // 3. Serial merge in candidate order — the order the reconciler, heal
-  // emission and the counters must see.
+  // 2. Serial merge in candidate order — the order the reconciler, heal
+  // emission and the counters must see. clear() keeps the capacity, so
+  // after the first cycle this fills existing storage.
+  ctx.stale_nodes = 0;
+  ctx.missing_nodes = 0;
+  ctx.fallback_nodes = 0;
+  ctx.rejected_samples = 0;
+  ctx.unresponsive_nodes = 0;
+  ctx.nodes.clear();
   NodeView nv;
-  if (compact) {
-    // Full build, or a slot entered or left the context so every position
-    // after it shifts: compact over all persisted records. Re-observing a
-    // clean slot's unchanged sample cycle is a reconciler no-op by its
-    // staleness guard, and persisted records never carry the in-flight
-    // inflation (merge_slot applies it to a copy). clear() keeps the
-    // capacity, so after the first cycle this fills existing storage.
-    ctx.stale_nodes = 0;
-    ctx.missing_nodes = 0;
-    ctx.fallback_nodes = 0;
-    ctx.rejected_samples = 0;
-    ctx.unresponsive_nodes = 0;
-    inc_pos_.assign(n, kNoPos);
-    inc_degraded_.assign(n, 0);
-    ctx.nodes.clear();
-    for (std::size_t slot = 0; slot < n; ++slot) {
-      if (!merge_slot(slot, ctx, nodes, rec, work, now_cycle, nv)) continue;
-      inc_pos_[slot] = static_cast<std::uint32_t>(ctx.nodes.size());
+  for (std::size_t slot = 0; slot < n; ++slot) {
+    if (merge_slot(slot, ctx, nodes, rec, work, now_cycle, nv)) {
       ctx.nodes.push_back(nv);
     }
-    ctx.index_nodes();
-  } else {
-    // In place, dirty slots ascending — the relative order the compaction
-    // visits them, and the clean slots in between would all have been
-    // no-ops.
-    for (const std::uint32_t slot : inc_dirty_) {
-      if (merge_slot(slot, ctx, nodes, rec, work, now_cycle, nv)) {
-        ctx.nodes[inc_pos_[slot]] = nv;
-      }
-    }
   }
+  ctx.index_nodes();
 
-  // 4. Job views. entries() mirrors scheduler.running_jobs() in order, and
+  // 3. Job views. entries() mirrors scheduler.running_jobs() in order, and
   // each entry's candidate_nodes keeps Nodes(J) order, so every per-job
-  // power sum adds the same values in the same order on either path.
-  if (keep && jobs_churned) rebuild_job_csr();
-  if (compact || jobs_churned) {
-    job_pass_full(ctx);
-  } else {
-    // Same job list and positions as last build: refresh only the
-    // JobViews that contain a dirty slot, in ascending entry order.
-    const std::vector<JobIndex::Entry>& entries = job_index_.entries();
-    inc_job_dirty_.assign(entries.size(), 0);
-    for (const std::uint32_t slot : inc_dirty_) {
-      const hw::NodeId id = candidates[slot];
-      for (std::uint32_t c = inc_csr_off_[id]; c < inc_csr_off_[id + 1]; ++c) {
-        inc_job_dirty_[inc_csr_[c]] = 1;
-      }
-    }
-    for (std::size_t k = 0; k < entries.size(); ++k) {
-      if (inc_job_dirty_[k] == 0) continue;
-      fill_job_view(entries[k], ctx, inc_job_scratch_);
-      const bool now_empty = inc_job_scratch_.nodes.empty();
-      if (now_empty != (inc_job_pos_[k] == kNoPos)) {
-        // A job gained its first usable view or lost its last one: the
-        // compacted ctx.jobs positions shift.
-        job_pass_full(ctx);
-        break;
-      }
-      if (!now_empty) std::swap(ctx.jobs[inc_job_pos_[k]], inc_job_scratch_);
-    }
-  }
-
-  inc_build_cycle_ = now_cycle;
-  inc_job_epoch_ = job_index_.change_epoch();
-  inc_valid_ = keep;
+  // power sum adds the same values in the same order every build.
+  job_pass(ctx);
+  if (rec != nullptr) ++build_stats_.full_builds;
 }
 
 void CappingManager::fill_view_record(std::size_t slot,
@@ -542,17 +428,7 @@ void CappingManager::fill_view_record(std::size_t slot,
   nv.busy = latest.busy;
   nv.power = latest.estimated_power;
   nv.temperature = latest.temperature;
-  // Freshness base: the chosen sample's stamp — or, when the newest
-  // delivery has since been confirmed unchanged by the collector's dedup
-  // (which freezes the history), the confirmation cycle. A suppressed
-  // sweep attests the live counters still reproduce this entry bit for
-  // bit, which is exactly what a fresh delivery would have proven.
-  std::uint64_t fresh_cycle = latest.cycle;
-  if (chosen + 1 == hist.size()) {
-    const std::uint64_t confirmed = collector_.confirm_cycle(slot);
-    if (confirmed > fresh_cycle) fresh_cycle = confirmed;
-  }
-  nv.stale = now_cycle - fresh_cycle > max_age;
+  nv.stale = now_cycle - latest.cycle > max_age;
   if (unresponsive && nv.stale) {
     // Abandoned AND blind: the node stays out of the context entirely —
     // not selectable, not in A_degraded, not worth a command — until a
@@ -590,43 +466,31 @@ void CappingManager::fill_view_record(std::size_t slot,
   vr.status = ViewRecord::Status::kOk;
 }
 
-void CappingManager::tally_record(PolicyContext& ctx, const ViewRecord& vr,
-                                  bool retract) {
-  const auto bump = [retract](std::size_t& tally, std::size_t by = 1) {
-    tally = retract ? tally - by : tally + by;
-  };
-  bump(ctx.rejected_samples, vr.rejected);
-  switch (vr.status) {
-    case ViewRecord::Status::kMissing:
-      bump(ctx.missing_nodes);
-      break;
-    case ViewRecord::Status::kMissingUnresponsive:
-    case ViewRecord::Status::kExcludedUnresponsive:
-      bump(ctx.unresponsive_nodes);
-      break;
-    case ViewRecord::Status::kOk:
-      if (vr.view.stale) {
-        bump(ctx.stale_nodes);
-        bump(ctx.fallback_nodes);
-      } else if (vr.substituted) {
-        bump(ctx.fallback_nodes);
-      }
-      break;
-  }
-}
-
 bool CappingManager::merge_slot(std::size_t slot, PolicyContext& ctx,
                                 const std::vector<hw::Node>& nodes,
                                 ActuationReconciler* rec,
                                 ActuationReconciler::CycleWork* work,
                                 std::uint64_t now_cycle, NodeView& nv) const {
   const ViewRecord& vr = view_records_[slot];
-  tally_record(ctx, vr, false);
-  if (vr.status != ViewRecord::Status::kOk) {
-    inc_degraded_[slot] = 1;
-    return false;
+  ctx.rejected_samples += vr.rejected;
+  switch (vr.status) {
+    case ViewRecord::Status::kMissing:
+      ++ctx.missing_nodes;
+      return false;
+    case ViewRecord::Status::kMissingUnresponsive:
+    case ViewRecord::Status::kExcludedUnresponsive:
+      ++ctx.unresponsive_nodes;
+      return false;
+    case ViewRecord::Status::kOk:
+      break;
   }
   nv = vr.view;
+  if (nv.stale) {
+    ++ctx.stale_nodes;
+    ++ctx.fallback_nodes;
+  } else if (vr.substituted) {
+    ++ctx.fallback_nodes;
+  }
   if (rec != nullptr) {
     if (!nv.stale) {
       if (watchdog_ != nullptr && watchdog_->adoption_pending(nv.id)) {
@@ -663,13 +527,6 @@ bool CappingManager::merge_slot(std::size_t slot, PolicyContext& ctx,
       }
     }
   }
-  // A record whose view depends on clock or actuation state (not just
-  // delivered sample content) must be re-derived every cycle even without
-  // a telemetry change.
-  inc_degraded_[slot] =
-      (vr.rejected > 0 || nv.stale || vr.substituted || nv.command_in_flight)
-          ? 1
-          : 0;
   return true;
 }
 
@@ -706,7 +563,7 @@ void CappingManager::fill_job_view(const JobIndex::Entry& e,
   if (!have_all_prev) jv.power_prev = Watts{0.0};  // no rate
 }
 
-void CappingManager::job_pass_full(PolicyContext& ctx) const {
+void CappingManager::job_pass(PolicyContext& ctx) const {
   // Each stage slot is written by one worker and reads only the frozen
   // context, so this pass shards.
   const std::vector<JobIndex::Entry>& entries = job_index_.entries();
@@ -719,14 +576,12 @@ void CappingManager::job_pass_full(PolicyContext& ctx) const {
           fill_job_view(entries[k], ctx, job_stage_[k]);
         }
       });
-  inc_job_pos_.assign(entries.size(), kNoPos);
   // Serial compaction: jobs with no usable node this cycle drop out,
   // order is preserved, and swap keeps both sides' vector capacity.
   std::size_t used = 0;
   for (std::size_t k = 0; k < job_stage_.size(); ++k) {
     JobView& staged = job_stage_[k];
     if (staged.nodes.empty()) continue;
-    inc_job_pos_[k] = static_cast<std::uint32_t>(used);
     if (used == ctx.jobs.size()) ctx.jobs.emplace_back();
     std::swap(ctx.jobs[used], staged);
     ++used;
@@ -736,57 +591,10 @@ void CappingManager::job_pass_full(PolicyContext& ctx) const {
   ctx.jobs_have_throttleable = true;
 }
 
-void CappingManager::rebuild_job_csr() const {
-  // Node id -> list of job-entry indices (ascending, since entries are
-  // scanned in order): maps a dirty slot to exactly the JobViews its view
-  // feeds. Offsets span the candidates' ids [lo, hi] plus one end slot;
-  // entries only ever list candidates, so every id below falls inside.
-  const std::vector<JobIndex::Entry>& entries = job_index_.entries();
-  const std::vector<hw::NodeId>& candidates = collector_.candidate_set();
-  if (candidates.empty()) {
-    inc_csr_off_.clear();
-    inc_csr_.clear();
-    return;
-  }
-  const std::size_t lo = candidates.front();
-  const std::size_t hi = candidates.back();
-  inc_csr_off_.reset(lo, hi + 1, 0);
-  std::size_t total = 0;
-  for (const JobIndex::Entry& e : entries) {
-    total += e.candidate_nodes.size();
-    for (const hw::NodeId nid : e.candidate_nodes) ++inc_csr_off_[nid + 1];
-  }
-  inc_csr_.resize(total);
-  for (std::size_t i = lo + 1; i <= hi + 1; ++i) {
-    inc_csr_off_[i] += inc_csr_off_[i - 1];
-  }
-  for (std::size_t k = 0; k < entries.size(); ++k) {
-    for (const hw::NodeId nid : entries[k].candidate_nodes) {
-      inc_csr_[inc_csr_off_[nid]++] = static_cast<std::uint32_t>(k);
-    }
-  }
-  // The cursor fill shifted every offset to its range end; rotate back so
-  // [off[id], off[id+1]) is node id's range again.
-  for (std::size_t i = hi + 1; i > lo; --i) inc_csr_off_[i] = inc_csr_off_[i - 1];
-  inc_csr_off_[lo] = 0;
-}
-
 void CappingManager::collect_phase(bool collect_now,
                                    const std::vector<hw::Node>& nodes,
                                    Seconds now, std::size_t monitored_jobs) {
   if (collect_now) {
-    if (collector_.dedup_active()) {
-      // Slots the actuation plane is waiting on (pending acks, abandoned
-      // nodes, failsafe adoptions) consume the sample stream itself:
-      // exempt them from dedup suppression so every such cycle still
-      // delivers a real sample.
-      watch_scratch_.clear();
-      reconciler_.collect_watch(watch_scratch_);
-      if (watchdog_ != nullptr) {
-        watchdog_->collect_adoption_pending(watchdog_group_, watch_scratch_);
-      }
-      collector_.set_watch(watch_scratch_);
-    }
     collector_.collect(nodes, now, monitored_jobs);
   } else {
     // Clock tick only: per-slot staleness stays well-defined and the
@@ -1014,9 +822,6 @@ void CappingManager::restore(const ShardCheckpoint& cp) {
   // checkpointed collector timebase; resume the clock there or every ack
   // and staleness comparison would be skewed by the restart.
   collector_.restore_cycle_count(cp.collector_cycles);
-  // Reconciler state just jumped wholesale; rebuild the context from
-  // scratch rather than trusting pre-restore dirty bookkeeping.
-  inc_valid_ = false;
 }
 
 ManagerReport NoCappingManager::cycle(Watts measured,

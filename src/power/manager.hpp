@@ -235,15 +235,6 @@ struct CappingManagerParams {
   /// policies act before P_L is crossed. refresh_cycles == 0 resolves to
   /// thresholds.adjust_period_cycles (the learner's t_p cadence).
   PredictionParams prediction;
-  /// Incremental context plane: keep the policy context, per-slot view
-  /// records and per-job aggregates alive across cycles and re-derive only
-  /// what changed — telemetry deltas from the collector's change cursors,
-  /// job churn from the JobIndex epoch, actuation state from the
-  /// reconciler/watchdog watch set. Decisions, counters and exports are
-  /// bit-identical to the full rebuild (`off` = rebuild every cycle, the
-  /// A/B baseline); only reconciler observed-cycle stamps may lag, since a
-  /// content-identical confirmation carries no new information.
-  bool incremental_context = true;
 };
 
 /// The paper's architecture: candidate-set telemetry + threshold learning
@@ -310,18 +301,16 @@ class CappingManager final : public PowerManagerBase {
     return *policy_;
   }
 
-  /// How each reconciled context build chose its dirty set (lifetime
-  /// totals; read-only builds are not counted). Lets tests and benches
-  /// assert the delta plane actually engages instead of inferring it from
-  /// wall time.
-  struct IncrementalStats {
-    std::uint64_t full_builds = 0;   ///< every slot dirty: O(candidates)
-    std::uint64_t delta_builds = 0;  ///< dirty set from the scan (incl. no-ops)
-    std::uint64_t noop_builds = 0;   ///< empty dirty set + unchanged jobs
-    std::uint64_t dirty_slots = 0;   ///< Σ dirty slots over delta builds
+  /// Build counters. e2ebench reads them; they go in the benchmark change
+  /// that drops the `power.ctx_*` per-layer metrics.
+  struct ContextBuildStats {
+    std::uint64_t full_builds = 0;   ///< reconciled context builds
+    std::uint64_t delta_builds = 0;  ///< always 0
+    std::uint64_t noop_builds = 0;   ///< always 0
+    std::uint64_t dirty_slots = 0;   ///< always 0
   };
-  [[nodiscard]] const IncrementalStats& incremental_stats() const {
-    return inc_stats_;
+  [[nodiscard]] const ContextBuildStats& incremental_stats() const {
+    return build_stats_;
   }
 
   /// Cluster-owned watchdog: this manager becomes group 0 and (re)groups
@@ -351,8 +340,7 @@ class CappingManager final : public PowerManagerBase {
   /// Read-only context build from current telemetry and scheduler state,
   /// into `ctx` (its node/job buffers are reused). Public so tests and
   /// benchmarks can inspect the context and measure selection cost in
-  /// isolation. It bypasses the reconciler and refills the per-slot
-  /// records, so the next control cycle rebuilds its own context in full.
+  /// isolation. It bypasses the reconciler.
   void build_context_into(PolicyContext& ctx, Watts measured,
                           const std::vector<hw::Node>& nodes,
                           const sched::Scheduler& scheduler) const;
@@ -454,24 +442,17 @@ class CappingManager final : public PowerManagerBase {
   /// a delivery is the one controller signal a node can see directly.
   void stamp_delivery_contacts();
 
-  /// The one context-build routine. When `rec` is non-null, each fresh
-  /// node view is fed through the reconciler (acks/divergences/heals into
-  /// `work`), in-flight commands mark their views, and the safe-side power
-  /// accounting is applied; build_context_into passes nullptr for a
-  /// read-only build.
+  /// The one context-build routine, run in full every cycle. When `rec`
+  /// is non-null, each fresh node view is fed through the reconciler
+  /// (acks/divergences/heals into `work`), in-flight commands mark their
+  /// views, and the safe-side power accounting is applied;
+  /// build_context_into passes nullptr for a read-only build.
   ///
-  /// Steps: (1) decide the dirty slot set — every slot for a full build
-  /// (no valid persisted state, incremental_context off, or a read-only
-  /// build), otherwise the slots whose view may have moved since the last
-  /// build; (2) refill the dirty slots' ViewRecords in parallel from
-  /// strictly per-node inputs; (3) a serial merge in candidate order
-  /// applies everything order-sensitive (reconciler mutation, tallies,
-  /// safe-side pending accounting) — in place, or as a compaction over all
-  /// slots when the build is full or a slot entered or left the context;
-  /// (4) refresh the job views fed by dirty slots through the node -> job
-  /// CSR, or run the whole job pass when the build compacted or jobs
-  /// churned. Output is bit-identical across worker counts and between
-  /// full and incremental builds.
+  /// Steps: (1) refill every slot's ViewRecord in parallel from strictly
+  /// per-node inputs; (2) a serial merge in candidate order applies
+  /// everything order-sensitive (reconciler mutation, tallies, safe-side
+  /// pending accounting) and compacts the views into ctx.nodes; (3) the
+  /// job pass. Output is bit-identical across worker counts.
   void assemble_context(PolicyContext& ctx,
                         const std::vector<hw::Node>& nodes,
                         const sched::Scheduler& scheduler,
@@ -501,34 +482,23 @@ class CappingManager final : public PowerManagerBase {
                         const ActuationReconciler* rec,
                         std::uint64_t now_cycle, std::uint64_t max_age) const;
 
-  /// Adds (or, with `retract`, removes) one record's contribution to the
-  /// context's integer health tallies.
-  static void tally_record(PolicyContext& ctx, const ViewRecord& vr,
-                           bool retract);
-
   /// The per-slot merge rule: tallies the record, runs the reconciler on
   /// a fresh view (adopt a failsafe level awaiting adoption, otherwise
-  /// observe), applies the pending-command safe-side accounting and
-  /// derives inc_degraded_[slot]. Returns false when the slot has no
-  /// context view; otherwise `nv` is the view to place. `rec` may be null
-  /// (read-only build): no observation and no pending accounting.
+  /// observe) and applies the pending-command safe-side accounting.
+  /// Returns false when the slot has no context view; otherwise `nv` is
+  /// the view to place. `rec` may be null (read-only build): no
+  /// observation and no pending accounting.
   bool merge_slot(std::size_t slot, PolicyContext& ctx,
                   const std::vector<hw::Node>& nodes, ActuationReconciler* rec,
                   ActuationReconciler::CycleWork* work,
                   std::uint64_t now_cycle, NodeView& nv) const;
 
-  /// The whole job pass: every job entry (parallel stage + serial
-  /// compaction), recording entry -> ctx.jobs positions.
-  void job_pass_full(PolicyContext& ctx) const;
+  /// The job pass: every job entry (parallel stage + serial compaction).
+  void job_pass(PolicyContext& ctx) const;
 
-  /// Computes one entry's JobView against the current ctx.nodes — the
-  /// arithmetic of both the whole job pass and the CSR refresh.
+  /// Computes one entry's JobView against the current ctx.nodes.
   static void fill_job_view(const JobIndex::Entry& e, const PolicyContext& ctx,
                             JobView& jv);
-
-  /// Rebuilds the node-id -> job-entry CSR used to map dirty slots to the
-  /// job views they feed.
-  void rebuild_job_csr() const;
 
   CappingManagerParams params_;
   PolicyPtr policy_;
@@ -555,8 +525,8 @@ class CappingManager final : public PowerManagerBase {
   std::int64_t collect_stride_ = 1;
   common::ThreadPool* pool_ = nullptr;
   ManagerMetrics metrics_;
-  /// Per-slot records from the refill; persist across cycles so clean
-  /// slots keep theirs and the steady state allocates nothing.
+  /// Per-slot records from the refill; persist across cycles so the
+  /// steady state allocates nothing.
   mutable std::vector<ViewRecord> view_records_;
   /// Incremental mirror of the scheduler's running set; synced (O(churn))
   /// at the top of every context build. Mutable because assembly is
@@ -573,32 +543,7 @@ class CappingManager final : public PowerManagerBase {
   std::vector<LevelCommand> delivered_scratch_;
   ActuationReconciler::CycleWork recon_work_;
 
-  // --- Incremental context plane (params_.incremental_context) ---------
-  // Valid only between reconciled builds of the persistent scratch_ctx_;
-  // a read-only build or any structural change (candidate churn, warm
-  // restart) drops inc_valid_ and the next build is a full one.
-  static constexpr std::uint32_t kNoPos = 0xffffffffu;
-  mutable bool inc_valid_ = false;
-  mutable std::uint64_t inc_build_cycle_ = 0;  ///< collector cycle of last build
-  mutable std::uint64_t inc_job_epoch_ = 0;    ///< JobIndex epoch of last build
-  /// Slot -> ctx.nodes index; kNoPos when the slot has no view.
-  mutable std::vector<std::uint32_t> inc_pos_;
-  /// Slot's record was not clean-and-fresh at the last build (missing,
-  /// unresponsive, stale, substituted, rejected deliveries, or carrying
-  /// in-flight inflation): must be re-derived even without a telemetry
-  /// content change, because its view depends on state that moves with
-  /// the clock.
-  mutable std::vector<std::uint8_t> inc_degraded_;
-  mutable std::vector<std::uint32_t> inc_dirty_;        ///< scratch: dirty slots
-  mutable std::vector<std::uint32_t> inc_job_pos_;  ///< entry -> ctx.jobs index
-  /// Node id -> csr offset, over the candidates' id span plus one.
-  mutable common::IdTable<std::uint32_t> inc_csr_off_;
-  mutable std::vector<std::uint32_t> inc_csr_;      ///< job-entry indices
-  mutable std::vector<std::uint8_t> inc_job_dirty_; ///< scratch, per entry
-  mutable JobView inc_job_scratch_;
-  mutable IncrementalStats inc_stats_;
-  /// Reconciler + watchdog watch set handed to the collector pre-sweep.
-  std::vector<hw::NodeId> watch_scratch_;
+  mutable ContextBuildStats build_stats_;
 };
 
 /// A null manager: monitors nothing, throttles nothing. The |A_candidate|=0

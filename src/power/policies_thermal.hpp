@@ -23,7 +23,6 @@ class HottestJob final : public TargetSelectionPolicy {
  public:
   [[nodiscard]] std::string name() const override { return "ht"; }
   std::vector<hw::NodeId> select(const PolicyContext& ctx) override;
-  [[nodiscard]] bool temperature_sensitive() const override { return true; }
 
  private:
   SelectionScratch scratch_;
@@ -33,7 +32,6 @@ class HottestJobCollection final : public TargetSelectionPolicy {
  public:
   [[nodiscard]] std::string name() const override { return "ht-c"; }
   std::vector<hw::NodeId> select(const PolicyContext& ctx) override;
-  [[nodiscard]] bool temperature_sensitive() const override { return true; }
 
  private:
   SelectionScratch scratch_;

@@ -182,12 +182,6 @@ class TargetSelectionPolicy {
   /// not return duplicates.
   virtual std::vector<hw::NodeId> select(const PolicyContext& ctx) = 0;
 
-  /// Does this policy read NodeView::temperature? Drives whether the
-  /// telemetry layer's change tracking (and dedup) must treat a pure
-  /// temperature drift as a content change — for every other policy that
-  /// would dirty each busy node every cycle for a field nothing reads.
-  [[nodiscard]] virtual bool temperature_sensitive() const { return false; }
-
   /// Does this policy act on PolicyContext::forecast_power? Gates the
   /// engine's predictive elevation (a green cycle promoted to the yellow
   /// path because the forecast crosses P_L): elevating a reactive

@@ -179,16 +179,6 @@ void ActuationReconciler::finish_observation(std::uint64_t cycle,
   }
 }
 
-void ActuationReconciler::collect_watch(std::vector<hw::NodeId>& out) const {
-  if (pending_count_ == 0 && unresponsive_count_ == 0) return;
-  for (std::size_t idx = slots_.begin_id(); idx < slots_.end_id(); ++idx) {
-    const Slot& s = slots_[idx];
-    if (s.has_pending || s.unresponsive) {
-      out.push_back(static_cast<hw::NodeId>(idx));
-    }
-  }
-}
-
 void ActuationReconciler::admit(const std::vector<LevelCommand>& decided,
                                 std::uint64_t cycle, CycleWork& work) {
   for (const LevelCommand& cmd : decided) {

@@ -141,13 +141,6 @@ class ActuationReconciler {
     return unresponsive_count_;
   }
 
-  /// Appends (ascending id order) every node the reconciler is actively
-  /// watching the sample stream for: pending-ack and unresponsive slots.
-  /// These nodes must be sampled and folded every cycle no matter what
-  /// telemetry dedup thinks — acks, readmissions and retry deadlines are
-  /// driven by the stream itself, not by content changes.
-  void collect_watch(std::vector<hw::NodeId>& out) const;
-
   // Cumulative counters over the reconciler's lifetime.
   [[nodiscard]] std::uint64_t total_acks() const { return acks_; }
   [[nodiscard]] std::uint64_t total_retries() const { return retries_; }

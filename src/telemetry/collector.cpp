@@ -83,21 +83,6 @@ void Collector::set_candidate_set(const std::vector<hw::NodeId>& nodes) {
       if (lossy) next_loss.push_back(transport);
     }
   }
-  // Change-tracking state travels with the history it describes.
-  std::vector<std::uint64_t> next_change(next.size(), 0);
-  std::vector<std::uint64_t> next_confirm(next.size(), 0);
-  std::vector<std::uint8_t> next_changed(next.size(), 0);
-  std::vector<std::uint64_t> next_epoch(next.size(), ~std::uint64_t{0});
-  for (std::size_t s = 0; s < next.size(); ++s) {
-    const std::uint32_t old_slot = slot_of(next[s]);
-    if (old_slot != kNoSlot && old_slot < change_cycle_.size()) {
-      next_change[s] = change_cycle_[old_slot];
-      next_confirm[s] = confirm_cycle_[old_slot];
-      next_changed[s] = last_delivery_changed_[old_slot];
-      next_epoch[s] = sampled_epoch_[old_slot];
-    }
-  }
-
   candidates_ = std::move(next);
   agents_ = std::move(next_agents);
   loss_rng_ = std::move(next_loss);
@@ -106,11 +91,6 @@ void Collector::set_candidate_set(const std::vector<hw::NodeId>& nodes) {
   hist_head_ = std::move(next_head);
   hist_size_ = std::move(next_size);
   hist_stride_ = candidates_.size();
-  change_cycle_ = std::move(next_change);
-  confirm_cycle_ = std::move(next_confirm);
-  last_delivery_changed_ = std::move(next_changed);
-  sampled_epoch_ = std::move(next_epoch);
-  watched_.assign(candidates_.size(), 0);
   if (params_.faults.enabled()) fault_injector_.ensure_nodes(candidates_);
 
   if (candidates_.empty()) {
@@ -121,121 +101,12 @@ void Collector::set_candidate_set(const std::vector<hw::NodeId>& nodes) {
   for (std::size_t i = 0; i < candidates_.size(); ++i) {
     slot_of_[candidates_[i]] = static_cast<std::uint32_t>(i);
   }
-  // Re-apply the watch set against the new slot layout (dropped nodes
-  // simply fall out of it).
-  for (const hw::NodeId id : watch_ids_) {
-    const std::uint32_t s = slot_of(id);
-    if (s != kNoSlot) watched_[s] = 1;
-  }
-}
-
-void Collector::configure_dedup(bool track, bool temperature_sensitive) {
-  track_ = track;
-  dedup_temperature_ = temperature_sensitive;
-  // Suppressing a sample must not skip an RNG draw some other slot (or a
-  // later cycle) would then inherit: dedup arms only when no draw can
-  // happen on the sample path at all.
-  dedup_active_ = track && params_.agent.utilization_noise == 0.0 &&
-                  params_.agent.nic_noise == 0.0 &&
-                  params_.transport.loss_rate == 0.0 &&
-                  params_.transport.delay_cycles == 0 &&
-                  !params_.faults.enabled();
-}
-
-void Collector::set_watch(const std::vector<hw::NodeId>& ids) {
-  for (const hw::NodeId id : watch_ids_) {
-    const std::uint32_t s = slot_of(id);
-    if (s != kNoSlot) watched_[s] = 0;
-  }
-  watch_ids_ = ids;
-  for (const hw::NodeId id : watch_ids_) {
-    const std::uint32_t s = slot_of(id);
-    if (s != kNoSlot) watched_[s] = 1;
-  }
-}
-
-void Collector::deliver(std::size_t slot, const NodeSample& s) {
-  if (track_) {
-    bool changed = true;
-    if (hist_size_[slot] > 0) {
-      const NodeSample& prev = history_at_slot(slot).back();
-      // The fields a NodeView consumes, PLUS the raw counters the power
-      // model reads: the manager re-derives P'(x) from the node's live
-      // operating point, so a counter change whose contribution happens to
-      // cancel at the current level (zero coefficient, clamped fraction)
-      // can still move the one-level-down estimate. Temperature
-      // participates only when a thermal policy will actually read it —
-      // otherwise the RC model's asymptotic drift would dirty every busy
-      // slot every cycle.
-      changed = s.level != prev.level || s.busy != prev.busy ||
-                s.estimated_power.value() != prev.estimated_power.value() ||
-                s.cpu_utilization != prev.cpu_utilization ||
-                s.nic_bytes.value() != prev.nic_bytes.value() ||
-                s.mem_used.value() != prev.mem_used.value() ||
-                (dedup_temperature_ &&
-                 s.temperature.value() != prev.temperature.value());
-    }
-    // A changed delivery also marks the NEXT delivery dirty (the catch-up
-    // bit): consumers read previous() as well as latest(), so the cycle
-    // after a change still shifts power_prev even if the content repeats.
-    if (changed || last_delivery_changed_[slot] != 0) {
-      change_cycle_[slot] = cycle_counter_;
-    }
-    last_delivery_changed_[slot] = changed ? 1 : 0;
-    confirm_cycle_[slot] = s.cycle;
-  }
-  push_history(slot, s);
 }
 
 void Collector::collect_one(std::size_t slot, const hw::Node& node,
                             Seconds now, std::uint64_t& delivered,
                             std::uint64_t& lost) {
   const TransportParams& tp = params_.transport;
-
-  // Dedup: when the transport is exact and draw-free (dedup_active_) and
-  // the node's raw counters match the newest delivered sample, a fresh
-  // sample would reproduce that entry bit for bit — confirm the slot and
-  // skip the agent entirely. Requires the previous delivery to have been
-  // a no-change one (catch-up bit clear, so previous() is already equal
-  // to latest()) and the slot to be off the manager's watch set (pending
-  // acks and adoption detection consume the sample stream itself).
-  if (dedup_active_ && watched_[slot] == 0 &&
-      last_delivery_changed_[slot] == 0 && hist_size_[slot] >= 2) {
-    // Epoch fast path: the pool bumps state_epoch on every sample-visible
-    // mutation, so an unchanged epoch since the slot's newest delivery
-    // certifies the whole content diff below would pass — one integer
-    // compare replaces seven field reads. Temperature drifts with
-    // sim-time without a mutator, so it keeps its own check.
-    if (node.state_epoch() == sampled_epoch_[slot] &&
-        (!dedup_temperature_ ||
-         node.temperature_at(now).value() ==
-             history_at_slot(slot).back().temperature.value())) {
-      confirm_cycle_[slot] = cycle_counter_;
-      ++delivered;
-      return;
-    }
-    const NodeSample& prev = history_at_slot(slot).back();
-    if (node.cpu_utilization() == prev.cpu_utilization &&
-        node.nic_bytes() == prev.nic_bytes.value() &&
-        node.mem_used() == prev.mem_used.value() &&
-        node.level() == prev.level && node.busy() == prev.busy &&
-        // Raw counters equal but a denominator (mem_total, tau, NIC
-        // bandwidth) moved: the memoised estimate sees it where the
-        // counters cannot.
-        node.estimated_power().value() == prev.estimated_power.value() &&
-        (!dedup_temperature_ ||
-         node.temperature_at(now).value() == prev.temperature.value())) {
-      confirm_cycle_[slot] = cycle_counter_;
-      // The content is unchanged even though the epoch moved (a mutator
-      // rewrote identical values): re-arm the fast path for next cycle.
-      sampled_epoch_[slot] = node.state_epoch();
-      // The sample WOULD have been delivered (exact transport, no loss),
-      // so the externally visible counter must say so — `samples_delivered`
-      // is exported and has to stay bit-identical with dedup off.
-      ++delivered;
-      return;  // dedup_active_ implies delay==0: nothing can be in flight
-    }
-  }
 
   NodeSample sample = agents_[slot].sample(node, now);
   sample.cycle = cycle_counter_;
@@ -250,11 +121,7 @@ void Collector::collect_one(std::size_t slot, const hw::Node& node,
   } else if (tp.loss_rate > 0.0 && loss_rng_[slot].bernoulli(tp.loss_rate)) {
     ++lost;
   } else if (tp.delay_cycles == 0) {
-    deliver(slot, sample);
-    // Under dedup the transport is exact, so the delivered entry mirrors
-    // the node's state at this epoch — the next sweep can certify "still
-    // identical" from the epoch alone.
-    if (dedup_active_) sampled_epoch_[slot] = node.state_epoch();
+    push_history(slot, sample);
     ++delivered;
   } else {
     in_flight_[slot].push_back(
@@ -268,7 +135,7 @@ void Collector::collect_one(std::size_t slot, const hw::Node& node,
   std::size_t due = 0;
   while (due < queue.size() &&
          queue[due].deliver_at_cycle <= cycle_counter_) {
-    deliver(slot, queue[due].sample);
+    push_history(slot, queue[due].sample);
     ++due;
   }
   if (due > 0) {

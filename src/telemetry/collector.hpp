@@ -153,45 +153,10 @@ class Collector {
   /// collect(). The collector does not own the pool.
   void set_thread_pool(common::ThreadPool* pool) { pool_ = pool; }
 
-  /// Enables per-slot change tracking (and, when the transport is exact,
-  /// sample deduplication) for the manager's incremental context plane.
-  ///
-  /// With `track` on, every delivery is compared against the slot's
-  /// previous newest entry on the fields a `NodeView` actually consumes
-  /// (level, busy, estimated_power — plus temperature iff
-  /// `temperature_sensitive`); `change_cycle(slot)` advances when they
-  /// differ, so the manager can refill only slots whose view could have
-  /// changed.
-  ///
-  /// Dedup — skipping the agent sample entirely when the node's raw
-  /// counters are unchanged — additionally self-gates on the transport
-  /// being exact and draw-free: zero agent noise, zero loss, zero delay,
-  /// no fault process. Under any of those the per-candidate RNG streams
-  /// must advance every sweep (skipping a draw would shift every later
-  /// draw), so suppression stays off and tracking degrades to the
-  /// delivery-time compare.
-  void configure_dedup(bool track, bool temperature_sensitive);
-  /// True when raw-counter suppression is actually armed (see above).
-  [[nodiscard]] bool dedup_active() const { return dedup_active_; }
-  /// Cycle of the last delivery that changed the slot's view-visible
-  /// content (or followed such a change — see last-delivery-changed
-  /// catch-up in collect_one). 0 until the first delivery.
-  [[nodiscard]] std::uint64_t change_cycle(std::size_t slot) const {
-    return change_cycle_[slot];
-  }
-  /// Freshness stamp of the slot's newest history entry: the delivered
-  /// sample's cycle, or — when dedup suppressed the sample because the
-  /// raw counters were unchanged — the cycle of the suppression check
-  /// itself. Staleness of the newest entry must be measured against this,
-  /// not `back().cycle`, which freezes under suppression.
-  [[nodiscard]] std::uint64_t confirm_cycle(std::size_t slot) const {
-    return confirm_cycle_[slot];
-  }
-  /// Marks the nodes that must be sampled and delivered every sweep
-  /// regardless of dedup — the manager's reconciler/watchdog watch set
-  /// (pending acks, unresponsive probing, adoption detection all read the
-  /// sample stream, not the content). Replaces the previous watch set.
-  void set_watch(const std::vector<hw::NodeId>& ids);
+  /// Always false: the collector samples every candidate every sweep.
+  /// e2ebench reads it; it goes in the benchmark change that drops that
+  /// per-layer metric.
+  [[nodiscard]] bool dedup_active() const { return false; }
 
   /// Sum of the latest estimated powers over the candidate set.
   [[nodiscard]] Watts estimated_candidate_power() const;
@@ -240,10 +205,6 @@ class Collector {
   /// pays one atomic update per chunk instead of one per sample.
   void collect_one(std::size_t slot, const hw::Node& node, Seconds now,
                    std::uint64_t& delivered, std::uint64_t& lost);
-
-  /// Delivers a sample into slot's history, maintaining the incremental
-  /// change-tracking state first (no-op when tracking is off).
-  void deliver(std::size_t slot, const NodeSample& s);
 
   /// Appends a delivered sample to slot's history ring in the arena.
   void push_history(std::size_t slot, const NodeSample& s) {
@@ -295,28 +256,6 @@ class Collector {
   std::vector<NodeSample> hist_store_;
   std::vector<std::uint32_t> hist_head_;  ///< next stripe to write, per slot
   std::vector<std::uint32_t> hist_size_;  ///< samples held, per slot
-  /// Incremental-context change tracking (configure_dedup). All three are
-  /// sized with the candidate set and carried across churn like the
-  /// histories; maintenance is fully skipped when track_ is off.
-  std::vector<std::uint64_t> change_cycle_;
-  std::vector<std::uint64_t> confirm_cycle_;
-  /// 1 when the slot's previous delivery changed its content. Forces one
-  /// confirming delivery after every change, so by the time dedup can
-  /// suppress, the top two history entries are content-identical and
-  /// power_prev reads are bit-identical to full sampling.
-  std::vector<std::uint8_t> last_delivery_changed_;
-  /// NodeStatePool::state_epoch captured when the newest history entry was
-  /// delivered (or confirmed) under dedup. An unchanged epoch certifies the
-  /// node's sample-visible fields are unchanged, so suppression collapses
-  /// to one integer compare instead of a seven-field content diff;
-  /// temperature still gets its own check when a thermal policy reads it.
-  /// ~0 = no recorded epoch (new slot): never matches, falls to the diff.
-  std::vector<std::uint64_t> sampled_epoch_;
-  std::vector<std::uint8_t> watched_;  ///< dedup-exempt slots (set_watch)
-  std::vector<hw::NodeId> watch_ids_;  ///< ids behind watched_, for clearing
-  bool track_ = false;
-  bool dedup_temperature_ = false;
-  bool dedup_active_ = false;
   std::size_t hist_stride_ = 0;           ///< == candidates_.size()
   /// Samples held per slot: params_.history_depth when corruption is
   /// configured, else 2.

@@ -726,8 +726,7 @@ struct ChaosResult {
 /// stalls on top of lossy telemetry and actuation, a mid-run forced
 /// blackout long enough to trip every node's failsafe, and a warm restart
 /// from a checkpoint two thirds in.
-ChaosResult run_controller_chaos_cluster(std::size_t worker_threads,
-                                         bool incremental = true) {
+ChaosResult run_controller_chaos_cluster(std::size_t worker_threads) {
   cluster::ClusterConfig cfg;
   cfg.num_nodes = 120;
   cfg.spec = hw::tianhe1a_node_spec();
@@ -759,7 +758,6 @@ ChaosResult run_controller_chaos_cluster(std::size_t worker_threads,
   p.control.zone_outage_duration_cycles = 6;
   p.control.delay_rate = 0.01;
   p.control.delay_max_cycles = 2;
-  p.incremental_context = incremental;
   ZoneTreeParams zp;
   zp.zone_count = 2;
   const auto make_mgr = [&] {
@@ -866,23 +864,6 @@ TEST(ControllerChaos, FailsafeBoundsOverPowerAndRunStaysDeterministic) {
   // stepping, adoption and the warm restart are all serial state.
   const ChaosResult four = run_controller_chaos_cluster(4);
   expect_identical(serial, four);
-}
-
-// The incremental context plane under controller chaos: outage windows
-// leave shards with stale persistent contexts, the forced blackout makes
-// the watchdog rewrite levels behind the controller's back (adoption is a
-// dirty-set source, not a telemetry event), and the phase-3 warm restart
-// swaps in a controller with cold contexts mid-fault. Decisions, watchdog
-// stepping and job outcomes must still be bit-identical to full rebuilds,
-// serial and sharded.
-TEST(ControllerChaos, IncrementalContextMatchesRebuild) {
-  const ChaosResult inc = run_controller_chaos_cluster(1, true);
-  ASSERT_GT(inc.points.size(), 300u);
-  EXPECT_GT(inc.watchdog_engagements, 0u);
-  const ChaosResult reb = run_controller_chaos_cluster(1, false);
-  expect_identical(inc, reb);
-  const ChaosResult reb4 = run_controller_chaos_cluster(4, false);
-  expect_identical(inc, reb4);
 }
 
 }  // namespace

@@ -714,18 +714,15 @@ struct PredictiveRun {
   std::vector<metrics::CyclePoint> points;
   std::string prom;
   std::uint64_t samples_lost = 0;
-  CappingManager::IncrementalStats stats;
-  std::size_t candidates = 0;
 };
 
 /// A degraded-plane cluster run under a predictive policy: lossy delayed
 /// transport, agent dropout and corruption, forecasts live — the whole
-/// stack must stay bit-identical across worker-thread counts and across
-/// incremental/rebuild context modes. With `clean_slots`, agent noise and
-/// transport delay are zeroed so quiet slots stay clean between builds.
+/// stack must stay bit-identical across worker-thread counts. With
+/// `clean_slots`, agent noise and transport delay are zeroed so a quiet
+/// node's sample repeats bit for bit.
 PredictiveRun run_predictive_cluster(std::size_t worker_threads,
                                      const std::string& policy,
-                                     bool incremental,
                                      bool clean_slots = false) {
   cluster::ClusterConfig cfg;
   cfg.num_nodes = 100;
@@ -754,7 +751,6 @@ PredictiveRun run_predictive_cluster(std::size_t worker_threads,
   p.collector.faults.agent_recovery_rate = 0.25;
   p.collector.faults.corruption_rate = 0.01;
   p.max_sample_age_cycles = 3;
-  p.incremental_context = incremental;
   p.prediction.enabled = true;
   p.prediction.kind = "ewma";
   p.prediction.horizon_cycles = 5;
@@ -766,7 +762,6 @@ PredictiveRun run_predictive_cluster(std::size_t worker_threads,
   auto mgr = std::make_unique<CappingManager>(
       p, make_policy(policy), common::Rng(cfg.seed ^ 0x9d2c5680u));
   mgr->set_candidate_set(cl.controllable_nodes());
-  const CappingManager& flat = *mgr;
   cl.set_manager(std::move(mgr));
 
   cl.start_recording();
@@ -776,13 +771,10 @@ PredictiveRun run_predictive_cluster(std::size_t worker_threads,
   out.points = cl.recorder().points();
   out.prom = strip_spans(cl.metrics().prometheus_text());
   out.samples_lost = cl.last_report().samples_lost;
-  out.stats = flat.incremental_stats();
-  out.candidates = flat.candidate_set().size();
   return out;
 }
 
-void expect_identical(const PredictiveRun& a, const PredictiveRun& b,
-                      bool compare_prom) {
+void expect_identical(const PredictiveRun& a, const PredictiveRun& b) {
   ASSERT_EQ(a.points.size(), b.points.size());
   for (std::size_t i = 0; i < a.points.size(); ++i) {
     const metrics::CyclePoint& pa = a.points[i];
@@ -798,48 +790,35 @@ void expect_identical(const PredictiveRun& a, const PredictiveRun& b,
   EXPECT_EQ(a.samples_lost, b.samples_lost);
   // The Prometheus export is the cross-cutting check: every counter and
   // gauge — including the pcap_predictor_* series — in one diff.
-  // Incremental/rebuild runs legitimately differ in the context-build
-  // statistics, so only thread-count comparisons include it.
-  if (compare_prom) {
-    EXPECT_EQ(a.prom, b.prom);
-  }
+  EXPECT_EQ(a.prom, b.prom);
 }
 
 TEST(PredictiveDeterminism, PiCDegradedRunIsThreadInvariant) {
-  const PredictiveRun serial = run_predictive_cluster(1, "pi-c", true);
+  const PredictiveRun serial = run_predictive_cluster(1, "pi-c");
   ASSERT_GT(serial.points.size(), 250u);
   EXPECT_GT(serial.samples_lost, 0u);  // the fault machinery really fired
   EXPECT_NE(serial.prom.find("pcap_predictor_forecast_watts"),
             std::string::npos);
-  const PredictiveRun four = run_predictive_cluster(4, "pi-c", true);
-  expect_identical(serial, four, /*compare_prom=*/true);
+  const PredictiveRun four = run_predictive_cluster(4, "pi-c");
+  expect_identical(serial, four);
 }
 
 TEST(PredictiveDeterminism, PredCDegradedRunIsThreadInvariant) {
-  const PredictiveRun serial = run_predictive_cluster(1, "pred-c", true);
-  const PredictiveRun four = run_predictive_cluster(4, "pred-c", true);
-  expect_identical(serial, four, /*compare_prom=*/true);
+  const PredictiveRun serial = run_predictive_cluster(1, "pred-c");
+  const PredictiveRun four = run_predictive_cluster(4, "pred-c");
+  expect_identical(serial, four);
 }
 
-TEST(PredictiveDeterminism, IncrementalAndRebuildContextsAgree) {
-  const PredictiveRun inc = run_predictive_cluster(1, "pi-c", true);
-  const PredictiveRun rebuild = run_predictive_cluster(1, "pi-c", false);
-  expect_identical(inc, rebuild, /*compare_prom=*/false);
-}
-
-// The rig above dirties every slot every cycle (agent noise, two-cycle
-// delay). Zeroing both keeps quiet slots clean, so the selective delta
-// path meets the stale, rejected and missing views the faults make.
+// The rigs above draw agent noise and delay every report two cycles.
+// Zeroing both makes a quiet node's sample repeat bit for bit, so the
+// build meets the stale, rejected and missing views the faults make on
+// otherwise unchanged telemetry; it must stay thread-invariant there too.
 TEST(PredictiveDeterminism, IncrementalAndRebuildAgreeWithCleanSlots) {
-  const PredictiveRun inc = run_predictive_cluster(1, "pi-c", true, true);
-  ASSERT_GT(inc.points.size(), 250u);
-  EXPECT_GT(inc.samples_lost, 0u);
-  EXPECT_GT(inc.stats.full_builds, 0u);
-  EXPECT_GT(inc.stats.delta_builds, 0u);
-  EXPECT_LT(inc.stats.dirty_slots, inc.stats.delta_builds * inc.candidates);
-  const PredictiveRun rebuild = run_predictive_cluster(1, "pi-c", false, true);
-  EXPECT_EQ(rebuild.stats.delta_builds, 0u);
-  expect_identical(inc, rebuild, /*compare_prom=*/false);
+  const PredictiveRun serial = run_predictive_cluster(1, "pi-c", true);
+  ASSERT_GT(serial.points.size(), 250u);
+  EXPECT_GT(serial.samples_lost, 0u);
+  const PredictiveRun four = run_predictive_cluster(4, "pi-c", true);
+  expect_identical(serial, four);
 }
 
 }  // namespace
