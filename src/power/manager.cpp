@@ -18,7 +18,7 @@ Watts plausible_ceiling(const hw::Node& node) {
   return node.spec().power_model.theoretical_max() * 1.5;
 }
 
-bool plausible_sample(const telemetry::NodeSample& s, Watts ceiling) {
+bool plausible_sample(const telemetry::HeldSample& s, Watts ceiling) {
   const double w = s.estimated_power.value();
   return std::isfinite(w) && w >= 0.0 && s.estimated_power <= ceiling;
 }
@@ -341,38 +341,44 @@ void CappingManager::assemble_context(
 
   job_index_.sync(scheduler);
 
-  // 1. Parallel refill of every slot's ViewRecord from strictly per-node
-  // inputs: this slot's telemetry history, this node's spec/power model
-  // (its memoisation caches are touched by exactly one worker), and this
-  // node's reconciler entries (read-only here — all reconciler mutation is
-  // deferred to the serial merge, and observe_node(j) only ever touches
-  // node j's state). Chunk boundaries are fixed by the grain, so the
-  // records are identical for any worker count.
+  // 1. Parallel refill of every slot's ViewRecord, and of its view in
+  // place at ctx.nodes[slot], from strictly per-node inputs: this slot's
+  // telemetry history, this node's spec/power model (its memoisation
+  // caches are touched by exactly one worker), and this node's reconciler
+  // entries (read-only here — all reconciler mutation is deferred to the
+  // serial merge, and observe_node(j) only ever touches node j's state).
+  // Chunk boundaries are fixed by the grain, so the records are identical
+  // for any worker count. resize() keeps the capacity, so after the first
+  // cycle this fills existing storage.
   view_records_.resize(n);
+  ctx.nodes.resize(n);
   common::maybe_parallel_for(
       pool_, n, params_.collector.parallel_threshold,
       params_.collector.parallel_grain,
       [&](std::size_t begin, std::size_t end) {
         for (std::size_t slot = begin; slot < end; ++slot) {
-          fill_view_record(slot, candidates, nodes, rec, now_cycle, max_age);
+          fill_view_record(slot, candidates, nodes, rec, now_cycle, max_age,
+                           ctx.nodes[slot]);
         }
       });
 
   // 2. Serial merge in candidate order — the order the reconciler, heal
-  // emission and the counters must see. clear() keeps the capacity, so
-  // after the first cycle this fills existing storage.
+  // emission and the counters must see. Views compact forward over the
+  // slots that have none: slot >= kept always, so every move reads a view
+  // this build wrote.
   ctx.stale_nodes = 0;
   ctx.missing_nodes = 0;
   ctx.fallback_nodes = 0;
   ctx.rejected_samples = 0;
   ctx.unresponsive_nodes = 0;
-  ctx.nodes.clear();
-  NodeView nv;
+  std::size_t kept = 0;
   for (std::size_t slot = 0; slot < n; ++slot) {
-    if (merge_slot(slot, ctx, nodes, rec, work, now_cycle, nv)) {
-      ctx.nodes.push_back(nv);
+    if (merge_slot(slot, ctx, nodes, rec, work, now_cycle, ctx.nodes[slot])) {
+      if (kept != slot) ctx.nodes[kept] = ctx.nodes[slot];
+      ++kept;
     }
   }
+  ctx.nodes.resize(kept);
   ctx.index_nodes();
 
   // 3. Job views. entries() mirrors scheduler.running_jobs() in order, and
@@ -387,7 +393,8 @@ void CappingManager::fill_view_record(std::size_t slot,
                                       const std::vector<hw::Node>& nodes,
                                       const ActuationReconciler* rec,
                                       std::uint64_t now_cycle,
-                                      std::uint64_t max_age) const {
+                                      std::uint64_t max_age,
+                                      NodeView& out) const {
   ViewRecord& vr = view_records_[slot];
   const hw::NodeId id = candidates[slot];
   const auto& hist = collector_.history_at_slot(slot);
@@ -419,7 +426,7 @@ void CappingManager::fill_view_record(std::size_t slot,
     return;
   }
 
-  const telemetry::NodeSample& latest = hist[chosen];
+  const telemetry::HeldSample& latest = hist[chosen];
   NodeView nv;
   nv.id = id;
   nv.level = latest.level;
@@ -461,7 +468,7 @@ void CappingManager::fill_view_record(std::size_t slot,
   // it.
   nv.power_one_level_down =
       nv.at_lowest ? nv.power : node.estimated_power_at(latest.level - 1);
-  vr.view = nv;
+  out = nv;
   vr.sample_cycle = latest.cycle;
   vr.status = ViewRecord::Status::kOk;
 }
@@ -484,7 +491,6 @@ bool CappingManager::merge_slot(std::size_t slot, PolicyContext& ctx,
     case ViewRecord::Status::kOk:
       break;
   }
-  nv = vr.view;
   if (nv.stale) {
     ++ctx.stale_nodes;
     ++ctx.fallback_nodes;

@@ -448,18 +448,20 @@ class CappingManager final : public PowerManagerBase {
   /// views, and the safe-side power accounting is applied;
   /// build_context_into passes nullptr for a read-only build.
   ///
-  /// Steps: (1) refill every slot's ViewRecord in parallel from strictly
-  /// per-node inputs; (2) a serial merge in candidate order applies
-  /// everything order-sensitive (reconciler mutation, tallies, safe-side
-  /// pending accounting) and compacts the views into ctx.nodes; (3) the
-  /// job pass. Output is bit-identical across worker counts.
+  /// Steps: (1) refill every slot's ViewRecord, and its view in place at
+  /// ctx.nodes[slot], in parallel from strictly per-node inputs; (2) a
+  /// serial merge in candidate order applies everything order-sensitive
+  /// (reconciler mutation, tallies, safe-side pending accounting) and
+  /// compacts the kept views forward; (3) the job pass. Output is
+  /// bit-identical across worker counts.
   void assemble_context(PolicyContext& ctx,
                         const std::vector<hw::Node>& nodes,
                         const sched::Scheduler& scheduler,
                         ActuationReconciler* rec,
                         ActuationReconciler::CycleWork* work) const;
 
-  /// One candidate slot's output from the sharded assembly pass.
+  /// One candidate slot's bookkeeping from the sharded assembly pass; the
+  /// slot's view itself lives in ctx.nodes[slot] until the merge.
   struct ViewRecord {
     enum class Status : std::uint8_t {
       kMissing,              ///< no plausible sample in the window
@@ -467,27 +469,27 @@ class CappingManager final : public PowerManagerBase {
       kExcludedUnresponsive, ///< abandoned and stale: out of the context
       kOk,
     };
-    NodeView view;                  ///< valid only when status == kOk
     std::uint64_t sample_cycle = 0; ///< cycle stamp of the chosen sample
     std::uint32_t rejected = 0;     ///< implausible samples skipped
     Status status = Status::kMissing;
     bool substituted = false;  ///< fresh only after skipping corrupt ones
   };
 
-  /// Refill body for one slot: derives view_records_[slot] from strictly
-  /// per-node inputs.
+  /// Refill body for one slot: derives view_records_[slot] and, when its
+  /// status is kOk, the slot's view `out` from strictly per-node inputs.
   void fill_view_record(std::size_t slot,
                         const std::vector<hw::NodeId>& candidates,
                         const std::vector<hw::Node>& nodes,
                         const ActuationReconciler* rec,
-                        std::uint64_t now_cycle, std::uint64_t max_age) const;
+                        std::uint64_t now_cycle, std::uint64_t max_age,
+                        NodeView& out) const;
 
   /// The per-slot merge rule: tallies the record, runs the reconciler on
   /// a fresh view (adopt a failsafe level awaiting adoption, otherwise
   /// observe) and applies the pending-command safe-side accounting.
-  /// Returns false when the slot has no context view; otherwise `nv` is
-  /// the view to place. `rec` may be null (read-only build): no
-  /// observation and no pending accounting.
+  /// `nv` is the slot's view from the refill, finished in place. Returns
+  /// false when the slot has no context view. `rec` may be null
+  /// (read-only build): no observation and no pending accounting.
   bool merge_slot(std::size_t slot, PolicyContext& ctx,
                   const std::vector<hw::Node>& nodes, ActuationReconciler* rec,
                   ActuationReconciler::CycleWork* work,

@@ -36,6 +36,10 @@ void ActuationReconciler::CycleWork::clear() {
 
 ActuationReconciler::ActuationReconciler(ReconcilerParams params)
     : params_(params) {
+  // One Slot per id in the touched span; observe_node touches every fresh
+  // view, so the span is the whole candidate set.
+  static_assert(sizeof(Slot) <= 40,
+                "reconciler Slot must stay packed (u64s, then ints, then flags)");
   params_.validate();
 }
 

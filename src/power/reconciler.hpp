@@ -166,15 +166,17 @@ class ActuationReconciler {
   /// Per-node reconciliation state, indexed directly by node id. The
   /// observe path runs once per candidate per non-green cycle, so probes
   /// must be O(1) array hits, not tree walks. The table covers only the
-  /// id span this reconciler has touched (~48 bytes per id in it): a zone
+  /// id span this reconciler has touched (40 bytes per id in it): a zone
   /// shard pays for its own zone's ids, not for every id below them.
+  /// Widest fields first, so the three ints and three flags share the
+  /// last two words instead of padding each 4-byte field to 8.
   struct Slot {
-    hw::Level pending_target = 0;            ///< valid iff has_pending
     std::uint64_t issued_cycle = 0;          ///< valid iff has_pending
     std::uint64_t next_retry_cycle = 0;      ///< valid iff has_pending
+    std::uint64_t observed_cycle = 0;        ///< valid iff has_believed
+    hw::Level pending_target = 0;            ///< valid iff has_pending
     int pending_retries = 0;                 ///< valid iff has_pending
     hw::Level believed_level = 0;            ///< valid iff has_believed
-    std::uint64_t observed_cycle = 0;        ///< valid iff has_believed
     bool has_pending = false;
     bool has_believed = false;
     bool unresponsive = false;

@@ -52,7 +52,7 @@ void Collector::set_candidate_set(const std::vector<hw::NodeId>& nodes) {
   const std::size_t depth = hist_depth_;
   const bool lossy = params_.transport.loss_rate > 0.0;
   const bool delayed = params_.transport.delay_cycles > 0;
-  std::vector<NodeSample> next_store(depth * next.size());
+  std::vector<HeldSample> next_store(depth * next.size());
   std::vector<ProfilingAgent> next_agents;
   next_agents.reserve(next.size());
   std::vector<common::Rng> next_loss;
@@ -109,7 +109,6 @@ void Collector::collect_one(std::size_t slot, const hw::Node& node,
   const TransportParams& tp = params_.transport;
 
   NodeSample sample = agents_[slot].sample(node, now);
-  sample.cycle = cycle_counter_;
 
   // Fault disposition first: a report that never leaves the node sees no
   // transport at all. Corruption mangles the sample in place and lets it
@@ -121,12 +120,12 @@ void Collector::collect_one(std::size_t slot, const hw::Node& node,
   } else if (tp.loss_rate > 0.0 && loss_rng_[slot].bernoulli(tp.loss_rate)) {
     ++lost;
   } else if (tp.delay_cycles == 0) {
-    push_history(slot, sample);
+    push_history(slot, HeldSample::of(sample, cycle_counter_));
     ++delivered;
   } else {
     in_flight_[slot].push_back(
         InFlight{cycle_counter_ + static_cast<std::uint64_t>(tp.delay_cycles),
-                 sample});
+                 HeldSample::of(sample, cycle_counter_)});
   }
   if (tp.delay_cycles == 0) return;
 
@@ -176,13 +175,13 @@ void Collector::skip_cycle(std::size_t monitored_jobs) {
       cost_model_.cpu_utilization(0, monitored_jobs, cycle_period_);
 }
 
-std::optional<NodeSample> Collector::latest(hw::NodeId id) const {
+std::optional<HeldSample> Collector::latest(hw::NodeId id) const {
   const std::uint32_t slot = slot_of(id);
   if (slot == kNoSlot || hist_size_[slot] == 0) return std::nullopt;
   return history_at_slot(slot).back();
 }
 
-std::optional<NodeSample> Collector::previous(hw::NodeId id) const {
+std::optional<HeldSample> Collector::previous(hw::NodeId id) const {
   const std::uint32_t slot = slot_of(id);
   if (slot == kNoSlot || hist_size_[slot] < 2) return std::nullopt;
   const SampleHistoryView h = history_at_slot(slot);

@@ -6,6 +6,11 @@
 // samples, §IV.B). The candidate set can change at runtime (§II.A: the set
 // "may vary during the execution of the system").
 //
+// Agents report a NodeSample; the collector converts each report to a
+// HeldSample once, after the fault injector has had its say and before
+// the transport, so the in-flight queue and the history arena hold only
+// the fields the manager reads.
+//
 // Per-candidate state is sized by the configured fault model. The history
 // holds the newest two samples — all the manager ever reads — unless
 // deliveries can be corrupted, when it holds `history_depth` so the
@@ -70,7 +75,7 @@ struct CollectorParams {
 class SampleHistoryView {
  public:
   SampleHistoryView() = default;
-  SampleHistoryView(const NodeSample* base, std::size_t stride,
+  SampleHistoryView(const HeldSample* base, std::size_t stride,
                     std::uint32_t head, std::uint32_t size,
                     std::uint32_t depth)
       : base_(base), stride_(stride), head_(head), size_(size),
@@ -80,17 +85,17 @@ class SampleHistoryView {
   [[nodiscard]] bool empty() const { return size_ == 0; }
   [[nodiscard]] std::size_t capacity() const { return depth_; }
   /// k-th sample, oldest first (k < size()).
-  [[nodiscard]] const NodeSample& operator[](std::size_t k) const {
+  [[nodiscard]] const HeldSample& operator[](std::size_t k) const {
     std::uint32_t stripe =
         head_ + depth_ - size_ + static_cast<std::uint32_t>(k);
     if (stripe >= depth_) stripe -= depth_;
     return base_[static_cast<std::size_t>(stripe) * stride_];
   }
-  [[nodiscard]] const NodeSample& front() const { return (*this)[0]; }
-  [[nodiscard]] const NodeSample& back() const { return (*this)[size_ - 1]; }
+  [[nodiscard]] const HeldSample& front() const { return (*this)[0]; }
+  [[nodiscard]] const HeldSample& back() const { return (*this)[size_ - 1]; }
 
  private:
-  const NodeSample* base_ = nullptr;
+  const HeldSample* base_ = nullptr;
   std::size_t stride_ = 1;
   std::uint32_t head_ = 0;
   std::uint32_t size_ = 0;
@@ -128,9 +133,9 @@ class Collector {
   void skip_cycle(std::size_t monitored_jobs);
 
   /// Latest sample of a node; nullopt if never sampled / not a candidate.
-  [[nodiscard]] std::optional<NodeSample> latest(hw::NodeId id) const;
+  [[nodiscard]] std::optional<HeldSample> latest(hw::NodeId id) const;
   /// Sample before the latest one (for rate-of-change policies).
-  [[nodiscard]] std::optional<NodeSample> previous(hw::NodeId id) const;
+  [[nodiscard]] std::optional<HeldSample> previous(hw::NodeId id) const;
   /// A node's whole sample history in one lookup (nullopt if not a
   /// candidate) — the manager's context builder reads latest and previous
   /// together, and one slot probe beats two.
@@ -197,7 +202,7 @@ class Collector {
  private:
   struct InFlight {
     std::uint64_t deliver_at_cycle;
-    NodeSample sample;
+    HeldSample sample;
   };
   /// One candidate's sweep step: sample, transport (loss/delay), deliver.
   /// Samples one node and routes the report through the transport model.
@@ -207,7 +212,7 @@ class Collector {
                    std::uint64_t& delivered, std::uint64_t& lost);
 
   /// Appends a delivered sample to slot's history ring in the arena.
-  void push_history(std::size_t slot, const NodeSample& s) {
+  void push_history(std::size_t slot, const HeldSample& s) {
     hist_store_[static_cast<std::size_t>(hist_head_[slot]) * hist_stride_ +
                 slot] = s;
     const std::uint32_t next = hist_head_[slot] + 1;
@@ -253,7 +258,7 @@ class Collector {
   /// is what dominated the sweep at 32k+ candidates. Loss/delay/faults
   /// only ever let individual heads fall behind; correctness never
   /// depends on the alignment.
-  std::vector<NodeSample> hist_store_;
+  std::vector<HeldSample> hist_store_;
   std::vector<std::uint32_t> hist_head_;  ///< next stripe to write, per slot
   std::vector<std::uint32_t> hist_size_;  ///< samples held, per slot
   std::size_t hist_stride_ = 0;           ///< == candidates_.size()

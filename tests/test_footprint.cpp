@@ -63,17 +63,20 @@ void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
 namespace pcap {
 namespace {
 
-// (c) The sample layout: narrow fields packed together, no 8-byte word
+// (c) The sample layouts: narrow fields packed together, no 8-byte word
 // spent on a lone 4-byte or 1-byte field. Every history arena slot pays
-// this size once per held sample per candidate.
-static_assert(sizeof(telemetry::NodeSample) <= 72,
+// sizeof(HeldSample) once per held sample per candidate; a NodeSample
+// lives only between the agent and the collector's conversion.
+static_assert(sizeof(telemetry::NodeSample) <= 64,
               "NodeSample must stay packed (node, level, busy together)");
+static_assert(sizeof(telemetry::HeldSample) <= 40,
+              "HeldSample must stay packed (level and busy share a word)");
 
 constexpr std::size_t kCandidates = 4096;
 
 /// What installing kCandidates candidates into a fresh collector
 /// allocates: the sample-history arena (the window the collector actually
-/// holds x sizeof(NodeSample) per candidate) and the per-candidate rest.
+/// holds x sizeof(HeldSample) per candidate) and the per-candidate rest.
 struct CollectorInstall {
   std::size_t window = 0;
   std::size_t arena = 0;
@@ -92,7 +95,7 @@ CollectorInstall install_candidates(const telemetry::CollectorParams& p) {
   CollectorInstall out;
   out.bytes = static_cast<std::size_t>(g_allocated.load() - before);
   out.window = c.history(0)->capacity();
-  out.arena = out.window * sizeof(telemetry::NodeSample) * kCandidates;
+  out.arena = out.window * sizeof(telemetry::HeldSample) * kCandidates;
   return out;
 }
 
@@ -208,9 +211,9 @@ std::int64_t live_bytes_after_first_build(std::size_t n, MakeManager make) {
 // Z=8 block-zoned tree over N nodes holds its per-node tables per shard,
 // each covering only that shard's id span, so after the first context
 // build it holds about what one flat manager over the same N nodes does.
-// Measured at 1.04x (N = 4096, x86-64 / libstdc++): the residue is
-// per-shard fixed cost (eight policies and job indexes). The bound is
-// 1.10x. With every
+// Measured at 1.06x (N = 4096, x86-64 / libstdc++; 356.8 vs 337.8 B per
+// node): the residue is per-shard fixed cost (eight policies and job
+// indexes). The bound is 1.10x. With every
 // shard's tables sized [0, max id] (shard z covering z + 1 eighths of the
 // id range: 4.5 N entries per table over the eight shards) it measured
 // 1.46x.
@@ -232,6 +235,26 @@ TEST(Footprint, BlockZonedTreeHoldsAboutWhatAFlatManagerDoes) {
   EXPECT_LE(static_cast<double>(tree), 1.10 * static_cast<double>(flat))
       << "tree " << tree << " B vs flat " << flat << " B ("
       << static_cast<double>(tree) / static_cast<double>(flat) << "x)";
+}
+
+// (d) A flat manager holds each candidate's sample and view once: the
+// history arena keeps 40-byte held samples, not the agent's whole report,
+// and the context's views are built in place in ctx.nodes, not in a
+// per-slot record first and copied. Measured at 337.8 B per node after
+// the first build (N = 4096, mpc-c, x86-64 / libstdc++). With 72-byte
+// samples in the two-sample arena it measured 401.8 B; with a copy of
+// each view in the per-slot record, 393.8 B; with both, 457.8 B (465.8 B
+// with a 48-byte reconciler slot besides). The budget of 360 B fails if
+// either comes back.
+TEST(Footprint, FlatManagerHoldsEachCandidateOnce) {
+  constexpr std::size_t kNodes = 4096;
+  constexpr double kPerNodeBudget = 360.0;
+  const std::int64_t flat = live_bytes_after_first_build(kNodes, [] {
+    return std::make_unique<power::CappingManager>(
+        manager_params(), power::make_policy("mpc-c"), common::Rng(1));
+  });
+  const double per_node = static_cast<double>(flat) / kNodes;
+  EXPECT_LE(per_node, kPerNodeBudget) << "live " << per_node << " B per node";
 }
 
 }  // namespace

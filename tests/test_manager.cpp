@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -714,6 +715,145 @@ TEST(TelemetryWindow, CorruptionKeepsDeepWindowAndSkipsCorruptNewest) {
   };
   run_windowed(p, 300, check);
   EXPECT_GT(skipped_newest, 0u);
+}
+
+/// Checks a built context against the collector it was built from: the
+/// views are compacted in candidate order and are exactly the candidates
+/// that have one this build — a sample in the window, and not stale while
+/// the reconciler held the node unresponsive (`unresponsive[id]`, as of
+/// the start of the build; all false for a read-only build) — and each
+/// reads this cycle's newest two samples (no corruption is configured). A
+/// read-only build (`reconciled` false) marks no command in flight.
+/// Appends the candidates without a view to `holes`.
+void check_compacted(const CappingManager& m, const PolicyContext& ctx,
+                     bool reconciled, const std::vector<bool>& unresponsive,
+                     std::uint64_t max_age, int c,
+                     std::vector<hw::NodeId>& holes) {
+  const telemetry::Collector& col = m.collector();
+  const std::vector<hw::NodeId>& candidates = col.candidate_set();
+  for (std::size_t k = 1; k < ctx.nodes.size(); ++k) {
+    ASSERT_LT(ctx.nodes[k - 1].id, ctx.nodes[k].id) << "cycle " << c;
+  }
+  EXPECT_EQ(ctx.nodes.size(), candidates.size() - ctx.missing_nodes -
+                                  ctx.unresponsive_nodes)
+      << "cycle " << c;
+  std::size_t k = 0;
+  for (const hw::NodeId id : candidates) {
+    const auto latest = col.latest(id);
+    const bool stale =
+        latest.has_value() && col.cycle_count() - latest->cycle > max_age;
+    if (!latest.has_value() || (unresponsive[id] && stale)) {
+      holes.push_back(id);
+      EXPECT_EQ(ctx.node(id), nullptr) << "cycle " << c << " node " << id;
+      continue;
+    }
+    ASSERT_LT(k, ctx.nodes.size()) << "cycle " << c << " node " << id;
+    const NodeView& nv = ctx.nodes[k++];
+    ASSERT_EQ(nv.id, id) << "cycle " << c;
+    ASSERT_EQ(ctx.node(id), &nv) << "cycle " << c << " node " << id;
+    EXPECT_EQ(nv.stale, stale) << "cycle " << c << " node " << id;
+    EXPECT_EQ(nv.level, latest->level) << "cycle " << c << " node " << id;
+    EXPECT_EQ(nv.busy, latest->busy) << "cycle " << c << " node " << id;
+    EXPECT_EQ(nv.temperature.value(), latest->temperature.value())
+        << "cycle " << c << " node " << id;
+    const auto prev = col.previous(id);
+    ASSERT_EQ(nv.has_prev, prev.has_value()) << "cycle " << c << " node " << id;
+    if (prev) {
+      EXPECT_EQ(nv.power_prev.value(), prev->estimated_power.value())
+          << "cycle " << c << " node " << id;
+    }
+    if (!reconciled) {
+      EXPECT_FALSE(nv.command_in_flight) << "cycle " << c << " node " << id;
+    }
+    if (!stale && !nv.command_in_flight) {
+      EXPECT_EQ(nv.power.value(), latest->estimated_power.value())
+          << "cycle " << c << " node " << id;
+    }
+  }
+  EXPECT_EQ(k, ctx.nodes.size()) << "cycle " << c;
+}
+
+// The context build writes each slot's view in place and compacts the
+// kept ones forward over slots without a view: never-sampled candidates
+// (missing) and abandoned nodes gone stale (excluded). Agent dropout with
+// a zero retry budget keeps abandoning nodes and readmitting them as their
+// agents recover, so the holes move from build to build; both the
+// manager's own context and a read-only one reused every cycle must carry
+// exactly this build's views, none left over from an earlier one.
+TEST(ContextCompaction, ViewsCompactForwardAroundMissingAndExcludedSlots) {
+  constexpr int kNodes = 24;
+  constexpr hw::NodeId kLateJoiner = 11;
+  Rig rig(kNodes);
+  rig.load(0.9);
+  rig.run_job(1, 12 * kNodes);
+  CappingManagerParams p = fast_params();
+  p.thresholds.training_cycles = 0;
+  p.thresholds.adjust_period_cycles = 1000;
+  p.max_sample_age_cycles = 2;
+  p.collector.faults.agent_dropout_rate = 0.1;
+  p.collector.faults.agent_recovery_rate = 0.3;
+  p.reconciliation.max_retries = 0;  // abandon at the first due check
+  p.reconciliation.retry_backoff_base_cycles = 1;
+  const auto max_age = static_cast<std::uint64_t>(p.max_sample_age_cycles);
+  CappingManager m(p, make_policy("mpc"),
+                   common::Rng(fault_seed(11)).fork("compaction"));
+  std::vector<hw::NodeId> all(kNodes);
+  for (int i = 0; i < kNodes; ++i) all[i] = static_cast<hw::NodeId>(i);
+  std::vector<hw::NodeId> early;
+  for (const hw::NodeId id : all) {
+    if (id != kLateJoiner) early.push_back(id);
+  }
+  m.set_candidate_set(early);
+
+  const std::vector<bool> read_only(kNodes, false);
+  PolicyContext ro;  // reused every cycle: a leftover view would show
+  std::vector<hw::NodeId> holes;
+  std::vector<hw::NodeId> prev_holes;
+  std::size_t excluded_between = 0;  // excluded slots with kept ones around
+  std::size_t moved = 0;
+  bool never_sampled_hole = false;
+  for (int c = 1; c <= 200; ++c) {
+    if (c == 20) {
+      m.set_candidate_set(all);
+      m.build_context_into(ro, Watts{0.0}, rig.nodes, rig.scheduler);
+      holes.clear();
+      check_compacted(m, ro, false, read_only, max_age, c, holes);
+      never_sampled_hole =
+          std::find(holes.begin(), holes.end(), kLateJoiner) != holes.end();
+    }
+    // Red every fifth cycle floors the candidates; the green cycles in
+    // between restore them, so commands keep meeting down agents.
+    const bool red = c % 5 == 0;
+    std::vector<bool> unresponsive(kNodes);
+    for (const hw::NodeId id : all) {
+      unresponsive[id] = m.reconciler().unresponsive(id);
+    }
+    const bool builds = red || m.context_gate(PowerState::kGreen);
+    const ManagerReport r = m.cycle(red ? Watts{1e9} : Watts{0.0}, rig.nodes,
+                                    rig.scheduler,
+                                    Seconds{static_cast<double>(c)});
+    ASSERT_EQ(r.state, red ? PowerState::kRed : PowerState::kGreen);
+    if (builds) {
+      holes.clear();
+      const PolicyContext& ctx = m.context();
+      check_compacted(m, ctx, true, unresponsive, max_age, c, holes);
+      for (const hw::NodeId id : holes) {
+        // A hole with a sample is an excluded slot, not a missing one.
+        if (m.collector().latest(id).has_value() && !ctx.nodes.empty() &&
+            ctx.nodes.front().id < id && id < ctx.nodes.back().id) {
+          ++excluded_between;
+        }
+      }
+      if (holes != prev_holes) ++moved;
+      prev_holes = holes;
+    }
+    m.build_context_into(ro, Watts{0.0}, rig.nodes, rig.scheduler);
+    holes.clear();
+    check_compacted(m, ro, false, read_only, max_age, c, holes);
+  }
+  EXPECT_TRUE(never_sampled_hole);
+  EXPECT_GT(excluded_between, 0u);
+  EXPECT_GT(moved, 5u);
 }
 
 }  // namespace
