@@ -3,16 +3,18 @@
 // in steady state, independent of the data-plane tick.
 //
 // Five measurements per candidate count, serial and parallel:
-//   yellow   — full CappingManager::cycle with the meter pinned mid-band
-//              (collect + context build + policy select + actuation)
+//   yellow   — full one-zone ZoneTreeManager::cycle (the flat controller)
+//              with the meter pinned mid-band (collect + context build +
+//              policy select + actuation)
 //   red      — full cycle with the meter pinned above P_H (everything
 //              floors on the first cycle; the steady remainder is context
 //              assembly + the idempotent red walk)
 //   ctx+sel  — build_context_into + policy select alone, the two stages
 //              this bench exists to track (no collection, no actuation)
-//   zone-y   — ZoneTreeManager::cycle, meter pinned mid-band, measured in
-//              the quiescent steady state (every zone floored and clean,
-//              all Z zones skipping their sweeps). The flat yellow column
+//   zone-y   — Z-zone ZoneTreeManager::cycle, meter pinned mid-band,
+//              measured in the quiescent steady state (every zone floored
+//              and clean, all Z zones skipping their sweeps; hints exist
+//              only at Z >= 2). The flat yellow column
 //              pays the O(n) sweep every cycle in the same pinned state;
 //              the gap between the two columns is the quiescence win.
 //   zone-r   — same protocol with the meter pinned above P_H
@@ -153,8 +155,9 @@ Result run_case(const Case& c, bool parallel) {
   // -- yellow: full control cycles --
   {
     Rig rig(c.nodes);
-    power::CappingManager mgr(manager_params(provision),
-                              power::make_policy("mpc-c"), common::Rng(42));
+    power::ZoneTreeManager mgr(
+        power::ZoneTreeParams{}, manager_params(provision),
+        [] { return power::make_policy("mpc-c"); }, common::Rng(42));
     mgr.set_thread_pool(pool.get());
     mgr.set_candidate_set(all_ids);
     double now = 1.0;
@@ -174,8 +177,9 @@ Result run_case(const Case& c, bool parallel) {
   // -- red: full control cycles (steady after the first floor) --
   {
     Rig rig(c.nodes);
-    power::CappingManager mgr(manager_params(provision),
-                              power::make_policy("mpc-c"), common::Rng(42));
+    power::ZoneTreeManager mgr(
+        power::ZoneTreeParams{}, manager_params(provision),
+        [] { return power::make_policy("mpc-c"); }, common::Rng(42));
     mgr.set_thread_pool(pool.get());
     mgr.set_candidate_set(all_ids);
     double now = 1.0;
@@ -198,8 +202,9 @@ Result run_case(const Case& c, bool parallel) {
   // -- context assembly + selection in isolation --
   {
     Rig rig(c.nodes);
-    power::CappingManager mgr(manager_params(provision),
-                              power::make_policy("mpc-c"), common::Rng(42));
+    power::ZoneTreeManager mgr(
+        power::ZoneTreeParams{}, manager_params(provision),
+        [] { return power::make_policy("mpc-c"); }, common::Rng(42));
     mgr.set_thread_pool(pool.get());
     mgr.set_candidate_set(all_ids);
     double now = 1.0;
@@ -209,13 +214,15 @@ Result run_case(const Case& c, bool parallel) {
     }
     power::PolicyPtr policy = power::make_policy("mpc-c");
     power::PolicyContext ctx;
-    ctx.system_power = yellow;
     // Warm the context's buffers once so the loop measures steady state.
-    mgr.build_context_into(ctx, yellow, rig.nodes, *rig.scheduler);
+    const power::CappingManager& shard = mgr.zone(0);
+    shard.build_context_into(ctx, rig.nodes, *rig.scheduler);
+    ctx.system_power = yellow;
+    ctx.p_low = mgr.root().thresholds().p_low();
     std::size_t sink = 0;
     const double secs = timed([&] {
       for (int i = 0; i < c.ctx_iters; ++i) {
-        mgr.build_context_into(ctx, yellow, rig.nodes, *rig.scheduler);
+        shard.build_context_into(ctx, rig.nodes, *rig.scheduler);
         sink += policy->select(ctx).size();
       }
     });

@@ -6,15 +6,15 @@
 //   * the management-cost model's utilisation (what a production
 //     deployment would budget), and
 //   * the real wall-clock time of one full control cycle of our
-//     CappingManager (collect + context build + Algorithm 1), measured on
-//     this machine.
+//     one-zone capping manager (collect + context build + Algorithm 1),
+//     measured on the host that runs the bench.
 #include <chrono>
 #include <cstdio>
 
 #include "bench_common.hpp"
 #include "hw/node_spec.hpp"
-#include "power/manager.hpp"
 #include "power/policy_registry.hpp"
+#include "power/zone_manager.hpp"
 #include "workload/job_generator.hpp"
 #include "workload/npb.hpp"
 
@@ -81,8 +81,9 @@ int main() {
     params.thresholds.training_cycles = 0;
     params.collector.agent.utilization_noise = 0.0;
     params.collector.agent.nic_noise = 0.0;
-    power::CappingManager mgr(params, power::make_policy("mpc"),
-                              common::Rng(3));
+    power::ZoneTreeManager mgr(power::ZoneTreeParams{}, params,
+                               [] { return power::make_policy("mpc"); },
+                               common::Rng(3));
     std::vector<hw::NodeId> candidates;
     for (int i = 0; i < n; ++i) candidates.push_back(static_cast<hw::NodeId>(i));
     mgr.set_candidate_set(candidates);
@@ -112,7 +113,7 @@ int main() {
     const double measured_us =
         std::chrono::duration<double, std::micro>(t1 - t0).count() / reps;
 
-    const auto& cost = mgr.collector().cost_model();
+    const auto& cost = mgr.zone(0).collector().cost_model();
     const double model_us =
         cost.cycle_cost_us(static_cast<std::size_t>(n), monitored_jobs);
     const double model_util = cost.cpu_utilization(

@@ -39,8 +39,8 @@
 
 #include "cluster/cluster.hpp"
 #include "hw/node_spec.hpp"
-#include "power/manager.hpp"
 #include "power/policy_registry.hpp"
+#include "power/zone_manager.hpp"
 
 using namespace pcap;
 
@@ -73,8 +73,9 @@ void attach_manager(cluster::Cluster& cl) {
   p.thresholds.training_cycles = 0;
   p.thresholds.freeze_at_provision = true;
   p.cycle_period = Seconds{4.0};
-  auto mgr = std::make_unique<power::CappingManager>(
-      p, power::make_policy("mpc"), common::Rng(1234u ^ 0x9d2c5680u));
+  auto mgr = std::make_unique<power::ZoneTreeManager>(
+      power::ZoneTreeParams{}, p, [] { return power::make_policy("mpc"); },
+      common::Rng(1234u ^ 0x9d2c5680u));
   mgr->set_candidate_set(cl.controllable_nodes());
   cl.set_manager(std::move(mgr));
 }

@@ -8,8 +8,8 @@
 #include "cluster/cluster.hpp"
 #include "cluster/scenario.hpp"
 #include "metrics/report.hpp"
-#include "power/manager.hpp"
 #include "power/policy_registry.hpp"
+#include "power/zone_manager.hpp"
 
 int main() {
   using namespace pcap;
@@ -28,10 +28,11 @@ int main() {
       static_cast<std::int64_t>(600.0 / cfg.cluster.control_period.value());
   params.cycle_period = cfg.cluster.control_period;
 
-  auto manager = std::make_unique<power::CappingManager>(
-      params, power::make_policy("mpc"), common::Rng(3));
+  auto manager = std::make_unique<power::ZoneTreeManager>(
+      power::ZoneTreeParams{}, params, [] { return power::make_policy("mpc"); },
+      common::Rng(3));
   manager->set_candidate_set(cl.controllable_nodes());
-  const power::CappingManager* mgr = manager.get();
+  const power::ZoneTreeManager* mgr = manager.get();
   cl.set_manager(std::move(manager));
 
   std::printf("provision P_Max = %.0f W (thresholds start from it)\n\n",

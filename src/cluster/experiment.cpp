@@ -96,11 +96,6 @@ std::unique_ptr<power::PowerManagerBase> make_manager(
 
   power::CappingManagerParams p;
   if (config.dynamic_candidates) {
-    if (config.zone_count >= 2) {
-      throw std::invalid_argument(
-          "make_manager: zones.count >= 2 is incompatible with dynamic "
-          "candidate selection");
-    }
     power::CandidateSelectorParams sel;
     sel.max_candidates = config.candidate_count;
     p.selector = sel;
@@ -129,22 +124,19 @@ std::unique_ptr<power::PowerManagerBase> make_manager(
     // still overrides every knob).
     p.prediction.enabled = true;
   }
-  if (config.zone_count >= 2) {
-    power::ZoneTreeParams zp;
-    zp.zone_count = static_cast<std::size_t>(config.zone_count);
-    zp.assignment = power::parse_zone_assignment(config.zone_assignment);
-    zp.redistribution =
-        power::parse_zone_redistribution(config.zone_redistribution);
-    const std::string policy_name = config.manager;
-    const power::PiTuning pi = config.pi;
-    auto mgr = std::make_unique<power::ZoneTreeManager>(
-        zp, p, [policy_name, pi] { return make_policy_any(policy_name, pi); },
-        rng);
-    mgr->set_candidate_set(candidates);
-    return mgr;
-  }
-  auto mgr = std::make_unique<power::CappingManager>(
-      p, make_policy_any(config.manager, config.pi), rng);
+  // Every capping policy runs as a zone tree; Z = 1 is the flat
+  // controller. The tree rejects a selector at Z >= 2 and zone-crash
+  // windows at Z = 1.
+  power::ZoneTreeParams zp;
+  zp.zone_count = static_cast<std::size_t>(config.zone_count);
+  zp.assignment = power::parse_zone_assignment(config.zone_assignment);
+  zp.redistribution =
+      power::parse_zone_redistribution(config.zone_redistribution);
+  const std::string policy_name = config.manager;
+  const power::PiTuning pi = config.pi;
+  auto mgr = std::make_unique<power::ZoneTreeManager>(
+      zp, p, [policy_name, pi] { return make_policy_any(policy_name, pi); },
+      rng);
   mgr->set_candidate_set(candidates);
   return mgr;
 }

@@ -84,11 +84,11 @@ struct ExperimentConfig {
   /// PI controller tuning; consumed only by manager == "pi-c".
   power::PiTuning pi;
 
-  /// Hierarchical control plane: with zone_count >= 2 the capping-policy
-  /// managers run as a ZoneTreeManager (Z zone shards + a root learner /
-  /// headroom redistributor) instead of one flat CappingManager. 1 = the
-  /// flat controller. Incompatible with dynamic_candidates and with the
-  /// budget/feedback/none baselines.
+  /// Zones of the capping-policy manager, a ZoneTreeManager (Z zone
+  /// shards under one root learner / headroom redistributor). 1 = the
+  /// flat controller. Z >= 2 is incompatible with dynamic_candidates and
+  /// with the budget/feedback/none baselines; control.zone_outage_rate > 0
+  /// needs Z >= 2.
   int zone_count = 1;
   std::string zone_assignment = "block";        ///< block | stride
   std::string zone_redistribution = "uniform";  ///< uniform | proportional

@@ -12,13 +12,13 @@ namespace pcap::power {
 
 namespace {
 
-// v2: learner line grew a training_done flag; shard bodies carry opaque
-// predictor/policy state vectors; the tree carries the root predictor.
-// v1 images are not readable (warm restart is same-binary by design —
-// rejecting the old header loudly beats silently resuming without the
-// flag that says training already ended).
-constexpr const char* kShardHeader = "pcap-shard-checkpoint v2";
-constexpr const char* kTreeHeader = "pcap-tree-checkpoint v2";
+// v3: the tree is the only manager, so shard bodies carry no learner or
+// predictor line (the root's images sit once in the tree header).
+// Older images are not readable: warm restart is same-binary by design,
+// and rejecting the old header loudly beats resuming from a layout this
+// build no longer writes.
+constexpr const char* kTreeMagic = "pcap-tree-checkpoint";
+constexpr const char* kTreeVersion = "v3";
 
 /// C99 hexfloat: every bit of the mantissa survives the text round trip
 /// (iostream hexfloat extraction is unreliable across standard libraries,
@@ -141,7 +141,6 @@ std::vector<double> decode_doubles(Tokens& t, const char* tag) {
 }
 
 void encode_shard_body(std::ostringstream& out, const ShardCheckpoint& cp) {
-  encode_learner(out, cp.learner);
   out << "engine " << cp.engine.time_g << ' ' << cp.engine.degraded.size();
   for (const hw::NodeId id : cp.engine.degraded) out << ' ' << id;
   out << '\n';
@@ -155,13 +154,11 @@ void encode_shard_body(std::ostringstream& out, const ShardCheckpoint& cp) {
         << '\n';
   }
   out << "collector " << cp.collector_cycles << '\n';
-  encode_doubles(out, "predictor", cp.predictor_state);
   encode_doubles(out, "policy", cp.policy_state);
 }
 
 ShardCheckpoint decode_shard_body(Tokens& t) {
   ShardCheckpoint cp;
-  cp.learner = decode_learner(t);
   t.expect("engine");
   cp.engine.time_g = t.next_i64("time_g");
   const std::uint64_t degraded = t.next_u64("degraded count");
@@ -190,26 +187,11 @@ ShardCheckpoint decode_shard_body(Tokens& t) {
   }
   t.expect("collector");
   cp.collector_cycles = t.next_u64("collector cycles");
-  cp.predictor_state = decode_doubles(t, "predictor");
   cp.policy_state = decode_doubles(t, "policy");
   return cp;
 }
 
 }  // namespace
-
-std::string encode_checkpoint(const ShardCheckpoint& cp) {
-  std::ostringstream out;
-  out << kShardHeader << '\n';
-  encode_shard_body(out, cp);
-  return out.str();
-}
-
-ShardCheckpoint decode_shard_checkpoint(const std::string& text) {
-  Tokens t(text);
-  t.expect("pcap-shard-checkpoint");
-  t.expect("v2");
-  return decode_shard_body(t);
-}
 
 std::string encode_checkpoint(const TreeCheckpoint& cp) {
   if (cp.shards.size() != cp.hints.size()) {
@@ -217,7 +199,7 @@ std::string encode_checkpoint(const TreeCheckpoint& cp) {
         "checkpoint: tree shard/hint vectors must be parallel");
   }
   std::ostringstream out;
-  out << kTreeHeader << '\n';
+  out << kTreeMagic << ' ' << kTreeVersion << '\n';
   encode_learner(out, cp.learner);
   encode_doubles(out, "predictor", cp.predictor_state);
   out << "state " << cp.last_state << ' ' << cp.job_events_seen << '\n';
@@ -235,8 +217,13 @@ std::string encode_checkpoint(const TreeCheckpoint& cp) {
 
 TreeCheckpoint decode_tree_checkpoint(const std::string& text) {
   Tokens t(text);
-  t.expect("pcap-tree-checkpoint");
-  t.expect("v2");
+  t.expect(kTreeMagic);
+  const std::string version = t.next("version");
+  if (version != kTreeVersion) {
+    throw std::runtime_error("checkpoint: image version '" + version +
+                             "' is not readable; this build reads " +
+                             kTreeVersion + " only");
+  }
   TreeCheckpoint cp;
   cp.learner = decode_learner(t);
   cp.predictor_state = decode_doubles(t, "predictor");

@@ -6,7 +6,7 @@
 // unacceptable window. These structs capture the control plane's learned
 // and believed state — threshold learner window, Algorithm 1's A_degraded
 // and green timer, the reconciler's shadow tables, the collector's cycle
-// clock, and (for the zone tree) per-zone quiescence hints — so a fresh
+// clock, and (at Z >= 2) per-zone quiescence hints — so a fresh
 // manager restored from a checkpoint resumes capped behaviour on its
 // first cycle.
 //
@@ -37,7 +37,7 @@ struct LearnerCheckpoint {
   std::int64_t cycles_since_adjust = 0;
   std::int64_t adjustments = 0;
   bool frozen = false;
-  /// Training ended early via set_manual_peak() (v2).
+  /// Training ended early via set_manual_peak().
   bool training_done = false;
 };
 
@@ -64,26 +64,17 @@ struct ReconcilerCheckpoint {
   std::vector<ReconcilerSlotCheckpoint> slots;
 };
 
-/// One CappingManager's restorable state (flat manager or zone shard).
-/// The learner and predictor images are its control root's; a zone shard
-/// has none (the tree's root decides for it), so its image carries a
-/// default learner line and an empty predictor vector.
+/// One zone shard's restorable state. The learner and predictor images
+/// are the tree root's and live in TreeCheckpoint.
 struct ShardCheckpoint {
-  LearnerCheckpoint learner;
   EngineCheckpoint engine;
   ReconcilerCheckpoint reconciler;
   /// Collector cycle clock: believed/observed stamps above are in this
   /// timebase, so the restored collector must resume from it or every
   /// ack comparison would be skewed.
   std::uint64_t collector_cycles = 0;
-  /// Opaque PowerPredictor::checkpoint_state() image (v2); empty when the
-  /// manager runs without a predictor. A warm-restarted predictor must
-  /// resume bit-identically or the first post-restart forecast (and thus
-  /// the first predictive elevation) would diverge from the uninterrupted
-  /// run.
-  std::vector<double> predictor_state;
-  /// Opaque TargetSelectionPolicy::checkpoint_state() image (v2); empty
-  /// for stateless policies. Carries e.g. PI-C's integral term.
+  /// Opaque TargetSelectionPolicy::checkpoint_state() image; empty for
+  /// stateless policies. Carries e.g. PI-C's integral term.
   std::vector<double> policy_state;
 };
 
@@ -95,22 +86,23 @@ struct ZoneHintCheckpoint {
   bool ever_measured = false;
 };
 
-/// The whole zone tree: root learner + per-shard state + quiescence hints.
+/// The whole tree: root learner and predictor + per-shard state +
+/// quiescence hints (all-invalid at Z = 1, where hints do not exist).
 struct TreeCheckpoint {
   LearnerCheckpoint learner;  ///< the tree root's (only) learner
   std::vector<ShardCheckpoint> shards;
   std::vector<ZoneHintCheckpoint> hints;  ///< parallel to shards
   int last_state = 0;                     ///< root dirty-trigger state
   std::uint64_t job_events_seen = 0;
-  /// Root predictor image (v2); the shards' own predictor_state vectors
-  /// stay empty — prediction runs at the root only.
+  /// Opaque PowerPredictor::checkpoint_state() image; empty when the root
+  /// runs without a predictor. A warm-restarted predictor must resume
+  /// bit-identically or the first post-restart forecast (and thus the
+  /// first predictive elevation) would diverge from the uninterrupted run.
   std::vector<double> predictor_state;
 };
 
-// Text codecs. decode_* throws std::runtime_error on a malformed or
-// version-mismatched image.
-[[nodiscard]] std::string encode_checkpoint(const ShardCheckpoint& cp);
-[[nodiscard]] ShardCheckpoint decode_shard_checkpoint(const std::string& text);
+// Text codec. decode_tree_checkpoint throws std::runtime_error on a
+// malformed or version-mismatched image.
 [[nodiscard]] std::string encode_checkpoint(const TreeCheckpoint& cp);
 [[nodiscard]] TreeCheckpoint decode_tree_checkpoint(const std::string& text);
 

@@ -6,8 +6,8 @@
 // itself keeps running. At scale the management node is just another
 // machine: the root learner blacks out, a zone shard's process crashes,
 // or a control cycle stalls behind a GC pause / NFS hiccup. This injector
-// drives those failure modes so the consuming layers (CappingManager,
-// ZoneTreeManager, the node-local failsafe watchdog) can be exercised —
+// drives those failure modes so the consuming layers (ZoneTreeManager
+// and its shards, the node-local failsafe watchdog) can be exercised —
 // and hardened — against a dead loop.
 //
 // Domains: one root controller plus zero or more zone shards. Each domain

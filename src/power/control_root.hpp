@@ -1,9 +1,8 @@
 // The root of the control plane (§II's global power manager, §III.A–B).
 //
 // There is one facility meter, so there is one job that depends on it
-// alone, and every control plane runs it exactly once per cycle — the
-// flat CappingManager for its single shard, the zone tree for all of its
-// zones:
+// alone, and the capping manager (the zone tree, power/zone_manager.hpp)
+// runs it exactly once per cycle for all of its zones:
 //
 //   1. advance the control-fault windows (is the controller alive?),
 //   2. feed the meter reading to the ThresholdLearner (P_L/P_H, §III.A),

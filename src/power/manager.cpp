@@ -26,15 +26,7 @@ bool plausible_sample(const telemetry::HeldSample& s, Watts ceiling) {
 }  // namespace
 
 CappingManager::CappingManager(CappingManagerParams params, PolicyPtr policy,
-                               common::Rng rng)
-    : CappingManager(std::move(params), std::move(policy), rng, true) {}
-
-CappingManager::CappingManager(CappingManagerParams params, PolicyPtr policy,
-                               common::Rng rng, ShardTag)
-    : CappingManager(std::move(params), std::move(policy), rng, false) {}
-
-CappingManager::CappingManager(CappingManagerParams params, PolicyPtr policy,
-                               common::Rng rng, bool with_root)
+                               common::Rng& rng)
     : params_(params),
       policy_(std::move(policy)),
       // Fork order ("collector" first, then "actuation") is part of the
@@ -44,13 +36,6 @@ CappingManager::CappingManager(CappingManagerParams params, PolicyPtr policy,
       engine_(params.capping),
       channel_(params.actuation, rng.fork("actuation")),
       reconciler_(params.reconciliation) {
-  // "control" is forked LAST: appending the new stream after the two
-  // existing forks leaves every pre-existing seed's collector and
-  // actuation streams untouched.
-  if (with_root) {
-    root_.emplace(params_.thresholds, params_.prediction, params_.control,
-                  rng.fork("control"));
-  }
   if (!policy_) throw std::invalid_argument("CappingManager: null policy");
   if (params_.cycle_period <= Seconds{0.0}) {
     throw std::invalid_argument("CappingManager: bad cycle period");
@@ -70,21 +55,10 @@ CappingManager::CappingManager(CappingManagerParams params, PolicyPtr policy,
   // in-context transport-delay staleness only.
   collect_stride_ = params_.green_collect_stride;
   collector_.set_cycle_period(params_.cycle_period);
-  if (params_.selector) selector_.emplace(*params_.selector);
 }
 
 std::string CappingManager::name() const {
   return "capping:" + policy_->name();
-}
-
-const ControlRoot& CappingManager::root() const {
-  if (!root_) throw std::logic_error("CappingManager: zone shard has no root");
-  return *root_;
-}
-
-ControlRoot& CappingManager::root() {
-  if (!root_) throw std::logic_error("CappingManager: zone shard has no root");
-  return *root_;
 }
 
 void CappingManager::set_candidate_set(const std::vector<hw::NodeId>& ids) {
@@ -94,25 +68,12 @@ void CappingManager::set_candidate_set(const std::vector<hw::NodeId>& ids) {
   // index so both agree on membership. The refilter itself is deferred to
   // the next context build.
   job_index_.set_candidate_set(collector_.candidate_set());
-  if (owns_watchdog_groups_ && watchdog_ != nullptr) {
-    watchdog_->set_groups({collector_.candidate_set()});
-  }
-}
-
-void CappingManager::set_watchdog(hw::FailsafeWatchdog* wd) {
-  watchdog_ = wd;
-  watchdog_group_ = 0;
-  owns_watchdog_groups_ = wd != nullptr;
-  if (wd != nullptr) {
-    wd->set_groups({collector_.candidate_set()});
-  }
 }
 
 void CappingManager::attach_watchdog(hw::FailsafeWatchdog* wd,
                                      std::size_t group) {
   watchdog_ = wd;
   watchdog_group_ = group;
-  owns_watchdog_groups_ = false;
 }
 
 void ManagerMetrics::bind(obs::Registry& reg) {
@@ -310,14 +271,10 @@ void ManagerMetrics::publish(const ManagerReport& report,
   reg->set(m.orphan_zones, static_cast<double>(report.zones_down));
 }
 
-void CappingManager::bind_metrics(obs::Registry& reg) { metrics_.bind(reg); }
-
 void CappingManager::build_context_into(
-    PolicyContext& ctx, Watts measured, const std::vector<hw::Node>& nodes,
+    PolicyContext& ctx, const std::vector<hw::Node>& nodes,
     const sched::Scheduler& scheduler) const {
   assemble_context(ctx, nodes, scheduler, nullptr, nullptr);
-  ctx.system_power = measured;
-  ctx.p_low = root().thresholds().p_low();
 }
 
 void CappingManager::assemble_context(
@@ -639,9 +596,14 @@ void CappingManager::context_phase(const std::vector<hw::Node>& nodes,
 }
 
 CycleDecision CappingManager::select_phase(PowerState band,
-                                           Watts system_power, Watts p_low) {
+                                           Watts system_power, Watts p_low,
+                                           std::optional<Watts> forecast) {
   scratch_ctx_.system_power = system_power;
   scratch_ctx_.p_low = p_low;
+  // Overwrites any stamp from an earlier cycle: a context built before
+  // the predictor warmed up must not carry a forecast forward.
+  scratch_ctx_.has_forecast = forecast.has_value();
+  scratch_ctx_.forecast_power = forecast.value_or(Watts{0.0});
   return engine_.cycle(band, *policy_, scratch_ctx_);
 }
 
@@ -701,117 +663,8 @@ void CappingManager::add_shard_totals(ManagerReport& report) const {
   report.heals += recon_work_.heals;
 }
 
-ManagerReport CappingManager::dead_cycle(ManagerReport report,
-                                         std::vector<hw::Node>& nodes,
-                                         const sched::Scheduler& scheduler,
-                                         Seconds now) {
-  // No heartbeat (that is the whole point), no sweep — but the collector
-  // clock ticks so per-slot sample ages stay well-defined at recovery.
-  collect_phase(false, nodes, now, scheduler.running_count());
-  // Hardware does not pause with the controller: reboots happen and
-  // already-sent delayed commands still land (stamping watchdog contacts
-  // — the node cannot tell the sender is dead).
-  begin_actuation_phase(nodes);
-  report.transitions = apply_deliveries(nodes);
-  add_shard_totals(report);
-  metrics_.publish(report, reconciler_.unresponsive_count());
-  return report;
-}
-
-ManagerReport CappingManager::cycle(Watts measured,
-                                    std::vector<hw::Node>& nodes,
-                                    const sched::Scheduler& scheduler,
-                                    Seconds now) {
-  // 0/1. The root: control-fault windows, threshold learning, forecasting
-  // and the band this cycle runs in. The learner reads only the facility
-  // meter, never the collector, so it goes first: whether this cycle
-  // needs a full telemetry sweep depends on the band. A blacked-out (or
-  // stalled) controller contributes nothing else — the dead path models
-  // exactly what still happens without it.
-  ManagerReport report = root().cycle(measured, policy_->forecast_driven());
-  if (report.controller_down) {
-    return dead_cycle(report, nodes, scheduler, now);
-  }
-  const PowerState band = report.state;
-  // A live cycle IS the liveness beacon: every node in this manager's
-  // group hears from its controller this control period.
-  if (watchdog_ != nullptr) watchdog_->heartbeat(watchdog_group_);
-
-  // 1b. Candidate set re-selection (§III.A algorithm (c)). Routed through
-  // set_candidate_set so the actuation channel learns new nodes too.
-  if (selector_ && selector_->due()) {
-    set_candidate_set(selector_->select(nodes, scheduler));
-  }
-
-  // 2. Telemetry sweep over A_candidate — or, on a quiet green cycle
-  // between stride marks, just a clock tick. The context/collect gate is
-  // evaluated exactly ONCE, here, strictly before begin_actuation_phase:
-  // that call processes reboots and due deliveries and can shrink the
-  // in-flight set, so a second evaluation after it could disagree with
-  // the collect decision made now — skipping the sweep yet building a
-  // context, or (worse) collecting and then not consuming the acks. A
-  // predictively elevated band forces the build like any yellow one: the
-  // selection acts on data as fresh as any reactive yellow cycle's.
-  const bool needs_context = context_gate(band);
-  const bool collect_now = needs_context || collect_due();
-  {
-    const obs::SpanTimer::Scope span = metrics_.collect_span.start();
-    collect_phase(collect_now, nodes, now, scheduler.running_count());
-  }
-
-  // 2b. Actuation-plane hardware events happen whether or not the manager
-  // is ready to react: nodes reboot (resetting to their highest level)
-  // and commands whose delivery delay expired land now — even during
-  // training, when the arrivals are leftovers from before a reset.
-  begin_actuation_phase(nodes);
-
-  // 3. During training the system runs unmanaged (§V.C).
-  if (report.training) {
-    apply_deliveries(nodes);
-    add_shard_totals(report);
-    metrics_.publish(report, reconciler_.unresponsive_count());
-    return report;
-  }
-
-  // 4. Algorithm 1 + reconciliation + actuation. A green cycle with
-  // nothing degraded and nothing in flight never consults the context
-  // (the pruning loop and the restore walk both iterate A_degraded), so
-  // the dominant assembly cost is skipped on the steady-state path; when
-  // it does run, the persistent buffers make it allocation-free. Unacked
-  // or abandoned commands force the build: acks arrive through it, and
-  // unresponsive nodes can only be readmitted by looking at telemetry.
-  if (needs_context) {
-    const obs::SpanTimer::Scope span = metrics_.context_span.start();
-    context_phase(nodes, scheduler, report);
-  }
-  // Stamp THIS cycle's forecast into the context (clearing any stale
-  // stamp from a previous build): the forecast-driven policies read it
-  // from here.
-  const std::optional<Watts> forecast = root_->forecast();
-  scratch_ctx_.has_forecast = forecast.has_value();
-  scratch_ctx_.forecast_power = forecast.value_or(Watts{0.0});
-  CycleDecision decision;
-  {
-    const obs::SpanTimer::Scope span = metrics_.policy_span.start();
-    decision = select_phase(band, measured, report.p_low);
-  }
-  report.targets = decision.commands.size();
-  report.skipped_targets = decision.skipped;
-  report.deferred_targets = decision.deferred_in_flight;
-
-  {
-    const obs::SpanTimer::Scope span = metrics_.actuate_span.start();
-    report.transitions = actuate_phase(decision, nodes);
-  }
-
-  add_shard_totals(report);
-  metrics_.publish(report, reconciler_.unresponsive_count());
-  return report;
-}
-
 ShardCheckpoint CappingManager::checkpoint() const {
   ShardCheckpoint cp;
-  if (root_) root_->checkpoint(cp.learner, cp.predictor_state);
   cp.engine = engine_.checkpoint();
   cp.reconciler = reconciler_.checkpoint();
   cp.collector_cycles = collector_.cycle_count();
@@ -820,7 +673,6 @@ ShardCheckpoint CappingManager::checkpoint() const {
 }
 
 void CappingManager::restore(const ShardCheckpoint& cp) {
-  if (root_) root_->restore(cp.learner, cp.predictor_state);
   engine_.restore(cp.engine);
   reconciler_.restore(cp.reconciler);
   if (!cp.policy_state.empty()) policy_->restore_state(cp.policy_state);

@@ -1,16 +1,18 @@
-// The global power manager (§II, Figure 1).
+// The capping manager's data types and its shard (§II, Figure 1).
 //
-// One instance runs on the management node. Each control cycle it:
-//   1. runs its ControlRoot: the facility meter reading feeds the
-//      threshold learner and the predictor and is classified into the
-//      cycle's band (power/control_root.hpp),
-//   2. collects samples from the candidate set's profiling agents,
-//   3. (after training) runs Algorithm 1 in that band with the configured
-//      target set selection policy, and
-//   4. dispatches the resulting level commands to the node controllers.
+// One capping manager runs on the management node: power::ZoneTreeManager
+// (power/zone_manager.hpp). A flat deployment is its one-zone case. Each
+// control cycle its ControlRoot reads the facility meter, learns P_L/P_H,
+// forecasts and decides the band (power/control_root.hpp); every zone's
+// CappingManager shard then collects samples from its candidates'
+// profiling agents, builds the policy context, runs Algorithm 1 in that
+// band with the configured target set selection policy, and dispatches
+// the resulting level commands to the node controllers.
 //
-// PowerManagerBase is the interface the cluster drives; the baselines
-// library provides alternative implementations behind the same interface.
+// This header holds what the tree and its shards share: the per-cycle
+// ManagerReport, the ManagerMetrics registry bindings, the
+// PowerManagerBase interface the cluster drives (the baselines library
+// implements it too), the manager parameters and the shard itself.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +31,6 @@
 #include "power/candidate_selector.hpp"
 #include "power/capping.hpp"
 #include "power/control_fault_injector.hpp"
-#include "power/control_root.hpp"
 #include "power/job_index.hpp"
 #include "power/node_controller.hpp"
 #include "power/policy.hpp"
@@ -117,11 +118,11 @@ struct ManagerReport {
   std::uint64_t ctrl_zone_outage_cycles = 0;
 };
 
-/// Registry bindings shared by every capping-style manager (the flat
-/// CappingManager and the zone tree publish the same series, so
-/// experiment extraction reads one schema whichever control plane ran).
-/// Handles are preregistered by bind(), so publish() performs only array
-/// stores; everything is inert until a registry is bound.
+/// The capping manager's registry bindings: the pcap_manager_*,
+/// pcap_telemetry_*, pcap_actuation_*, pcap_ctrl_* and pcap_predictor_*
+/// series experiment extraction reads, whatever the zone count. Handles
+/// are preregistered by bind(), so publish() performs only array stores;
+/// everything is inert until a registry is bound.
 struct ManagerMetrics {
   obs::Registry* reg = nullptr;
   // Per-cycle accumulators (counter += report value each cycle).
@@ -150,8 +151,8 @@ struct ManagerMetrics {
 
   void bind(obs::Registry& registry);
   /// Pushes one cycle's report into the registry (no-op when unbound).
-  /// `unresponsive_now` is the instantaneous reconciler tally (summed
-  /// across shards by the zone tree).
+  /// `unresponsive_now` is the instantaneous reconciler tally, summed
+  /// across the shards.
   void publish(const ManagerReport& report, std::size_t unresponsive_now);
 };
 
@@ -214,7 +215,8 @@ struct CappingManagerParams {
   /// cycle regardless.
   std::int64_t green_collect_stride = 16;
   /// When set, A_candidate is recomputed dynamically (§III.A algorithm
-  /// (c)) instead of being fixed by set_candidate_set().
+  /// (c)) instead of being fixed by set_candidate_set(). Read by the tree,
+  /// which repartitions on every re-selection; one zone only.
   std::optional<CandidateSelectorParams> selector;
   /// Command-side fault model. Default-constructed = perfect actuation;
   /// the manager then bypasses the channel and the healthy path is
@@ -226,34 +228,34 @@ struct CappingManagerParams {
   ReconcilerParams reconciliation;
   /// Controller-failure model (outage/stall windows). Default-constructed
   /// = an immortal controller; the injector then draws nothing and the
-  /// healthy path is byte-for-byte what it was without one. Under the
-  /// zone tree the tree's root owns all windows; shards never read this.
+  /// healthy path is byte-for-byte what it was without one. The tree's
+  /// root owns all windows; shards never read this.
   ControlFaultParams control;
   /// System-power forecasting. Disabled by default; when enabled the
-  /// manager runs a PowerPredictor over the facility meter stream, stamps
-  /// its forecast into every policy context, and lets forecast-driven
-  /// policies act before P_L is crossed. refresh_cycles == 0 resolves to
-  /// thresholds.adjust_period_cycles (the learner's t_p cadence).
+  /// root runs a PowerPredictor over the facility meter stream and lets
+  /// forecast-driven policies act before P_L is crossed. refresh_cycles
+  /// == 0 resolves to thresholds.adjust_period_cycles (the learner's t_p
+  /// cadence).
   PredictionParams prediction;
 };
 
-/// The paper's architecture: candidate-set telemetry + threshold learning
-/// + Algorithm 1 + a pluggable target selection policy.
-class CappingManager final : public PowerManagerBase {
+/// One zone's share of the paper's architecture: candidate-set telemetry,
+/// the policy context, Algorithm 1 with a pluggable target selection
+/// policy, and actuation through the (possibly lossy) channel and the
+/// reconciler. A shard owns no ControlRoot — the tree's root learns,
+/// forecasts, classifies and draws every outage window — so
+/// params.thresholds, params.prediction, params.control and
+/// params.selector are not read here. The ZoneTreeManager drives it
+/// through the phase API below.
+class CappingManager final {
  public:
+  /// Forks the "collector" then the "actuation" stream from `rng`,
+  /// advancing it: the one-zone tree passes its own stream, so its root's
+  /// later "control" fork follows these two.
   CappingManager(CappingManagerParams params, PolicyPtr policy,
-                 common::Rng rng);
+                 common::Rng& rng);
 
-  /// Constructor tag for a zone-tree shard: telemetry, context, selection
-  /// and actuation only. A shard owns no ControlRoot — the tree's root
-  /// learns, forecasts, classifies and draws every outage window for all
-  /// zones — so params.thresholds, params.prediction and params.control
-  /// are not read.
-  struct ShardTag {};
-  CappingManager(CappingManagerParams params, PolicyPtr policy,
-                 common::Rng rng, ShardTag);
-
-  [[nodiscard]] std::string name() const override;
+  [[nodiscard]] std::string name() const;
 
   /// Defines A_candidate. Uncontrollable nodes are filtered out by the
   /// caller or tolerated here (their commands are no-ops), but monitoring
@@ -263,27 +265,14 @@ class CappingManager final : public PowerManagerBase {
     return collector_.candidate_set();
   }
 
-  ManagerReport cycle(Watts measured, std::vector<hw::Node>& nodes,
-                      const sched::Scheduler& scheduler,
-                      Seconds now) override;
-
-  /// Preregisters every manager series (counters, gauges, cycle-phase
-  /// spans) in `reg`. ManagerReport and the trace CSV then become views
-  /// over the values the registry accumulates — see DESIGN.md §11.
-  void bind_metrics(obs::Registry& reg) override;
-
   /// The pool parallelises both the telemetry sweep and context assembly
   /// (sharded over candidate slots; see assemble_context). Results are
   /// bit-identical with or without it.
-  void set_thread_pool(common::ThreadPool* pool) override {
+  void set_thread_pool(common::ThreadPool* pool) {
     pool_ = pool;
     collector_.set_thread_pool(pool);
   }
 
-  /// The learner, predictor and outage windows of this manager. A zone
-  /// shard has none (the tree's root decides for it): std::logic_error.
-  [[nodiscard]] const ControlRoot& root() const;
-  [[nodiscard]] ControlRoot& root();
   [[nodiscard]] const CappingEngine& engine() const { return engine_; }
   [[nodiscard]] const telemetry::Collector& collector() const {
     return collector_;
@@ -313,14 +302,10 @@ class CappingManager final : public PowerManagerBase {
     return build_stats_;
   }
 
-  /// Cluster-owned watchdog: this manager becomes group 0 and (re)groups
-  /// the watchdog over its candidate set now and on every
-  /// set_candidate_set.
-  void set_watchdog(hw::FailsafeWatchdog* wd) override;
-  /// Tree-driven variant: attach as group `group` without touching the
-  /// watchdog's grouping (the zone tree owns the partition).
+  /// Attaches the cluster-owned watchdog as group `group` (the tree owns
+  /// the grouping: group z = zone z). nullptr detaches.
   void attach_watchdog(hw::FailsafeWatchdog* wd, std::size_t group);
-  /// Any failsafe-changed levels in this manager's group still awaiting
+  /// Any failsafe-changed levels in this shard's group still awaiting
   /// reconciler adoption? Forces a context build — adoption only happens
   /// through one.
   [[nodiscard]] bool watchdog_pending() const {
@@ -328,26 +313,25 @@ class CappingManager final : public PowerManagerBase {
            watchdog_->adoption_pending_in_group(watchdog_group_);
   }
 
-  /// Captures/restores the warm-restart state (root learner/predictor,
-  /// engine, reconciler shadow tables, collector clock; a shard's image
-  /// carries a default learner and no predictor). Restore into a freshly
-  /// constructed manager AFTER set_candidate_set: policy scratch and the
+  /// Captures/restores the shard's warm-restart state (engine, reconciler
+  /// shadow tables, collector clock, policy state). Restore into a freshly
+  /// constructed shard AFTER set_candidate_set: policy scratch and the
   /// job index rebuild from the first context, and injector fault streams
   /// restart — the outside world does not rewind with the controller.
   [[nodiscard]] ShardCheckpoint checkpoint() const;
   void restore(const ShardCheckpoint& cp);
 
   /// Read-only context build from current telemetry and scheduler state,
-  /// into `ctx` (its node/job buffers are reused). Public so tests and
+  /// into `ctx` (its node/job buffers are reused). It bypasses the
+  /// reconciler and stamps neither P nor P_L. Public so tests and
   /// benchmarks can inspect the context and measure selection cost in
-  /// isolation. It bypasses the reconciler.
-  void build_context_into(PolicyContext& ctx, Watts measured,
+  /// isolation.
+  void build_context_into(PolicyContext& ctx,
                           const std::vector<hw::Node>& nodes,
                           const sched::Scheduler& scheduler) const;
 
   // --- Shard phase API -------------------------------------------------
-  // cycle() is expressed through these phases after its root decided the
-  // band; the zone tree drives the same phases per shard against its own
+  // The zone tree drives every shard through these phases against its
   // root's band. Call order within one cycle: context_gate (once!) →
   // collect_phase → begin_actuation_phase → [apply_deliveries on the
   // training path | context_phase → select_phase → actuate_phase] →
@@ -393,10 +377,13 @@ class CappingManager final : public PowerManagerBase {
 
   /// Runs Algorithm 1 in `band` against the context built by
   /// context_phase. (system_power, p_low) become the context's P and P_L,
-  /// so a yellow policy sheds ctx.required_saving(): the flat cycle passes
-  /// the meter and the learned P_L, the zone tree passes (zone share, 0).
+  /// so a yellow policy sheds ctx.required_saving(), and `forecast` is
+  /// stamped in for the forecast-driven policies: a one-zone tree passes
+  /// the meter, the learned P_L and the root's forecast; a deeper tree
+  /// passes (zone share, 0) and no forecast.
   [[nodiscard]] CycleDecision select_phase(PowerState band, Watts system_power,
-                                           Watts p_low);
+                                           Watts p_low,
+                                           std::optional<Watts> forecast);
 
   /// Admits the decision through the reconciler, sends via the channel,
   /// applies everything delivered (mutates nodes — serialise across
@@ -404,8 +391,8 @@ class CappingManager final : public PowerManagerBase {
   std::size_t actuate_phase(const CycleDecision& decision,
                             std::vector<hw::Node>& nodes);
 
-  /// Training-path tail: applies only the channel's due deliveries (no
-  /// new commands). Returns transitions applied.
+  /// Training-path and dead-cycle tail: applies only the channel's due
+  /// deliveries (no new commands). Returns transitions applied.
   std::size_t apply_deliveries(std::vector<hw::Node>& nodes);
 
   /// Zero-decision non-green cycle (zone skipped by the tree): the green
@@ -427,17 +414,6 @@ class CappingManager final : public PowerManagerBase {
   [[nodiscard]] const CappingManagerParams& params() const { return params_; }
 
  private:
-  CappingManager(CappingManagerParams params, PolicyPtr policy,
-                 common::Rng rng, bool with_root);
-
-  /// The outage path: the root reported the controller silent this cycle
-  /// (`report` is its header). No heartbeat, no sweep, no decision — but
-  /// hardware keeps moving (reboots, due deliveries land and stamp
-  /// watchdog contacts) and the collector clock ticks so staleness stays
-  /// well-defined.
-  ManagerReport dead_cycle(ManagerReport report, std::vector<hw::Node>& nodes,
-                           const sched::Scheduler& scheduler, Seconds now);
-
   /// Stamps watchdog contact for every command in delivered_scratch_ —
   /// a delivery is the one controller signal a node can see directly.
   void stamp_delivery_contacts();
@@ -512,33 +488,24 @@ class CappingManager final : public PowerManagerBase {
   NodeController controller_;
   ActuationChannel channel_;
   ActuationReconciler reconciler_;
-  /// Empty on zone-tree shards. Emplaced in the constructor body: its rng
-  /// fork ("control") comes strictly after "collector" and "actuation", so
-  /// the control-fault stream never perturbs either existing one.
-  std::optional<ControlRoot> root_;
   hw::FailsafeWatchdog* watchdog_ = nullptr;
   std::size_t watchdog_group_ = 0;
-  /// True when this manager owns the watchdog's grouping (flat mode);
-  /// false when the zone tree partitioned it and shards merely attach.
-  bool owns_watchdog_groups_ = false;
-  std::optional<CandidateSelector> selector_;
   /// Effective steady-green sweep stride (param clamped against the
   /// staleness bound at construction).
   std::int64_t collect_stride_ = 1;
   common::ThreadPool* pool_ = nullptr;
-  ManagerMetrics metrics_;
   /// Per-slot records from the refill; persist across cycles so the
   /// steady state allocates nothing.
   mutable std::vector<ViewRecord> view_records_;
   /// Incremental mirror of the scheduler's running set; synced (O(churn))
   /// at the top of every context build. Mutable because assembly is
   /// logically const — the index is a cache of scheduler state. Assumes
-  /// one manager observes one scheduler, as cycle() guarantees.
+  /// one shard observes one scheduler, as the tree guarantees.
   mutable JobIndex job_index_;
   /// Per-entry JobView staging for the job pass; compacted into ctx.jobs
   /// by swap so per-job node vectors keep their capacity on both sides.
   mutable std::vector<JobView> job_stage_;
-  /// Reused across cycles by cycle(); holds its capacity.
+  /// Reused across cycles by context_phase; holds its capacity.
   PolicyContext scratch_ctx_;
   /// Per-cycle scratch, reused: commands that reached hardware this cycle
   /// and the reconciler's outgoing work.

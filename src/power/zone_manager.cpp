@@ -33,26 +33,39 @@ ZoneTreeManager::ZoneTreeManager(ZoneTreeParams params,
   if (!policy_factory) {
     throw std::invalid_argument("ZoneTreeManager: null policy factory");
   }
-  if (shard_params.selector) {
+  if (shard_params.selector && params_.zone_count >= 2) {
     throw std::invalid_argument(
-        "ZoneTreeManager: dynamic candidate selection is not supported "
-        "under zoning (the selector would re-partition every reselect)");
+        "ZoneTreeManager: dynamic candidate selection needs zones.count = 1 "
+        "(a re-selection repartitions the zone)");
+  }
+  if (shard_params.control.zone_outage_rate > 0.0 && params_.zone_count < 2) {
+    throw std::invalid_argument(
+        "ZoneTreeManager: control.zone_outage_rate > 0 needs zones.count >= "
+        "2 (a crashed zone needs a sibling to adopt its share)");
   }
   orphan_margin_ = shard_params.stale_power_margin;
   zones_.resize(params_.zone_count);
-  for (std::size_t z = 0; z < zones_.size(); ++z) {
-    // One rng branch per zone: zone z's fault/transport streams depend
-    // only on (seed, z), not on the zone count or membership.
-    zones_[z].shard = std::make_unique<CappingManager>(
-        shard_params, policy_factory(), rng.fork("zone" + std::to_string(z)),
-        CappingManager::ShardTag{});
+  if (zones_.size() == 1) {
+    // The flat controller's streams: the shard forks "collector" and
+    // "actuation" from this tree's own stream, advancing it.
+    zones_[0].shard = std::make_unique<CappingManager>(
+        shard_params, policy_factory(), rng);
+  } else {
+    for (std::size_t z = 0; z < zones_.size(); ++z) {
+      // One rng branch per zone: zone z's fault/transport streams depend
+      // only on (seed, z), not on the zone count or membership.
+      common::Rng zone_rng = rng.fork("zone" + std::to_string(z));
+      zones_[z].shard = std::make_unique<CappingManager>(
+          shard_params, policy_factory(), zone_rng);
+    }
   }
-  // Forked after every zone branch so enabling/disabling control faults —
-  // or adding this fork at all — cannot perturb the zone streams existing
+  // Forked after the shard streams so enabling/disabling control faults —
+  // or adding this fork at all — cannot perturb the streams existing
   // seeds depend on.
   root_.emplace(shard_params.thresholds, shard_params.prediction,
                 shard_params.control, rng.fork("control"));
   root_->control_faults().ensure_zones(zones_.size());
+  if (shard_params.selector) selector_.emplace(*shard_params.selector);
 }
 
 std::string ZoneTreeManager::name() const {
@@ -67,7 +80,7 @@ void ZoneTreeManager::set_candidate_set(const std::vector<hw::NodeId>& ids) {
 
   const std::size_t n = sorted.size();
   const std::size_t zc = zones_.size();
-  for (Zone& zone : zones_) zone.members.clear();
+  std::vector<std::vector<hw::NodeId>> parts(zc);
   if (params_.assignment == ZoneTreeParams::Assignment::kBlock) {
     // Balanced contiguous ranges: the first n % zc zones get one extra.
     const std::size_t q = n / zc;
@@ -75,17 +88,15 @@ void ZoneTreeManager::set_candidate_set(const std::vector<hw::NodeId>& ids) {
     std::size_t begin = 0;
     for (std::size_t z = 0; z < zc; ++z) {
       const std::size_t len = q + (z < r ? 1 : 0);
-      zones_[z].members.assign(sorted.begin() + begin,
-                               sorted.begin() + begin + len);
+      parts[z].assign(sorted.begin() + begin, sorted.begin() + begin + len);
       begin += len;
     }
   } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      zones_[i % zc].members.push_back(sorted[i]);
-    }
+    for (std::size_t i = 0; i < n; ++i) parts[i % zc].push_back(sorted[i]);
   }
-  for (Zone& zone : zones_) {
-    zone.shard->set_candidate_set(zone.members);
+  for (std::size_t z = 0; z < zc; ++z) {
+    Zone& zone = zones_[z];
+    zone.shard->set_candidate_set(parts[z]);
     zone.hints_valid = false;  // membership changed: hints describe the past
     zone.ever_measured = false;
     zone.worst_case_valid = false;
@@ -101,11 +112,18 @@ void ZoneTreeManager::set_watchdog(hw::FailsafeWatchdog* wd) {
   refresh_watchdog_groups();
 }
 
+void ZoneTreeManager::set_thread_pool(common::ThreadPool* pool) {
+  pool_ = pool;
+  if (zones_.size() == 1) zones_[0].shard->set_thread_pool(pool);
+}
+
 void ZoneTreeManager::refresh_watchdog_groups() {
   if (watchdog_ == nullptr) return;
   std::vector<std::vector<hw::NodeId>> groups;
   groups.reserve(zones_.size());
-  for (const Zone& zone : zones_) groups.push_back(zone.members);
+  for (const Zone& zone : zones_) {
+    groups.push_back(zone.shard->candidate_set());
+  }
   watchdog_->set_groups(groups);
 }
 
@@ -114,8 +132,9 @@ void ZoneTreeManager::invalidate_hints() {
 }
 
 void ZoneTreeManager::bind_metrics(obs::Registry& reg) {
-  reg_ = &reg;
   metrics_.bind(reg);
+  if (zones_.size() < 2) return;
+  reg_ = &reg;
   for (std::size_t z = 0; z < zones_.size(); ++z) {
     const std::string label = "zone=\"" + std::to_string(z) + "\"";
     zones_[z].power_gauge =
@@ -138,16 +157,19 @@ ManagerReport ZoneTreeManager::cycle(Watts measured,
                                      const sched::Scheduler& scheduler,
                                      Seconds now) {
   // The root first: control-fault windows, learning, forecasting and the
-  // band — exactly the flat manager's steps 0–1. A root blackout silences
-  // the whole tree (no learning, no heartbeats, no decisions); a zone
-  // window silences just that shard while the root conservatively
-  // re-plans around the orphan. An elevated band drives the zones down
-  // the yellow deficit-distribution path, shedding for where the meter is
-  // heading instead of where it is.
+  // band. The learner reads only the facility meter, never the
+  // collector, so whether this cycle needs a full telemetry sweep can
+  // depend on the band. A root blackout silences the whole tree (no
+  // learning, no heartbeats, no decisions — hardware still moves: reboots
+  // happen and sent commands land); a zone window silences just that
+  // shard while the root conservatively re-plans around the orphan. An
+  // elevated band drives the zones down the yellow path, shedding for
+  // where the meter is heading instead of where it is.
   ManagerReport report =
       root_->cycle(measured, zones_.front().shard->policy().forecast_driven());
   const bool root_down = report.controller_down;
   const PowerState effective = report.state;
+  const bool zoned = zones_.size() >= 2;
 
   if (root_down) {
     // The root is blind this cycle: whatever it believed about the zones
@@ -183,7 +205,15 @@ ManagerReport ZoneTreeManager::cycle(Watts measured,
     }
   }
 
-  const bool training = report.training;
+  // Candidate set re-selection (§III.A algorithm (c), Z = 1 only): a
+  // live root recomputes A_candidate and the zone is repartitioned.
+  if (!root_down && selector_ && selector_->due()) {
+    set_candidate_set(selector_->select(nodes, scheduler));
+  }
+
+  // A dead root runs the dead path below even while training: deliveries
+  // that land are counted either way.
+  const bool training = report.training && !root_down;
   const std::size_t running_jobs = scheduler.running_count();
 
   // Phase A — per-zone gate + telemetry. The gate itself is O(1) per zone
@@ -193,8 +223,7 @@ ManagerReport ZoneTreeManager::cycle(Watts measured,
   // otherwise pays a pool handoff per phase for zero work per zone — the
   // ~20x quiescent-cycle slowdown recorded in BENCH_control_cycle.json
   // before this gate existed. The gate is still evaluated exactly once
-  // per zone, strictly before phase B, mirroring the flat cycle's
-  // single-evaluation contract.
+  // per zone, strictly before phase B (CappingManager::context_gate).
   for (std::size_t z = 0; z < zones_.size(); ++z) {
     Zone& zone = zones_[z];
     CappingManager& m = *zone.shard;
@@ -218,12 +247,12 @@ ManagerReport ZoneTreeManager::cycle(Watts measured,
       zone.active = gate;
       zone.collected = gate || m.collect_due();
     } else {
-      // Yellow/red quiescence: a hinted zone with nothing left to
-      // shed (yellow: zero job capacity; red: every node already at
-      // the floor) is skipped. Anything pending, in flight,
-      // unresponsive or awaiting watchdog adoption forces activity —
-      // acks, readmissions and adoptions only arrive through a
-      // context build.
+      // Yellow/red quiescence (hints are only ever valid at Z >= 2): a
+      // hinted zone with nothing left to shed (yellow: zero job
+      // capacity; red: every node already at the floor) is skipped.
+      // Anything pending, in flight, unresponsive or awaiting watchdog
+      // adoption forces activity — acks, readmissions and adoptions only
+      // arrive through a context build.
       const bool nothing_to_shed = effective == PowerState::kYellow
                                        ? zone.capacity <= Watts{0.0}
                                        : zone.floored;
@@ -313,6 +342,7 @@ ManagerReport ZoneTreeManager::cycle(Watts measured,
             Zone& zone = zones_[z];
             if (!zone.active) continue;
             zone.shard->context_phase(nodes, scheduler, zone.report);
+            if (!zoned) continue;  // no hints, no shares at Z = 1
             const PolicyContext& ctx = zone.shard->context();
             Watts power{0.0};
             bool floored = true;
@@ -337,7 +367,7 @@ ManagerReport ZoneTreeManager::cycle(Watts measured,
   // already pinned above, so the fold is bit-identical for any worker
   // count). Only zones that are active AND still have shed capacity are
   // eligible; skipped zones keep share 0.
-  if (effective == PowerState::kYellow) {
+  if (zoned && effective == PowerState::kYellow) {
     // Forecast-driven deficit base: with an armed alarm the root sheds
     // for where the meter is heading, not just where it is — on an
     // elevated green cycle the measured deficit is zero by definition, so
@@ -364,7 +394,7 @@ ManagerReport ZoneTreeManager::cycle(Watts measured,
       } else {
         if (!zone.worst_case_valid) {
           Watts wc{0.0};
-          for (const hw::NodeId id : zone.members) {
+          for (const hw::NodeId id : zone.shard->candidate_set()) {
             wc += nodes[id].spec().power_model.theoretical_max();
           }
           zone.worst_case = wc;
@@ -396,11 +426,13 @@ ManagerReport ZoneTreeManager::cycle(Watts measured,
   // per-shard engine/policy state is disjoint — skipped and green-idle
   // zones only tick their engine timers, O(1) work that never justifies a
   // handoff). Green runs every zone's engine — O(1) with nothing
-  // degraded — so each shard's green timer ticks exactly as the flat
-  // engine's would. Skipped yellow/red zones reset their timer without a
-  // decision, as if a decision had run and emitted nothing. A deciding
-  // shard's context carries (P, P_L) = (share, 0): in yellow its policy
-  // sheds exactly the zone's share; green and red consult no policy.
+  // degraded — so each shard's green timer ticks every cycle. Skipped
+  // yellow/red zones reset their timer without a decision, as if a
+  // decision had run and emitted nothing. At Z = 1 the shard decides on
+  // every live cycle against the root's own (P, P_L) and forecast; at
+  // Z >= 2 a deciding shard's context carries (P, P_L) = (share, 0): in
+  // yellow its policy sheds exactly the zone's share; green and red
+  // consult no policy.
   {
     const obs::SpanTimer::Scope span = metrics_.policy_span.start();
     common::maybe_parallel_for(
@@ -411,15 +443,20 @@ ManagerReport ZoneTreeManager::cycle(Watts measured,
             CappingManager& m = *zone.shard;
             // A crashed shard decides nothing — not even a green-timer
             // tick or a non-green reset; its engine clock freezes
-            // mid-outage exactly as the flat manager's does on a dead
-            // cycle.
+            // mid-outage.
             if (zone.down) continue;
+            if (!zoned) {
+              zone.decision = m.select_phase(effective, measured,
+                                             report.p_low, root_->forecast());
+              continue;
+            }
             const bool decides =
                 effective == PowerState::kGreen ||
                 (zone.active && (effective == PowerState::kRed ||
                                  zone.share > Watts{0.0}));
             if (decides) {
-              zone.decision = m.select_phase(effective, zone.share, Watts{0.0});
+              zone.decision = m.select_phase(effective, zone.share, Watts{0.0},
+                                             std::nullopt);
             } else {
               m.note_non_green_cycle();
             }
@@ -445,7 +482,7 @@ ManagerReport ZoneTreeManager::cycle(Watts measured,
         continue;
       }
       zone.transitions = m.actuate_phase(zone.decision, nodes);
-      if (zone.active) {
+      if (zoned && zone.active) {
         const ManagerReport& zr = zone.report;
         zone.hints_valid = zr.stale_nodes == 0 && zr.missing_nodes == 0 &&
                            zr.fallback_nodes == 0 &&

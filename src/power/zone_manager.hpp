@@ -1,45 +1,53 @@
-// The hierarchical zone-sharded control plane (§II's facility→cluster
-// provisioning hierarchy, generalised).
+// The capping manager: one ControlRoot over Z zone shards (§II's
+// facility→cluster provisioning hierarchy, generalised).
 //
-// The flat CappingManager runs one telemetry/context/selection sweep over
-// the whole candidate set every non-green cycle. The zone tree partitions
+// Every capping-policy run is a ZoneTreeManager. It partitions
 // A_candidate into Z zones, gives each zone its own collector/reconciler/
-// channel/engine shard (a CappingManager built without a root and driven
-// through its phase API), and runs exactly one ControlRoot — the same
-// root the flat manager runs (power/control_root.hpp):
+// channel/engine shard (a CappingManager driven through its phase API),
+// and runs exactly one ControlRoot (power/control_root.hpp):
 //
 //   root:  observe the facility meter, learn P_L/P_H, forecast, decide
 //          the band (with predictive elevation) and draw every outage
-//          window — root blackouts and zone-shard crashes alike. In
-//          yellow, compute the global deficit D = max(0, P - P_L) and
-//          split it into per-zone shares (uniform or usage-proportional
-//          over the zones that can still shed). Zone power/capacity are
-//          folded in fixed zone order, so the root's arithmetic is one
-//          serial reduction regardless of how many workers ran the zone
-//          sweeps.
-//   zones: collect + build context + select fully in parallel (disjoint
-//          per-shard state; the shards themselves run serially inside a
-//          zone task, so there is no nested pool use). Each shard's
-//          engine runs the root's band; in yellow the shard's context
-//          carries (P, P_L) = (share s, 0) so ctx.required_saving() == s.
-//          Node-mutating steps (reboot/delivery processing, actuation)
-//          run serially in fixed zone order.
+//          window — root blackouts and zone-shard crashes alike.
+//   zones: collect + build context + select (in parallel across zones
+//          when Z >= 2; disjoint per-shard state). Node-mutating steps
+//          (reboot/delivery processing, actuation) run serially in fixed
+//          zone order.
+//
+// A flat controller is the one-zone tree (Z = 1, the default). The zone
+// count alone selects four rules:
+//   1. Streams. At Z = 1 the shard forks "collector" then "actuation"
+//      from the tree's own stream and the root then forks "control"; at
+//      Z >= 2 shard z forks from rng.fork("zone<z>"), so its streams
+//      depend only on (seed, z).
+//   2. Decisions. At Z = 1 the shard decides on every live cycle against
+//      the root's own (P, P_L) with this cycle's forecast stamped in. At
+//      Z >= 2 the root splits the yellow deficit D = max(0, P - P_L)
+//      into per-zone shares (uniform or usage-proportional over the zones
+//      that can still shed, folded serially in zone order), and a
+//      deciding shard's context carries (P, P_L) = (share s, 0), so
+//      ctx.required_saving() == s.
+//   3. Quiescence hints and the pcap_zone_* series exist only at Z >= 2.
+//   4. Pool. At Z = 1 the shard gets the thread pool for its own sweeps;
+//      at Z >= 2 the pool fans out across zones and shards stay serial
+//      inside a zone task (no nested pool use).
+// The dynamic candidate selector runs at Z = 1 only: a re-selection
+// repartitions the zone.
 //
 // Phases A (collect), C (context), D (policy) and E (actuate) publish the
-// same pcap_cycle_phase_seconds spans the flat manager does.
+// pcap_cycle_phase_seconds spans.
 //
-// Quiescence: a zone that last built a CLEAN context (no stale/missing/
-// fallback/rejected views, nothing pending, unresponsive or in flight)
-// publishes trustworthy power/capacity hints. In yellow, a hinted zone
-// with zero job-level shed capacity is skipped outright (the flat
-// controller would build its context and select nothing); in red, a
-// hinted zone whose every context node sits at the ladder floor is
-// skipped (the flat red cycle would emit nothing for it). Skipped zones
-// still tick their collector clock, still process reboots/deliveries,
-// and still reset their green timer. Hints are invalidated by any global
-// state change, any scheduler job start/finish, and any reboot in the
-// zone; degraded telemetry never produces a clean build, so faulted
-// zones simply stay fully active (the flat behaviour).
+// Quiescence (Z >= 2): a zone that last built a CLEAN context (no stale/
+// missing/fallback/rejected views, nothing pending, unresponsive or in
+// flight) publishes trustworthy power/capacity hints. In yellow, a hinted
+// zone with zero job-level shed capacity is skipped outright (building
+// its context would select nothing); in red, a hinted zone whose every
+// context node sits at the ladder floor is skipped (its red cycle would
+// emit nothing). Skipped zones still tick their collector clock, still
+// process reboots/deliveries, and still reset their green timer. Hints
+// are invalidated by any global state change, any scheduler job
+// start/finish, and any reboot in the zone; degraded telemetry never
+// produces a clean build, so faulted zones simply stay fully active.
 #pragma once
 
 #include <cstdint>
@@ -70,7 +78,7 @@ struct ZoneTreeParams {
     kProportional,  ///< D scaled by each zone's measured share of power
   };
 
-  std::size_t zone_count = 4;
+  std::size_t zone_count = 1;
   Assignment assignment = Assignment::kBlock;
   Redistribution redistribution = Redistribution::kUniform;
 };
@@ -83,11 +91,14 @@ ZoneTreeParams::Redistribution parse_zone_redistribution(const std::string& s);
 class ZoneTreeManager final : public PowerManagerBase {
  public:
   /// `shard_params` configures every zone shard; its thresholds,
-  /// prediction and control sub-structs configure the tree's root (the
-  /// shards have none). `policy_factory` is invoked once per zone so each
-  /// shard gets its own selection-policy state. Dynamic candidate
-  /// selection (shard_params.selector) is not supported under zoning and
-  /// throws.
+  /// prediction and control sub-structs configure the tree's root, and
+  /// its selector the tree's dynamic candidate selection.
+  /// `policy_factory` is invoked once per zone so each shard gets its own
+  /// selection-policy state. Throws std::invalid_argument for a zero zone
+  /// count, a null factory, and for a selector or zone-crash windows
+  /// (control.zone_outage_rate > 0) below or above their zone counts: the
+  /// selector needs Z = 1 (a re-selection repartitions the zone), and a
+  /// zone crash needs Z >= 2 (a sibling has to adopt the orphan).
   ZoneTreeManager(ZoneTreeParams params, CappingManagerParams shard_params,
                   std::function<PolicyPtr()> policy_factory, common::Rng rng);
 
@@ -102,14 +113,15 @@ class ZoneTreeManager final : public PowerManagerBase {
                       const sched::Scheduler& scheduler,
                       Seconds now) override;
 
-  /// The pool fans out ACROSS zones; shards never see it (their internal
-  /// sweeps stay serial inside one zone task, so no nested pool use).
-  void set_thread_pool(common::ThreadPool* pool) override { pool_ = pool; }
+  /// At Z = 1 the shard sweeps on the pool; at Z >= 2 the pool fans out
+  /// across zones (rule 4 above). Results are bit-identical either way.
+  void set_thread_pool(common::ThreadPool* pool) override;
 
-  /// Root aggregate series are the same pcap_manager_*/pcap_telemetry_*/
-  /// pcap_actuation_* schema the flat manager publishes (experiments read
-  /// them by name); per-zone gauges/counters are added under zone="..."
-  /// labels.
+  /// Preregisters the pcap_manager_*/pcap_telemetry_*/pcap_actuation_*
+  /// series experiments read by name, and at Z >= 2 the per-zone
+  /// pcap_zone_* gauges/counters under zone="..." labels. ManagerReport
+  /// and the trace CSV are views over the values the registry
+  /// accumulates — see DESIGN.md §11.
   void bind_metrics(obs::Registry& reg) override;
 
   /// Watchdog group z = zone z: each shard attaches under its zone index
@@ -132,7 +144,7 @@ class ZoneTreeManager final : public PowerManagerBase {
   [[nodiscard]] std::size_t zone_count() const { return zones_.size(); }
   [[nodiscard]] const std::vector<hw::NodeId>& zone_members(
       std::size_t z) const {
-    return zones_[z].members;
+    return zones_[z].shard->candidate_set();
   }
   [[nodiscard]] const CappingManager& zone(std::size_t z) const {
     return *zones_[z].shard;
@@ -142,7 +154,8 @@ class ZoneTreeManager final : public PowerManagerBase {
   [[nodiscard]] std::size_t zones_active_last_cycle() const {
     return active_last_cycle_;
   }
-  /// Last measured zone power / deficit share (valid after a cycle).
+  /// Last measured zone power / deficit share (valid after a cycle at
+  /// Z >= 2; a one-zone tree folds neither and reads 0).
   [[nodiscard]] Watts zone_power(std::size_t z) const {
     return zones_[z].power;
   }
@@ -152,8 +165,7 @@ class ZoneTreeManager final : public PowerManagerBase {
 
  private:
   struct Zone {
-    std::unique_ptr<CappingManager> shard;
-    std::vector<hw::NodeId> members;
+    std::unique_ptr<CappingManager> shard;  ///< holds the zone's members
 
     // Hints from the last clean context build (see header comment).
     bool hints_valid = false;
@@ -189,12 +201,15 @@ class ZoneTreeManager final : public PowerManagerBase {
 
   ZoneTreeParams params_;
   std::vector<Zone> zones_;
+  /// Dynamic candidate selection (Z = 1 only).
+  std::optional<CandidateSelector> selector_;
   common::ThreadPool* pool_ = nullptr;
   ManagerMetrics metrics_;  ///< root aggregate series
+  /// Bound only at Z >= 2, for the pcap_zone_* series.
   obs::Registry* reg_ = nullptr;
   /// Optional only for construction order: its "control" rng fork must
-  /// come AFTER the per-zone forks (seed compatibility with the zone
-  /// streams), so it is emplaced at the end of the constructor body.
+  /// come AFTER the shard forks (rule 1), so it is emplaced at the end of
+  /// the constructor body.
   std::optional<ControlRoot> root_;
   hw::FailsafeWatchdog* watchdog_ = nullptr;
   /// Safe-side inflation for a downed zone's accounted power — reuses the

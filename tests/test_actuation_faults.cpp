@@ -5,7 +5,6 @@
 // across worker-thread counts.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
@@ -16,9 +15,10 @@
 #include "hw/node_spec.hpp"
 #include "metrics/trace_recorder.hpp"
 #include "power/actuation_channel.hpp"
-#include "power/manager.hpp"
 #include "power/policy_registry.hpp"
 #include "power/reconciler.hpp"
+#include "power/zone_manager.hpp"
+#include "support.hpp"
 #include "workload/npb.hpp"
 
 namespace pcap {
@@ -29,15 +29,6 @@ using power::ActuationFaultParams;
 using power::ActuationReconciler;
 using power::LevelCommand;
 using power::ReconcilerParams;
-
-/// Determinism-property tests accept an externally swept seed (CI runs
-/// them across PCAP_FAULT_SEED=1..N); convergence tests keep their fixed
-/// seeds — their thresholds are calibrated, not universal.
-std::uint64_t fault_seed(std::uint64_t fallback) {
-  const char* env = std::getenv("PCAP_FAULT_SEED");
-  if (env == nullptr || *env == '\0') return fallback;
-  return std::strtoull(env, nullptr, 10);
-}
 
 std::vector<hw::Node> make_nodes(std::size_t n) {
   std::vector<hw::Node> nodes;
@@ -125,8 +116,8 @@ TEST(ActuationChannel, DisabledChannelPassesCommandsThrough) {
 TEST(ActuationChannel, LossIsCountedAndSeedDeterministic) {
   ActuationFaultParams p;
   p.command_loss_rate = 0.5;
-  ActuationChannel a(p, common::Rng(fault_seed(9)));
-  ActuationChannel b(p, common::Rng(fault_seed(9)));
+  ActuationChannel a(p, common::Rng(test::fault_seed(9)));
+  ActuationChannel b(p, common::Rng(test::fault_seed(9)));
   auto nodes = make_nodes(4);
   a.ensure_nodes({0, 1, 2, 3});
   b.ensure_nodes({0, 1, 2, 3});
@@ -252,7 +243,7 @@ TEST(ActuationChannel, StreamsAreRegistrationOrderIndependent) {
   ActuationFaultParams p;
   p.command_loss_rate = 0.4;
   p.transition_failure_rate = 0.2;
-  const std::uint64_t seed = fault_seed(7);
+  const std::uint64_t seed = test::fault_seed(7);
   ActuationChannel a(p, common::Rng(seed));
   ActuationChannel b(p, common::Rng(seed));
   auto nodes = make_nodes(4);
@@ -599,21 +590,21 @@ TEST(CappingManager, RebootChurnAbandonsAndReadmitsUnderTheRealChannel) {
   p.reconciliation.max_retries = 1;
   p.reconciliation.retry_backoff_base_cycles = 1;
   p.reconciliation.retry_backoff_cap_cycles = 2;
-  power::CappingManager m(p, power::make_policy("mpc"), common::Rng(11));
+  power::ZoneTreeManager m = test::one_zone(p, "mpc", common::Rng(11));
   m.set_candidate_set({0, 1, 2, 3});
 
   for (int c = 1; c <= 120; ++c) {
     m.cycle(Watts{1700.0}, rig.nodes, rig.scheduler,
             Seconds{static_cast<double>(c)});
   }
-  EXPECT_GT(m.actuation_channel().reboot_events(), 0u);
-  EXPECT_GT(m.reconciler().total_abandoned(), 0u);
-  EXPECT_GT(m.reconciler().total_readmitted(), 0u);
+  EXPECT_GT(m.zone(0).actuation_channel().reboot_events(), 0u);
+  EXPECT_GT(m.zone(0).reconciler().total_abandoned(), 0u);
+  EXPECT_GT(m.zone(0).reconciler().total_readmitted(), 0u);
   // Readmission is not a dead letter: every abandonment eventually came
   // back once the node's telemetry resurfaced.
-  EXPECT_GE(m.reconciler().total_readmitted(),
-            m.reconciler().total_abandoned() -
-                m.reconciler().unresponsive_count());
+  EXPECT_GE(m.zone(0).reconciler().total_readmitted(),
+            m.zone(0).reconciler().total_abandoned() -
+                m.zone(0).reconciler().unresponsive_count());
 }
 
 TEST(CappingManager, DeadActuatorIsRetriedThenAbandonedWithoutThrottling) {
@@ -626,7 +617,7 @@ TEST(CappingManager, DeadActuatorIsRetriedThenAbandonedWithoutThrottling) {
   p.reconciliation.max_retries = 2;
   p.reconciliation.retry_backoff_base_cycles = 1;
   p.reconciliation.retry_backoff_cap_cycles = 4;
-  power::CappingManager m(p, power::make_policy("mpc"), common::Rng(1));
+  power::ZoneTreeManager m = test::one_zone(p, "mpc", common::Rng(1));
   m.set_candidate_set({0, 1, 2, 3});
 
   std::size_t retries = 0;
@@ -641,13 +632,14 @@ TEST(CappingManager, DeadActuatorIsRetriedThenAbandonedWithoutThrottling) {
   // Sustained yellow pressure, but not a single level ever changed: the
   // channel ate everything, visibly.
   for (const auto& n : rig.nodes) EXPECT_TRUE(n.at_highest());
-  EXPECT_GT(m.actuation_channel().transitions_failed(), 0u);
+  EXPECT_GT(m.zone(0).actuation_channel().transitions_failed(), 0u);
   EXPECT_GT(retries, 0u);
   // The retry budget ran out at least once per targeted node; abandoned
   // nodes are readmitted as soon as their (healthy) telemetry resurfaces,
   // so we assert the cumulative count, not a persistent unresponsive set.
   EXPECT_GE(max_abandoned, 2u);
-  EXPECT_EQ(r.transitions_failed, m.actuation_channel().transitions_failed());
+  EXPECT_EQ(r.transitions_failed,
+            m.zone(0).actuation_channel().transitions_failed());
 }
 
 TEST(CappingManager, ExternalLevelChangeIsHealedBack) {
@@ -656,7 +648,7 @@ TEST(CappingManager, ExternalLevelChangeIsHealedBack) {
   rig.run_job(1, 24);
   power::CappingManagerParams p = yellow_rig_params();
   // Perfect channel: this test isolates the divergence/heal machinery.
-  power::CappingManager m(p, power::make_policy("mpc"), common::Rng(1));
+  power::ZoneTreeManager m = test::one_zone(p, "mpc", common::Rng(1));
   m.set_candidate_set({0, 1});
 
   m.cycle(Watts{1700.0}, rig.nodes, rig.scheduler, Seconds{1.0});  // yellow
@@ -696,7 +688,7 @@ RunResult run_degraded_actuation_cluster(std::size_t worker_threads) {
   cfg.spec = hw::tianhe1a_node_spec();
   cfg.tick = Seconds{1.0};
   cfg.control_period = Seconds{4.0};
-  cfg.seed = fault_seed(20260807);
+  cfg.seed = test::fault_seed(20260807);
   cfg.scheduler.max_procs_per_node = 3;
   cfg.worker_threads = worker_threads;
   cfg.parallel_node_threshold = 1;
@@ -705,7 +697,13 @@ RunResult run_degraded_actuation_cluster(std::size_t worker_threads) {
   cluster::Cluster cl(cfg);
 
   power::CappingManagerParams p;
-  p.thresholds.provision = cl.theoretical_peak() * 0.75;
+  // Capped by construction: the provision is taken from this rig's own
+  // uncapped probe, so P_L sits under the draw every seed reaches and the
+  // manager must keep building contexts from the degraded telemetry and
+  // sending commands through the faulty planes. (A fixed fraction of the
+  // theoretical peak never left green on some seeds.)
+  p.thresholds.provision =
+      cluster::probe_uncapped_peak(cfg, Seconds{500.0}) * 0.9;
   p.thresholds.training_cycles = 0;
   p.thresholds.freeze_at_provision = true;
   p.cycle_period = cfg.control_period;
@@ -728,8 +726,9 @@ RunResult run_degraded_actuation_cluster(std::size_t worker_threads) {
   p.reconciliation.retry_backoff_cap_cycles = 16;
   p.selector = power::CandidateSelectorParams{};
   p.selector->reselect_period_cycles = 5;
-  auto mgr = std::make_unique<power::CappingManager>(
-      p, std::make_unique<baselines::UniformAllNodesPolicy>(),
+  auto mgr = std::make_unique<power::ZoneTreeManager>(
+      power::ZoneTreeParams{}, p,
+      [] { return std::make_unique<baselines::UniformAllNodesPolicy>(); },
       common::Rng(cfg.seed ^ 0x9d2c5680u));
   mgr->set_candidate_set(cl.controllable_nodes());
   cl.set_manager(std::move(mgr));
@@ -777,6 +776,7 @@ void expect_identical(const RunResult& a, const RunResult& b) {
 TEST(ActuationFaultTolerance, DegradedRunSurvivesAndStaysDeterministic) {
   const RunResult serial = run_degraded_actuation_cluster(1);
   ASSERT_GT(serial.points.size(), 400u);
+  ASSERT_TRUE(test::capped_and_commanded(serial.points));
 
   // The actuation fault machinery really fired...
   EXPECT_GT(serial.last.commands_lost, 0u);

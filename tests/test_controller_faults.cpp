@@ -8,12 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
 #include "baselines/uniform_policy.hpp"
 #include "cluster/cluster.hpp"
+#include "cluster/experiment.hpp"
 #include "hw/node_spec.hpp"
 #include "hw/watchdog.hpp"
 #include "metrics/trace_recorder.hpp"
@@ -21,18 +21,11 @@
 #include "power/manager.hpp"
 #include "power/policy_registry.hpp"
 #include "power/zone_manager.hpp"
+#include "support.hpp"
 #include "workload/npb.hpp"
 
 namespace pcap::power {
 namespace {
-
-/// CI sweeps PCAP_FAULT_SEED across a seed range; locally the fallback
-/// keeps the test deterministic.
-std::uint64_t fault_seed(std::uint64_t fallback) {
-  const char* env = std::getenv("PCAP_FAULT_SEED");
-  if (env != nullptr && *env != '\0') return std::strtoull(env, nullptr, 10);
-  return fallback;
-}
 
 std::vector<hw::Node> make_nodes(int n) {
   std::vector<hw::Node> nodes;
@@ -91,9 +84,9 @@ CappingManagerParams quiet_params() {
   return p;
 }
 
-CappingManager make_manager(CappingManagerParams p = quiet_params(),
-                            std::uint64_t seed = 5) {
-  return CappingManager(p, make_policy("mpc"), common::Rng(seed));
+ZoneTreeManager make_manager(CappingManagerParams p = quiet_params(),
+                             std::uint64_t seed = 5) {
+  return test::one_zone(p, "mpc", common::Rng(seed));
 }
 
 ZoneTreeManager make_tree(std::size_t zones,
@@ -377,13 +370,13 @@ TEST(Watchdog, RegroupingNeverManufacturesInstantTimeouts) {
   for (const auto& n : nodes) EXPECT_TRUE(n.at_highest());
 }
 
-// -- flat-manager integration: outage, failsafe, adoption ----------------
+// -- one-zone integration: outage, failsafe, adoption --------------------
 
 TEST(ControllerOutage, DeadCyclesDecideNothingAndWatchdogCaps) {
   Rig rig(4);
   rig.load(0.9);
   rig.run_job(1, 48);
-  CappingManager m = make_manager();
+  ZoneTreeManager m = make_manager();
   m.set_candidate_set({0, 1, 2, 3});
   hw::FailsafeWatchdog wd({.timeout_cycles = 2, .safe_level = 1});
   m.set_watchdog(&wd);
@@ -423,10 +416,10 @@ TEST(ControllerOutage, DeadCyclesDecideNothingAndWatchdogCaps) {
   EXPECT_EQ(r.heals, 0u);
   EXPECT_GT(r.watchdog_adoptions, 0u);
   EXPECT_EQ(wd.pending_count(), 0u);
-  EXPECT_EQ(m.reconciler().total_adopted(), r.watchdog_adoptions);
+  EXPECT_EQ(m.zone(0).reconciler().total_adopted(), r.watchdog_adoptions);
   // Adopted nodes entered A_degraded: steady green restores them the
   // usual one-level-per-T_g way instead of leaving them throttled forever.
-  EXPECT_FALSE(m.engine().degraded().empty());
+  EXPECT_FALSE(m.zone(0).engine().degraded().empty());
   for (int i = 0; i < 120; ++i) {
     m.cycle(Watts{100.0}, rig.nodes, rig.scheduler, Seconds{10.0 + i});
     wd.tick(rig.nodes);
@@ -439,7 +432,7 @@ TEST(ControllerOutage, DeadCyclesDecideNothingAndWatchdogCaps) {
 TEST(ControllerOutage, ManagerHeartbeatsKeepWatchdogQuietWhenHealthy) {
   Rig rig(4);
   rig.load(0.5);
-  CappingManager m = make_manager();
+  ZoneTreeManager m = make_manager();
   m.set_candidate_set({0, 1, 2, 3});
   hw::FailsafeWatchdog wd({.timeout_cycles = 1, .safe_level = 0});
   m.set_watchdog(&wd);
@@ -545,40 +538,69 @@ TEST(ZoneOutage, RootBlackoutSilencesTheWholeTree) {
 
 // -- checkpoint / warm restart -------------------------------------------
 
+// The one-zone image: the root's learner and one shard body.
 TEST(Checkpoint, ShardCodecRoundTripsBitExact) {
   Rig rig(4);
   rig.load(0.9);
   rig.run_job(1, 48);
-  CappingManager m = make_manager();
+  ZoneTreeManager m = make_manager();
   m.set_candidate_set({0, 1, 2, 3});
   for (int i = 0; i < 3; ++i) {
     m.cycle(Watts{1700.0}, rig.nodes, rig.scheduler, Seconds{1.0 + i});
   }
-  const ShardCheckpoint cp = m.checkpoint();
-  EXPECT_FALSE(cp.reconciler.slots.empty());  // believed levels exist
+  const TreeCheckpoint cp = m.checkpoint();
+  ASSERT_EQ(cp.shards.size(), 1u);
+  EXPECT_FALSE(cp.shards[0].reconciler.slots.empty());  // believed levels
   const std::string text = encode_checkpoint(cp);
-  const ShardCheckpoint decoded = decode_shard_checkpoint(text);
+  const TreeCheckpoint decoded = decode_tree_checkpoint(text);
   // decode ∘ encode is the identity on the wire image: hexfloats survive
   // to the last ulp.
   EXPECT_EQ(encode_checkpoint(decoded), text);
 }
 
 TEST(Checkpoint, MalformedImagesThrow) {
-  EXPECT_THROW(decode_shard_checkpoint(""), std::runtime_error);
-  EXPECT_THROW(decode_shard_checkpoint("not a checkpoint"),
+  EXPECT_THROW(decode_tree_checkpoint(""), std::runtime_error);
+  EXPECT_THROW(decode_tree_checkpoint("not a checkpoint"),
                std::runtime_error);
   EXPECT_THROW(decode_tree_checkpoint("pcap-shard-checkpoint v2\n"),
                std::runtime_error);  // wrong kind
-  // v1 images predate the learner training_done flag and the predictor/
-  // policy state lines: rejected loudly rather than resumed wrong.
-  EXPECT_THROW(decode_shard_checkpoint("pcap-shard-checkpoint v1\n"),
-               std::runtime_error);
   EXPECT_THROW(decode_tree_checkpoint("pcap-tree-checkpoint v1\n"),
                std::runtime_error);
-  CappingManager m = make_manager();
+  ZoneTreeManager m = make_manager();
   const std::string text = encode_checkpoint(m.checkpoint());
-  EXPECT_THROW(decode_shard_checkpoint(text.substr(0, text.size() / 2)),
+  EXPECT_THROW(decode_tree_checkpoint(text.substr(0, text.size() / 2)),
                std::runtime_error);
+}
+
+// A v2 image carries a learner and a predictor line in every shard body.
+// This build reads v3 only and says so, instead of failing on the first
+// unexpected token.
+TEST(Checkpoint, V2TreeImageIsRejectedByVersion) {
+  const std::string v2 =
+      "pcap-tree-checkpoint v2\n"
+      "learner 0x1p+11 0x0p+0 0x0p+0 0 0 0 0 1\n"
+      "predictor 0\n"
+      "state 0 0\n"
+      "zones 1\n"
+      "zone 0\n"
+      "learner 0x0p+0 0x0p+0 0x0p+0 0 0 0 0 0\n"
+      "engine 0 0\n"
+      "recon 0\n"
+      "collector 0\n"
+      "predictor 0\n"
+      "policy 0\n"
+      "hint 0 0x0p+0 0x0p+0 0 0\n";
+  try {
+    (void)decode_tree_checkpoint(v2);
+    FAIL() << "a v2 image was accepted";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("'v2'"), std::string::npos) << what;
+    EXPECT_NE(what.find("v3"), std::string::npos) << what;
+  }
+  // The current writer's header.
+  const std::string v3 = encode_checkpoint(make_manager().checkpoint());
+  EXPECT_EQ(v3.rfind("pcap-tree-checkpoint v3\n", 0), 0u);
 }
 
 TEST(Checkpoint, TreeImageWithAnOutOfRangeStateThrows) {
@@ -610,9 +632,9 @@ TEST(Checkpoint, WarmRestartContinuesExactlyWhereTheOldControllerStopped) {
   rig_c.load(0.9);
   rig_c.run_job(1, 48);
 
-  CappingManager a = make_manager();
+  ZoneTreeManager a = make_manager();
   a.set_candidate_set({0, 1, 2, 3});
-  CappingManager c = make_manager();
+  ZoneTreeManager c = make_manager();
   c.set_candidate_set({0, 1, 2, 3});
   for (int i = 0; i < 4; ++i) {
     a.cycle(Watts{1700.0}, rig_a.nodes, rig_a.scheduler, Seconds{1.0 + i});
@@ -620,9 +642,9 @@ TEST(Checkpoint, WarmRestartContinuesExactlyWhereTheOldControllerStopped) {
   }
   const std::string image = encode_checkpoint(a.checkpoint());
 
-  CappingManager b = make_manager();
+  ZoneTreeManager b = make_manager();
   b.set_candidate_set({0, 1, 2, 3});
-  b.restore(decode_shard_checkpoint(image));
+  b.restore(decode_tree_checkpoint(image));
   EXPECT_FALSE(b.root().thresholds().training());
   EXPECT_EQ(b.root().thresholds().p_low().value(),
             a.root().thresholds().p_low().value());
@@ -652,7 +674,7 @@ TEST(Checkpoint, ColdRestartRetrainsButWarmRestartResumesCapped) {
   Rig rig(4);
   rig.load(0.9);
   rig.run_job(1, 48);
-  CappingManager a = make_manager(p);
+  ZoneTreeManager a = make_manager(p);
   a.set_candidate_set({0, 1, 2, 3});
   for (int i = 0; i < 5; ++i) {
     a.cycle(Watts{1700.0}, rig.nodes, rig.scheduler, Seconds{1.0 + i});
@@ -665,7 +687,7 @@ TEST(Checkpoint, ColdRestartRetrainsButWarmRestartResumesCapped) {
   // reading is yellow for a controller that remembers its training.
 
   // Cold restart: a whole training period uncapped.
-  CappingManager cold = make_manager(p);
+  ZoneTreeManager cold = make_manager(p);
   cold.set_candidate_set({0, 1, 2, 3});
   const auto r_cold =
       cold.cycle(Watts{1500.0}, rig.nodes, rig.scheduler, Seconds{6.0});
@@ -673,9 +695,9 @@ TEST(Checkpoint, ColdRestartRetrainsButWarmRestartResumesCapped) {
   EXPECT_EQ(r_cold.targets, 0u);
 
   // Warm restart: capped on the very first cycle.
-  CappingManager warm = make_manager(p);
+  ZoneTreeManager warm = make_manager(p);
   warm.set_candidate_set({0, 1, 2, 3});
-  warm.restore(decode_shard_checkpoint(image));
+  warm.restore(decode_tree_checkpoint(image));
   const auto r_warm =
       warm.cycle(Watts{1500.0}, rig.nodes, rig.scheduler, Seconds{6.0});
   EXPECT_FALSE(r_warm.training);
@@ -732,7 +754,7 @@ ChaosResult run_controller_chaos_cluster(std::size_t worker_threads) {
   cfg.spec = hw::tianhe1a_node_spec();
   cfg.tick = Seconds{1.0};
   cfg.control_period = Seconds{4.0};
-  cfg.seed = fault_seed(20260808);
+  cfg.seed = test::fault_seed(20260808);
   cfg.scheduler.max_procs_per_node = 3;
   cfg.worker_threads = worker_threads;
   cfg.parallel_node_threshold = 1;
@@ -743,7 +765,11 @@ ChaosResult run_controller_chaos_cluster(std::size_t worker_threads) {
   cluster::Cluster cl(cfg);
 
   CappingManagerParams p;
-  p.thresholds.provision = cl.theoretical_peak() * 0.75;
+  // Capped on every swept seed: the provision comes from this rig's own
+  // uncapped probe over the whole run (0.75 of the theoretical peak left
+  // most seeds green throughout, so nothing ever sat above P_H).
+  p.thresholds.provision =
+      cluster::probe_uncapped_peak(cfg, Seconds{360.0}) * 0.9;
   p.thresholds.training_cycles = 0;
   p.thresholds.freeze_at_provision = true;
   p.cycle_period = cfg.control_period;
@@ -827,6 +853,7 @@ void expect_identical(const ChaosResult& a, const ChaosResult& b) {
 TEST(ControllerChaos, FailsafeBoundsOverPowerAndRunStaysDeterministic) {
   const ChaosResult serial = run_controller_chaos_cluster(1);
   ASSERT_GT(serial.points.size(), 300u);
+  ASSERT_TRUE(test::capped_and_commanded(serial.points));
 
   // The chaos actually happened: the forced blackout outlived the
   // watchdog timeout, so failsafes engaged and were later adopted. (The

@@ -11,8 +11,8 @@
 #include "cluster/cluster.hpp"
 #include "hw/node_spec.hpp"
 #include "metrics/trace_recorder.hpp"
-#include "power/manager.hpp"
 #include "power/policy_registry.hpp"
+#include "power/zone_manager.hpp"
 
 namespace pcap {
 namespace {
@@ -46,8 +46,9 @@ RunResult run_cluster(std::size_t worker_threads) {
   p.collector.parallel_threshold = 16;
   p.collector.parallel_grain = 16;
   p.collector.transport.loss_rate = 0.05;  // exercises per-node loss draws
-  auto mgr = std::make_unique<power::CappingManager>(
-      p, power::make_policy("mpc"), common::Rng(cfg.seed ^ 0x9d2c5680u));
+  auto mgr = std::make_unique<power::ZoneTreeManager>(
+      power::ZoneTreeParams{}, p, [] { return power::make_policy("mpc"); },
+      common::Rng(cfg.seed ^ 0x9d2c5680u));
   mgr->set_candidate_set(cl.controllable_nodes());
   cl.set_manager(std::move(mgr));
 
@@ -156,8 +157,9 @@ RunResult run_degraded_cluster(std::size_t worker_threads) {
   p.actuation.transition_failure_rate = 0.05;
   p.actuation.partial_transition_rate = 0.20;
   p.actuation.reboot_rate = 0.002;
-  auto mgr = std::make_unique<power::CappingManager>(
-      p, power::make_policy("mpc-c"), common::Rng(cfg.seed ^ 0x9d2c5680u));
+  auto mgr = std::make_unique<power::ZoneTreeManager>(
+      power::ZoneTreeParams{}, p, [] { return power::make_policy("mpc-c"); },
+      common::Rng(cfg.seed ^ 0x9d2c5680u));
   mgr->set_candidate_set(cl.controllable_nodes());
   cl.set_manager(std::move(mgr));
 
@@ -226,8 +228,9 @@ AbResult run_quiescent_cluster(std::uint64_t seed, bool event_driven,
   p.thresholds.training_cycles = 0;
   p.thresholds.freeze_at_provision = true;
   p.cycle_period = cfg.control_period;
-  auto mgr = std::make_unique<power::CappingManager>(
-      p, power::make_policy("mpc"), common::Rng(seed ^ 0x9d2c5680u));
+  auto mgr = std::make_unique<power::ZoneTreeManager>(
+      power::ZoneTreeParams{}, p, [] { return power::make_policy("mpc"); },
+      common::Rng(seed ^ 0x9d2c5680u));
   mgr->set_candidate_set(cl.controllable_nodes());
   cl.set_manager(std::move(mgr));
 
@@ -318,8 +321,10 @@ SelectionGolden run_selection_sweep(const char* policy) {
   p.thresholds.training_cycles = 0;
   p.thresholds.freeze_at_provision = true;
   p.cycle_period = cfg.control_period;
-  auto mgr = std::make_unique<power::CappingManager>(
-      p, power::make_policy(policy), common::Rng(cfg.seed ^ 0x9d2c5680u));
+  auto mgr = std::make_unique<power::ZoneTreeManager>(
+      power::ZoneTreeParams{}, p,
+      [policy] { return power::make_policy(policy); },
+      common::Rng(cfg.seed ^ 0x9d2c5680u));
   mgr->set_candidate_set(cl.controllable_nodes());
   cl.set_manager(std::move(mgr));
 

@@ -220,8 +220,9 @@ std::int64_t live_bytes_after_first_build(std::size_t n, MakeManager make) {
 TEST(Footprint, BlockZonedTreeHoldsAboutWhatAFlatManagerDoes) {
   constexpr std::size_t kNodes = 4096;
   const std::int64_t flat = live_bytes_after_first_build(kNodes, [] {
-    return std::make_unique<power::CappingManager>(
-        manager_params(), power::make_policy("mpc"), common::Rng(1));
+    return std::make_unique<power::ZoneTreeManager>(
+        power::ZoneTreeParams{}, manager_params(),
+        [] { return power::make_policy("mpc"); }, common::Rng(1));
   });
   const std::int64_t tree = live_bytes_after_first_build(kNodes, [] {
     power::ZoneTreeParams zp;
@@ -250,8 +251,9 @@ TEST(Footprint, FlatManagerHoldsEachCandidateOnce) {
   constexpr std::size_t kNodes = 4096;
   constexpr double kPerNodeBudget = 360.0;
   const std::int64_t flat = live_bytes_after_first_build(kNodes, [] {
-    return std::make_unique<power::CappingManager>(
-        manager_params(), power::make_policy("mpc-c"), common::Rng(1));
+    return std::make_unique<power::ZoneTreeManager>(
+        power::ZoneTreeParams{}, manager_params(),
+        [] { return power::make_policy("mpc-c"); }, common::Rng(1));
   });
   const double per_node = static_cast<double>(flat) / kNodes;
   EXPECT_LE(per_node, kPerNodeBudget) << "live " << per_node << " B per node";

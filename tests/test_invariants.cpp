@@ -7,8 +7,8 @@
 #include "cluster/cluster.hpp"
 #include "cluster/experiment.hpp"
 #include "cluster/scenario.hpp"
-#include "power/manager.hpp"
 #include "power/policy_registry.hpp"
+#include "power/zone_manager.hpp"
 
 namespace pcap::cluster {
 namespace {
@@ -92,7 +92,7 @@ TEST_P(RecoveryInvariant, NodesReturnToTopAfterQuiescence) {
   // has just fired — at that instant every degraded node must have been
   // lifted off the floor.
   const auto& mgr =
-      dynamic_cast<const power::CappingManager&>(cl.manager());
+      dynamic_cast<const power::ZoneTreeManager&>(cl.manager()).zone(0);
   const std::int64_t tg = mgr.engine().params().steady_green_cycles;
   Seconds waited{0.0};
   while (mgr.engine().green_timer() <= tg && waited < Seconds{1200.0}) {

@@ -13,6 +13,7 @@
 #include "hw/node_spec.hpp"
 #include "power/manager.hpp"
 #include "power/policy_registry.hpp"
+#include "support.hpp"
 #include "workload/npb.hpp"
 
 namespace pcap::power {
@@ -188,7 +189,7 @@ TEST(CappingManagerJobIndex, JobFinishingMidDegradationLeavesContext) {
   rig.load(0.9);
   rig.run_job(1, 24);  // nodes 0,1
   rig.run_job(2, 24);  // nodes 2,3
-  CappingManager m(quiet_params(), make_policy("mpc"), common::Rng(1));
+  ZoneTreeManager m = test::one_zone(quiet_params(), "mpc");
   m.set_candidate_set({0, 1, 2, 3});
 
   // Yellow cycle: the policy degrades the most power consuming job, so
@@ -196,15 +197,15 @@ TEST(CappingManagerJobIndex, JobFinishingMidDegradationLeavesContext) {
   const auto r =
       m.cycle(Watts{1700.0}, rig.nodes, rig.scheduler, Seconds{1.0});
   ASSERT_EQ(r.state, PowerState::kYellow);
-  ASSERT_FALSE(m.engine().degraded().empty());
+  ASSERT_FALSE(m.zone(0).engine().degraded().empty());
 
   PolicyContext ctx;
-  m.build_context_into(ctx, Watts{1700.0}, rig.nodes, rig.scheduler);
+  m.zone(0).build_context_into(ctx, rig.nodes, rig.scheduler);
   ASSERT_EQ(ctx.jobs.size(), 2u);
 
   finish_job(rig.scheduler, 1);
   m.cycle(Watts{1700.0}, rig.nodes, rig.scheduler, Seconds{2.0});
-  m.build_context_into(ctx, Watts{1700.0}, rig.nodes, rig.scheduler);
+  m.zone(0).build_context_into(ctx, rig.nodes, rig.scheduler);
   ASSERT_EQ(ctx.jobs.size(), 1u);
   EXPECT_EQ(ctx.jobs[0].id, 2u);
 }
@@ -214,19 +215,19 @@ TEST(CappingManagerJobIndex, CandidateChurnDropsJobFromContext) {
   rig.load(0.8);
   rig.run_job(1, 24);  // nodes 0,1
   rig.run_job(2, 24);  // nodes 2,3
-  CappingManager m(quiet_params(), make_policy("mpc"), common::Rng(1));
+  ZoneTreeManager m = test::one_zone(quiet_params(), "mpc");
   m.set_candidate_set({0, 1, 2, 3});
 
   m.cycle(Watts{100.0}, rig.nodes, rig.scheduler, Seconds{1.0});
   PolicyContext ctx;
-  m.build_context_into(ctx, Watts{100.0}, rig.nodes, rig.scheduler);
+  m.zone(0).build_context_into(ctx, rig.nodes, rig.scheduler);
   ASSERT_EQ(ctx.jobs.size(), 2u);
 
   // Remove job 1's nodes from A_candidate mid-run: the job must vanish
   // from the context even though it is still running.
   m.set_candidate_set({2, 3});
   m.cycle(Watts{100.0}, rig.nodes, rig.scheduler, Seconds{2.0});
-  m.build_context_into(ctx, Watts{100.0}, rig.nodes, rig.scheduler);
+  m.zone(0).build_context_into(ctx, rig.nodes, rig.scheduler);
   ASSERT_EQ(ctx.jobs.size(), 1u);
   EXPECT_EQ(ctx.jobs[0].id, 2u);
   EXPECT_EQ(ctx.jobs[0].nodes, (std::vector<hw::NodeId>{2, 3}));
@@ -236,12 +237,12 @@ TEST(CappingManagerJobIndex, LevelResetRefreshesPerJobSaving) {
   Rig rig(2);
   rig.load(0.8);
   rig.run_job(1, 24);  // nodes 0,1
-  CappingManager m(quiet_params(), make_policy("mpc"), common::Rng(1));
+  ZoneTreeManager m = test::one_zone(quiet_params(), "mpc");
   m.set_candidate_set({0, 1});
 
   m.cycle(Watts{100.0}, rig.nodes, rig.scheduler, Seconds{1.0});
   PolicyContext ctx;
-  m.build_context_into(ctx, Watts{100.0}, rig.nodes, rig.scheduler);
+  m.zone(0).build_context_into(ctx, rig.nodes, rig.scheduler);
   ASSERT_EQ(ctx.jobs.size(), 1u);
   const Watts saving_before = ctx.jobs[0].saving_one_level;
   ASSERT_GT(saving_before, Watts{0.0});
@@ -253,7 +254,7 @@ TEST(CappingManagerJobIndex, LevelResetRefreshesPerJobSaving) {
   rig.nodes[0].set_level(3);
   rig.nodes[1].set_level(3);
   m.cycle(Watts{100.0}, rig.nodes, rig.scheduler, Seconds{2.0});
-  m.build_context_into(ctx, Watts{100.0}, rig.nodes, rig.scheduler);
+  m.zone(0).build_context_into(ctx, rig.nodes, rig.scheduler);
   ASSERT_EQ(ctx.jobs.size(), 1u);
   EXPECT_NE(ctx.jobs[0].saving_one_level, saving_before);
 

@@ -5,11 +5,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 
 #include "hw/node_spec.hpp"
 #include "power/policy_registry.hpp"
+#include "support.hpp"
 #include "workload/npb.hpp"
 
 namespace pcap::power {
@@ -66,12 +66,15 @@ CappingManagerParams fast_params() {
 }
 
 TEST(CappingManager, NameIncludesPolicy) {
-  CappingManager m(fast_params(), make_policy("mpc"), common::Rng(1));
-  EXPECT_EQ(m.name(), "capping:mpc");
+  common::Rng rng(1);
+  const CappingManager shard(fast_params(), make_policy("mpc"), rng);
+  EXPECT_EQ(shard.name(), "capping:mpc");
+  EXPECT_EQ(test::one_zone(fast_params()).name(), "zonetree(1):capping:mpc");
 }
 
 TEST(CappingManager, NullPolicyThrows) {
-  EXPECT_THROW(CappingManager(fast_params(), nullptr, common::Rng(1)),
+  common::Rng rng(1);
+  EXPECT_THROW(CappingManager(fast_params(), nullptr, rng),
                std::invalid_argument);
 }
 
@@ -79,7 +82,7 @@ TEST(CappingManager, TrainingCyclesDoNotThrottle) {
   Rig rig(4);
   rig.load(0.9);
   rig.run_job(1, 48);
-  CappingManager m(fast_params(), make_policy("mpc"), common::Rng(1));
+  ZoneTreeManager m = test::one_zone(fast_params(), "mpc");
   m.set_candidate_set({0, 1, 2, 3});
   // Extremely high reading; still training -> no commands.
   const auto r1 =
@@ -96,7 +99,7 @@ TEST(CappingManager, YellowCycleThrottlesJobNodes) {
   CappingManagerParams p = fast_params();
   p.thresholds.training_cycles = 0;
   p.thresholds.adjust_period_cycles = 1000;
-  CappingManager m(p, make_policy("mpc"), common::Rng(1));
+  ZoneTreeManager m = test::one_zone(p, "mpc");
   m.set_candidate_set({0, 1, 2, 3});
 
   // Thresholds from provision 2000: P_L = 1680, P_H = 1860.
@@ -117,7 +120,7 @@ TEST(CappingManager, RedCycleFloorsCandidates) {
   rig.run_job(1, 24);
   CappingManagerParams p = fast_params();
   p.thresholds.training_cycles = 0;
-  CappingManager m(p, make_policy("mpc"), common::Rng(1));
+  ZoneTreeManager m = test::one_zone(p, "mpc");
   m.set_candidate_set({0, 1, 2});  // node 3 stays unmanaged
 
   const auto r =
@@ -136,7 +139,7 @@ TEST(CappingManager, SteadyGreenRestores) {
   CappingManagerParams p = fast_params();
   p.thresholds.training_cycles = 0;
   p.capping.steady_green_cycles = 2;
-  CappingManager m(p, make_policy("mpc"), common::Rng(1));
+  ZoneTreeManager m = test::one_zone(p, "mpc");
   m.set_candidate_set({0, 1});
 
   m.cycle(Watts{1700.0}, rig.nodes, rig.scheduler, Seconds{1.0});  // yellow
@@ -145,7 +148,7 @@ TEST(CappingManager, SteadyGreenRestores) {
   EXPECT_EQ(rig.nodes[0].level(), 8);
   m.cycle(Watts{100.0}, rig.nodes, rig.scheduler, Seconds{3.0});  // green 2
   EXPECT_EQ(rig.nodes[0].level(), 9);
-  EXPECT_TRUE(m.engine().degraded().empty());
+  EXPECT_TRUE(m.zone(0).engine().degraded().empty());
 }
 
 TEST(CappingManager, BuildContextMapsJobsToCandidates) {
@@ -155,12 +158,12 @@ TEST(CappingManager, BuildContextMapsJobsToCandidates) {
   rig.run_job(2, 12);  // node 2
   CappingManagerParams p = fast_params();
   p.thresholds.training_cycles = 0;
-  CappingManager m(p, make_policy("mpc"), common::Rng(1));
+  ZoneTreeManager m = test::one_zone(p, "mpc");
   m.set_candidate_set({0, 1});  // only job 1's nodes monitored
 
   m.cycle(Watts{100.0}, rig.nodes, rig.scheduler, Seconds{1.0});
   PolicyContext ctx;
-  m.build_context_into(ctx, Watts{100.0}, rig.nodes, rig.scheduler);
+  m.zone(0).build_context_into(ctx, rig.nodes, rig.scheduler);
   EXPECT_EQ(ctx.nodes.size(), 2u);
   ASSERT_EQ(ctx.jobs.size(), 1u);  // job 2 invisible: no candidate nodes
   EXPECT_EQ(ctx.jobs[0].id, 1u);
@@ -175,16 +178,16 @@ TEST(CappingManager, ContextRateNeedsTwoCycles) {
   rig.run_job(1, 24);
   CappingManagerParams p = fast_params();
   p.thresholds.training_cycles = 0;
-  CappingManager m(p, make_policy("hri"), common::Rng(1));
+  ZoneTreeManager m = test::one_zone(p, "hri");
   m.set_candidate_set({0, 1});
 
   m.cycle(Watts{100.0}, rig.nodes, rig.scheduler, Seconds{1.0});
   PolicyContext ctx;
-  m.build_context_into(ctx, Watts{100.0}, rig.nodes, rig.scheduler);
+  m.zone(0).build_context_into(ctx, rig.nodes, rig.scheduler);
   EXPECT_DOUBLE_EQ(ctx.jobs[0].rate_of_increase(), 0.0);  // no history yet
 
   m.cycle(Watts{100.0}, rig.nodes, rig.scheduler, Seconds{2.0});
-  m.build_context_into(ctx, Watts{100.0}, rig.nodes, rig.scheduler);
+  m.zone(0).build_context_into(ctx, rig.nodes, rig.scheduler);
   EXPECT_GT(ctx.jobs[0].power_prev, Watts{0.0});
 }
 
@@ -193,7 +196,7 @@ TEST(CappingManager, ThresholdsLearnFromPeak) {
   rig.load(0.5);
   CappingManagerParams p = fast_params();
   p.thresholds.training_cycles = 2;
-  CappingManager m(p, make_policy("mpc"), common::Rng(1));
+  ZoneTreeManager m = test::one_zone(p, "mpc");
   m.set_candidate_set({0, 1});
 
   m.cycle(Watts{1500.0}, rig.nodes, rig.scheduler, Seconds{1.0});
@@ -209,7 +212,7 @@ TEST(CappingManager, UncontrollableNodesNeverChange) {
   rig.run_job(1, 24);
   CappingManagerParams p = fast_params();
   p.thresholds.training_cycles = 0;
-  CappingManager m(p, make_policy("mpc"), common::Rng(1));
+  ZoneTreeManager m = test::one_zone(p, "mpc");
   m.set_candidate_set({0, 1});
 
   m.cycle(Watts{1900.0}, rig.nodes, rig.scheduler, Seconds{1.0});  // red
@@ -279,12 +282,12 @@ TEST(CappingManager, DynamicSelectorExcludesPrivilegedJob) {
   CappingManagerParams p = fast_params();
   p.thresholds.training_cycles = 0;
   p.selector = CandidateSelectorParams{};
-  CappingManager m(p, make_policy("mpc"), common::Rng(1));
+  ZoneTreeManager m = test::one_zone(p, "mpc");
   // No explicit set_candidate_set: the selector populates it.
 
   // Red reading floors every candidate — but never the privileged nodes.
   m.cycle(Watts{1900.0}, rig.nodes, rig.scheduler, Seconds{1.0});
-  EXPECT_EQ(m.candidate_set(), (std::vector<hw::NodeId>{2, 3}));
+  EXPECT_EQ(m.zone(0).candidate_set(), (std::vector<hw::NodeId>{2, 3}));
   EXPECT_TRUE(rig.nodes[0].at_highest());
   EXPECT_TRUE(rig.nodes[1].at_highest());
   EXPECT_EQ(rig.nodes[2].level(), 0);
@@ -298,9 +301,9 @@ TEST(CappingManager, DynamicSelectorRespectsMaxCandidates) {
   CandidateSelectorParams sel;
   sel.max_candidates = 3;
   p.selector = sel;
-  CappingManager m(p, make_policy("mpc"), common::Rng(1));
+  ZoneTreeManager m = test::one_zone(p, "mpc");
   m.cycle(Watts{500.0}, rig.nodes, rig.scheduler, Seconds{1.0});
-  EXPECT_EQ(m.candidate_set().size(), 3u);
+  EXPECT_EQ(m.zone(0).candidate_set().size(), 3u);
 }
 
 /// A spec whose power table is all-zero: every sample legitimately reads
@@ -340,13 +343,13 @@ TEST(CappingManager, ZeroWattPreviousSampleStillCountsAsHistory) {
   rig.run_job(1, 24);  // spans nodes 0 (0 W) and 1 (real watts)
   CappingManagerParams p = fast_params();
   p.thresholds.training_cycles = 0;
-  CappingManager m(p, make_policy("hri"), common::Rng(1));
+  ZoneTreeManager m = test::one_zone(p, "hri");
   m.set_candidate_set({0, 1});
 
   m.cycle(Watts{100.0}, rig.nodes, rig.scheduler, Seconds{1.0});
   m.cycle(Watts{100.0}, rig.nodes, rig.scheduler, Seconds{2.0});
   PolicyContext ctx;
-  m.build_context_into(ctx, Watts{100.0}, rig.nodes, rig.scheduler);
+  m.zone(0).build_context_into(ctx, rig.nodes, rig.scheduler);
   ASSERT_EQ(ctx.jobs.size(), 1u);
   const NodeView* zero = ctx.node(0);
   ASSERT_NE(zero, nullptr);
@@ -367,7 +370,7 @@ TEST(CappingManager, DelayedTelemetryGoesStaleAndGetsFallback) {
   p.collector.transport.delay_cycles = 3;
   p.max_sample_age_cycles = 2;
   p.stale_power_margin = 0.25;
-  CappingManager m(p, make_policy("mpc"), common::Rng(1));
+  ZoneTreeManager m = test::one_zone(p, "mpc");
   m.set_candidate_set({0, 1});
 
   ManagerReport r;
@@ -384,12 +387,12 @@ TEST(CappingManager, DelayedTelemetryGoesStaleAndGetsFallback) {
   for (const auto& n : rig.nodes) EXPECT_TRUE(n.at_highest());
 
   PolicyContext ctx;
-  m.build_context_into(ctx, Watts{1700.0}, rig.nodes, rig.scheduler);
+  m.zone(0).build_context_into(ctx, rig.nodes, rig.scheduler);
   ASSERT_EQ(ctx.nodes.size(), 2u);
   for (const NodeView& nv : ctx.nodes) {
     EXPECT_TRUE(nv.stale);
     // The fallback is the delivered estimate inflated by the margin.
-    const auto hist = m.collector().history(nv.id);
+    const auto hist = m.zone(0).collector().history(nv.id);
     ASSERT_TRUE(hist.has_value());
     EXPECT_NEAR(nv.power.value(), hist->back().estimated_power.value() * 1.25,
                 1e-9);
@@ -403,7 +406,7 @@ TEST(CappingManager, CorruptSamplesAreRejectedNotActedOn) {
   CappingManagerParams p = fast_params();
   p.thresholds.training_cycles = 0;
   p.collector.faults.corruption_rate = 1.0;  // every delivery is garbage
-  CappingManager m(p, make_policy("mpc"), common::Rng(1));
+  ZoneTreeManager m = test::one_zone(p, "mpc");
   m.set_candidate_set({0, 1});
 
   ManagerReport r;
@@ -432,13 +435,13 @@ TEST(CappingManager, FlooredCandidateContributesNoSavingOneLevelDown) {
   rig.run_job(1, 24);  // nodes 0, 1
   CappingManagerParams p = fast_params();
   p.thresholds.training_cycles = 0;
-  CappingManager m(p, make_policy("mpc"), common::Rng(1));
+  ZoneTreeManager m = test::one_zone(p, "mpc");
   m.set_candidate_set({0, 1});
 
   rig.nodes[0].set_level(0);  // already at the ladder floor
   m.cycle(Watts{100.0}, rig.nodes, rig.scheduler, Seconds{1.0});
   PolicyContext ctx;
-  m.build_context_into(ctx, Watts{100.0}, rig.nodes, rig.scheduler);
+  m.zone(0).build_context_into(ctx, rig.nodes, rig.scheduler);
   const NodeView* floored = ctx.node(0);
   ASSERT_NE(floored, nullptr);
   EXPECT_TRUE(floored->at_lowest);
@@ -477,7 +480,7 @@ TEST(CappingManager, DeliveryDrainCycleStillObservesDivergence) {
   p.actuation.delivery_delay_cycles = 4;     // c1's commands land at c5
   p.reconciliation.max_retries = 0;          // abandon at first due check
   p.reconciliation.retry_backoff_base_cycles = 1;
-  CappingManager m(p, make_policy("mpc"), common::Rng(1));
+  ZoneTreeManager m = test::one_zone(p, "mpc");
   m.set_candidate_set({0, 1, 2});
 
   // c1 (yellow): throttle commands for nodes 0, 1 are queued for c5;
@@ -493,21 +496,21 @@ TEST(CappingManager, DeliveryDrainCycleStillObservesDivergence) {
   const auto r2 =
       m.cycle(Watts{100.0}, rig.nodes, rig.scheduler, Seconds{2.0});
   EXPECT_EQ(r2.commands_abandoned, 2u);
-  EXPECT_EQ(m.reconciler().unresponsive_count(), 2u);
+  EXPECT_EQ(m.zone(0).reconciler().unresponsive_count(), 2u);
 
   // c3 (green): fresh telemetry readmits both abandoned nodes.
   m.cycle(Watts{100.0}, rig.nodes, rig.scheduler, Seconds{3.0});
-  EXPECT_EQ(m.reconciler().unresponsive_count(), 0u);
+  EXPECT_EQ(m.zone(0).reconciler().unresponsive_count(), 0u);
 
   // Shrink A_candidate: nodes 0, 1 leave the context, so the next engine
   // cycle drains A_degraded without restore commands. Their queued
   // throttles stay in flight.
   m.set_candidate_set({2});
   m.cycle(Watts{100.0}, rig.nodes, rig.scheduler, Seconds{4.0});  // c4
-  EXPECT_TRUE(m.engine().degraded().empty());
-  EXPECT_EQ(m.actuation_channel().in_flight_count(), 2u);
-  EXPECT_EQ(m.reconciler().pending_count(), 0u);
-  EXPECT_EQ(m.reconciler().unresponsive_count(), 0u);
+  EXPECT_TRUE(m.zone(0).engine().degraded().empty());
+  EXPECT_EQ(m.zone(0).actuation_channel().in_flight_count(), 2u);
+  EXPECT_EQ(m.zone(0).reconciler().pending_count(), 0u);
+  EXPECT_EQ(m.zone(0).reconciler().unresponsive_count(), 0u);
 
   // c5: the only gate clause left is in_flight > 0, and begin_cycle
   // delivers both queued commands — the post-drain re-evaluation used to
@@ -540,7 +543,7 @@ std::vector<ManagerReport> run_abandon_sequence(bool read_only_build) {
   p.actuation.delivery_delay_cycles = 4;
   p.reconciliation.max_retries = 0;  // abandon at the first due check
   p.reconciliation.retry_backoff_base_cycles = 1;
-  CappingManager m(p, make_policy("mpc"), common::Rng(1));
+  ZoneTreeManager m = test::one_zone(p, "mpc");
   m.set_candidate_set({0, 1, 2});
 
   double now = 1.0;
@@ -558,7 +561,7 @@ std::vector<ManagerReport> run_abandon_sequence(bool read_only_build) {
   step(100.0);
   if (read_only_build) {
     PolicyContext ctx;
-    m.build_context_into(ctx, Watts{100.0}, rig.nodes, rig.scheduler);
+    m.zone(0).build_context_into(ctx, rig.nodes, rig.scheduler);
   }
   std::vector<ManagerReport> after;
   for (int c = 0; c < 3; ++c) after.push_back(step(100.0));
@@ -585,18 +588,11 @@ TEST(CappingManager, ReadOnlyBuildDoesNotCorruptTheNextCycle) {
 TEST(CappingManager, ManagerUtilizationReported) {
   Rig rig(8);
   rig.load(0.5);
-  CappingManager m(fast_params(), make_policy("mpc"), common::Rng(1));
+  ZoneTreeManager m = test::one_zone(fast_params(), "mpc");
   m.set_candidate_set({0, 1, 2, 3, 4, 5, 6, 7});
   const auto r =
       m.cycle(Watts{500.0}, rig.nodes, rig.scheduler, Seconds{1.0});
   EXPECT_GT(r.manager_utilization, 0.0);
-}
-
-/// CI sweeps the window-invariant runs across PCAP_FAULT_SEED=1..N.
-std::uint64_t fault_seed(std::uint64_t fallback) {
-  const char* env = std::getenv("PCAP_FAULT_SEED");
-  if (env == nullptr || *env == '\0') return fallback;
-  return std::strtoull(env, nullptr, 10);
 }
 
 /// A seeded noisy run of `cycles` cycles over 16 nodes under the given
@@ -619,8 +615,8 @@ void run_windowed(const telemetry::CollectorParams& collector, int cycles,
   p.collector = collector;
   p.thresholds.provision = draw() * 0.85;
   p.thresholds.training_cycles = 0;
-  CappingManager m(p, make_policy("mpc"),
-                   common::Rng(fault_seed(11)).fork("window"));
+  ZoneTreeManager m = test::one_zone(
+      p, "mpc", common::Rng(test::fault_seed(11)).fork("window"));
   std::vector<hw::NodeId> ids(kNodes);
   for (int i = 0; i < kNodes; ++i) ids[i] = static_cast<hw::NodeId>(i);
   m.set_candidate_set(ids);
@@ -628,8 +624,8 @@ void run_windowed(const telemetry::CollectorParams& collector, int cycles,
   PolicyContext ctx;
   for (int c = 1; c <= cycles; ++c) {
     m.cycle(draw(), rig.nodes, rig.scheduler, Seconds{static_cast<double>(c)});
-    m.build_context_into(ctx, draw(), rig.nodes, rig.scheduler);
-    check(m, ctx, rig.nodes, c);
+    m.zone(0).build_context_into(ctx, rig.nodes, rig.scheduler);
+    check(m.zone(0), ctx, rig.nodes, c);
   }
 }
 
@@ -795,8 +791,9 @@ TEST(ContextCompaction, ViewsCompactForwardAroundMissingAndExcludedSlots) {
   p.reconciliation.max_retries = 0;  // abandon at the first due check
   p.reconciliation.retry_backoff_base_cycles = 1;
   const auto max_age = static_cast<std::uint64_t>(p.max_sample_age_cycles);
-  CappingManager m(p, make_policy("mpc"),
-                   common::Rng(fault_seed(11)).fork("compaction"));
+  ZoneTreeManager m = test::one_zone(
+      p, "mpc", common::Rng(test::fault_seed(11)).fork("compaction"));
+  const CappingManager& shard = m.zone(0);
   std::vector<hw::NodeId> all(kNodes);
   for (int i = 0; i < kNodes; ++i) all[i] = static_cast<hw::NodeId>(i);
   std::vector<hw::NodeId> early;
@@ -815,9 +812,9 @@ TEST(ContextCompaction, ViewsCompactForwardAroundMissingAndExcludedSlots) {
   for (int c = 1; c <= 200; ++c) {
     if (c == 20) {
       m.set_candidate_set(all);
-      m.build_context_into(ro, Watts{0.0}, rig.nodes, rig.scheduler);
+      shard.build_context_into(ro, rig.nodes, rig.scheduler);
       holes.clear();
-      check_compacted(m, ro, false, read_only, max_age, c, holes);
+      check_compacted(shard, ro, false, read_only, max_age, c, holes);
       never_sampled_hole =
           std::find(holes.begin(), holes.end(), kLateJoiner) != holes.end();
     }
@@ -826,20 +823,20 @@ TEST(ContextCompaction, ViewsCompactForwardAroundMissingAndExcludedSlots) {
     const bool red = c % 5 == 0;
     std::vector<bool> unresponsive(kNodes);
     for (const hw::NodeId id : all) {
-      unresponsive[id] = m.reconciler().unresponsive(id);
+      unresponsive[id] = shard.reconciler().unresponsive(id);
     }
-    const bool builds = red || m.context_gate(PowerState::kGreen);
+    const bool builds = red || shard.context_gate(PowerState::kGreen);
     const ManagerReport r = m.cycle(red ? Watts{1e9} : Watts{0.0}, rig.nodes,
                                     rig.scheduler,
                                     Seconds{static_cast<double>(c)});
     ASSERT_EQ(r.state, red ? PowerState::kRed : PowerState::kGreen);
     if (builds) {
       holes.clear();
-      const PolicyContext& ctx = m.context();
-      check_compacted(m, ctx, true, unresponsive, max_age, c, holes);
+      const PolicyContext& ctx = shard.context();
+      check_compacted(shard, ctx, true, unresponsive, max_age, c, holes);
       for (const hw::NodeId id : holes) {
         // A hole with a sample is an excluded slot, not a missing one.
-        if (m.collector().latest(id).has_value() && !ctx.nodes.empty() &&
+        if (shard.collector().latest(id).has_value() && !ctx.nodes.empty() &&
             ctx.nodes.front().id < id && id < ctx.nodes.back().id) {
           ++excluded_between;
         }
@@ -847,9 +844,9 @@ TEST(ContextCompaction, ViewsCompactForwardAroundMissingAndExcludedSlots) {
       if (holes != prev_holes) ++moved;
       prev_holes = holes;
     }
-    m.build_context_into(ro, Watts{0.0}, rig.nodes, rig.scheduler);
+    shard.build_context_into(ro, rig.nodes, rig.scheduler);
     holes.clear();
-    check_compacted(m, ro, false, read_only, max_age, c, holes);
+    check_compacted(shard, ro, false, read_only, max_age, c, holes);
   }
   EXPECT_TRUE(never_sampled_hole);
   EXPECT_GT(excluded_between, 0u);

@@ -186,8 +186,8 @@ void install_capping_manager(cluster::Cluster& cl) {
   p.collector.parallel_threshold = 16;
   p.collector.parallel_grain = 16;
   p.collector.transport.loss_rate = 0.05;
-  auto mgr = std::make_unique<power::CappingManager>(
-      p, power::make_policy("mpc"),
+  auto mgr = std::make_unique<power::ZoneTreeManager>(
+      power::ZoneTreeParams{}, p, [] { return power::make_policy("mpc"); },
       common::Rng(cl.config().seed ^ 0x9d2c5680u));
   mgr->set_candidate_set(cl.controllable_nodes());
   cl.set_manager(std::move(mgr));

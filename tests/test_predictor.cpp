@@ -9,13 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "cluster/cluster.hpp"
+#include "cluster/experiment.hpp"
 #include "hw/node_spec.hpp"
 #include "metrics/trace_recorder.hpp"
 #include "power/capping.hpp"
@@ -26,18 +26,11 @@
 #include "power/policies_state_based.hpp"
 #include "power/policy_registry.hpp"
 #include "power/zone_manager.hpp"
+#include "support.hpp"
 #include "workload/npb.hpp"
 
 namespace pcap::power {
 namespace {
-
-/// CI sweeps PCAP_FAULT_SEED across a seed range; locally the fallback
-/// keeps the test deterministic.
-std::uint64_t fault_seed(std::uint64_t fallback) {
-  const char* env = std::getenv("PCAP_FAULT_SEED");
-  if (env == nullptr || *env == '\0') return fallback;
-  return std::strtoull(env, nullptr, 10);
-}
 
 /// Same three-job context as test_policies.cpp:
 ///   job 0: nodes {0,1},   P = 600 (hot)
@@ -520,7 +513,8 @@ TEST(CappingManager, ActsBeforeTheMeterCrossesTheThreshold) {
   Rig rig(4);
   rig.load(0.9);
   rig.run_job(1, 48);
-  CappingManager m(predictive_params(), make_policy("pi-c"), common::Rng(5));
+  ZoneTreeManager m =
+      test::one_zone(predictive_params(), "pi-c", common::Rng(5));
   m.set_candidate_set({0, 1, 2, 3});
 
   // One sample: the model has no trend yet, the cycle is plain green.
@@ -547,7 +541,7 @@ TEST(CappingManager, PredictionDisabledIsByteForByteReactive) {
   rig.run_job(1, 48);
   CappingManagerParams p = predictive_params();
   p.prediction = PredictionParams{};
-  CappingManager m(p, make_policy("pi-c"), common::Rng(5));
+  ZoneTreeManager m = test::one_zone(p, "pi-c", common::Rng(5));
   m.set_candidate_set({0, 1, 2, 3});
   for (int i = 0; i < 4; ++i) {
     const auto r = m.cycle(Watts{1500.0 + 50.0 * i}, rig.nodes,
@@ -567,7 +561,7 @@ TEST(CappingManager, ScorerReportsAccuracyOncePipelineFills) {
   rig.run_job(1, 48);
   CappingManagerParams p = predictive_params();
   p.prediction.horizon_cycles = 2;
-  CappingManager m(p, make_policy("pred-c"), common::Rng(5));
+  ZoneTreeManager m = test::one_zone(p, "pred-c", common::Rng(5));
   m.set_candidate_set({0, 1, 2, 3});
   ManagerReport r;
   for (int i = 0; i < 6; ++i) {
@@ -593,9 +587,11 @@ TEST(Checkpoint, PredictorWarmRestartResumesBitIdentically) {
   rig_c.run_job(1, 48);
   const auto meter = [](int i) { return Watts{1400.0 + 25.0 * i}; };
 
-  CappingManager a(predictive_params(), make_policy("pi-c"), common::Rng(5));
+  ZoneTreeManager a =
+      test::one_zone(predictive_params(), "pi-c", common::Rng(5));
   a.set_candidate_set({0, 1, 2, 3});
-  CappingManager c(predictive_params(), make_policy("pi-c"), common::Rng(5));
+  ZoneTreeManager c =
+      test::one_zone(predictive_params(), "pi-c", common::Rng(5));
   c.set_candidate_set({0, 1, 2, 3});
   for (int i = 0; i < 6; ++i) {
     a.cycle(meter(i), rig_a.nodes, rig_a.scheduler, Seconds{1.0 + i});
@@ -603,9 +599,10 @@ TEST(Checkpoint, PredictorWarmRestartResumesBitIdentically) {
   }
   const std::string image = encode_checkpoint(a.checkpoint());
 
-  CappingManager b(predictive_params(), make_policy("pi-c"), common::Rng(5));
+  ZoneTreeManager b =
+      test::one_zone(predictive_params(), "pi-c", common::Rng(5));
   b.set_candidate_set({0, 1, 2, 3});
-  b.restore(decode_shard_checkpoint(image));
+  b.restore(decode_tree_checkpoint(image));
   ASSERT_TRUE(b.root().forecast().has_value());
   EXPECT_EQ(b.root().forecast()->value(), a.root().forecast()->value());
 
@@ -631,22 +628,22 @@ TEST(Checkpoint, FftPredictorAndPiIntegralSurviveTheImage) {
   p.prediction.kind = "fft";
   p.prediction.window_cycles = 8;
   p.prediction.refresh_cycles = 4;
-  CappingManager a(p, make_policy("pi-c"), common::Rng(5));
+  ZoneTreeManager a = test::one_zone(p, "pi-c", common::Rng(5));
   a.set_candidate_set({0, 1, 2, 3});
   for (int i = 0; i < 10; ++i) {
     a.cycle(Watts{1600.0 + 60.0 * (i % 3)}, rig.nodes, rig.scheduler,
             Seconds{1.0 + i});
   }
-  const ShardCheckpoint cp = a.checkpoint();
+  const TreeCheckpoint cp = a.checkpoint();
   EXPECT_FALSE(cp.predictor_state.empty());
   const std::string text = encode_checkpoint(cp);
-  EXPECT_EQ(encode_checkpoint(decode_shard_checkpoint(text)), text);
+  EXPECT_EQ(encode_checkpoint(decode_tree_checkpoint(text)), text);
 
-  CappingManager b(p, make_policy("pi-c"), common::Rng(5));
+  ZoneTreeManager b = test::one_zone(p, "pi-c", common::Rng(5));
   b.set_candidate_set({0, 1, 2, 3});
-  b.restore(decode_shard_checkpoint(text));
-  const auto* pi_a = dynamic_cast<const PiCollection*>(&a.policy());
-  const auto* pi_b = dynamic_cast<const PiCollection*>(&b.policy());
+  b.restore(decode_tree_checkpoint(text));
+  const auto* pi_a = dynamic_cast<const PiCollection*>(&a.zone(0).policy());
+  const auto* pi_b = dynamic_cast<const PiCollection*>(&b.zone(0).policy());
   ASSERT_NE(pi_a, nullptr);
   ASSERT_NE(pi_b, nullptr);
   EXPECT_EQ(pi_b->integral(), pi_a->integral());
@@ -729,7 +726,7 @@ PredictiveRun run_predictive_cluster(std::size_t worker_threads,
   cfg.spec = hw::tianhe1a_node_spec();
   cfg.tick = Seconds{1.0};
   cfg.control_period = Seconds{4.0};
-  cfg.seed = fault_seed(20260808);
+  cfg.seed = test::fault_seed(20260808);
   cfg.scheduler.max_procs_per_node = 3;
   cfg.worker_threads = worker_threads;
   cfg.parallel_node_threshold = 1;
@@ -737,9 +734,13 @@ PredictiveRun run_predictive_cluster(std::size_t worker_threads,
   cluster::Cluster cl(cfg);
 
   CappingManagerParams p;
-  // The clean-slot variant runs under a tighter provision: at 0.75 some
-  // swept seeds never leave quiet green and build no context at all.
-  p.thresholds.provision = cl.theoretical_peak() * (clean_slots ? 0.5 : 0.75);
+  // Capped on every swept seed: the provision comes from this rig's own
+  // uncapped probe (0.75 of the theoretical peak left some seeds green
+  // throughout, building no context at all). The clean-slot variant runs
+  // under a tighter fixed provision.
+  p.thresholds.provision =
+      clean_slots ? cl.theoretical_peak() * 0.5
+                  : cluster::probe_uncapped_peak(cfg, Seconds{300.0}) * 0.9;
   p.thresholds.training_cycles = 0;
   p.thresholds.freeze_at_provision = true;
   p.cycle_period = cfg.control_period;
@@ -759,8 +760,9 @@ PredictiveRun run_predictive_cluster(std::size_t worker_threads,
     p.collector.agent.nic_noise = 0.0;
     p.collector.transport.delay_cycles = 0;
   }
-  auto mgr = std::make_unique<CappingManager>(
-      p, make_policy(policy), common::Rng(cfg.seed ^ 0x9d2c5680u));
+  auto mgr = std::make_unique<ZoneTreeManager>(
+      ZoneTreeParams{}, p, [policy] { return make_policy(policy); },
+      common::Rng(cfg.seed ^ 0x9d2c5680u));
   mgr->set_candidate_set(cl.controllable_nodes());
   cl.set_manager(std::move(mgr));
 
@@ -795,6 +797,7 @@ void expect_identical(const PredictiveRun& a, const PredictiveRun& b) {
 
 TEST(PredictiveDeterminism, PiCDegradedRunIsThreadInvariant) {
   const PredictiveRun serial = run_predictive_cluster(1, "pi-c");
+  ASSERT_TRUE(test::capped_and_commanded(serial.points));
   ASSERT_GT(serial.points.size(), 250u);
   EXPECT_GT(serial.samples_lost, 0u);  // the fault machinery really fired
   EXPECT_NE(serial.prom.find("pcap_predictor_forecast_watts"),
@@ -805,6 +808,7 @@ TEST(PredictiveDeterminism, PiCDegradedRunIsThreadInvariant) {
 
 TEST(PredictiveDeterminism, PredCDegradedRunIsThreadInvariant) {
   const PredictiveRun serial = run_predictive_cluster(1, "pred-c");
+  ASSERT_TRUE(test::capped_and_commanded(serial.points));
   const PredictiveRun four = run_predictive_cluster(4, "pred-c");
   expect_identical(serial, four);
 }
@@ -813,8 +817,9 @@ TEST(PredictiveDeterminism, PredCDegradedRunIsThreadInvariant) {
 // Zeroing both makes a quiet node's sample repeat bit for bit, so the
 // build meets the stale, rejected and missing views the faults make on
 // otherwise unchanged telemetry; it must stay thread-invariant there too.
-TEST(PredictiveDeterminism, IncrementalAndRebuildAgreeWithCleanSlots) {
+TEST(PredictiveDeterminism, CleanSlotsMatchAcrossWorkerCounts) {
   const PredictiveRun serial = run_predictive_cluster(1, "pi-c", true);
+  ASSERT_TRUE(test::capped_and_commanded(serial.points));
   ASSERT_GT(serial.points.size(), 250u);
   EXPECT_GT(serial.samples_lost, 0u);
   const PredictiveRun four = run_predictive_cluster(4, "pi-c", true);

@@ -18,8 +18,9 @@
 #include "hw/node_pool.hpp"
 #include "hw/node_spec.hpp"
 #include "metrics/trace_recorder.hpp"
-#include "power/manager.hpp"
 #include "power/policy_registry.hpp"
+#include "power/zone_manager.hpp"
+#include "support.hpp"
 #include "workload/app_model.hpp"
 #include "workload/phase.hpp"
 
@@ -58,8 +59,9 @@ RunResult run_cluster(bool event_driven, std::size_t worker_threads,
   p.thresholds.training_cycles = 0;
   p.thresholds.freeze_at_provision = true;
   p.cycle_period = cfg.control_period;
-  auto mgr = std::make_unique<power::CappingManager>(
-      p, power::make_policy("mpc"), common::Rng(seed ^ 0x9d2c5680u));
+  auto mgr = std::make_unique<power::ZoneTreeManager>(
+      power::ZoneTreeParams{}, p, [] { return power::make_policy("mpc"); },
+      common::Rng(seed ^ 0x9d2c5680u));
   mgr->set_candidate_set(cl.controllable_nodes());
   cl.set_manager(std::move(mgr));
 
@@ -261,7 +263,8 @@ TEST(Quiescence, GreenCollectStrideSkipsQuietCyclesOnly) {
   p.collector.agent.utilization_noise = 0.0;
   p.collector.agent.nic_noise = 0.0;
   p.green_collect_stride = 4;
-  power::CappingManager m(p, power::make_policy("mpc"), common::Rng(7));
+  power::ZoneTreeManager m = test::one_zone(p, "mpc", common::Rng(7));
+  const power::CappingManager& shard = m.zone(0);
   std::vector<hw::NodeId> ids;
   for (int i = 0; i < n; ++i) ids.push_back(static_cast<hw::NodeId>(i));
   m.set_candidate_set(ids);
@@ -269,10 +272,10 @@ TEST(Quiescence, GreenCollectStrideSkipsQuietCyclesOnly) {
   std::uint64_t delivered_before = 0;
   // 12 quiet green cycles: the sweep fires exactly on every 4th cycle.
   for (int c = 0; c < 12; ++c) {
-    const bool expect_collect = (m.collector().cycle_count() + 1) % 4 == 0;
+    const bool expect_collect = (shard.collector().cycle_count() + 1) % 4 == 0;
     m.cycle(Watts{100.0}, nodes, scheduler,
             Seconds{static_cast<double>(c)});
-    const std::uint64_t delivered = m.collector().samples_delivered();
+    const std::uint64_t delivered = shard.collector().samples_delivered();
     if (expect_collect) {
       EXPECT_EQ(delivered, delivered_before + n) << "cycle " << c;
     } else {
@@ -288,7 +291,7 @@ TEST(Quiescence, GreenCollectStrideSkipsQuietCyclesOnly) {
   for (int c = 12; c < 15; ++c) {
     m.cycle(Watts{2500.0}, nodes, scheduler,
             Seconds{static_cast<double>(c)});
-    const std::uint64_t delivered = m.collector().samples_delivered();
+    const std::uint64_t delivered = shard.collector().samples_delivered();
     EXPECT_EQ(delivered, delivered_before + n) << "yellow cycle " << c;
     delivered_before = delivered;
   }
