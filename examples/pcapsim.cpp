@@ -1,39 +1,39 @@
-// pcapsim — declarative experiment driver.
+// pcapsim — the declarative experiment driver.
 //
-// Runs a capping experiment described by an INI config file (keys are
-// documented in src/cluster/config_loader.hpp) and prints the paper's
-// metrics. With no file, runs the built-in paper scenario.
+//   pcapsim [--metrics=prom|json] [config.ini] [section.key=v1[,v2...]]...
+//   pcapsim --print-config
 //
-//   ./build/examples/pcapsim                     # paper scenario, MPC
-//   ./build/examples/pcapsim my_experiment.ini
-//   ./build/examples/pcapsim --print-config      # show effective defaults
-//   ./build/examples/pcapsim --metrics=prom      # + Prometheus dump
-//   ./build/examples/pcapsim --metrics=json      # + JSON snapshot dump
+// Runs the experiment an INI file describes (keys: src/cluster/
+// config_loader.hpp; no file = the paper scenario) and prints the paper's
+// metrics; --metrics appends the registry export (DESIGN.md §11). Each
+// section.key=value overrides the file through the same loader. One key
+// may take a comma-separated list: one table row per value, the rows run
+// in parallel against one provision calibrated from the base config.
 //
-// Example config:
-//   [cluster]
-//   nodes = 64
-//   seed = 7
-//   [manager]
-//   policy = hri-c
-//   dynamic_candidates = true
-//   [experiment]
-//   training_h = 1
-//   measured_h = 3
-//   [telemetry]
-//   loss_rate = 0.05
+//   pcapsim examples/configs/quickstart.ini manager.policy=none,mpc,hri
+//   pcapsim experiment.measured_h=3 manager.tg_cycles=1,10,40
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <string>
+#include <vector>
 
 #include "cluster/config_loader.hpp"
 #include "common/string_util.hpp"
+#include "common/thread_pool.hpp"
 #include "cluster/scenario.hpp"
 #include "metrics/report.hpp"
 
 namespace {
 
+using namespace pcap;
+
+int fail(const std::string& message) {
+  std::fprintf(stderr, "pcapsim: %s\n", message.c_str());
+  return 1;
+}
+
 void print_effective_defaults() {
-  using namespace pcap;
   const cluster::ExperimentConfig cfg = cluster::paper_scenario();
   std::printf(
       "[cluster]\n"
@@ -64,52 +64,13 @@ void print_effective_defaults() {
       cfg.provision_fraction);
 }
 
-}  // namespace
+/// One `section.key=v1[,v2...]` command-line override.
+struct Override {
+  std::string key;
+  std::vector<std::string> values;
+};
 
-int main(int argc, char** argv) {
-  using namespace pcap;
-
-  if (argc > 1 && std::strcmp(argv[1], "--print-config") == 0) {
-    print_effective_defaults();
-    return 0;
-  }
-
-  // --metrics=prom|json appends the final registry export (see DESIGN.md
-  // §11) to the run's report; any remaining argument is the config file.
-  const char* metrics_mode = nullptr;
-  const char* config_path = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--metrics=", 10) == 0) {
-      metrics_mode = argv[i] + 10;
-      if (std::strcmp(metrics_mode, "prom") != 0 &&
-          std::strcmp(metrics_mode, "json") != 0) {
-        std::fprintf(stderr, "pcapsim: --metrics wants prom or json\n");
-        return 1;
-      }
-    } else {
-      config_path = argv[i];
-    }
-  }
-
-  cluster::ExperimentConfig cfg;
-  try {
-    cfg = config_path != nullptr ? cluster::experiment_from_file(config_path)
-                                 : cluster::paper_scenario();
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "pcapsim: %s\n", e.what());
-    return 1;
-  }
-
-  std::printf("pcapsim: %zu nodes, policy %s, training %.1f h, measured "
-              "%.1f h, seed %llu\n",
-              cfg.cluster.num_nodes ? cfg.cluster.num_nodes
-                                    : cfg.cluster.node_specs.size(),
-              cfg.manager.c_str(), cfg.training.value() / 3600.0,
-              cfg.measured.value() / 3600.0,
-              static_cast<unsigned long long>(cfg.cluster.seed));
-
-  const cluster::ExperimentResult r = cluster::run_experiment(cfg);
-
+void print_report(const cluster::ExperimentResult& r) {
   metrics::Table table({"metric", "value"});
   table.cell("manager").cell(r.manager);
   table.end_row();
@@ -145,11 +106,141 @@ int main(int argc, char** argv) {
   table.cell("DVFS transitions").cell(r.transitions);
   table.end_row();
   table.print();
+}
 
-  if (metrics_mode != nullptr) {
-    std::printf("\n%s", std::strcmp(metrics_mode, "prom") == 0
-                            ? r.metrics_prometheus.c_str()
-                            : r.metrics_json.c_str());
+/// Runs one row per value of `sweep`. One probe of `base` calibrates
+/// every row without an explicit provision: the row's P_Max is that
+/// uncapped peak times its own provision_fraction, so rows that differ in
+/// any other key are capped against the same P_Max.
+void run_sweep(cluster::ExperimentConfig base, const Override& sweep,
+               std::vector<cluster::ExperimentConfig> rows) {
+  const auto uncalibrated = [](const cluster::ExperimentConfig& c) {
+    return c.provision <= Watts{0.0};
+  };
+  Watts peak{0.0};
+  if (uncalibrated(base) ||
+      std::any_of(rows.begin(), rows.end(), uncalibrated)) {
+    peak = cluster::probe_uncapped_peak(base.cluster,
+                                        base.calibration_duration);
+  }
+  const auto calibrate = [&](cluster::ExperimentConfig& c) {
+    if (uncalibrated(c)) c.provision = peak * c.provision_fraction;
+  };
+  calibrate(base);
+  std::for_each(rows.begin(), rows.end(), calibrate);
+  std::printf("sweeping '%s' over %zu values; P_Max = %.0f W\n\n",
+              sweep.key.c_str(), rows.size(), base.provision.value());
+
+  std::vector<cluster::ExperimentResult> results(rows.size());
+  common::ThreadPool pool;
+  pool.parallel_for(rows.size(), [&](std::size_t i) {
+    results[i] = cluster::run_experiment(rows[i]);
+  });
+
+  metrics::Table table({sweep.key, "perf", "CPLJ", "P_max (W)", "dPxT",
+                        "yellow (s)", "red (s)"});
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const auto& r = results[i];
+    table.cell(sweep.values[i])
+        .cell(r.perf.performance, 4)
+        .cell_percent(r.perf.lossless_fraction)
+        .cell(r.p_max.value(), 0)
+        .cell(r.delta_pxt, 5)
+        .cell(r.yellow_cycles)
+        .cell(r.red_cycles);
+    table.end_row();
+  }
+  table.print();
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  if (argc > 1 && std::strcmp(argv[1], "--print-config") == 0) {
+    print_effective_defaults();
+    return 0;
+  }
+
+  const char* metrics_mode = nullptr;
+  const char* config_path = nullptr;
+  std::vector<Override> overrides;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    const std::size_t eq = arg.find('=');
+    if (common::starts_with(arg, "--metrics=")) {
+      metrics_mode = argv[i] + 10;
+      if (std::strcmp(metrics_mode, "prom") != 0 &&
+          std::strcmp(metrics_mode, "json") != 0) {
+        return fail("--metrics wants prom or json");
+      }
+    } else if (eq != std::string::npos) {
+      const std::string key(common::trim(arg.substr(0, eq)));
+      if (key.empty()) {
+        return fail("malformed override '" + arg +
+                    "' (want section.key=value)");
+      }
+      Override o{key, {}};
+      for (const std::string& v : common::split(arg.substr(eq + 1), ',')) {
+        o.values.emplace_back(common::trim(v));
+      }
+      overrides.push_back(std::move(o));
+    } else if (config_path != nullptr) {
+      return fail(std::string("one config file only (got '") + config_path +
+                  "' and '" + arg + "')");
+    } else {
+      config_path = argv[i];
+    }
+  }
+
+  // The file's keys, overlaid by every single-valued override; a swept key
+  // is set per row on top of that.
+  try {
+    common::Config keys;
+    if (config_path != nullptr) keys = common::Config::load_file(config_path);
+    const Override* sweep = nullptr;
+    for (const Override& o : overrides) {
+      if (o.values.size() == 1) {
+        keys.set(o.key, o.values.front());
+      } else if (sweep != nullptr) {
+        return fail("only one key may take several values (got '" +
+                    sweep->key + "' and '" + o.key + "')");
+      } else {
+        sweep = &o;
+      }
+    }
+    const cluster::ExperimentConfig cfg =
+        cluster::apply_config(cluster::paper_scenario(), keys);
+
+    if (sweep != nullptr) {
+      if (metrics_mode != nullptr) {
+        return fail("--metrics exports a single run, not a sweep");
+      }
+      std::vector<cluster::ExperimentConfig> rows;
+      for (const std::string& v : sweep->values) {
+        common::Config row = keys;
+        row.set(sweep->key, v);
+        rows.push_back(cluster::apply_config(cluster::paper_scenario(), row));
+      }
+      run_sweep(cfg, *sweep, std::move(rows));
+      return 0;
+    }
+
+    std::printf("pcapsim: %zu nodes, policy %s, training %.1f h, measured "
+                "%.1f h, seed %llu\n",
+                cfg.cluster.num_nodes ? cfg.cluster.num_nodes
+                                      : cfg.cluster.node_specs.size(),
+                cfg.manager.c_str(), cfg.training.value() / 3600.0,
+                cfg.measured.value() / 3600.0,
+                static_cast<unsigned long long>(cfg.cluster.seed));
+    const cluster::ExperimentResult r = cluster::run_experiment(cfg);
+    print_report(r);
+    if (metrics_mode != nullptr) {
+      std::printf("\n%s", std::strcmp(metrics_mode, "prom") == 0
+                              ? r.metrics_prometheus.c_str()
+                              : r.metrics_json.c_str());
+    }
+  } catch (const std::exception& e) {
+    return fail(e.what());
   }
   return 0;
 }

@@ -3,10 +3,11 @@
 // One ExperimentConfig fully determines a run (seeded), so benches sweep
 // configs and compare results. Managers are selected by name:
 //   "none"                      — no power management (the baseline runs)
-//   "mpc","mpc-c","lpc","lpc-c","bfp","hri","hri-c"
-//                               — the paper's architecture with that policy
+//   "mpc","mpc-c","lpc","lpc-c","bfp","hri","hri-c","ht","ht-c",
+//   "pi-c","pred-c"             — the paper's architecture with that policy
 //   "uniform", "sla"            — related-work policies inside Algorithm 1
 //   "feedback"                  — Wang-style proportional controller
+//   "budget"                    — two-level demand-proportional budgets
 #pragma once
 
 #include <optional>

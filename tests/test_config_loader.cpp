@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <map>
+
 #include "cluster/scenario.hpp"
 
 namespace pcap::cluster {
@@ -9,6 +12,99 @@ namespace {
 
 ExperimentConfig load(const std::string& text) {
   return apply_config(paper_scenario(), common::Config::parse(text));
+}
+
+std::filesystem::path example_configs() {
+  return std::filesystem::path(PCAP_SOURCE_DIR) / "examples" / "configs";
+}
+
+// The knobs a fault scenario sets on top of its base: seed and provision
+// fraction; transport, telemetry faults and staleness; actuation faults
+// and reconciliation; control faults, the watchdog and the zone count.
+void expect_same_fault_knobs(const ExperimentConfig& a,
+                             const ExperimentConfig& b) {
+  EXPECT_EQ(a.cluster.seed, b.cluster.seed);
+  EXPECT_EQ(a.provision_fraction, b.provision_fraction);
+  EXPECT_EQ(a.transport.loss_rate, b.transport.loss_rate);
+  EXPECT_EQ(a.transport.delay_cycles, b.transport.delay_cycles);
+  EXPECT_EQ(a.faults.agent_dropout_rate, b.faults.agent_dropout_rate);
+  EXPECT_EQ(a.faults.agent_recovery_rate, b.faults.agent_recovery_rate);
+  EXPECT_EQ(a.faults.crash_rate, b.faults.crash_rate);
+  EXPECT_EQ(a.faults.crash_duration_cycles, b.faults.crash_duration_cycles);
+  EXPECT_EQ(a.faults.corruption_rate, b.faults.corruption_rate);
+  EXPECT_EQ(a.max_sample_age_cycles, b.max_sample_age_cycles);
+  EXPECT_EQ(a.stale_power_margin, b.stale_power_margin);
+  EXPECT_EQ(a.actuation.command_loss_rate, b.actuation.command_loss_rate);
+  EXPECT_EQ(a.actuation.delivery_delay_cycles,
+            b.actuation.delivery_delay_cycles);
+  EXPECT_EQ(a.actuation.transition_failure_rate,
+            b.actuation.transition_failure_rate);
+  EXPECT_EQ(a.actuation.partial_transition_rate,
+            b.actuation.partial_transition_rate);
+  EXPECT_EQ(a.actuation.reboot_rate, b.actuation.reboot_rate);
+  EXPECT_EQ(a.actuation.reboot_duration_cycles,
+            b.actuation.reboot_duration_cycles);
+  EXPECT_EQ(a.reconciliation.max_retries, b.reconciliation.max_retries);
+  EXPECT_EQ(a.reconciliation.retry_backoff_base_cycles,
+            b.reconciliation.retry_backoff_base_cycles);
+  EXPECT_EQ(a.reconciliation.retry_backoff_cap_cycles,
+            b.reconciliation.retry_backoff_cap_cycles);
+  EXPECT_EQ(a.control.outage_rate, b.control.outage_rate);
+  EXPECT_EQ(a.control.outage_duration_cycles,
+            b.control.outage_duration_cycles);
+  EXPECT_EQ(a.control.zone_outage_rate, b.control.zone_outage_rate);
+  EXPECT_EQ(a.control.zone_outage_duration_cycles,
+            b.control.zone_outage_duration_cycles);
+  EXPECT_EQ(a.control.delay_rate, b.control.delay_rate);
+  EXPECT_EQ(a.control.delay_max_cycles, b.control.delay_max_cycles);
+  EXPECT_EQ(a.cluster.watchdog.timeout_cycles,
+            b.cluster.watchdog.timeout_cycles);
+  EXPECT_EQ(a.cluster.watchdog.safe_level, b.cluster.watchdog.safe_level);
+  EXPECT_EQ(a.zone_count, b.zone_count);
+}
+
+// Every ExperimentConfig field the loader writes.
+void expect_same_loaded_fields(const ExperimentConfig& a,
+                               const ExperimentConfig& b) {
+  expect_same_fault_knobs(a, b);
+  EXPECT_EQ(a.cluster.num_nodes, b.cluster.num_nodes);
+  EXPECT_EQ(a.cluster.tick.value(), b.cluster.tick.value());
+  EXPECT_EQ(a.cluster.control_period.value(),
+            b.cluster.control_period.value());
+  EXPECT_EQ(a.cluster.npb_class, b.cluster.npb_class);
+  EXPECT_EQ(a.cluster.scheduler.max_procs_per_node,
+            b.cluster.scheduler.max_procs_per_node);
+  EXPECT_EQ(a.cluster.privileged_job_fraction,
+            b.cluster.privileged_job_fraction);
+  EXPECT_EQ(a.cluster.idle_utilization, b.cluster.idle_utilization);
+  EXPECT_EQ(a.cluster.utilization_noise_sigma,
+            b.cluster.utilization_noise_sigma);
+  EXPECT_EQ(a.cluster.utilization_ramp_tau_s,
+            b.cluster.utilization_ramp_tau_s);
+  EXPECT_EQ(a.manager, b.manager);
+  EXPECT_EQ(a.candidate_count, b.candidate_count);
+  EXPECT_EQ(a.dynamic_candidates, b.dynamic_candidates);
+  EXPECT_EQ(a.capping.steady_green_cycles, b.capping.steady_green_cycles);
+  EXPECT_EQ(a.red_margin, b.red_margin);
+  EXPECT_EQ(a.yellow_margin, b.yellow_margin);
+  EXPECT_EQ(a.adjust_period_cycles, b.adjust_period_cycles);
+  EXPECT_EQ(a.feedback_gain, b.feedback_gain);
+  EXPECT_EQ(a.training.value(), b.training.value());
+  EXPECT_EQ(a.measured.value(), b.measured.value());
+  EXPECT_EQ(a.calibration_duration.value(), b.calibration_duration.value());
+  EXPECT_EQ(a.provision.value(), b.provision.value());
+  EXPECT_EQ(a.zone_assignment, b.zone_assignment);
+  EXPECT_EQ(a.zone_redistribution, b.zone_redistribution);
+  EXPECT_EQ(a.prediction.enabled, b.prediction.enabled);
+  EXPECT_EQ(a.prediction.kind, b.prediction.kind);
+  EXPECT_EQ(a.prediction.horizon_cycles, b.prediction.horizon_cycles);
+  EXPECT_EQ(a.prediction.ewma_alpha, b.prediction.ewma_alpha);
+  EXPECT_EQ(a.prediction.ewma_beta, b.prediction.ewma_beta);
+  EXPECT_EQ(a.prediction.window_cycles, b.prediction.window_cycles);
+  EXPECT_EQ(a.prediction.refresh_cycles, b.prediction.refresh_cycles);
+  EXPECT_EQ(a.pi.kp, b.pi.kp);
+  EXPECT_EQ(a.pi.ki, b.pi.ki);
+  EXPECT_EQ(a.pi.integral_cap, b.pi.integral_cap);
 }
 
 TEST(ConfigLoader, EmptyConfigKeepsDefaults) {
@@ -19,6 +115,40 @@ TEST(ConfigLoader, EmptyConfigKeepsDefaults) {
   EXPECT_EQ(cfg.training.value(), base.training.value());
   EXPECT_EQ(cfg.capping.steady_green_cycles,
             base.capping.steady_green_cycles);
+}
+
+// Every key falls back to the base's value, so applying a config twice (a
+// file, then command-line overrides) cannot reset what the first set.
+TEST(ConfigLoader, EmptyConfigLeavesSmallScenarioUnchanged) {
+  const ExperimentConfig base = small_scenario();
+  expect_same_loaded_fields(apply_config(base, common::Config{}), base);
+}
+
+TEST(ConfigLoader, EveryExampleConfigLoads) {
+  std::size_t loaded = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(example_configs())) {
+    if (entry.path().extension() != ".ini") continue;
+    SCOPED_TRACE(entry.path().string());
+    EXPECT_NO_THROW(experiment_from_file(entry.path().string()));
+    ++loaded;
+  }
+  EXPECT_GE(loaded, 7u);
+}
+
+// The fault INIs and the scenario builders describe the same fault
+// models; they differ only in cluster size and phase lengths.
+TEST(ConfigLoader, FaultConfigsCarryTheirBuildersKnobs) {
+  const std::map<std::string, ExperimentConfig> builders = {
+      {"faulty_telemetry.ini", faulty_telemetry_scenario()},
+      {"lossy_actuation.ini", lossy_actuation_scenario()},
+      {"controller_outage.ini", controller_outage_scenario()},
+  };
+  for (const auto& [file, builder] : builders) {
+    SCOPED_TRACE(file);
+    expect_same_fault_knobs(
+        experiment_from_file((example_configs() / file).string()), builder);
+  }
 }
 
 TEST(ConfigLoader, ClusterSection) {
