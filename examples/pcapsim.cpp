@@ -1,14 +1,15 @@
 // pcapsim — the declarative experiment driver.
 //
 //   pcapsim [--metrics=prom|json] [config.ini] [section.key=v1[,v2...]]...
-//   pcapsim --print-config
+//   pcapsim --print-config [config.ini] [section.key=value]...
 //
-// Runs the experiment an INI file describes (keys: src/cluster/
-// config_loader.hpp; no file = the paper scenario) and prints the paper's
-// metrics; --metrics appends the registry export (DESIGN.md §11). Each
-// section.key=value overrides the file through the same loader. One key
-// may take a comma-separated list: one table row per value, the rows run
-// in parallel against one provision calibrated from the base config.
+// Runs the experiment an INI file describes (no file = the paper
+// scenario) and prints the paper's metrics; --metrics appends the
+// registry export (DESIGN.md §11). Each section.key=value overrides the
+// file through the same loader. One key may take a comma-separated list:
+// one table row per value, the rows run in parallel against one provision
+// calibrated from the base config. --print-config prints every key with
+// its effective value instead of running.
 //
 //   pcapsim examples/configs/quickstart.ini manager.policy=none,mpc,hri
 //   pcapsim experiment.measured_h=3 manager.tg_cycles=1,10,40
@@ -31,37 +32,6 @@ using namespace pcap;
 int fail(const std::string& message) {
   std::fprintf(stderr, "pcapsim: %s\n", message.c_str());
   return 1;
-}
-
-void print_effective_defaults() {
-  const cluster::ExperimentConfig cfg = cluster::paper_scenario();
-  std::printf(
-      "[cluster]\n"
-      "nodes = %zu\nseed = %llu\ntick_s = %g\ncontrol_period_s = %g\n"
-      "npb_class = D\nmax_procs_per_node = %d\nprivileged_fraction = %g\n"
-      "idle_utilization = %g\nutilization_noise = %g\nramp_tau_s = %g\n\n"
-      "[manager]\n"
-      "policy = %s\ncandidate_count = %d\ndynamic_candidates = false\n"
-      "tg_cycles = %lld\nred_margin = %g\nyellow_margin = %g\n"
-      "adjust_period_cycles = %lld\n\n"
-      "[experiment]\n"
-      "training_h = %g\nmeasured_h = %g\ncalibration_h = %g\n"
-      "provision_w = %g\nprovision_fraction = %g\n\n"
-      "[telemetry]\nloss_rate = 0\ndelay_cycles = 0\n",
-      cfg.cluster.num_nodes,
-      static_cast<unsigned long long>(cfg.cluster.seed),
-      cfg.cluster.tick.value(), cfg.cluster.control_period.value(),
-      cfg.cluster.scheduler.max_procs_per_node,
-      cfg.cluster.privileged_job_fraction, cfg.cluster.idle_utilization,
-      cfg.cluster.utilization_noise_sigma,
-      cfg.cluster.utilization_ramp_tau_s, cfg.manager.c_str(),
-      cfg.candidate_count,
-      static_cast<long long>(cfg.capping.steady_green_cycles),
-      cfg.red_margin, cfg.yellow_margin,
-      static_cast<long long>(cfg.adjust_period_cycles),
-      cfg.training.value() / 3600.0, cfg.measured.value() / 3600.0,
-      cfg.calibration_duration.value() / 3600.0, cfg.provision.value(),
-      cfg.provision_fraction);
 }
 
 /// One `section.key=v1[,v2...]` command-line override.
@@ -156,18 +126,16 @@ void run_sweep(cluster::ExperimentConfig base, const Override& sweep,
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc > 1 && std::strcmp(argv[1], "--print-config") == 0) {
-    print_effective_defaults();
-    return 0;
-  }
-
+  bool print_config = false;
   const char* metrics_mode = nullptr;
   const char* config_path = nullptr;
   std::vector<Override> overrides;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const std::size_t eq = arg.find('=');
-    if (common::starts_with(arg, "--metrics=")) {
+    if (arg == "--print-config") {
+      print_config = true;
+    } else if (common::starts_with(arg, "--metrics=")) {
       metrics_mode = argv[i] + 10;
       if (std::strcmp(metrics_mode, "prom") != 0 &&
           std::strcmp(metrics_mode, "json") != 0) {
@@ -211,6 +179,13 @@ int main(int argc, char** argv) {
     const cluster::ExperimentConfig cfg =
         cluster::apply_config(cluster::paper_scenario(), keys);
 
+    if (print_config) {
+      if (sweep != nullptr) {
+        return fail("--print-config takes one value per key");
+      }
+      std::printf("%s", cluster::config_text(cfg).c_str());
+      return 0;
+    }
     if (sweep != nullptr) {
       if (metrics_mode != nullptr) {
         return fail("--metrics exports a single run, not a sweep");

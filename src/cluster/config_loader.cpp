@@ -1,8 +1,12 @@
 #include "cluster/config_loader.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <set>
+#include <functional>
 #include <stdexcept>
+#include <type_traits>
+#include <vector>
 
 #include "cluster/scenario.hpp"
 #include "common/string_util.hpp"
@@ -12,286 +16,287 @@ namespace pcap::cluster {
 
 namespace {
 
-const std::set<std::string>& known_keys() {
-  static const std::set<std::string> keys = {
-      "cluster.nodes",
-      "cluster.seed",
-      "cluster.tick_s",
-      "cluster.control_period_s",
-      "cluster.npb_class",
-      "cluster.max_procs_per_node",
-      "cluster.privileged_fraction",
-      "cluster.idle_utilization",
-      "cluster.utilization_noise",
-      "cluster.ramp_tau_s",
-      "manager.policy",
-      "manager.candidate_count",
-      "manager.dynamic_candidates",
-      "manager.tg_cycles",
-      "manager.red_margin",
-      "manager.yellow_margin",
-      "manager.adjust_period_cycles",
-      "manager.feedback_gain",
-      "experiment.training_h",
-      "experiment.measured_h",
-      "experiment.calibration_h",
-      "experiment.provision_w",
-      "experiment.provision_fraction",
-      "telemetry.loss_rate",
-      "telemetry.delay_cycles",
-      "telemetry.agent_dropout_rate",
-      "telemetry.agent_recovery_rate",
-      "telemetry.crash_rate",
-      "telemetry.crash_duration_cycles",
-      "telemetry.corruption_rate",
-      "telemetry.max_sample_age_cycles",
-      "telemetry.stale_margin",
-      "actuation.loss_rate",
-      "actuation.delay_cycles",
-      "actuation.failure_rate",
-      "actuation.partial_rate",
-      "actuation.reboot_rate",
-      "actuation.reboot_duration_cycles",
-      "actuation.max_retries",
-      "actuation.retry_backoff_cycles",
-      "actuation.retry_backoff_cap_cycles",
-      "zones.count",
-      "zones.assignment",
-      "zones.redistribution",
-      "prediction.enabled",
-      "prediction.kind",
-      "prediction.horizon_cycles",
-      "prediction.ewma_alpha",
-      "prediction.ewma_beta",
-      "prediction.window_cycles",
-      "prediction.refresh_cycles",
-      "pi.kp",
-      "pi.ki",
-      "pi.integral_cap",
-      "control.outage_rate",
-      "control.outage_duration_cycles",
-      "control.zone_outage_rate",
-      "control.zone_outage_duration_cycles",
-      "control.delay_rate",
-      "control.delay_max_cycles",
-      "watchdog.timeout_cycles",
-      "watchdog.safe_level",
+using common::Config;
+
+/// How a key's text maps onto its field; the field's type does the rest.
+/// Fault and tuning knobs are kNonNeg: a stray "nan", "-0.1" or "1e999"
+/// would otherwise sail into the params structs, whose validate() cannot
+/// name the key (and whose [0,1] range checks let NaN through).
+enum Rule {
+  kAny,      ///< the value as written
+  kNonNeg,   ///< a finite number >= 0
+  kLower,    ///< lower-cased text, checked by its section's validate()
+  kHours,    ///< a Seconds field written in hours
+  kManager,  ///< one of manager_names(), exactly as written
+};
+
+template <class T>
+void read_field(const Config& cfg, const std::string& key, Rule rule,
+                T& field) {
+  const bool non_negative = rule == kNonNeg;
+  const auto reject = [&](const std::string& why) {
+    throw std::runtime_error("experiment config: " + why);
   };
-  return keys;
+  if constexpr (std::is_same_v<T, bool>) {
+    field = cfg.get_bool(key, field);
+  } else if constexpr (std::is_integral_v<T>) {
+    const std::int64_t v =
+        cfg.get_int(key, static_cast<std::int64_t>(field));
+    if (non_negative && v < 0) reject("'" + key + "' must be >= 0");
+    field = static_cast<T>(v);
+  } else if constexpr (std::is_floating_point_v<T>) {
+    field = cfg.get_double(key, field);
+    if (non_negative && !(std::isfinite(field) && field >= 0.0)) {
+      reject("'" + key + "' must be a finite non-negative number");
+    }
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    field = cfg.get_string(key, field);
+    if (rule == kLower) field = common::to_lower(field);
+    if (rule == kManager) {
+      const std::vector<std::string> names = manager_names();
+      if (std::find(names.begin(), names.end(), field) == names.end()) {
+        reject("unknown manager '" + field + "' in '" + key + "'");
+      }
+    }
+  } else if constexpr (std::is_same_v<T, workload::NpbClass>) {
+    const std::string cls = common::to_lower(cfg.get_string(
+        key, field == workload::NpbClass::kC ? "c" : "d"));
+    if (cls != "c" && cls != "d") reject("npb_class must be C or D");
+    field = cls == "c" ? workload::NpbClass::kC : workload::NpbClass::kD;
+  } else {  // Seconds, Watts
+    const double scale = rule == kHours ? 3600.0 : 1.0;
+    field = T{cfg.get_double(key, field.value() / scale) * scale};
+  }
 }
 
-/// Fault-model knobs must be real, non-negative numbers: a stray "nan",
-/// "-0.1" or "1e999" in an ini would otherwise sail through into the
-/// params structs (whose own validation cannot name the offending key —
-/// and [0,1]-range checks pass NaN through every comparison).
-double checked_double(const common::Config& cfg, const std::string& key,
-                      double fallback) {
-  const double v = cfg.get_double(key, fallback);
-  if (!std::isfinite(v) || v < 0.0) {
-    throw std::runtime_error("experiment config: '" + key +
-                             "' must be a finite non-negative number");
-  }
-  return v;
+template <class N>
+std::string shortest(N v) {
+  char buf[32];
+  return std::string(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
 }
 
-std::int64_t checked_int(const common::Config& cfg, const std::string& key,
-                         std::int64_t fallback) {
-  const std::int64_t v = cfg.get_int(key, fallback);
-  if (v < 0) {
-    throw std::runtime_error("experiment config: '" + key +
-                             "' must be >= 0");
+template <class T>
+std::string show_field(const T& field, Rule rule) {
+  if constexpr (std::is_same_v<T, bool>) {
+    return field ? "true" : "false";
+  } else if constexpr (std::is_integral_v<T>) {
+    return shortest(static_cast<std::int64_t>(field));  // as get_int reads
+  } else if constexpr (std::is_floating_point_v<T>) {
+    return shortest(field);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    return field;
+  } else if constexpr (std::is_same_v<T, workload::NpbClass>) {
+    return field == workload::NpbClass::kC ? "C" : "D";
+  } else {
+    return shortest(field.value() / (rule == kHours ? 3600.0 : 1.0));
   }
-  return v;
+}
+
+/// One config key: its name, what it sets, and how to read and print the
+/// ExperimentConfig field behind it.
+struct Key {
+  std::string name;
+  std::string doc;
+  std::function<void(const Config&, ExperimentConfig&)> read;
+  std::function<std::string(const ExperimentConfig&)> show;
+};
+
+/// `field` is a generic accessor (FIELD below), so one lambda serves both
+/// the reader and the printer.
+template <class Field>
+Key key(const std::string& name, std::string doc, Rule rule, Field field) {
+  return {name, std::move(doc),
+          [=](const Config& cfg, ExperimentConfig& c) {
+            read_field(cfg, name, rule, field(c));
+          },
+          [=](const ExperimentConfig& c) {
+            return show_field(field(c), rule);
+          }};
+}
+
+#define FIELD(path) [](auto& c) -> auto& { return c.path; }
+
+/// The key reference: every key the loader accepts, in reading order.
+const std::vector<Key>& keys() {
+  static const std::vector<Key> table = {
+      key("cluster.nodes", "node count (homogeneous Tianhe boards)", kAny,
+          FIELD(cluster.num_nodes)),
+      key("cluster.seed", "seeds the workload, noise and fault draws", kAny,
+          FIELD(cluster.seed)),
+      key("cluster.tick_s", "simulation step (s)", kAny, FIELD(cluster.tick)),
+      key("cluster.control_period_s", "manager cycle (s)", kAny,
+          FIELD(cluster.control_period)),
+      key("cluster.npb_class", "NPB problem class, C or D", kAny,
+          FIELD(cluster.npb_class)),
+      key("cluster.max_procs_per_node", "rank placement width", kAny,
+          FIELD(cluster.scheduler.max_procs_per_node)),
+      key("cluster.privileged_fraction", "fraction of jobs marked privileged",
+          kAny, FIELD(cluster.privileged_job_fraction)),
+      key("cluster.idle_utilization", "utilization of an idle node", kAny,
+          FIELD(cluster.idle_utilization)),
+      key("cluster.utilization_noise", "sigma of per-tick utilization noise",
+          kAny, FIELD(cluster.utilization_noise_sigma)),
+      key("cluster.ramp_tau_s", "utilization ramp time constant (s)", kAny,
+          FIELD(cluster.utilization_ramp_tau_s)),
+
+      key("manager.policy", "manager name, one of manager_names()",
+          kManager, FIELD(manager)),
+      key("manager.candidate_count", "|A_candidate|; -1 = all controllable",
+          kAny, FIELD(candidate_count)),
+      key("manager.dynamic_candidates", "use the §III.A selection algorithm",
+          kAny, FIELD(dynamic_candidates)),
+      key("manager.tg_cycles", "steady-green timer T_g", kAny,
+          FIELD(capping.steady_green_cycles)),
+      key("manager.red_margin", "P_H factor", kAny, FIELD(red_margin)),
+      key("manager.yellow_margin", "P_L factor", kAny, FIELD(yellow_margin)),
+      key("manager.adjust_period_cycles", "threshold adjust period t_p", kAny,
+          FIELD(adjust_period_cycles)),
+      key("manager.feedback_gain", "gain of the feedback baseline", kAny,
+          FIELD(feedback_gain)),
+
+      key("experiment.training_h", "threshold training phase", kHours,
+          FIELD(training)),
+      key("experiment.measured_h", "measured window", kHours, FIELD(measured)),
+      key("experiment.calibration_h", "uncapped provision probe", kHours,
+          FIELD(calibration_duration)),
+      key("experiment.provision_w", "explicit P_Max (0 = calibrate)", kAny,
+          FIELD(provision)),
+      key("experiment.provision_fraction", "P_Max / uncapped probe peak",
+          kAny, FIELD(provision_fraction)),
+
+      key("telemetry.loss_rate", "agent-report loss probability", kNonNeg,
+          FIELD(transport.loss_rate)),
+      key("telemetry.delay_cycles", "agent-report delivery delay", kNonNeg,
+          FIELD(transport.delay_cycles)),
+      key("telemetry.agent_dropout_rate",
+          "per-cycle P(healthy agent stops reporting)", kNonNeg,
+          FIELD(faults.agent_dropout_rate)),
+      key("telemetry.agent_recovery_rate",
+          "per-cycle P(down agent restarts)", kNonNeg,
+          FIELD(faults.agent_recovery_rate)),
+      key("telemetry.crash_rate", "per-cycle P(node crashes)", kNonNeg,
+          FIELD(faults.crash_rate)),
+      key("telemetry.crash_duration_cycles", "length of a crash window",
+          kNonNeg, FIELD(faults.crash_duration_cycles)),
+      key("telemetry.corruption_rate",
+          "P(delivered report has a garbage power)", kNonNeg,
+          FIELD(faults.corruption_rate)),
+      key("telemetry.max_sample_age_cycles",
+          "older views are stale (fallback estimate)", kNonNeg,
+          FIELD(max_sample_age_cycles)),
+      key("telemetry.stale_margin", "stale power = last known x (1 + margin)",
+          kNonNeg, FIELD(stale_power_margin)),
+
+      key("actuation.loss_rate", "P(DVFS command lost in transit)", kNonNeg,
+          FIELD(actuation.command_loss_rate)),
+      key("actuation.delay_cycles", "command delivery delay", kNonNeg,
+          FIELD(actuation.delivery_delay_cycles)),
+      key("actuation.failure_rate", "P(transition fails outright)", kNonNeg,
+          FIELD(actuation.transition_failure_rate)),
+      key("actuation.partial_rate", "P(transition stalls one step in)",
+          kNonNeg, FIELD(actuation.partial_transition_rate)),
+      key("actuation.reboot_rate", "per-cycle P(node reboots to full power)",
+          kNonNeg, FIELD(actuation.reboot_rate)),
+      key("actuation.reboot_duration_cycles", "length of a reboot window",
+          kNonNeg, FIELD(actuation.reboot_duration_cycles)),
+      key("actuation.max_retries", "re-sends before a node is abandoned",
+          kNonNeg, FIELD(reconciliation.max_retries)),
+      key("actuation.retry_backoff_cycles",
+          "first retry delay (doubles per retry)", kNonNeg,
+          FIELD(reconciliation.retry_backoff_base_cycles)),
+      key("actuation.retry_backoff_cap_cycles", "longest retry delay",
+          kNonNeg, FIELD(reconciliation.retry_backoff_cap_cycles)),
+
+      key("zones.count", "zone shards (1 = the flat controller)", kNonNeg,
+          FIELD(zone_count)),
+      key("zones.assignment", "block | stride", kLower, FIELD(zone_assignment)),
+      key("zones.redistribution", "uniform | proportional headroom split",
+          kLower, FIELD(zone_redistribution)),
+
+      key("prediction.enabled", "pi-c/pred-c turn it on themselves", kAny,
+          FIELD(prediction.enabled)),
+      key("prediction.kind", "ewma | fft", kLower, FIELD(prediction.kind)),
+      key("prediction.horizon_cycles", "forecast horizon h", kNonNeg,
+          FIELD(prediction.horizon_cycles)),
+      key("prediction.ewma_alpha", "level smoothing weight", kNonNeg,
+          FIELD(prediction.ewma_alpha)),
+      key("prediction.ewma_beta", "trend smoothing weight", kNonNeg,
+          FIELD(prediction.ewma_beta)),
+      key("prediction.window_cycles", "fft periodicity window", kNonNeg,
+          FIELD(prediction.window_cycles)),
+      key("prediction.refresh_cycles", "fft refresh period (0 = t_p)",
+          kNonNeg, FIELD(prediction.refresh_cycles)),
+
+      key("pi.kp", "pi-c proportional gain", kNonNeg, FIELD(pi.kp)),
+      key("pi.ki", "pi-c integral gain", kNonNeg, FIELD(pi.ki)),
+      key("pi.integral_cap", "pi-c anti-windup clamp", kNonNeg,
+          FIELD(pi.integral_cap)),
+
+      key("control.outage_rate", "per-cycle P(root controller blacks out)",
+          kNonNeg, FIELD(control.outage_rate)),
+      key("control.outage_duration_cycles", "length of a blackout", kNonNeg,
+          FIELD(control.outage_duration_cycles)),
+      key("control.zone_outage_rate",
+          "per-cycle P(a zone shard crashes); needs zones.count >= 2",
+          kNonNeg, FIELD(control.zone_outage_rate)),
+      key("control.zone_outage_duration_cycles",
+          "length of a zone shard crash", kNonNeg,
+          FIELD(control.zone_outage_duration_cycles)),
+      key("control.delay_rate", "per-cycle P(a control cycle stalls)",
+          kNonNeg, FIELD(control.delay_rate)),
+      key("control.delay_max_cycles", "longest stall", kNonNeg,
+          FIELD(control.delay_max_cycles)),
+
+      key("watchdog.timeout_cycles",
+          "silent cycles before the node-local failsafe trips (0 = off)",
+          kNonNeg, FIELD(cluster.watchdog.timeout_cycles)),
+      key("watchdog.safe_level", "DVFS level a tripped node steps down to",
+          kNonNeg, FIELD(cluster.watchdog.safe_level)),
+  };
+  return table;
+}
+
+#undef FIELD
+
+/// The checks that span a section, in the order they have always run.
+void validate(const ExperimentConfig& c) {
+  c.faults.validate();
+  c.actuation.validate();
+  c.reconciliation.validate();
+  if (c.zone_count < 1) {
+    throw std::runtime_error("experiment config: 'zones.count' must be >= 1");
+  }
+  power::parse_zone_assignment(c.zone_assignment);
+  power::parse_zone_redistribution(c.zone_redistribution);
+  c.prediction.validate();  // validated even while disabled: fail early
+  c.pi.validate();
+  c.control.validate();
+  c.cluster.watchdog.validate();
 }
 
 }  // namespace
 
-ExperimentConfig apply_config(ExperimentConfig base,
-                              const common::Config& cfg) {
-  for (const std::string& key : cfg.keys()) {
-    if (known_keys().count(key) == 0) {
-      throw std::runtime_error("experiment config: unknown key '" + key +
+ExperimentConfig apply_config(ExperimentConfig base, const Config& cfg) {
+  for (const std::string& name : cfg.keys()) {
+    if (std::none_of(keys().begin(), keys().end(),
+                     [&](const Key& k) { return k.name == name; })) {
+      throw std::runtime_error("experiment config: unknown key '" + name +
                                "'");
     }
   }
+  for (const Key& k : keys()) k.read(cfg, base);
+  validate(base);
+  return base;
+}
 
-  ExperimentConfig out = std::move(base);
-
-  // [cluster]
-  out.cluster.num_nodes = static_cast<std::size_t>(cfg.get_int(
-      "cluster.nodes", static_cast<std::int64_t>(out.cluster.num_nodes)));
-  out.cluster.seed = static_cast<std::uint64_t>(
-      cfg.get_int("cluster.seed",
-                  static_cast<std::int64_t>(out.cluster.seed)));
-  out.cluster.tick =
-      Seconds{cfg.get_double("cluster.tick_s", out.cluster.tick.value())};
-  out.cluster.control_period = Seconds{cfg.get_double(
-      "cluster.control_period_s", out.cluster.control_period.value())};
-  const std::string cls = common::to_lower(cfg.get_string(
-      "cluster.npb_class",
-      out.cluster.npb_class == workload::NpbClass::kC ? "c" : "d"));
-  if (cls == "c") {
-    out.cluster.npb_class = workload::NpbClass::kC;
-  } else if (cls == "d") {
-    out.cluster.npb_class = workload::NpbClass::kD;
-  } else {
-    throw std::runtime_error("experiment config: npb_class must be C or D");
-  }
-  out.cluster.scheduler.max_procs_per_node = static_cast<int>(cfg.get_int(
-      "cluster.max_procs_per_node",
-      out.cluster.scheduler.max_procs_per_node));
-  out.cluster.privileged_job_fraction = cfg.get_double(
-      "cluster.privileged_fraction", out.cluster.privileged_job_fraction);
-  out.cluster.idle_utilization =
-      cfg.get_double("cluster.idle_utilization", out.cluster.idle_utilization);
-  out.cluster.utilization_noise_sigma = cfg.get_double(
-      "cluster.utilization_noise", out.cluster.utilization_noise_sigma);
-  out.cluster.utilization_ramp_tau_s =
-      cfg.get_double("cluster.ramp_tau_s", out.cluster.utilization_ramp_tau_s);
-
-  // [manager]
-  out.manager = cfg.get_string("manager.policy", out.manager);
-  out.candidate_count = static_cast<int>(
-      cfg.get_int("manager.candidate_count", out.candidate_count));
-  out.dynamic_candidates =
-      cfg.get_bool("manager.dynamic_candidates", out.dynamic_candidates);
-  out.capping.steady_green_cycles =
-      cfg.get_int("manager.tg_cycles", out.capping.steady_green_cycles);
-  out.red_margin = cfg.get_double("manager.red_margin", out.red_margin);
-  out.yellow_margin =
-      cfg.get_double("manager.yellow_margin", out.yellow_margin);
-  out.adjust_period_cycles = cfg.get_int("manager.adjust_period_cycles",
-                                         out.adjust_period_cycles);
-  out.feedback_gain =
-      cfg.get_double("manager.feedback_gain", out.feedback_gain);
-
-  // [experiment]
-  out.training = Seconds{
-      cfg.get_double("experiment.training_h", out.training.value() / 3600.0) *
-      3600.0};
-  out.measured = Seconds{
-      cfg.get_double("experiment.measured_h", out.measured.value() / 3600.0) *
-      3600.0};
-  out.calibration_duration =
-      Seconds{cfg.get_double("experiment.calibration_h",
-                             out.calibration_duration.value() / 3600.0) *
-              3600.0};
-  out.provision =
-      Watts{cfg.get_double("experiment.provision_w", out.provision.value())};
-  out.provision_fraction = cfg.get_double("experiment.provision_fraction",
-                                          out.provision_fraction);
-
-  // [telemetry]
-  out.transport.loss_rate =
-      checked_double(cfg, "telemetry.loss_rate", out.transport.loss_rate);
-  out.transport.delay_cycles = static_cast<int>(
-      checked_int(cfg, "telemetry.delay_cycles", out.transport.delay_cycles));
-  out.faults.agent_dropout_rate = checked_double(
-      cfg, "telemetry.agent_dropout_rate", out.faults.agent_dropout_rate);
-  out.faults.agent_recovery_rate = checked_double(
-      cfg, "telemetry.agent_recovery_rate", out.faults.agent_recovery_rate);
-  out.faults.crash_rate =
-      checked_double(cfg, "telemetry.crash_rate", out.faults.crash_rate);
-  out.faults.crash_duration_cycles = static_cast<int>(
-      checked_int(cfg, "telemetry.crash_duration_cycles",
-                  out.faults.crash_duration_cycles));
-  out.faults.corruption_rate = checked_double(cfg, "telemetry.corruption_rate",
-                                              out.faults.corruption_rate);
-  out.faults.validate();
-  out.max_sample_age_cycles = checked_int(
-      cfg, "telemetry.max_sample_age_cycles", out.max_sample_age_cycles);
-  out.stale_power_margin =
-      checked_double(cfg, "telemetry.stale_margin", out.stale_power_margin);
-
-  // [actuation]
-  out.actuation.command_loss_rate = checked_double(
-      cfg, "actuation.loss_rate", out.actuation.command_loss_rate);
-  out.actuation.delivery_delay_cycles = static_cast<int>(checked_int(
-      cfg, "actuation.delay_cycles", out.actuation.delivery_delay_cycles));
-  out.actuation.transition_failure_rate = checked_double(
-      cfg, "actuation.failure_rate", out.actuation.transition_failure_rate);
-  out.actuation.partial_transition_rate = checked_double(
-      cfg, "actuation.partial_rate", out.actuation.partial_transition_rate);
-  out.actuation.reboot_rate =
-      checked_double(cfg, "actuation.reboot_rate", out.actuation.reboot_rate);
-  out.actuation.reboot_duration_cycles = static_cast<int>(
-      checked_int(cfg, "actuation.reboot_duration_cycles",
-                  out.actuation.reboot_duration_cycles));
-  out.actuation.validate();
-  out.reconciliation.max_retries = static_cast<int>(
-      checked_int(cfg, "actuation.max_retries", out.reconciliation.max_retries));
-  out.reconciliation.retry_backoff_base_cycles = static_cast<int>(
-      checked_int(cfg, "actuation.retry_backoff_cycles",
-                  out.reconciliation.retry_backoff_base_cycles));
-  out.reconciliation.retry_backoff_cap_cycles = static_cast<int>(
-      checked_int(cfg, "actuation.retry_backoff_cap_cycles",
-                  out.reconciliation.retry_backoff_cap_cycles));
-  out.reconciliation.validate();
-
-  // [zones]
-  out.zone_count =
-      static_cast<int>(checked_int(cfg, "zones.count", out.zone_count));
-  if (out.zone_count < 1) {
-    throw std::runtime_error("experiment config: 'zones.count' must be >= 1");
-  }
-  out.zone_assignment = common::to_lower(
-      cfg.get_string("zones.assignment", out.zone_assignment));
-  power::parse_zone_assignment(out.zone_assignment);  // validate early
-  out.zone_redistribution = common::to_lower(
-      cfg.get_string("zones.redistribution", out.zone_redistribution));
-  power::parse_zone_redistribution(out.zone_redistribution);
-
-  // [prediction] — system-power forecasting for the predictive policies.
-  out.prediction.enabled =
-      cfg.get_bool("prediction.enabled", out.prediction.enabled);
-  out.prediction.kind = common::to_lower(
-      cfg.get_string("prediction.kind", out.prediction.kind));
-  out.prediction.horizon_cycles = checked_int(
-      cfg, "prediction.horizon_cycles", out.prediction.horizon_cycles);
-  out.prediction.ewma_alpha =
-      checked_double(cfg, "prediction.ewma_alpha", out.prediction.ewma_alpha);
-  out.prediction.ewma_beta =
-      checked_double(cfg, "prediction.ewma_beta", out.prediction.ewma_beta);
-  out.prediction.window_cycles = checked_int(
-      cfg, "prediction.window_cycles", out.prediction.window_cycles);
-  out.prediction.refresh_cycles = checked_int(
-      cfg, "prediction.refresh_cycles", out.prediction.refresh_cycles);
-  out.prediction.validate();  // validated even while disabled: fail early
-
-  // [pi] — PI-C controller tuning.
-  out.pi.kp = checked_double(cfg, "pi.kp", out.pi.kp);
-  out.pi.ki = checked_double(cfg, "pi.ki", out.pi.ki);
-  out.pi.integral_cap =
-      checked_double(cfg, "pi.integral_cap", out.pi.integral_cap);
-  out.pi.validate();
-
-  // [control] — controller-failure injection + the node-local failsafe.
-  out.control.outage_rate =
-      checked_double(cfg, "control.outage_rate", out.control.outage_rate);
-  out.control.outage_duration_cycles = static_cast<int>(
-      checked_int(cfg, "control.outage_duration_cycles",
-                  out.control.outage_duration_cycles));
-  out.control.zone_outage_rate = checked_double(
-      cfg, "control.zone_outage_rate", out.control.zone_outage_rate);
-  out.control.zone_outage_duration_cycles = static_cast<int>(
-      checked_int(cfg, "control.zone_outage_duration_cycles",
-                  out.control.zone_outage_duration_cycles));
-  out.control.delay_rate =
-      checked_double(cfg, "control.delay_rate", out.control.delay_rate);
-  out.control.delay_max_cycles = static_cast<int>(checked_int(
-      cfg, "control.delay_max_cycles", out.control.delay_max_cycles));
-  out.control.validate();
-  out.cluster.watchdog.timeout_cycles = checked_int(
-      cfg, "watchdog.timeout_cycles", out.cluster.watchdog.timeout_cycles);
-  out.cluster.watchdog.safe_level = static_cast<hw::Level>(checked_int(
-      cfg, "watchdog.safe_level", out.cluster.watchdog.safe_level));
-  out.cluster.watchdog.validate();
-
-  return out;
+std::string config_text(const ExperimentConfig& config) {
+  Config out;
+  for (const Key& k : keys()) out.set(k.name, k.show(config));
+  return out.to_string();
 }
 
 ExperimentConfig experiment_from_file(const std::string& path) {
-  return apply_config(paper_scenario(), common::Config::load_file(path));
+  return apply_config(paper_scenario(), Config::load_file(path));
 }
 
 }  // namespace pcap::cluster

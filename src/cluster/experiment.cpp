@@ -16,11 +16,6 @@ namespace pcap::cluster {
 
 namespace {
 
-bool is_registry_policy(const std::string& name) {
-  const auto names = power::policy_names();
-  return std::find(names.begin(), names.end(), name) != names.end();
-}
-
 power::PolicyPtr make_policy_any(const std::string& name,
                                  const power::PiTuning& pi) {
   if (name == "uniform") {
@@ -31,6 +26,13 @@ power::PolicyPtr make_policy_any(const std::string& name,
 }
 
 }  // namespace
+
+std::vector<std::string> manager_names() {
+  std::vector<std::string> names = power::policy_names();
+  names.insert(names.begin(), "none");
+  names.insert(names.end(), {"uniform", "sla", "feedback", "budget"});
+  return names;
+}
 
 Watts probe_uncapped_peak(const ClusterConfig& cluster, Seconds duration) {
   Cluster probe(cluster);
@@ -88,8 +90,8 @@ std::unique_ptr<power::PowerManagerBase> make_manager(
     return mgr;
   }
 
-  if (!is_registry_policy(config.manager) && config.manager != "uniform" &&
-      config.manager != "sla") {
+  const std::vector<std::string> names = manager_names();
+  if (std::find(names.begin(), names.end(), config.manager) == names.end()) {
     throw std::invalid_argument("make_manager: unknown manager '" +
                                 config.manager + "'");
   }

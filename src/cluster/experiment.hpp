@@ -1,13 +1,8 @@
 // Experiment runner: training phase + measured phase + metric extraction.
 //
 // One ExperimentConfig fully determines a run (seeded), so benches sweep
-// configs and compare results. Managers are selected by name:
-//   "none"                      — no power management (the baseline runs)
-//   "mpc","mpc-c","lpc","lpc-c","bfp","hri","hri-c","ht","ht-c",
-//   "pi-c","pred-c"             — the paper's architecture with that policy
-//   "uniform", "sla"            — related-work policies inside Algorithm 1
-//   "feedback"                  — Wang-style proportional controller
-//   "budget"                    — two-level demand-proportional budgets
+// configs and compare results. Managers are selected by name, one of
+// manager_names().
 #pragma once
 
 #include <optional>
@@ -167,6 +162,13 @@ ExperimentResult run_experiment(const ExperimentConfig& config);
 /// Probes the uncapped peak power of the configured cluster/workload over
 /// `duration` (used for provision calibration; deterministic given seed).
 Watts probe_uncapped_peak(const ClusterConfig& cluster, Seconds duration);
+
+/// Every manager make_manager builds: "none" (no power management, the
+/// baseline runs); power::policy_names() (the paper's architecture with
+/// that policy); "uniform" and "sla" (related-work policies inside
+/// Algorithm 1); "feedback" (Wang-style proportional controller) and
+/// "budget" (two-level demand-proportional budgets).
+std::vector<std::string> manager_names();
 
 /// Builds the manager named in the config (exposed for examples/tests).
 std::unique_ptr<power::PowerManagerBase> make_manager(

@@ -4,6 +4,8 @@
 
 #include <filesystem>
 #include <map>
+#include <numeric>
+#include <vector>
 
 #include "cluster/scenario.hpp"
 
@@ -18,93 +20,16 @@ std::filesystem::path example_configs() {
   return std::filesystem::path(PCAP_SOURCE_DIR) / "examples" / "configs";
 }
 
-// The knobs a fault scenario sets on top of its base: seed and provision
-// fraction; transport, telemetry faults and staleness; actuation faults
-// and reconciliation; control faults, the watchdog and the zone count.
-void expect_same_fault_knobs(const ExperimentConfig& a,
-                             const ExperimentConfig& b) {
-  EXPECT_EQ(a.cluster.seed, b.cluster.seed);
-  EXPECT_EQ(a.provision_fraction, b.provision_fraction);
-  EXPECT_EQ(a.transport.loss_rate, b.transport.loss_rate);
-  EXPECT_EQ(a.transport.delay_cycles, b.transport.delay_cycles);
-  EXPECT_EQ(a.faults.agent_dropout_rate, b.faults.agent_dropout_rate);
-  EXPECT_EQ(a.faults.agent_recovery_rate, b.faults.agent_recovery_rate);
-  EXPECT_EQ(a.faults.crash_rate, b.faults.crash_rate);
-  EXPECT_EQ(a.faults.crash_duration_cycles, b.faults.crash_duration_cycles);
-  EXPECT_EQ(a.faults.corruption_rate, b.faults.corruption_rate);
-  EXPECT_EQ(a.max_sample_age_cycles, b.max_sample_age_cycles);
-  EXPECT_EQ(a.stale_power_margin, b.stale_power_margin);
-  EXPECT_EQ(a.actuation.command_loss_rate, b.actuation.command_loss_rate);
-  EXPECT_EQ(a.actuation.delivery_delay_cycles,
-            b.actuation.delivery_delay_cycles);
-  EXPECT_EQ(a.actuation.transition_failure_rate,
-            b.actuation.transition_failure_rate);
-  EXPECT_EQ(a.actuation.partial_transition_rate,
-            b.actuation.partial_transition_rate);
-  EXPECT_EQ(a.actuation.reboot_rate, b.actuation.reboot_rate);
-  EXPECT_EQ(a.actuation.reboot_duration_cycles,
-            b.actuation.reboot_duration_cycles);
-  EXPECT_EQ(a.reconciliation.max_retries, b.reconciliation.max_retries);
-  EXPECT_EQ(a.reconciliation.retry_backoff_base_cycles,
-            b.reconciliation.retry_backoff_base_cycles);
-  EXPECT_EQ(a.reconciliation.retry_backoff_cap_cycles,
-            b.reconciliation.retry_backoff_cap_cycles);
-  EXPECT_EQ(a.control.outage_rate, b.control.outage_rate);
-  EXPECT_EQ(a.control.outage_duration_cycles,
-            b.control.outage_duration_cycles);
-  EXPECT_EQ(a.control.zone_outage_rate, b.control.zone_outage_rate);
-  EXPECT_EQ(a.control.zone_outage_duration_cycles,
-            b.control.zone_outage_duration_cycles);
-  EXPECT_EQ(a.control.delay_rate, b.control.delay_rate);
-  EXPECT_EQ(a.control.delay_max_cycles, b.control.delay_max_cycles);
-  EXPECT_EQ(a.cluster.watchdog.timeout_cycles,
-            b.cluster.watchdog.timeout_cycles);
-  EXPECT_EQ(a.cluster.watchdog.safe_level, b.cluster.watchdog.safe_level);
-  EXPECT_EQ(a.zone_count, b.zone_count);
-}
-
-// Every ExperimentConfig field the loader writes.
-void expect_same_loaded_fields(const ExperimentConfig& a,
-                               const ExperimentConfig& b) {
-  expect_same_fault_knobs(a, b);
-  EXPECT_EQ(a.cluster.num_nodes, b.cluster.num_nodes);
-  EXPECT_EQ(a.cluster.tick.value(), b.cluster.tick.value());
-  EXPECT_EQ(a.cluster.control_period.value(),
-            b.cluster.control_period.value());
-  EXPECT_EQ(a.cluster.npb_class, b.cluster.npb_class);
-  EXPECT_EQ(a.cluster.scheduler.max_procs_per_node,
-            b.cluster.scheduler.max_procs_per_node);
-  EXPECT_EQ(a.cluster.privileged_job_fraction,
-            b.cluster.privileged_job_fraction);
-  EXPECT_EQ(a.cluster.idle_utilization, b.cluster.idle_utilization);
-  EXPECT_EQ(a.cluster.utilization_noise_sigma,
-            b.cluster.utilization_noise_sigma);
-  EXPECT_EQ(a.cluster.utilization_ramp_tau_s,
-            b.cluster.utilization_ramp_tau_s);
-  EXPECT_EQ(a.manager, b.manager);
-  EXPECT_EQ(a.candidate_count, b.candidate_count);
-  EXPECT_EQ(a.dynamic_candidates, b.dynamic_candidates);
-  EXPECT_EQ(a.capping.steady_green_cycles, b.capping.steady_green_cycles);
-  EXPECT_EQ(a.red_margin, b.red_margin);
-  EXPECT_EQ(a.yellow_margin, b.yellow_margin);
-  EXPECT_EQ(a.adjust_period_cycles, b.adjust_period_cycles);
-  EXPECT_EQ(a.feedback_gain, b.feedback_gain);
-  EXPECT_EQ(a.training.value(), b.training.value());
-  EXPECT_EQ(a.measured.value(), b.measured.value());
-  EXPECT_EQ(a.calibration_duration.value(), b.calibration_duration.value());
-  EXPECT_EQ(a.provision.value(), b.provision.value());
-  EXPECT_EQ(a.zone_assignment, b.zone_assignment);
-  EXPECT_EQ(a.zone_redistribution, b.zone_redistribution);
-  EXPECT_EQ(a.prediction.enabled, b.prediction.enabled);
-  EXPECT_EQ(a.prediction.kind, b.prediction.kind);
-  EXPECT_EQ(a.prediction.horizon_cycles, b.prediction.horizon_cycles);
-  EXPECT_EQ(a.prediction.ewma_alpha, b.prediction.ewma_alpha);
-  EXPECT_EQ(a.prediction.ewma_beta, b.prediction.ewma_beta);
-  EXPECT_EQ(a.prediction.window_cycles, b.prediction.window_cycles);
-  EXPECT_EQ(a.prediction.refresh_cycles, b.prediction.refresh_cycles);
-  EXPECT_EQ(a.pi.kp, b.pi.kp);
-  EXPECT_EQ(a.pi.ki, b.pi.ki);
-  EXPECT_EQ(a.pi.integral_cap, b.pi.integral_cap);
+// Every scenario builder, by name.
+std::map<std::string, ExperimentConfig> builders() {
+  return {
+      {"paper", paper_scenario()},
+      {"small", small_scenario()},
+      {"heterogeneous", heterogeneous_scenario()},
+      {"faulty_telemetry", faulty_telemetry_scenario()},
+      {"lossy_actuation", lossy_actuation_scenario()},
+      {"controller_outage", controller_outage_scenario()},
+  };
 }
 
 TEST(ConfigLoader, EmptyConfigKeepsDefaults) {
@@ -120,8 +45,11 @@ TEST(ConfigLoader, EmptyConfigKeepsDefaults) {
 // Every key falls back to the base's value, so applying a config twice (a
 // file, then command-line overrides) cannot reset what the first set.
 TEST(ConfigLoader, EmptyConfigLeavesSmallScenarioUnchanged) {
-  const ExperimentConfig base = small_scenario();
-  expect_same_loaded_fields(apply_config(base, common::Config{}), base);
+  for (const auto& [name, builder] : builders()) {
+    SCOPED_TRACE(name);
+    EXPECT_EQ(config_text(apply_config(builder, common::Config{})),
+              config_text(builder));
+  }
 }
 
 TEST(ConfigLoader, EveryExampleConfigLoads) {
@@ -136,19 +64,73 @@ TEST(ConfigLoader, EveryExampleConfigLoads) {
   EXPECT_GE(loaded, 7u);
 }
 
-// The fault INIs and the scenario builders describe the same fault
-// models; they differ only in cluster size and phase lengths.
+// config_text reads back to itself from any builder or example INI: every
+// key's value survives printing and re-loading on the paper base.
+TEST(ConfigLoader, ConfigTextRoundTrips) {
+  std::map<std::string, ExperimentConfig> configs = builders();
+  for (const auto& entry :
+       std::filesystem::directory_iterator(example_configs())) {
+    if (entry.path().extension() != ".ini") continue;
+    configs[entry.path().filename().string()] =
+        experiment_from_file(entry.path().string());
+  }
+  for (const auto& [name, c] : configs) {
+    SCOPED_TRACE(name);
+    const std::string text = config_text(c);
+    EXPECT_EQ(config_text(apply_config(paper_scenario(),
+                                       common::Config::parse(text))),
+              text);
+  }
+}
+
+TEST(ConfigLoader, QuickstartConfigIsSmallScenario) {
+  EXPECT_EQ(config_text(experiment_from_file(
+                (example_configs() / "quickstart.ini").string())),
+            config_text(small_scenario(7)));
+}
+
+// The fault INIs equal their builders on every key but these five: the
+// INIs run 64 class-D nodes for 1 h calibration, 1 h training and 3 h
+// measured, the builders 16 class-C nodes on small_scenario's phases.
 TEST(ConfigLoader, FaultConfigsCarryTheirBuildersKnobs) {
-  const std::map<std::string, ExperimentConfig> builders = {
+  const common::Config ini_scale = common::Config::parse(
+      "cluster.nodes = 64\n"
+      "cluster.npb_class = D\n"
+      "experiment.training_h = 1\n"
+      "experiment.measured_h = 3\n"
+      "experiment.calibration_h = 1\n");
+  const std::map<std::string, ExperimentConfig> fault_builders = {
       {"faulty_telemetry.ini", faulty_telemetry_scenario()},
       {"lossy_actuation.ini", lossy_actuation_scenario()},
       {"controller_outage.ini", controller_outage_scenario()},
   };
-  for (const auto& [file, builder] : builders) {
+  for (const auto& [file, builder] : fault_builders) {
     SCOPED_TRACE(file);
-    expect_same_fault_knobs(
-        experiment_from_file((example_configs() / file).string()), builder);
+    EXPECT_EQ(config_text(experiment_from_file(
+                  (example_configs() / file).string())),
+              config_text(apply_config(builder, ini_scale)));
   }
+}
+
+// Every manager name loads exactly as written and builds a manager.
+TEST(ConfigLoader, EveryManagerNameLoadsAndBuilds) {
+  for (const std::string& name : manager_names()) {
+    SCOPED_TRACE(name);
+    common::Config keys;
+    keys.set("manager.policy", name);
+    const ExperimentConfig cfg = apply_config(small_scenario(), keys);
+    EXPECT_EQ(cfg.manager, name);
+    std::vector<hw::NodeId> candidates(cfg.cluster.num_nodes);
+    std::iota(candidates.begin(), candidates.end(), hw::NodeId{0});
+    EXPECT_NE(make_manager(cfg, cfg.cluster, Watts{3000.0}, candidates),
+              nullptr);
+  }
+}
+
+// An unknown manager dies at the key, before any simulation runs.
+TEST(ConfigLoader, UnknownPolicyThrows) {
+  EXPECT_THROW(load("[manager]\npolicy = bogus\n"), std::runtime_error);
+  EXPECT_THROW(load("[manager]\npolicy = MPC\n"), std::runtime_error);
 }
 
 TEST(ConfigLoader, ClusterSection) {
