@@ -6,31 +6,16 @@
 
 #include "baselines/budget_manager.hpp"
 #include "baselines/feedback_manager.hpp"
-#include "baselines/sla_policy.hpp"
-#include "baselines/uniform_policy.hpp"
 #include "common/logging.hpp"
 #include "power/policy_registry.hpp"
 #include "power/zone_manager.hpp"
 
 namespace pcap::cluster {
 
-namespace {
-
-power::PolicyPtr make_policy_any(const std::string& name,
-                                 const power::PiTuning& pi) {
-  if (name == "uniform") {
-    return std::make_unique<baselines::UniformAllNodesPolicy>();
-  }
-  if (name == "sla") return std::make_unique<baselines::SlaPriorityPolicy>();
-  return power::make_policy(name, pi);
-}
-
-}  // namespace
-
 std::vector<std::string> manager_names() {
   std::vector<std::string> names = power::policy_names();
   names.insert(names.begin(), "none");
-  names.insert(names.end(), {"uniform", "sla", "feedback", "budget"});
+  names.insert(names.end(), {"feedback", "budget"});
   return names;
 }
 
@@ -46,19 +31,12 @@ std::unique_ptr<power::PowerManagerBase> make_manager(
     Watts provision, const std::vector<hw::NodeId>& candidates) {
   common::Rng rng(cluster.seed ^ 0x9d2c5680u);
 
-  if (config.zone_count >= 2 &&
+  if ((config.zone_count >= 2 || config.control.enabled()) &&
       (config.manager == "none" || config.manager == "budget" ||
        config.manager == "feedback")) {
     throw std::invalid_argument(
-        "make_manager: zones.count >= 2 requires a capping-policy manager "
-        "(got '" + config.manager + "')");
-  }
-  if (config.control.enabled() &&
-      (config.manager == "none" || config.manager == "budget" ||
-       config.manager == "feedback")) {
-    throw std::invalid_argument(
-        "make_manager: control-plane fault injection requires a "
-        "capping-policy manager (got '" + config.manager + "')");
+        "make_manager: zones.count >= 2 and control-plane fault injection "
+        "require a capping-policy manager (got '" + config.manager + "')");
   }
   if (config.manager == "none" || candidates.empty()) {
     return std::make_unique<power::NoCappingManager>();
@@ -137,7 +115,7 @@ std::unique_ptr<power::PowerManagerBase> make_manager(
   const std::string policy_name = config.manager;
   const power::PiTuning pi = config.pi;
   auto mgr = std::make_unique<power::ZoneTreeManager>(
-      zp, p, [policy_name, pi] { return make_policy_any(policy_name, pi); },
+      zp, p, [policy_name, pi] { return power::make_policy(policy_name, pi); },
       rng);
   mgr->set_candidate_set(candidates);
   return mgr;

@@ -13,7 +13,7 @@
 #include "metrics/performance.hpp"
 #include "power/actuation_channel.hpp"
 #include "power/capping.hpp"
-#include "power/policies_predictive.hpp"
+#include "power/policy_registry.hpp"
 #include "power/predictor.hpp"
 #include "power/reconciler.hpp"
 #include "power/thresholds.hpp"
@@ -165,7 +165,7 @@ Watts probe_uncapped_peak(const ClusterConfig& cluster, Seconds duration);
 
 /// Every manager make_manager builds: "none" (no power management, the
 /// baseline runs); power::policy_names() (the paper's architecture with
-/// that policy); "uniform" and "sla" (related-work policies inside
+/// that policy, including the related-work "uniform" and "sla" inside
 /// Algorithm 1); "feedback" (Wang-style proportional controller) and
 /// "budget" (two-level demand-proportional budgets).
 std::vector<std::string> manager_names();

@@ -64,18 +64,4 @@ void SelectionScratch::build(const PolicyContext& ctx) {
   }
 }
 
-std::vector<hw::NodeId> throttleable_nodes(const PolicyContext& ctx,
-                                           const JobView& job) {
-  std::vector<hw::NodeId> out;
-  out.reserve(job.nodes.size());
-  for (const hw::NodeId id : job.nodes) {
-    const NodeView* nv = ctx.node(id);
-    if (nv != nullptr && nv->busy && !nv->at_lowest && !nv->stale &&
-        !nv->command_in_flight) {
-      out.push_back(id);
-    }
-  }
-  return out;
-}
-
 }  // namespace pcap::power

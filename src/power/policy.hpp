@@ -3,10 +3,10 @@
 // Each control cycle in the yellow state, a policy picks the subset of
 // candidate nodes to degrade by one level. Policies see the world through
 // PolicyContext — per-node and per-job aggregates derived from telemetry —
-// never the hardware directly.
+// never the hardware directly. The policies themselves are the rows of
+// one table (power/policy_registry.hpp).
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -128,8 +128,8 @@ class SelectionScratch {
     std::uint32_t begin = 0;  ///< node range [begin, end) into node_buf()
     std::uint32_t end = 0;
     Watts saving{0.0};   ///< Σ P(x) - P'(x) over the range
-    /// Ranking key: ΔP^t(J) after build(); a policy whose order is not
-    /// rate-based overwrites it (e.g. mean temperature) before sorting.
+    /// Ranking key: ΔP^t(J) after build(); a policy ranked on another
+    /// key (mean temperature, SLA class) overwrites it before ranking.
     double score = 0.0;
   };
 
@@ -138,7 +138,7 @@ class SelectionScratch {
   /// in node order, exactly as the per-call version did.
   void build(const PolicyContext& ctx);
 
-  /// Mutable so collection policies can stable_sort the refs in place.
+  /// Mutable so a collection can score and stable_sort the refs in place.
   [[nodiscard]] std::vector<Ref>& refs() { return refs_; }
   [[nodiscard]] const std::vector<hw::NodeId>& node_buf() const {
     return node_buf_;
@@ -201,78 +201,5 @@ class TargetSelectionPolicy {
 };
 
 using PolicyPtr = std::unique_ptr<TargetSelectionPolicy>;
-
-/// Filters a job's node list down to throttleable ones (busy, not at the
-/// lowest level, acting on fresh telemetry). Shared by every policy
-/// implementation; the capping engine additionally re-checks whatever a
-/// policy returns, so a policy that bypasses this filter degrades to
-/// skipped targets rather than wrong actuation.
-std::vector<hw::NodeId> throttleable_nodes(const PolicyContext& ctx,
-                                           const JobView& job);
-
-/// Algorithm 2's accumulation loop with an explicit saving goal: rebuild
-/// the scratch from ctx, order the refs by `cmp` (stable, so ties keep
-/// job order), then take whole jobs in that order — deduplicating nodes
-/// shared between them — until the accumulated saving covers `needed`.
-/// A non-positive goal selects nothing (predictive policies legitimately
-/// compute a zero or negative demand; reactive callers never pass one
-/// because required_saving() > 0 whenever the engine is in yellow).
-template <typename Compare>
-std::vector<hw::NodeId> accumulate_watts(const PolicyContext& ctx,
-                                         SelectionScratch& scratch,
-                                         Compare cmp, Watts needed) {
-  if (needed <= Watts{0.0}) return {};
-  scratch.build(ctx);
-  std::vector<SelectionScratch::Ref>& jobs = scratch.refs();
-  if (jobs.empty()) return {};
-  std::stable_sort(jobs.begin(), jobs.end(), cmp);
-
-  std::vector<hw::NodeId> targets;
-  scratch.begin_visit();
-  Watts saved{0.0};
-  for (const SelectionScratch::Ref& tj : jobs) {
-    for (std::uint32_t i = tj.begin; i < tj.end; ++i) {
-      const hw::NodeId id = scratch.node_buf()[i];
-      if (!scratch.visit(id)) continue;  // Nodes(J_i) - A
-      targets.push_back(id);
-      const NodeView* nv = ctx.node(id);
-      saved += nv->power - nv->power_one_level_down;
-    }
-    if (saved >= needed) break;  // "if Saved >= P - P_L then exit"
-  }
-  return targets;
-}
-
-/// Algorithm 2's shared skeleton (used by MPC-C, LPC-C, HRI-C, HT-C):
-/// accumulate until the saving covers required_saving() = max(0, P-P_L).
-/// Keeps the historical behaviour of selecting the first job even when
-/// required_saving() is 0 (the engine only calls policies in yellow,
-/// where P >= P_L makes that unreachable, but zone shards drive shares
-/// through this path and rely on the >= comparison semantics).
-template <typename Compare>
-std::vector<hw::NodeId> accumulate_collection(const PolicyContext& ctx,
-                                              SelectionScratch& scratch,
-                                              Compare cmp) {
-  scratch.build(ctx);
-  std::vector<SelectionScratch::Ref>& jobs = scratch.refs();
-  if (jobs.empty()) return {};
-  std::stable_sort(jobs.begin(), jobs.end(), cmp);
-
-  const Watts needed = ctx.required_saving();
-  std::vector<hw::NodeId> targets;
-  scratch.begin_visit();
-  Watts saved{0.0};
-  for (const SelectionScratch::Ref& tj : jobs) {
-    for (std::uint32_t i = tj.begin; i < tj.end; ++i) {
-      const hw::NodeId id = scratch.node_buf()[i];
-      if (!scratch.visit(id)) continue;  // Nodes(J_i) - A
-      targets.push_back(id);
-      const NodeView* nv = ctx.node(id);
-      saved += nv->power - nv->power_one_level_down;
-    }
-    if (saved >= needed) break;  // "if Saved >= P - P_L then exit"
-  }
-  return targets;
-}
 
 }  // namespace pcap::power

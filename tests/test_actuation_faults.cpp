@@ -8,7 +8,6 @@
 #include <memory>
 #include <vector>
 
-#include "baselines/uniform_policy.hpp"
 #include "cluster/cluster.hpp"
 #include "cluster/experiment.hpp"
 #include "cluster/scenario.hpp"
@@ -728,7 +727,7 @@ RunResult run_degraded_actuation_cluster(std::size_t worker_threads) {
   p.selector->reselect_period_cycles = 5;
   auto mgr = std::make_unique<power::ZoneTreeManager>(
       power::ZoneTreeParams{}, p,
-      [] { return std::make_unique<baselines::UniformAllNodesPolicy>(); },
+      [] { return power::make_policy("uniform"); },
       common::Rng(cfg.seed ^ 0x9d2c5680u));
   mgr->set_candidate_set(cl.controllable_nodes());
   cl.set_manager(std::move(mgr));

@@ -5,7 +5,7 @@
 #include <set>
 
 #include "common/rng.hpp"
-#include "power/policies_state_based.hpp"
+#include "power/policy_registry.hpp"
 
 namespace pcap::power {
 namespace {
@@ -369,7 +369,7 @@ class CappingRandomWalk : public ::testing::TestWithParam<int> {};
 TEST_P(CappingRandomWalk, CommandsAlwaysValid) {
   common::Rng rng(static_cast<std::uint64_t>(GetParam()) * 131);
   CappingEngine e(tg(4));
-  MostPowerConsumingJob policy;
+  const PolicyPtr policy = make_policy("mpc");
   std::vector<hw::Level> levels(6, 9);
 
   for (int step = 0; step < 400; ++step) {
@@ -401,7 +401,7 @@ TEST_P(CappingRandomWalk, CommandsAlwaysValid) {
 
     const CycleDecision d = e.cycle(
         classify_power(ctx.system_power, Watts{900.0}, Watts{1000.0}),
-        policy, ctx);
+        *policy, ctx);
     std::set<hw::NodeId> seen;
     for (const LevelCommand& c : d.commands) {
       ASSERT_LT(c.node, 6u);

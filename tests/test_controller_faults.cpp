@@ -11,7 +11,6 @@
 #include <memory>
 #include <vector>
 
-#include "baselines/uniform_policy.hpp"
 #include "cluster/cluster.hpp"
 #include "cluster/experiment.hpp"
 #include "hw/node_spec.hpp"

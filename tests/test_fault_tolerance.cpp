@@ -8,12 +8,12 @@
 #include <memory>
 #include <vector>
 
-#include "baselines/uniform_policy.hpp"
 #include "cluster/cluster.hpp"
 #include "cluster/experiment.hpp"
 #include "cluster/scenario.hpp"
 #include "hw/node_spec.hpp"
 #include "metrics/trace_recorder.hpp"
+#include "power/policy_registry.hpp"
 #include "power/zone_manager.hpp"
 #include "support.hpp"
 
@@ -73,7 +73,7 @@ RunResult run_degraded_cluster(std::size_t worker_threads) {
   // exactly what exercises the engine's defensive skip path.
   auto mgr = std::make_unique<power::ZoneTreeManager>(
       power::ZoneTreeParams{}, p,
-      [] { return std::make_unique<baselines::UniformAllNodesPolicy>(); },
+      [] { return power::make_policy("uniform"); },
       common::Rng(cfg.seed ^ 0x9d2c5680u));
   mgr->set_candidate_set(cl.controllable_nodes());
   cl.set_manager(std::move(mgr));

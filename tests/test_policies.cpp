@@ -5,12 +5,7 @@
 
 #include <set>
 
-#include "baselines/sla_policy.hpp"
-#include "baselines/uniform_policy.hpp"
 #include "common/rng.hpp"
-#include "power/policies_change_based.hpp"
-#include "power/policies_state_based.hpp"
-#include "power/policies_thermal.hpp"
 #include "power/policy_registry.hpp"
 
 namespace pcap::power {
@@ -80,8 +75,8 @@ TEST(JobView, RateOfIncrease) {
 }
 
 TEST(Mpc, PicksTheMostPowerConsumingJob) {
-  MostPowerConsumingJob p;
-  const auto targets = p.select(three_job_ctx());
+  const PolicyPtr p = make_policy("mpc");
+  const auto targets = p->select(three_job_ctx());
   EXPECT_EQ(targets, (std::vector<hw::NodeId>{0, 1}));  // job 0: 600 W
 }
 
@@ -90,65 +85,65 @@ TEST(Mpc, SkipsJobsWithNoThrottleableNodes) {
   // Floor job 0's nodes: MPC must fall through to job 2 (450 W).
   ctx.nodes[0].at_lowest = true;
   ctx.nodes[1].at_lowest = true;
-  MostPowerConsumingJob p;
-  const auto targets = p.select(ctx);
+  const PolicyPtr p = make_policy("mpc");
+  const auto targets = p->select(ctx);
   EXPECT_EQ(targets, (std::vector<hw::NodeId>{3, 4, 5}));
 }
 
 TEST(Mpc, EmptyWhenNoJobs) {
   PolicyContext ctx;
   ctx.index_nodes();
-  MostPowerConsumingJob p;
-  EXPECT_TRUE(p.select(ctx).empty());
+  const PolicyPtr p = make_policy("mpc");
+  EXPECT_TRUE(p->select(ctx).empty());
 }
 
 TEST(MpcC, StopsOnceSavingCoversGap) {
-  MostPowerConsumingCollection p;
+  const PolicyPtr p = make_policy("mpc-c");
   // Gap 30 W: job 0 alone saves 40 W >= 30 — only its nodes selected.
-  const auto targets = p.select(three_job_ctx(30.0));
+  const auto targets = p->select(three_job_ctx(30.0));
   EXPECT_EQ(targets, (std::vector<hw::NodeId>{0, 1}));
 }
 
 TEST(MpcC, AccumulatesJobsForLargerGap) {
-  MostPowerConsumingCollection p;
+  const PolicyPtr p = make_policy("mpc-c");
   // Gap 90 W: job 0 (40) + job 2 (60) = 100 >= 90. Jobs in descending
   // power order: 600, 450, 200.
-  const auto targets = p.select(three_job_ctx(90.0));
+  const auto targets = p->select(three_job_ctx(90.0));
   EXPECT_EQ(targets, (std::vector<hw::NodeId>{0, 1, 3, 4, 5}));
 }
 
 TEST(MpcC, TakesEverythingWhenGapIsHuge) {
-  MostPowerConsumingCollection p;
-  const auto targets = p.select(three_job_ctx(1e6));
+  const PolicyPtr p = make_policy("mpc-c");
+  const auto targets = p->select(three_job_ctx(1e6));
   EXPECT_EQ(targets.size(), 6u);
 }
 
 TEST(Lpc, PicksLeastPowerConsumingJob) {
-  LeastPowerConsumingJob p;
-  const auto targets = p.select(three_job_ctx());
+  const PolicyPtr p = make_policy("lpc");
+  const auto targets = p->select(three_job_ctx());
   EXPECT_EQ(targets, (std::vector<hw::NodeId>{2}));  // job 1: 200 W
 }
 
 TEST(LpcC, AccumulatesFromTheBottom) {
-  LeastPowerConsumingCollection p;
+  const PolicyPtr p = make_policy("lpc-c");
   // Gap 50 W: job 1 saves 20, job 2 adds 60 -> 80 >= 50.
-  const auto targets = p.select(three_job_ctx(50.0));
+  const auto targets = p->select(three_job_ctx(50.0));
   EXPECT_EQ(targets, (std::vector<hw::NodeId>{2, 3, 4, 5}));
 }
 
 TEST(Bfp, PicksSmallestSavingAboveGap) {
-  BestFitJob p;
+  const PolicyPtr p = make_policy("bfp");
   // Gap 30: candidates with saving >= 30 are job 0 (40) and job 2 (60);
   // best fit is job 0.
-  EXPECT_EQ(p.select(three_job_ctx(30.0)), (std::vector<hw::NodeId>{0, 1}));
+  EXPECT_EQ(p->select(three_job_ctx(30.0)), (std::vector<hw::NodeId>{0, 1}));
   // Gap 50: only job 2 (60) covers it.
-  EXPECT_EQ(p.select(three_job_ctx(50.0)), (std::vector<hw::NodeId>{3, 4, 5}));
+  EXPECT_EQ(p->select(three_job_ctx(50.0)), (std::vector<hw::NodeId>{3, 4, 5}));
 }
 
 TEST(Bfp, FallsBackToLargestSavingWhenNoneCovers) {
-  BestFitJob p;
+  const PolicyPtr p = make_policy("bfp");
   // Gap 100: no single job saves that much; take the largest (job 2, 60).
-  EXPECT_EQ(p.select(three_job_ctx(100.0)),
+  EXPECT_EQ(p->select(three_job_ctx(100.0)),
             (std::vector<hw::NodeId>{3, 4, 5}));
 }
 
@@ -158,27 +153,27 @@ TEST(Bfp, EmptyWhenNothingThrottleable) {
   // (it used to reach the dereference with no guard at all).
   auto ctx = three_job_ctx(30.0);
   for (NodeView& nv : ctx.nodes) nv.at_lowest = true;
-  BestFitJob p;
-  EXPECT_TRUE(p.select(ctx).empty());
+  const PolicyPtr p = make_policy("bfp");
+  EXPECT_TRUE(p->select(ctx).empty());
 
   PolicyContext empty;
   empty.index_nodes();
-  EXPECT_TRUE(p.select(empty).empty());
+  EXPECT_TRUE(p->select(empty).empty());
 }
 
 TEST(Bfp, EqualSavingTieBreaksByJobOrder) {
-  BestFitJob p;
+  const PolicyPtr p = make_policy("bfp");
   // Jobs 0 and 2 both save exactly 40 W, both >= gap 30: the strict "<"
   // in the best-above scan must keep the first job in context order.
   auto ctx = three_job_ctx(30.0);
   ctx.nodes[5].busy = false;  // job 2's saving drops from 60 to 40
-  EXPECT_EQ(p.select(ctx), (std::vector<hw::NodeId>{0, 1}));
+  EXPECT_EQ(p->select(ctx), (std::vector<hw::NodeId>{0, 1}));
 
   // Same tie below the gap: gap 100 is not coverable; jobs 0 and 2 tie
   // at 40 W of best-effort saving, and the first again wins.
   auto ctx2 = three_job_ctx(100.0);
   ctx2.nodes[5].busy = false;
-  EXPECT_EQ(p.select(ctx2), (std::vector<hw::NodeId>{0, 1}));
+  EXPECT_EQ(p->select(ctx2), (std::vector<hw::NodeId>{0, 1}));
 }
 
 TEST(PolicyContext, RequiredSavingTracksGapExactly) {
@@ -228,38 +223,36 @@ TEST(SelectionScratchTest, BuildGroupsThrottleableNodesByJob) {
 }
 
 TEST(Hri, PicksFastestRisingJob) {
-  HighestRateOfIncrease p;
+  const PolicyPtr p = make_policy("hri");
   // Job 1 doubled its power: rate 1.0 vs ~0.017 and ~0.011.
-  EXPECT_EQ(p.select(three_job_ctx()), (std::vector<hw::NodeId>{2}));
+  EXPECT_EQ(p->select(three_job_ctx()), (std::vector<hw::NodeId>{2}));
 }
 
 TEST(Hri, NoHistoryMeansZeroRate) {
   auto ctx = three_job_ctx();
   for (auto& j : ctx.jobs) j.power_prev = Watts{0.0};
-  HighestRateOfIncrease p;
+  const PolicyPtr p = make_policy("hri");
   // All rates are 0; max_element picks the first throttleable job.
-  EXPECT_FALSE(p.select(ctx).empty());
+  EXPECT_FALSE(p->select(ctx).empty());
 }
 
 TEST(HriC, AccumulatesByRate) {
-  HighestRateOfIncreaseCollection p;
+  const PolicyPtr p = make_policy("hri-c");
   // Gap 50: job 1 (rate 1.0) saves 20, then job 0 (rate ~0.017) adds 40.
-  const auto targets = p.select(three_job_ctx(50.0));
+  const auto targets = p->select(three_job_ctx(50.0));
   EXPECT_EQ(targets, (std::vector<hw::NodeId>{2, 0, 1}));
 }
 
 TEST(Uniform, TakesEveryThrottleableBusyNode) {
-  baselines::UniformAllNodesPolicy p;
+  const PolicyPtr p = make_policy("uniform");
   auto ctx = three_job_ctx();
   ctx.nodes[4].at_lowest = true;
   ctx.nodes[5].busy = false;
-  const auto targets = p.select(ctx);
+  const auto targets = p->select(ctx);
   EXPECT_EQ(targets, (std::vector<hw::NodeId>{0, 1, 2, 3}));
 }
 
 TEST(Sla, ClassAssignmentIsDeterministicMix) {
-  using baselines::SlaClass;
-  using baselines::sla_class_of;
   EXPECT_EQ(sla_class_of(0), SlaClass::kBronze);
   EXPECT_EQ(sla_class_of(2), SlaClass::kSilver);
   EXPECT_EQ(sla_class_of(4), SlaClass::kGold);
@@ -267,10 +260,10 @@ TEST(Sla, ClassAssignmentIsDeterministicMix) {
 }
 
 TEST(Sla, ThrottlesBronzeBeforeGold) {
-  baselines::SlaPriorityPolicy p;
+  const PolicyPtr p = make_policy("sla");
   // Jobs 0,1 are bronze; job 2 silver. Small gap: bronze job with the
   // higher power (job 0, 600 W) goes first.
-  const auto targets = p.select(three_job_ctx(30.0));
+  const auto targets = p->select(three_job_ctx(30.0));
   ASSERT_GE(targets.size(), 2u);
   EXPECT_EQ(targets[0], 0u);
   EXPECT_EQ(targets[1], 1u);
@@ -294,8 +287,8 @@ TEST(Thermal, HtPicksHottestJob) {
   ctx.nodes[0].temperature = Celsius{65.0};
   ctx.nodes[1].temperature = Celsius{66.0};
   ctx.nodes[2].temperature = Celsius{60.0};
-  HottestJob p;
-  EXPECT_EQ(p.select(ctx), (std::vector<hw::NodeId>{3, 4, 5}));
+  const PolicyPtr p = make_policy("ht");
+  EXPECT_EQ(p->select(ctx), (std::vector<hw::NodeId>{3, 4, 5}));
 }
 
 TEST(Thermal, HtSkipsFlooredHotJob) {
@@ -308,8 +301,8 @@ TEST(Thermal, HtSkipsFlooredHotJob) {
   ctx.nodes[5].at_lowest = true;
   ctx.nodes[0].temperature = Celsius{70.0};
   ctx.nodes[1].temperature = Celsius{70.0};
-  HottestJob p;
-  EXPECT_EQ(p.select(ctx), (std::vector<hw::NodeId>{0, 1}));
+  const PolicyPtr p = make_policy("ht");
+  EXPECT_EQ(p->select(ctx), (std::vector<hw::NodeId>{0, 1}));
 }
 
 TEST(Thermal, HtCAccumulatesHotJobsFirst) {
@@ -317,9 +310,9 @@ TEST(Thermal, HtCAccumulatesHotJobsFirst) {
   ctx.nodes[2].temperature = Celsius{85.0};  // job 1 hottest (one node)
   ctx.nodes[0].temperature = Celsius{75.0};  // job 0 second
   ctx.nodes[1].temperature = Celsius{75.0};
-  HottestJobCollection p;
+  const PolicyPtr p = make_policy("ht-c");
   // Job 1 saves 20, then job 0 adds 40 -> 60 >= 50.
-  EXPECT_EQ(p.select(ctx), (std::vector<hw::NodeId>{2, 0, 1}));
+  EXPECT_EQ(p->select(ctx), (std::vector<hw::NodeId>{2, 0, 1}));
 }
 
 TEST(Registry, BuildsEveryRegisteredPolicy) {
@@ -341,10 +334,10 @@ TEST(Registry, UnknownThrows) {
 }
 
 TEST(Registry, HasElevenPolicies) {
-  EXPECT_EQ(policy_names().size(), 11u);
+  EXPECT_EQ(policy_names().size(), 13u);
 }
 
-// Property: every registered policy (plus baselines) only ever returns
+// Property: every registered policy only ever returns
 // busy, non-floored candidate nodes with no duplicates, on randomly
 // generated contexts.
 class PolicyValidity
@@ -352,14 +345,7 @@ class PolicyValidity
 
 TEST_P(PolicyValidity, TargetsAreAlwaysValid) {
   const auto& [name, seed] = GetParam();
-  PolicyPtr policy;
-  if (name == "uniform") {
-    policy = std::make_unique<baselines::UniformAllNodesPolicy>();
-  } else if (name == "sla") {
-    policy = std::make_unique<baselines::SlaPriorityPolicy>();
-  } else {
-    policy = make_policy(name);
-  }
+  const PolicyPtr policy = make_policy(name);
 
   common::Rng rng(static_cast<std::uint64_t>(seed) * 7919);
   for (int trial = 0; trial < 60; ++trial) {
@@ -412,10 +398,7 @@ TEST_P(PolicyValidity, TargetsAreAlwaysValid) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllPolicies, PolicyValidity,
-    ::testing::Combine(::testing::Values("mpc", "mpc-c", "lpc", "lpc-c",
-                                         "bfp", "hri", "hri-c", "ht",
-                                         "ht-c", "pi-c", "pred-c",
-                                         "uniform", "sla"),
+    ::testing::Combine(::testing::ValuesIn(policy_names()),
                        ::testing::Range(1, 4)));
 
 }  // namespace

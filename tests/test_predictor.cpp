@@ -22,8 +22,6 @@
 #include "power/checkpoint.hpp"
 #include "power/control_root.hpp"
 #include "power/manager.hpp"
-#include "power/policies_predictive.hpp"
-#include "power/policies_state_based.hpp"
 #include "power/policy_registry.hpp"
 #include "power/zone_manager.hpp"
 #include "support.hpp"
@@ -283,81 +281,81 @@ TEST(PiTuning, ValidationRejectsNonsense) {
 }
 
 TEST(PiC, ActsOnTheForecastNotTheMeter) {
-  PiCollection p;
+  const PolicyPtr p = make_policy("pi-c");
   // Meter green (950 < 1000), no forecast: negative error, zero demand.
   auto ctx = three_job_ctx(-50.0);
-  EXPECT_TRUE(p.select(ctx).empty());
+  EXPECT_TRUE(p->select(ctx).empty());
   // Same meter, but a forecast of 1100: error 0.1, integral 0.1, demand
   // 1000 * (1.0*0.1 + 0.05*0.1) = 105 W -> jobs by descending power:
   // 600 (saves 40) + 450 (saves 60) + 200 (saves 20) = 120 >= 105.
   ctx.has_forecast = true;
   ctx.forecast_power = Watts{1100.0};
-  EXPECT_EQ(p.select(ctx), (std::vector<hw::NodeId>{0, 1, 3, 4, 5, 2}));
+  EXPECT_EQ(p->select(ctx), (std::vector<hw::NodeId>{0, 1, 3, 4, 5, 2}));
 }
 
 TEST(PiC, IntegralChargesToTheCapAndDischargesOnHeadroom) {
-  PiCollection p;  // default cap 0.5
+  const PolicyPtr p = make_policy("pi-c");  // default cap 0.5
   auto hot = three_job_ctx(-50.0);
   hot.has_forecast = true;
   hot.forecast_power = Watts{1200.0};  // error +0.2 per cycle
-  (void)p.select(hot);
-  EXPECT_DOUBLE_EQ(p.integral(), 0.2);
-  (void)p.select(hot);
-  (void)p.select(hot);
-  EXPECT_DOUBLE_EQ(p.integral(), 0.5);  // anti-windup clamp
-  (void)p.select(hot);
-  EXPECT_DOUBLE_EQ(p.integral(), 0.5);
+  (void)p->select(hot);
+  EXPECT_DOUBLE_EQ(p->checkpoint_state()[0], 0.2);
+  (void)p->select(hot);
+  (void)p->select(hot);
+  EXPECT_DOUBLE_EQ(p->checkpoint_state()[0], 0.5);  // anti-windup clamp
+  (void)p->select(hot);
+  EXPECT_DOUBLE_EQ(p->checkpoint_state()[0], 0.5);
 
   auto cool = three_job_ctx(-50.0);
   cool.has_forecast = true;
   cool.forecast_power = Watts{700.0};  // error -0.3: discharge
-  (void)p.select(cool);
-  EXPECT_DOUBLE_EQ(p.integral(), 0.2);
-  (void)p.select(cool);
-  EXPECT_DOUBLE_EQ(p.integral(), 0.0);  // floors at zero, never owes
+  (void)p->select(cool);
+  EXPECT_DOUBLE_EQ(p->checkpoint_state()[0], 0.2);
+  (void)p->select(cool);
+  EXPECT_DOUBLE_EQ(p->checkpoint_state()[0], 0.0);  // floors at zero
 }
 
 TEST(PiC, ZoneShareModeHonoursTheShareWithoutTouchingPiState) {
-  PiCollection p;
+  const PolicyPtr p = make_policy("pi-c");
   // Charge the integral first so an accidental update would be visible.
   auto hot = three_job_ctx(-50.0);
   hot.has_forecast = true;
   hot.forecast_power = Watts{1200.0};
-  (void)p.select(hot);
-  ASSERT_DOUBLE_EQ(p.integral(), 0.2);
+  (void)p->select(hot);
+  ASSERT_DOUBLE_EQ(p->checkpoint_state()[0], 0.2);
 
   // Zone-shard synthetic context: p_low == 0, system_power == share.
   auto share = three_job_ctx(0.0);
   share.p_low = Watts{0.0};
   share.system_power = Watts{30.0};
-  EXPECT_EQ(p.select(share), (std::vector<hw::NodeId>{0, 1}));  // 40 >= 30
-  EXPECT_DOUBLE_EQ(p.integral(), 0.2);  // untouched
+  EXPECT_EQ(p->select(share), (std::vector<hw::NodeId>{0, 1}));  // 40 >= 30
+  EXPECT_DOUBLE_EQ(p->checkpoint_state()[0], 0.2);  // untouched
 }
 
 TEST(PiC, CheckpointRoundTripsTheIntegral) {
-  PiCollection a;
+  const PolicyPtr a = make_policy("pi-c");
   auto hot = three_job_ctx(-50.0);
   hot.has_forecast = true;
   hot.forecast_power = Watts{1200.0};
-  (void)a.select(hot);
-  const auto state = a.checkpoint_state();
+  (void)a->select(hot);
+  const auto state = a->checkpoint_state();
   ASSERT_EQ(state.size(), 1u);
-  PiCollection b;
-  b.restore_state(state);
-  EXPECT_EQ(b.integral(), a.integral());
-  EXPECT_THROW(b.restore_state({1.0, 2.0}), std::invalid_argument);
+  const PolicyPtr b = make_policy("pi-c");
+  b->restore_state(state);
+  EXPECT_EQ(b->checkpoint_state()[0], a->checkpoint_state()[0]);
+  EXPECT_THROW(b->restore_state({1.0, 2.0}), std::invalid_argument);
 }
 
 TEST(PredC, CoversTheForecastGapAndDegradesGracefully) {
-  PredictiveCollection p;
+  const PolicyPtr p = make_policy("pred-c");
   auto ctx = three_job_ctx(-50.0);
   // No forecast, meter green: demand 950 - 1000 < 0 -> nothing selected
   // (the reactive fallback only acts when the meter itself is over).
-  EXPECT_TRUE(p.select(ctx).empty());
+  EXPECT_TRUE(p->select(ctx).empty());
   // Forecast 1100: demand 100 W -> 600-W job (40) + 450-W job (60) = 100.
   ctx.has_forecast = true;
   ctx.forecast_power = Watts{1100.0};
-  EXPECT_EQ(p.select(ctx), (std::vector<hw::NodeId>{0, 1, 3, 4, 5}));
+  EXPECT_EQ(p->select(ctx), (std::vector<hw::NodeId>{0, 1, 3, 4, 5}));
 }
 
 TEST(Registry, PredictivePoliciesAreForecastDrivenOthersAreNot) {
@@ -409,11 +407,11 @@ TEST(CappingEngine, ElevatesGreenToYellowWhenTheForecastCrossesPLow) {
   EXPECT_EQ(r.predictive_elevations, 1u);
 
   CappingEngine e(CappingParams{});
-  PiCollection pi;
+  const PolicyPtr pi = make_policy("pi-c");
   auto ctx = three_job_ctx(-100.0);  // meter 900: solidly green
   ctx.has_forecast = true;
   ctx.forecast_power = Watts{1050.0};
-  const CycleDecision d = e.cycle(r.state, pi, ctx);
+  const CycleDecision d = e.cycle(r.state, *pi, ctx);
   EXPECT_EQ(d.state, PowerState::kYellow);
   // error 0.05 -> demand 1000*(0.05 + 0.05*0.05) = 52.5 W -> the 600-W
   // job (40) plus the 450-W job (60): five nodes throttled before the
@@ -431,11 +429,11 @@ TEST(CappingEngine, ReactivePoliciesAreNeverElevated) {
   EXPECT_EQ(root.predictive_elevations(), 0u);
 
   CappingEngine e(CappingParams{});
-  MostPowerConsumingCollection mpc_c;
+  const PolicyPtr mpc_c = make_policy("mpc-c");
   auto ctx = three_job_ctx(-100.0);
   ctx.has_forecast = true;
   ctx.forecast_power = Watts{1050.0};
-  const CycleDecision d = e.cycle(r.state, mpc_c, ctx);
+  const CycleDecision d = e.cycle(r.state, *mpc_c, ctx);
   EXPECT_EQ(d.state, PowerState::kGreen);
   EXPECT_TRUE(d.commands.empty());
 }
@@ -642,11 +640,11 @@ TEST(Checkpoint, FftPredictorAndPiIntegralSurviveTheImage) {
   ZoneTreeManager b = test::one_zone(p, "pi-c", common::Rng(5));
   b.set_candidate_set({0, 1, 2, 3});
   b.restore(decode_tree_checkpoint(text));
-  const auto* pi_a = dynamic_cast<const PiCollection*>(&a.zone(0).policy());
-  const auto* pi_b = dynamic_cast<const PiCollection*>(&b.zone(0).policy());
-  ASSERT_NE(pi_a, nullptr);
-  ASSERT_NE(pi_b, nullptr);
-  EXPECT_EQ(pi_b->integral(), pi_a->integral());
+  const std::vector<double> pi_a = a.zone(0).policy().checkpoint_state();
+  const std::vector<double> pi_b = b.zone(0).policy().checkpoint_state();
+  ASSERT_EQ(pi_a.size(), 1u);
+  ASSERT_EQ(pi_b.size(), 1u);
+  EXPECT_EQ(pi_b[0], pi_a[0]);
   ASSERT_TRUE(b.root().forecast().has_value());
   EXPECT_EQ(b.root().forecast()->value(), a.root().forecast()->value());
 }

@@ -13,7 +13,6 @@
 #include <string_view>
 #include <vector>
 
-#include "baselines/uniform_policy.hpp"
 #include "cluster/cluster.hpp"
 #include "cluster/experiment.hpp"
 #include "cluster/scenario.hpp"
@@ -540,7 +539,7 @@ RunResult run_degraded_zone_cluster(std::size_t worker_threads,
   zp.zone_count = 3;
   zp.redistribution = ZoneTreeParams::Redistribution::kProportional;
   auto mgr = std::make_unique<ZoneTreeManager>(
-      zp, p, [] { return PolicyPtr(new baselines::UniformAllNodesPolicy()); },
+      zp, p, [] { return make_policy("uniform"); },
       common::Rng(cfg.seed ^ 0x9d2c5680u));
   mgr->set_candidate_set(cl.controllable_nodes());
   cl.set_manager(std::move(mgr));
