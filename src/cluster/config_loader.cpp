@@ -21,21 +21,33 @@ using common::Config;
 /// How a key's text maps onto its field; the field's type does the rest.
 /// Fault and tuning knobs are kNonNeg: a stray "nan", "-0.1" or "1e999"
 /// would otherwise sail into the params structs, whose validate() cannot
-/// name the key (and whose [0,1] range checks let NaN through).
+/// name the key (and whose [0,1] range checks let NaN through). Sizes and
+/// periods are kPositive: -1 nodes would read as SIZE_MAX, a zero tick
+/// would never advance the clock.
 enum Rule {
-  kAny,      ///< the value as written
-  kNonNeg,   ///< a finite number >= 0
-  kLower,    ///< lower-cased text, checked by its section's validate()
-  kHours,    ///< a Seconds field written in hours
-  kManager,  ///< one of manager_names(), exactly as written
+  kAny,       ///< the value as written
+  kNonNeg,    ///< a finite number >= 0
+  kPositive,  ///< a finite number > 0
+  kLower,     ///< lower-cased text, checked by its section's validate()
+  kHours,     ///< a finite, non-negative Seconds field written in hours
+  kManager,   ///< one of manager_names(), exactly as written
 };
 
 template <class T>
 void read_field(const Config& cfg, const std::string& key, Rule rule,
                 T& field) {
-  const bool non_negative = rule == kNonNeg;
+  const bool non_negative = rule == kNonNeg || rule == kHours;
+  const bool positive = rule == kPositive;
   const auto reject = [&](const std::string& why) {
     throw std::runtime_error("experiment config: " + why);
+  };
+  const auto check_finite = [&](double v) {
+    if (non_negative && !(std::isfinite(v) && v >= 0.0)) {
+      reject("'" + key + "' must be a finite non-negative number");
+    }
+    if (positive && !(std::isfinite(v) && v > 0.0)) {
+      reject("'" + key + "' must be a finite positive number");
+    }
   };
   if constexpr (std::is_same_v<T, bool>) {
     field = cfg.get_bool(key, field);
@@ -43,12 +55,11 @@ void read_field(const Config& cfg, const std::string& key, Rule rule,
     const std::int64_t v =
         cfg.get_int(key, static_cast<std::int64_t>(field));
     if (non_negative && v < 0) reject("'" + key + "' must be >= 0");
+    if (positive && v <= 0) reject("'" + key + "' must be > 0");
     field = static_cast<T>(v);
   } else if constexpr (std::is_floating_point_v<T>) {
     field = cfg.get_double(key, field);
-    if (non_negative && !(std::isfinite(field) && field >= 0.0)) {
-      reject("'" + key + "' must be a finite non-negative number");
-    }
+    check_finite(field);
   } else if constexpr (std::is_same_v<T, std::string>) {
     field = cfg.get_string(key, field);
     if (rule == kLower) field = common::to_lower(field);
@@ -66,6 +77,7 @@ void read_field(const Config& cfg, const std::string& key, Rule rule,
   } else {  // Seconds, Watts
     const double scale = rule == kHours ? 3600.0 : 1.0;
     field = T{cfg.get_double(key, field.value() / scale) * scale};
+    check_finite(field.value());
   }
 }
 
@@ -119,16 +131,17 @@ Key key(const std::string& name, std::string doc, Rule rule, Field field) {
 /// The key reference: every key the loader accepts, in reading order.
 const std::vector<Key>& keys() {
   static const std::vector<Key> table = {
-      key("cluster.nodes", "node count (homogeneous Tianhe boards)", kAny,
-          FIELD(cluster.num_nodes)),
+      key("cluster.nodes", "node count (homogeneous Tianhe boards)",
+          kPositive, FIELD(cluster.num_nodes)),
       key("cluster.seed", "seeds the workload, noise and fault draws", kAny,
           FIELD(cluster.seed)),
-      key("cluster.tick_s", "simulation step (s)", kAny, FIELD(cluster.tick)),
-      key("cluster.control_period_s", "manager cycle (s)", kAny,
+      key("cluster.tick_s", "simulation step (s)", kPositive,
+          FIELD(cluster.tick)),
+      key("cluster.control_period_s", "manager cycle (s)", kPositive,
           FIELD(cluster.control_period)),
       key("cluster.npb_class", "NPB problem class, C or D", kAny,
           FIELD(cluster.npb_class)),
-      key("cluster.max_procs_per_node", "rank placement width", kAny,
+      key("cluster.max_procs_per_node", "rank placement width", kPositive,
           FIELD(cluster.scheduler.max_procs_per_node)),
       key("cluster.privileged_fraction", "fraction of jobs marked privileged",
           kAny, FIELD(cluster.privileged_job_fraction)),

@@ -92,12 +92,14 @@ ExperimentConfig controller_outage_scenario(std::uint64_t seed) {
 
 ExperimentConfig heterogeneous_scenario(std::uint64_t seed) {
   ExperimentConfig cfg = small_scenario(seed);
-  cfg.cluster.num_nodes = 0;
   cfg.cluster.node_specs.clear();
   for (int i = 0; i < 24; ++i) {
     cfg.cluster.node_specs.push_back(i % 3 == 2 ? hw::low_power_node_spec()
                                                 : hw::tianhe1a_node_spec());
   }
+  // node_specs wins; the count matches it so the config prints a
+  // node count the loader accepts.
+  cfg.cluster.num_nodes = cfg.cluster.node_specs.size();
   return cfg;
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <initializer_list>
 #include <map>
 #include <numeric>
 #include <vector>
@@ -233,6 +234,37 @@ TEST(ConfigLoader, NegativeFaultKnobThrows) {
                std::runtime_error);
   EXPECT_THROW(load("[actuation]\ndelay_cycles = -2\n"), std::runtime_error);
   EXPECT_THROW(load("[actuation]\nmax_retries = -1\n"), std::runtime_error);
+}
+
+// Sizes and periods must be positive and phase lengths non-negative:
+// -1 nodes would read as SIZE_MAX, and a zero tick never advances time.
+TEST(ConfigLoader, SizesPeriodsAndPhaseLengthsAreRangeChecked) {
+  const auto rejects = [](const std::string& section, const std::string& key,
+                          std::initializer_list<const char*> values) {
+    for (const char* v : values) {
+      EXPECT_THROW(load("[" + section + "]\n" + key + " = " + v + "\n"),
+                   std::runtime_error)
+          << section << "." << key << " = " << v;
+    }
+  };
+  rejects("cluster", "nodes", {"-1", "0", "nan"});
+  rejects("cluster", "max_procs_per_node", {"-1", "0", "nan"});
+  rejects("cluster", "tick_s", {"-1", "0", "nan", "inf"});
+  rejects("cluster", "control_period_s", {"-1", "0", "nan", "inf"});
+  for (const char* key : {"training_h", "measured_h", "calibration_h"}) {
+    rejects("experiment", key, {"-1", "nan", "inf"});
+    EXPECT_EQ(load(std::string("[experiment]\n") + key + " = 0\n")
+                  .cluster.num_nodes,
+              paper_scenario().cluster.num_nodes)
+        << key << " = 0 loads";
+  }
+  const ExperimentConfig c = load(
+      "[cluster]\nnodes = 1\nmax_procs_per_node = 1\ntick_s = 0.5\n"
+      "control_period_s = 2\n");
+  EXPECT_EQ(c.cluster.num_nodes, 1u);
+  EXPECT_EQ(c.cluster.scheduler.max_procs_per_node, 1);
+  EXPECT_EQ(c.cluster.tick, Seconds{0.5});
+  EXPECT_EQ(c.cluster.control_period, Seconds{2.0});
 }
 
 TEST(ConfigLoader, OutOfRangeRateStillCaughtByParamsValidate) {
