@@ -23,6 +23,16 @@ bool plausible_sample(const telemetry::HeldSample& s, Watts ceiling) {
   return std::isfinite(w) && w >= 0.0 && s.estimated_power <= ceiling;
 }
 
+ContextTotals totals_of(const PolicyContext& ctx) {
+  ContextTotals t;
+  for (const NodeView& nv : ctx.nodes) {
+    t.power += nv.power;
+    if (!nv.at_lowest) t.floored = false;
+  }
+  for (const JobView& jv : ctx.jobs) t.capacity += jv.saving_one_level;
+  return t;
+}
+
 }  // namespace
 
 CappingManager::CappingManager(CappingManagerParams params, PolicyPtr policy,
@@ -54,6 +64,10 @@ CappingManager::CappingManager(CappingManagerParams params, PolicyPtr policy,
   // run can never feed a decision; max_sample_age_cycles keeps governing
   // in-context transport-delay staleness only.
   collect_stride_ = params_.green_collect_stride;
+  const telemetry::TransportParams& transport = params_.collector.transport;
+  exact_telemetry_ = transport.loss_rate == 0.0 &&
+                     transport.delay_cycles == 0 &&
+                     !params_.collector.faults.enabled();
   collector_.set_cycle_period(params_.cycle_period);
 }
 
@@ -68,6 +82,7 @@ void CappingManager::set_candidate_set(const std::vector<hw::NodeId>& ids) {
   // index so both agree on membership. The refilter itself is deferred to
   // the next context build.
   job_index_.set_candidate_set(collector_.candidate_set());
+  candidates_changed_ = true;
 }
 
 void CappingManager::attach_watchdog(hw::FailsafeWatchdog* wd,
@@ -455,42 +470,97 @@ bool CappingManager::merge_slot(std::size_t slot, PolicyContext& ctx,
     ++ctx.fallback_nodes;
   }
   if (rec != nullptr) {
-    if (!nv.stale) {
-      if (watchdog_ != nullptr && watchdog_->adoption_pending(nv.id)) {
-        // The failsafe changed this node during an outage. A fresh sample
-        // showing the node's ACTUAL current level is the post-failsafe
-        // truth: adopt it outright — feeding it to observe_node instead
-        // would log a divergence and heal the node back UP against the
-        // watchdog. A fresh-but-earlier sample (collected before the
-        // failsafe stepped the node, still inside the age window) shows a
-        // level the node no longer holds; holding the node out of the
-        // ack machinery for one cycle is strictly safer than acting on it.
-        if (nv.level == nodes[nv.id].level()) {
-          rec->adopt_reality(nv.id, nv.level, vr.sample_cycle, *work);
-          watchdog_->resolve_adoption(nv.id);
-        }
-      } else {
-        // Ack/divergence/readmission processing runs on fresh views only:
-        // a stale sample predates whatever is in flight and can neither
-        // confirm nor contradict it.
-        rec->observe_node(nv.id, nv.level, vr.sample_cycle, now_cycle, *work);
-      }
-    }
-    // Safe-side accounting for whatever is (still) unacked after the
-    // observation above. An unacked restore is assumed already applied
-    // when computing headroom (the node may be drawing the higher power
-    // right now); an unacked throttle claims nothing — the telemetry
-    // power stands and the job-level saving below excludes the node.
-    // Both errors overestimate draw, never savings.
-    if (const std::optional<hw::Level> target = rec->pending_target(nv.id)) {
-      nv.command_in_flight = true;
-      if (*target > nv.level) {
-        const Watts assumed = nodes[nv.id].estimated_power_at(*target);
-        if (assumed > nv.power) nv.power = assumed;
-      }
-    }
+    reconcile_view(nv, vr.sample_cycle, nodes, *rec, *work, now_cycle);
   }
   return true;
+}
+
+void CappingManager::reconcile_view(NodeView& nv, std::uint64_t sample_cycle,
+                                    const std::vector<hw::Node>& nodes,
+                                    ActuationReconciler& rec,
+                                    ActuationReconciler::CycleWork& work,
+                                    std::uint64_t now_cycle) const {
+  if (!nv.stale) {
+    if (watchdog_ != nullptr && watchdog_->adoption_pending(nv.id)) {
+      // The failsafe changed this node during an outage. A fresh sample
+      // showing the node's ACTUAL current level is the post-failsafe
+      // truth: adopt it outright — feeding it to observe_node instead
+      // would log a divergence and heal the node back UP against the
+      // watchdog. A fresh-but-earlier sample (collected before the
+      // failsafe stepped the node, still inside the age window) shows a
+      // level the node no longer holds; holding the node out of the
+      // ack machinery for one cycle is strictly safer than acting on it.
+      if (nv.level == nodes[nv.id].level()) {
+        rec.adopt_reality(nv.id, nv.level, sample_cycle, work);
+        watchdog_->resolve_adoption(nv.id);
+      }
+    } else {
+      // Ack/divergence/readmission processing runs on fresh views only:
+      // a stale sample predates whatever is in flight and can neither
+      // confirm nor contradict it.
+      rec.observe_node(nv.id, nv.level, sample_cycle, now_cycle, work);
+    }
+  }
+  // Safe-side accounting for whatever is (still) unacked after the
+  // observation above. An unacked restore is assumed already applied
+  // when computing headroom (the node may be drawing the higher power
+  // right now); an unacked throttle claims nothing — the telemetry
+  // power stands and the job-level saving below excludes the node.
+  // Both errors overestimate draw, never savings.
+  if (const std::optional<hw::Level> target = rec.pending_target(nv.id)) {
+    nv.command_in_flight = true;
+    if (*target > nv.level) {
+      const Watts assumed = nodes[nv.id].estimated_power_at(*target);
+      if (assumed > nv.power) nv.power = assumed;
+    }
+  }
+}
+
+void CappingManager::wait_pass(const std::vector<hw::Node>& nodes,
+                               const sched::Scheduler& scheduler,
+                               ContextTotals* totals) {
+  // Exact telemetry and a collect this cycle: every candidate's newest
+  // sample is the one just taken, fresh and plausible. It is the sample
+  // the refill would choose, and a build would keep every slot's view in
+  // slot order, so the sums below add what a build's totals add.
+  const std::uint64_t now_cycle = collector_.cycle_count();
+  const std::vector<hw::NodeId>& candidates = collector_.candidate_set();
+  ContextTotals t;
+  for (std::size_t slot = 0; slot < candidates.size(); ++slot) {
+    const telemetry::HeldSample& latest =
+        collector_.history_at_slot(slot).back();
+    NodeView nv;
+    nv.id = candidates[slot];
+    nv.level = latest.level;
+    nv.power = latest.estimated_power;
+    reconcile_view(nv, latest.cycle, nodes, reconciler_, recon_work_,
+                   now_cycle);
+    if (totals == nullptr) continue;
+    t.power += nv.power;
+    if (latest.level != nodes[nv.id].spec().ladder.lowest()) {
+      t.floored = false;
+    }
+  }
+  if (totals == nullptr) return;
+  // The job pass's one-step saving, job by job: busy nodes above the floor
+  // with no command in flight (so their view power is the sample's).
+  // Read before finish_observation, as the merge marks in-flight views.
+  job_index_.sync(scheduler);
+  for (const JobIndex::Entry& e : job_index_.entries()) {
+    Watts saving{0.0};
+    for (const hw::NodeId id : e.candidate_nodes) {
+      const telemetry::HeldSample& latest = collector_.history(id)->back();
+      const hw::Node& node = nodes[id];
+      if (!latest.busy || latest.level == node.spec().ladder.lowest() ||
+          reconciler_.in_flight(id)) {
+        continue;
+      }
+      saving += latest.estimated_power -
+                node.estimated_power_at(latest.level - 1);
+    }
+    t.capacity += saving;
+  }
+  *totals = t;
 }
 
 void CappingManager::fill_job_view(const JobIndex::Entry& e,
@@ -572,11 +642,23 @@ void CappingManager::begin_actuation_phase(std::vector<hw::Node>& nodes) {
   channel_.begin_cycle(nodes, delivered_scratch_);
 }
 
-void CappingManager::context_phase(const std::vector<hw::Node>& nodes,
+void CappingManager::context_phase(PowerState band,
+                                   const std::vector<hw::Node>& nodes,
                                    const sched::Scheduler& scheduler,
-                                   ManagerReport& report) {
-  assemble_context(scratch_ctx_, nodes, scheduler, &reconciler_,
-                   &recon_work_);
+                                   ManagerReport& report,
+                                   ContextTotals* totals) {
+  const bool wait = band == PowerState::kGreen &&
+                    engine_.green_timer() + 1 <
+                        engine_.params().steady_green_cycles &&
+                    !candidates_changed_ && exact_telemetry_;
+  if (wait) {
+    wait_pass(nodes, scheduler, totals);
+  } else {
+    assemble_context(scratch_ctx_, nodes, scheduler, &reconciler_,
+                     &recon_work_);
+    candidates_changed_ = false;
+    if (totals != nullptr) *totals = totals_of(scratch_ctx_);
+  }
   reconciler_.finish_observation(collector_.cycle_count(), recon_work_);
   // Failsafe levels adopted above join A_degraded: steady green is what
   // restores them back up once the controller has been back long enough.
@@ -588,6 +670,7 @@ void CappingManager::context_phase(const std::vector<hw::Node>& nodes,
     }
   }
   report.watchdog_adoptions = recon_work_.adopted_nodes.size();
+  if (wait) return;
   report.stale_nodes = scratch_ctx_.stale_nodes;
   report.missing_nodes = scratch_ctx_.missing_nodes;
   report.fallback_nodes = scratch_ctx_.fallback_nodes;

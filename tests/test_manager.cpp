@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <string>
 
 #include "hw/node_spec.hpp"
 #include "power/policy_registry.hpp"
@@ -851,6 +852,159 @@ TEST(ContextCompaction, ViewsCompactForwardAroundMissingAndExcludedSlots) {
   EXPECT_TRUE(never_sampled_hole);
   EXPECT_GT(excluded_between, 0u);
   EXPECT_GT(moved, 5u);
+}
+
+// -- wait cycles -----------------------------------------------------------
+
+// Green cycles that only wait out T_g build no context under exact
+// telemetry; the reconciler still sees every candidate's newest sample.
+CappingManagerParams wait_rig_params() {
+  CappingManagerParams p = fast_params();
+  p.thresholds.training_cycles = 0;
+  p.thresholds.adjust_period_cycles = 1000;  // P_L = 1680, P_H = 1860
+  p.capping.steady_green_cycles = 4;
+  return p;
+}
+
+TEST(WaitPass, WaitCyclesAckAndHealWithoutBuilding) {
+  Rig rig(2);
+  rig.load(0.9);
+  rig.run_job(1, 24);  // nodes 0, 1
+  ZoneTreeManager m = test::one_zone(wait_rig_params(), "mpc");
+  m.set_candidate_set({0, 1});
+  const CappingManager& shard = m.zone(0);
+  const auto builds = [&] { return shard.incremental_stats().full_builds; };
+
+  ManagerReport r = m.cycle(Watts{1700.0}, rig.nodes, rig.scheduler,
+                            Seconds{1.0});  // yellow: throttles the job
+  ASSERT_EQ(r.state, PowerState::kYellow);
+  ASSERT_EQ(rig.nodes[0].level(), 8);
+  ASSERT_EQ(shard.engine().degraded().size(), 2u);
+  EXPECT_EQ(builds(), 1u);
+
+  // Green 1: the gate fires (A_degraded is non-empty), the throttles ack.
+  ASSERT_TRUE(shard.context_gate(PowerState::kGreen));
+  r = m.cycle(Watts{100.0}, rig.nodes, rig.scheduler, Seconds{2.0});
+  EXPECT_EQ(r.acks, 2u);
+  EXPECT_EQ(builds(), 1u);
+
+  // Green 2: an external reset is seen, and healed on the same cycle.
+  rig.nodes[0].set_level(9);
+  r = m.cycle(Watts{100.0}, rig.nodes, rig.scheduler, Seconds{3.0});
+  EXPECT_EQ(r.divergences, 1u);
+  EXPECT_EQ(r.heals, 1u);
+  EXPECT_EQ(rig.nodes[0].level(), 8);
+  EXPECT_EQ(builds(), 1u);
+
+  // Green 3: the heal acks.
+  r = m.cycle(Watts{100.0}, rig.nodes, rig.scheduler, Seconds{4.0});
+  EXPECT_EQ(r.acks, 1u);
+  EXPECT_EQ(r.targets, 0u);
+  EXPECT_EQ(builds(), 1u);
+
+  // Green 4 = T_g: Algorithm 1 restores, so this cycle builds.
+  r = m.cycle(Watts{100.0}, rig.nodes, rig.scheduler, Seconds{5.0});
+  EXPECT_EQ(builds(), 2u);
+  EXPECT_EQ(r.targets, 2u);
+  EXPECT_EQ(rig.nodes[0].level(), 9);
+  EXPECT_EQ(rig.nodes[1].level(), 9);
+  EXPECT_TRUE(shard.engine().degraded().empty());
+}
+
+// The wait pass needs exact telemetry. With agent dropout, transport loss
+// or transport delay, every gated cycle builds; the exact twin skips.
+TEST(WaitPass, InexactTelemetryBuildsOnEveryGatedCycle) {
+  struct Case {
+    const char* name;
+    void (*apply)(CappingManagerParams&);
+  };
+  const Case cases[] = {
+      {"exact", [](CappingManagerParams&) {}},
+      {"dropout",
+       [](CappingManagerParams& p) {
+         p.collector.faults.agent_dropout_rate = 0.2;
+       }},
+      {"loss",
+       [](CappingManagerParams& p) {
+         p.collector.transport.loss_rate = 0.2;
+       }},
+      {"delay",
+       [](CappingManagerParams& p) {
+         p.collector.transport.delay_cycles = 1;
+       }},
+  };
+  for (const Case& tc : cases) {
+    Rig rig(4);
+    rig.load(0.9);
+    rig.run_job(1, 48);  // every node
+    CappingManagerParams p = wait_rig_params();
+    tc.apply(p);
+    ZoneTreeManager m = test::one_zone(p, "mpc", common::Rng(5));
+    m.set_candidate_set({0, 1, 2, 3});
+    const CappingManager& shard = m.zone(0);
+    std::uint64_t gated = 0;
+    std::uint64_t gated_green = 0;
+    for (int c = 1; c <= 40; ++c) {
+      // Yellow every tenth cycle from the third on; green elsewhere.
+      const bool yellow = c >= 3 && c % 10 == 3;
+      const bool gate = yellow || shard.context_gate(PowerState::kGreen);
+      gated += gate ? 1 : 0;
+      gated_green += gate && !yellow ? 1 : 0;
+      m.cycle(yellow ? Watts{1700.0} : Watts{100.0}, rig.nodes,
+              rig.scheduler, Seconds{static_cast<double>(c)});
+    }
+    ASSERT_GT(gated_green, 8u) << tc.name;
+    if (std::string(tc.name) == "exact") {
+      EXPECT_LT(shard.incremental_stats().full_builds, gated) << tc.name;
+    } else {
+      EXPECT_EQ(shard.incremental_stats().full_builds, gated) << tc.name;
+    }
+  }
+}
+
+// At Z = 2 a zone that waited still reports the power a build would have
+// folded: pcap_zone_power_watts is the sum over a fresh read-only build.
+TEST(WaitPass, ZoneTreeWaitCycleReportsTheBuildsZonePower) {
+  Rig rig(4);
+  rig.load(0.9);
+  rig.run_job(1, 48);
+  ZoneTreeParams zp;
+  zp.zone_count = 2;
+  ZoneTreeManager m(zp, wait_rig_params(), [] { return make_policy("mpc"); },
+                    common::Rng(1));
+  m.set_candidate_set({0, 1, 2, 3});
+  obs::Registry reg;
+  m.bind_metrics(reg);
+  const auto zone_power = [&](std::size_t z) {
+    const std::string series =
+        "pcap_zone_power_watts{zone=\"" + std::to_string(z) + "\"}";
+    return reg.value(*reg.find_gauge(series));
+  };
+
+  m.cycle(Watts{1900.0}, rig.nodes, rig.scheduler, Seconds{1.0});  // red
+  const double red_power[2] = {zone_power(0), zone_power(1)};
+  std::uint64_t red_builds[2];
+  for (std::size_t z = 0; z < 2; ++z) {
+    red_builds[z] = m.zone(z).incremental_stats().full_builds;
+    ASSERT_FALSE(m.zone(z).engine().degraded().empty());
+  }
+  for (int c = 2; c <= 3; ++c) {
+    const ManagerReport r =
+        m.cycle(Watts{100.0}, rig.nodes, rig.scheduler,
+                Seconds{static_cast<double>(c)});
+    ASSERT_EQ(r.state, PowerState::kGreen);
+    ASSERT_EQ(m.zones_active_last_cycle(), 2u);
+    for (std::size_t z = 0; z < 2; ++z) {
+      EXPECT_EQ(m.zone(z).incremental_stats().full_builds, red_builds[z]);
+      PolicyContext ctx;
+      m.zone(z).build_context_into(ctx, rig.nodes, rig.scheduler);
+      ASSERT_EQ(ctx.nodes.size(), 2u);
+      Watts sum{0.0};
+      for (const NodeView& nv : ctx.nodes) sum += nv.power;
+      EXPECT_EQ(zone_power(z), sum.value()) << "cycle " << c << " zone " << z;
+      EXPECT_LT(zone_power(z), red_power[z]);  // floored since the red cycle
+    }
+  }
 }
 
 }  // namespace
