@@ -12,13 +12,15 @@ namespace pcap::power {
 
 namespace {
 
-// v3: the tree is the only manager, so shard bodies carry no learner or
-// predictor line (the root's images sit once in the tree header).
-// Older images are not readable: warm restart is same-binary by design,
-// and rejecting the old header loudly beats resuming from a layout this
-// build no longer writes.
+// v4: the header line names the policy that wrote the image
+// ("pcap-tree-checkpoint v4 mpc-c"). v3 had no name, so a restore could
+// not tell one policy's state from another's. Shard bodies carry no
+// learner or predictor line (the root's images sit once in the tree
+// header). Older images are not readable: warm restart is same-binary
+// by design, and rejecting the old header loudly beats resuming from a
+// layout this build no longer writes.
 constexpr const char* kTreeMagic = "pcap-tree-checkpoint";
-constexpr const char* kTreeVersion = "v3";
+constexpr const char* kTreeVersion = "v4";
 
 /// C99 hexfloat: every bit of the mantissa survives the text round trip
 /// (iostream hexfloat extraction is unreliable across standard libraries,
@@ -198,8 +200,13 @@ std::string encode_checkpoint(const TreeCheckpoint& cp) {
     throw std::runtime_error(
         "checkpoint: tree shard/hint vectors must be parallel");
   }
+  if (cp.policy.empty() ||
+      cp.policy.find_first_of(" \t\n\r\f\v") != std::string::npos) {
+    throw std::runtime_error("checkpoint: policy name '" + cp.policy +
+                             "' is not one token");
+  }
   std::ostringstream out;
-  out << kTreeMagic << ' ' << kTreeVersion << '\n';
+  out << kTreeMagic << ' ' << kTreeVersion << ' ' << cp.policy << '\n';
   encode_learner(out, cp.learner);
   encode_doubles(out, "predictor", cp.predictor_state);
   out << "state " << cp.last_state << ' ' << cp.job_events_seen << '\n';
@@ -225,6 +232,7 @@ TreeCheckpoint decode_tree_checkpoint(const std::string& text) {
                              kTreeVersion + " only");
   }
   TreeCheckpoint cp;
+  cp.policy = t.next("policy name");
   cp.learner = decode_learner(t);
   cp.predictor_state = decode_doubles(t, "predictor");
   t.expect("state");

@@ -89,6 +89,10 @@ struct ZoneHintCheckpoint {
 /// The whole tree: root learner and predictor + per-shard state +
 /// quiescence hints (all-invalid at Z = 1, where hints do not exist).
 struct TreeCheckpoint {
+  /// Name of the target-selection policy that wrote the image (one token,
+  /// e.g. "mpc-c"). The per-shard policy_state is that policy's, so a
+  /// tree running another policy must not restore it.
+  std::string policy;
   LearnerCheckpoint learner;  ///< the tree root's (only) learner
   std::vector<ShardCheckpoint> shards;
   std::vector<ZoneHintCheckpoint> hints;  ///< parallel to shards
@@ -101,7 +105,8 @@ struct TreeCheckpoint {
   std::vector<double> predictor_state;
 };
 
-// Text codec. decode_tree_checkpoint throws std::runtime_error on a
+// Text codec. encode_checkpoint throws std::runtime_error when the policy
+// name is not one non-empty token; decode_tree_checkpoint throws it on a
 // malformed or version-mismatched image.
 [[nodiscard]] std::string encode_checkpoint(const TreeCheckpoint& cp);
 [[nodiscard]] TreeCheckpoint decode_tree_checkpoint(const std::string& text);

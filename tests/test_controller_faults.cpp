@@ -572,7 +572,7 @@ TEST(Checkpoint, MalformedImagesThrow) {
 }
 
 // A v2 image carries a learner and a predictor line in every shard body.
-// This build reads v3 only and says so, instead of failing on the first
+// This build reads v4 only and says so, instead of failing on the first
 // unexpected token.
 TEST(Checkpoint, V2TreeImageIsRejectedByVersion) {
   const std::string v2 =
@@ -595,15 +595,92 @@ TEST(Checkpoint, V2TreeImageIsRejectedByVersion) {
   } catch (const std::runtime_error& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("'v2'"), std::string::npos) << what;
-    EXPECT_NE(what.find("v3"), std::string::npos) << what;
+    EXPECT_NE(what.find("v4"), std::string::npos) << what;
   }
-  // The current writer's header.
-  const std::string v3 = encode_checkpoint(make_manager().checkpoint());
-  EXPECT_EQ(v3.rfind("pcap-tree-checkpoint v3\n", 0), 0u);
+  // The current writer's header names the policy.
+  const std::string v4 = encode_checkpoint(make_manager().checkpoint());
+  EXPECT_EQ(v4.rfind("pcap-tree-checkpoint v4 mpc\n", 0), 0u);
+}
+
+// A v3 image names no policy, so nothing could tell whose policy state it
+// carries. It is rejected by version, with the existing message.
+TEST(Checkpoint, V3TreeImageIsRejectedByVersion) {
+  const std::string v3 =
+      "pcap-tree-checkpoint v3\n"
+      "learner 0x1p+11 0x0p+0 0x0p+0 0 0 0 0 1\n"
+      "predictor 0\n"
+      "state 0 0\n"
+      "zones 1\n"
+      "zone 0\n"
+      "engine 0 0\n"
+      "recon 0\n"
+      "collector 0\n"
+      "policy 0\n"
+      "hint 0 0x0p+0 0x0p+0 0 0\n";
+  try {
+    (void)decode_tree_checkpoint(v3);
+    FAIL() << "a v3 image was accepted";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("'v3'"), std::string::npos) << what;
+    EXPECT_NE(what.find("reads v4 only"), std::string::npos) << what;
+  }
+  // The same body under a v4 header with a policy name decodes.
+  std::string v4 = v3;
+  v4.replace(0, std::string("pcap-tree-checkpoint v3").size(),
+             "pcap-tree-checkpoint v4 mpc");
+  EXPECT_EQ(decode_tree_checkpoint(v4).policy, "mpc");
+}
+
+TEST(Checkpoint, PolicyNameMustBeOneToken) {
+  TreeCheckpoint cp;
+  for (const char* bad : {"", "mpc c", "mpc\n"}) {
+    cp.policy = bad;
+    EXPECT_THROW((void)encode_checkpoint(cp), std::runtime_error) << bad;
+  }
+}
+
+// The shards' policy state belongs to the policy that wrote the image: a
+// PI-C integral restored into an MPC-C tree would be dropped, and an MPC-C
+// image restored into a PI-C tree would leave the integral at 0. Either
+// way the restore throws and the tree keeps its own state.
+TEST(Checkpoint, RestoreRejectsAnotherPolicysImage) {
+  Rig rig(4);
+  rig.load(0.9);
+  rig.run_job(1, 48);
+  const auto tree = [](const char* policy) {
+    return test::one_zone(quiet_params(), policy, common::Rng(5));
+  };
+  ZoneTreeManager pi = tree("pi-c");
+  ZoneTreeManager mpc = tree("mpc-c");
+  pi.set_candidate_set({0, 1, 2, 3});
+  mpc.set_candidate_set({0, 1, 2, 3});
+  for (int i = 0; i < 4; ++i) {
+    pi.cycle(Watts{1700.0}, rig.nodes, rig.scheduler, Seconds{1.0 + i});
+    mpc.cycle(Watts{1700.0}, rig.nodes, rig.scheduler, Seconds{1.0 + i});
+  }
+  const TreeCheckpoint pi_image =
+      decode_tree_checkpoint(encode_checkpoint(pi.checkpoint()));
+  const TreeCheckpoint mpc_image =
+      decode_tree_checkpoint(encode_checkpoint(mpc.checkpoint()));
+  EXPECT_EQ(pi_image.policy, "pi-c");
+  EXPECT_EQ(mpc_image.policy, "mpc-c");
+
+  ZoneTreeManager mpc_restart = tree("mpc-c");
+  mpc_restart.set_candidate_set({0, 1, 2, 3});
+  EXPECT_THROW(mpc_restart.restore(pi_image), std::invalid_argument);
+  ZoneTreeManager pi_restart = tree("pi-c");
+  pi_restart.set_candidate_set({0, 1, 2, 3});
+  EXPECT_THROW(pi_restart.restore(mpc_image), std::invalid_argument);
+
+  // Each image still restores into a tree of its own policy.
+  EXPECT_NO_THROW(pi_restart.restore(pi_image));
+  EXPECT_NO_THROW(mpc_restart.restore(mpc_image));
 }
 
 TEST(Checkpoint, TreeImageWithAnOutOfRangeStateThrows) {
   TreeCheckpoint cp;
+  cp.policy = "mpc";
   cp.shards.resize(1);
   cp.hints.resize(1);
   cp.last_state = static_cast<int>(PowerState::kRed);
