@@ -14,21 +14,19 @@
 //          (reboot/delivery processing, actuation) run serially in fixed
 //          zone order.
 //
-// A flat controller is the one-zone tree (Z = 1, the default). The zone
-// count alone selects four rules:
-//   1. Streams. At Z = 1 the shard forks "collector" then "actuation"
-//      from the tree's own stream and the root then forks "control"; at
-//      Z >= 2 shard z forks from rng.fork("zone<z>"), so its streams
-//      depend only on (seed, z).
-//   2. Decisions. At Z = 1 the shard decides on every live cycle against
+// A flat controller is the one-zone tree (Z = 1, the default). Shard z
+// forks its streams from rng.fork("zone<z>") at every Z, so they depend
+// only on (seed, z); the root then forks "control". The zone count alone
+// selects three rules:
+//   1. Decisions. At Z = 1 the shard decides on every live cycle against
 //      the root's own (P, P_L) with this cycle's forecast stamped in. At
 //      Z >= 2 the root splits the yellow deficit D = max(0, P - P_L)
 //      into per-zone shares (uniform or usage-proportional over the zones
 //      that can still shed, folded serially in zone order), and a
 //      deciding shard's context carries (P, P_L) = (share s, 0), so
 //      ctx.required_saving() == s.
-//   3. Quiescence hints and the pcap_zone_* series exist only at Z >= 2.
-//   4. Pool. At Z = 1 the shard gets the thread pool for its own sweeps;
+//   2. Quiescence hints and the pcap_zone_* series exist only at Z >= 2.
+//   3. Pool. At Z = 1 the shard gets the thread pool for its own sweeps;
 //      at Z >= 2 the pool fans out across zones and shards stay serial
 //      inside a zone task (no nested pool use).
 // The dynamic candidate selector runs at Z = 1 only: a re-selection
@@ -115,7 +113,7 @@ class ZoneTreeManager final : public PowerManagerBase {
                       Seconds now) override;
 
   /// At Z = 1 the shard sweeps on the pool; at Z >= 2 the pool fans out
-  /// across zones (rule 4 above). Results are bit-identical either way.
+  /// across zones (rule 3 above). Results are bit-identical either way.
   void set_thread_pool(common::ThreadPool* pool) override;
 
   /// Preregisters the pcap_manager_*/pcap_telemetry_*/pcap_actuation_*
@@ -210,8 +208,8 @@ class ZoneTreeManager final : public PowerManagerBase {
   /// Bound only at Z >= 2, for the pcap_zone_* series.
   obs::Registry* reg_ = nullptr;
   /// Optional only for construction order: its "control" rng fork must
-  /// come AFTER the shard forks (rule 1), so it is emplaced at the end of
-  /// the constructor body.
+  /// come AFTER the shard forks, so it is emplaced at the end of the
+  /// constructor body.
   std::optional<ControlRoot> root_;
   hw::FailsafeWatchdog* watchdog_ = nullptr;
   /// Safe-side inflation for a downed zone's accounted power — reuses the

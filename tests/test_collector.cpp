@@ -301,6 +301,110 @@ TEST(CollectorTransport, InFlightReportsFollowTheirNodeAcrossSetChange) {
   EXPECT_EQ(c.samples_delivered(), 4u);  // node 0: cycles 1-3; node 1: 3
 }
 
+// -- counter-keyed noise ------------------------------------------------------
+
+/// Two collectors built from one seed, each over its own node table (a
+/// sample fast-forwards the node's lazy thermal state, so the tables stay
+/// separate), with agent noise on and, when `loss` > 0, a lossy transport.
+struct TwinCollectors {
+  explicit TwinCollectors(double loss = 0.0)
+      : a(params(loss), common::Rng(77)),
+        b(params(loss), common::Rng(77)),
+        nodes_a(make_nodes(kNodes)),
+        nodes_b(make_nodes(kNodes)) {
+    std::vector<hw::NodeId> all(kNodes);
+    for (std::size_t i = 0; i < kNodes; ++i) {
+      all[i] = static_cast<hw::NodeId>(i);
+    }
+    a.set_candidate_set(all);
+    b.set_candidate_set(all);
+  }
+  static CollectorParams params(double loss) {
+    CollectorParams p;  // default agent noise
+    p.transport.loss_rate = loss;
+    return p;
+  }
+  /// Every node's newest sample agrees between the two collectors, and
+  /// was taken at cycle `cycle` in both or in neither.
+  void expect_same_newest(std::uint64_t cycle) const {
+    for (std::size_t i = 0; i < kNodes; ++i) {
+      const auto id = static_cast<hw::NodeId>(i);
+      const auto sa = a.latest(id);
+      const auto sb = b.latest(id);
+      const bool fresh_a = sa.has_value() && sa->cycle == cycle;
+      const bool fresh_b = sb.has_value() && sb->cycle == cycle;
+      ASSERT_EQ(fresh_a, fresh_b) << "node " << id;
+      if (!fresh_a) continue;
+      EXPECT_EQ(sa->estimated_power, sb->estimated_power) << "node " << id;
+    }
+  }
+  static constexpr std::size_t kNodes = 64;
+  Collector a;
+  Collector b;
+  std::vector<hw::Node> nodes_a;
+  std::vector<hw::Node> nodes_b;
+};
+
+TEST(CollectorNoise, SkippedCyclesDrawTheSameNoiseAfterward) {
+  // Cycles 3..6 are skipped by b and swept by a; at cycle 7 both draw the
+  // same noise (and, under loss, lose the same reports).
+  for (const double loss : {0.0, 0.3}) {
+    TwinCollectors t(loss);
+    for (std::uint64_t cycle = 1; cycle <= 7; ++cycle) {
+      const Seconds now{static_cast<double>(cycle)};
+      t.a.collect(t.nodes_a, now, 1);
+      if (cycle >= 3 && cycle <= 6) {
+        t.b.skip_cycle(1);
+      } else {
+        t.b.collect(t.nodes_b, now, 1);
+      }
+    }
+    t.expect_same_newest(7);
+    if (loss > 0.0) {
+      // The draw really is lossy: some of the 64 reports at cycle 7 fell.
+      std::size_t fresh = 0;
+      for (std::size_t i = 0; i < TwinCollectors::kNodes; ++i) {
+        fresh += t.a.latest(static_cast<hw::NodeId>(i))->cycle == 7 ? 1 : 0;
+      }
+      EXPECT_LT(fresh, TwinCollectors::kNodes);
+      EXPECT_GT(fresh, 0u);
+    }
+  }
+}
+
+TEST(CollectorNoise, RestoredCycleClockReplaysTheUninterruptedNoise) {
+  // b is a warm restart at cycle 10: restored clock, empty histories. Its
+  // first sweep (cycle 11) draws what the uninterrupted a draws there.
+  TwinCollectors t;
+  for (int cycle = 1; cycle <= 11; ++cycle) {
+    t.a.collect(t.nodes_a, Seconds{static_cast<double>(cycle)}, 1);
+  }
+  t.b.restore_cycle_count(10);
+  t.b.collect(t.nodes_b, Seconds{11.0}, 1);
+  EXPECT_EQ(t.b.cycle_count(), 11u);
+  t.expect_same_newest(11);
+}
+
+TEST(CollectorNoise, NodeThatLeftAndReenteredDrawsTheSameNoise) {
+  // Node 5 leaves b's candidate set for cycles 3-4; from cycle 5 on it
+  // draws what it draws in a, where it never left.
+  TwinCollectors t;
+  std::vector<hw::NodeId> without_5;
+  for (hw::NodeId id = 0; id < TwinCollectors::kNodes; ++id) {
+    if (id != 5) without_5.push_back(id);
+  }
+  const std::vector<hw::NodeId> all = t.a.candidate_set();
+  for (int cycle = 1; cycle <= 6; ++cycle) {
+    if (cycle == 3) t.b.set_candidate_set(without_5);
+    if (cycle == 5) t.b.set_candidate_set(all);
+    const Seconds now{static_cast<double>(cycle)};
+    t.a.collect(t.nodes_a, now, 1);
+    t.b.collect(t.nodes_b, now, 1);
+    if (cycle >= 5) t.expect_same_newest(static_cast<std::uint64_t>(cycle));
+  }
+  EXPECT_EQ(t.b.history(5)->size(), 2u);  // cycles 5 and 6 only
+}
+
 TEST(CollectorTransport, BadParamsThrow) {
   CollectorParams p = quiet_params();
   p.transport.loss_rate = 1.0;

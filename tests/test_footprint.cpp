@@ -101,19 +101,17 @@ CollectorInstall install_candidates(const telemetry::CollectorParams& p) {
 
 // (a) Installing 4096 candidates under an exact transport with no fault
 // process allocates a two-sample history arena plus a small fixed
-// per-candidate budget: the slot's agent, the id -> slot entry and the
-// two per-slot history cursors — no transport state. Measured at 72 B per
-// candidate on x86-64 / libstdc++ (a 56 B agent plus 16 B of parallel
-// arrays); the budget of 76 B leaves a little room for another
-// toolchain's layout but not for one more 8-byte per-slot word. A
-// per-slot container that allocates while empty breaks it: with a
-// std::deque in-flight queue (its default constructor allocates a
-// 512-byte node plus a map) the call measured 1218 B per candidate;
-// holding the loss stream and an empty in-flight vector per slot
-// regardless of the transport adds 56 B; per-slot change-tracking words
-// (two cycle stamps, a state epoch and two flags) measured 98 B.
+// per-candidate budget: the candidate id, the id -> slot entry and the
+// two per-slot history cursors — no agent and no transport state (agent
+// noise is counter-keyed, so a slot carries no generator). Measured at
+// 16 B per candidate on x86-64 / libstdc++; the budget of 20 B leaves a
+// little room for another toolchain's layout but not for one more 8-byte
+// per-slot word. A per-slot container that allocates while empty breaks
+// it: with a std::deque in-flight queue (its default constructor
+// allocates a 512-byte node plus a map) the call measured 1218 B per
+// candidate; a stateful per-slot agent generator measured 56 B more.
 TEST(Footprint, CollectorCandidateSetCostsArenaPlusSmallPerSlotBudget) {
-  constexpr std::size_t kPerSlotBudget = 76;
+  constexpr std::size_t kPerSlotBudget = 20;
   telemetry::CollectorParams p;  // exact transport, no faults
   const CollectorInstall r = install_candidates(p);
   EXPECT_EQ(r.window, 2u);
@@ -125,9 +123,9 @@ TEST(Footprint, CollectorCandidateSetCostsArenaPlusSmallPerSlotBudget) {
 // (a') Corruption is the one fault that makes the manager read past the
 // newest two samples, so it alone buys the history_depth-deep arena. The
 // fault injector adds its per-node state (40 B); the rest is the same as
-// (a). Measured at 112 B per candidate; budget 192 B.
+// (a). Measured at 56 B per candidate; budget 136 B.
 TEST(Footprint, CollectorWithCorruptionHoldsTheFullHistoryDepth) {
-  constexpr std::size_t kPerSlotBudget = 192;
+  constexpr std::size_t kPerSlotBudget = 136;
   telemetry::CollectorParams p;
   p.faults.corruption_rate = 0.01;
   const CollectorInstall r = install_candidates(p);
@@ -138,10 +136,11 @@ TEST(Footprint, CollectorWithCorruptionHoldsTheFullHistoryDepth) {
 }
 
 // (a'') A lossy, delayed transport keeps the two-sample window and adds
-// its per-slot state: the loss stream (32 B) and the in-flight queue
-// (24 B while empty). Measured at 128 B per candidate; budget 192 B.
+// its per-slot state: the in-flight queue (24 B while empty). The loss
+// draw is counter-keyed and holds no per-slot stream. Measured at 40 B
+// per candidate; budget 160 B.
 TEST(Footprint, CollectorWithLossAndDelayAddsOnlyTransportState) {
-  constexpr std::size_t kPerSlotBudget = 192;
+  constexpr std::size_t kPerSlotBudget = 160;
   telemetry::CollectorParams p;
   p.transport.loss_rate = 0.1;
   p.transport.delay_cycles = 2;
