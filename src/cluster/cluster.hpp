@@ -184,13 +184,6 @@ class Cluster {
     return delivered_;
   }
 
-  /// Nodes re-evaluated by the last tick's refresh pass (the due set:
-  /// staircase grid + wake events). The quiescence tests and the
-  /// pcap_cluster_nodes_refreshed gauge read this.
-  [[nodiscard]] std::size_t last_refreshed_nodes() const {
-    return last_refreshed_;
-  }
-
   /// The SoA pool backing every node's hot state; exposed for tests and
   /// benchmarks that assert on pool-level invariants.
   [[nodiscard]] const hw::NodeStatePool& node_pool() const {

@@ -57,7 +57,6 @@ class Histogram {
   void add(double x);
   void reset();
 
-  [[nodiscard]] std::size_t bin_count() const { return counts_.size(); }
   [[nodiscard]] std::uint64_t bin(std::size_t i) const { return counts_[i]; }
   [[nodiscard]] double bin_lo(std::size_t i) const;
   [[nodiscard]] double bin_hi(std::size_t i) const;

@@ -131,7 +131,6 @@ class NodeStatePool {
   /// changes from the manager / actuation plane) so the tick only
   /// re-evaluates what moved. Standalone pools leave this off.
   void enable_change_tracking();
-  [[nodiscard]] bool change_tracking() const { return track_changes_; }
   /// Slots whose level changed since the last drain, unordered and
   /// deduplicated. The caller sorts, consumes, then calls clear_changed().
   [[nodiscard]] std::vector<std::uint32_t>& changed_slots() {

@@ -123,10 +123,6 @@ class Registry {
       const std::string& key) const;
 
   [[nodiscard]] std::size_t counter_count() const { return counters_.size(); }
-  [[nodiscard]] std::size_t gauge_count() const { return gauges_.size(); }
-  [[nodiscard]] std::size_t histogram_count() const {
-    return histograms_.size();
-  }
 
   // -- exporters ---------------------------------------------------------
   /// Prometheus text exposition format (one # HELP/# TYPE per family, in
