@@ -2,69 +2,12 @@
 #pragma once
 
 #include <cstdio>
-#include <functional>
-#include <mutex>
-#include <string>
-#include <vector>
 
 #include "cluster/experiment.hpp"
 #include "cluster/scenario.hpp"
-#include "common/thread_pool.hpp"
 #include "metrics/report.hpp"
 
 namespace pcap::bench {
-
-/// Averages the scalar results of one experiment config over several
-/// seeds. Runs are independent, so they execute on a thread pool.
-struct AveragedResult {
-  std::string manager;
-  std::size_t candidate_count = 0;
-  double performance = 0.0;
-  double lossless_fraction = 0.0;
-  double p_max_w = 0.0;
-  double mean_power_w = 0.0;
-  double delta_pxt = 0.0;
-  double yellow_s = 0.0;
-  double red_s = 0.0;
-  double manager_utilization = 0.0;
-  std::size_t finished_jobs = 0;
-  double predictive_elevations = 0.0;
-  double predictor_overshoots = 0.0;
-  double predictor_misses = 0.0;
-};
-
-inline AveragedResult average_over_seeds(
-    cluster::ExperimentConfig cfg, const std::vector<std::uint64_t>& seeds,
-    common::ThreadPool& pool) {
-  std::vector<cluster::ExperimentResult> results(seeds.size());
-  pool.parallel_for(seeds.size(), [&](std::size_t i) {
-    cluster::ExperimentConfig c = cfg;
-    c.cluster.seed = seeds[i];
-    results[i] = cluster::run_experiment(c);
-  });
-
-  AveragedResult avg;
-  avg.manager = cfg.manager;
-  const double n = static_cast<double>(results.size());
-  for (const auto& r : results) {
-    avg.candidate_count = r.candidate_count;
-    avg.performance += r.perf.performance / n;
-    avg.lossless_fraction += r.perf.lossless_fraction / n;
-    avg.p_max_w += r.p_max.value() / n;
-    avg.mean_power_w += r.mean_power.value() / n;
-    avg.delta_pxt += r.delta_pxt / n;
-    avg.yellow_s += static_cast<double>(r.yellow_cycles) / n;
-    avg.red_s += static_cast<double>(r.red_cycles) / n;
-    avg.manager_utilization += r.mean_manager_utilization / n;
-    avg.finished_jobs += r.perf.finished_jobs;
-    avg.predictive_elevations +=
-        static_cast<double>(r.predictive_elevations) / n;
-    avg.predictor_overshoots +=
-        static_cast<double>(r.predictor_overshoots) / n;
-    avg.predictor_misses += static_cast<double>(r.predictor_misses) / n;
-  }
-  return avg;
-}
 
 /// Calibrates the shared power provision once (it is a property of the
 /// facility, not of the policy under test).

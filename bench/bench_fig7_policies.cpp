@@ -26,16 +26,25 @@ int main() {
               base.provision.value(), base.training.value() / 3600.0,
               base.measured.value() / 3600.0);
 
-  const std::vector<std::uint64_t> seeds = {42, 1234, 777};
-  common::ThreadPool pool;
-
-  cluster::ExperimentConfig none = base;
-  none.manager = "none";
-  const AveragedResult baseline = average_over_seeds(none, seeds, pool);
+  std::vector<cluster::ExperimentConfig> configs;
+  for (const char* policy :
+       {"none", "mpc", "hri", "mpc-c", "hri-c", "pi-c", "pred-c"}) {
+    configs.push_back(base);
+    configs.back().manager = policy;
+  }
+  const std::vector<cluster::AveragedResult> results =
+      cluster::average_over_seeds(configs, {42, 1234, 777});
+  const cluster::AveragedResult& baseline = results[0];
+  const cluster::AveragedResult& mpc = results[1];
+  const cluster::AveragedResult& hri = results[2];
+  const cluster::AveragedResult& mpc_c = results[3];
+  const cluster::AveragedResult& hri_c = results[4];
+  const cluster::AveragedResult& pi_c = results[5];
+  const cluster::AveragedResult& pred_c = results[6];
 
   metrics::Table table({"policy", "perf", "CPLJ", "P_max (W)", "P_max vs none",
                         "dPxT", "dPxT reduction", "yellow (s)", "red (s)"});
-  const auto add_row = [&](const AveragedResult& r) {
+  for (const cluster::AveragedResult& r : results) {
     const double pmax_delta = r.p_max_w / baseline.p_max_w - 1.0;
     const double dpxt_red =
         baseline.delta_pxt > 0.0 ? 1.0 - r.delta_pxt / baseline.delta_pxt
@@ -50,28 +59,6 @@ int main() {
         .cell(r.yellow_s, 0)
         .cell(r.red_s, 0);
     table.end_row();
-  };
-
-  add_row(baseline);
-  AveragedResult mpc;
-  AveragedResult hri;
-  AveragedResult mpc_c;
-  AveragedResult hri_c;
-  AveragedResult pi_c;
-  AveragedResult pred_c;
-  for (const char* policy :
-       {"mpc", "hri", "mpc-c", "hri-c", "pi-c", "pred-c"}) {
-    cluster::ExperimentConfig cfg = base;
-    cfg.manager = policy;
-    const AveragedResult r = average_over_seeds(cfg, seeds, pool);
-    add_row(r);
-    const std::string name = policy;
-    if (name == "mpc") mpc = r;
-    if (name == "hri") hri = r;
-    if (name == "mpc-c") mpc_c = r;
-    if (name == "hri-c") hri_c = r;
-    if (name == "pi-c") pi_c = r;
-    if (name == "pred-c") pred_c = r;
   }
   table.print();
 
@@ -100,9 +87,9 @@ int main() {
   // giving up no more than ~2% of Performance(cap)/CPLJ.
   std::printf("\npredictive capping (PI-C / PRED-C vs reactive "
               "collections):\n");
-  const AveragedResult& best_reactive =
+  const cluster::AveragedResult& best_reactive =
       mpc_c.delta_pxt <= hri_c.delta_pxt ? mpc_c : hri_c;
-  const auto pred_line = [&](const AveragedResult& r) {
+  const auto pred_line = [&](const cluster::AveragedResult& r) {
     std::printf("  %-7s dPxT %.5f (%+.0f%% vs %s), red %.1f (vs %.1f), "
                 "perf %.4f (%+.2f%%), CPLJ %.1f%% (%+.2f pp), "
                 "elevations %.0f, overshoots %.0f, misses %.0f\n",
@@ -121,7 +108,7 @@ int main() {
   };
   pred_line(pi_c);
   pred_line(pred_c);
-  const auto holds = [&](const AveragedResult& r) {
+  const auto holds = [&](const cluster::AveragedResult& r) {
     return r.delta_pxt <= best_reactive.delta_pxt &&
            r.red_s <= best_reactive.red_s &&
            r.performance >= best_reactive.performance * 0.98 &&

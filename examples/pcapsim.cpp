@@ -1,19 +1,27 @@
 // pcapsim — the declarative experiment driver.
 //
 //   pcapsim [--metrics=prom|json] [config.ini] [section.key=v1[,v2...]]...
+//   pcapsim [--seeds=S1,S2,...] [config.ini] [section.key=v1,v2,...]...
 //   pcapsim --print-config [config.ini] [section.key=value]...
 //
 // Runs the experiment an INI file describes (no file = the paper
 // scenario) and prints the paper's metrics; --metrics appends the
 // registry export (DESIGN.md §11). Each section.key=value overrides the
-// file through the same loader. One key may take a comma-separated list:
-// one table row per value, the rows run in parallel against one provision
-// calibrated from the base config. --print-config prints every key with
+// file through the same loader. A key given a comma-separated list is
+// swept: several swept lists must have one length and are zipped, row i
+// taking value i of each. The rows, plus a manager.policy=none baseline
+// on the base config, run in parallel against one provision calibrated
+// from the base config; the table prints each row's absolute metrics and
+// its P_max and ΔP×T reductions against the baseline. --seeds averages
+// every row (and the baseline) over those seeds; the calibration keeps
+// the base config's cluster.seed. --print-config prints every key with
 // its effective value instead of running.
 //
 //   pcapsim examples/configs/quickstart.ini manager.policy=none,mpc,hri
 //   pcapsim experiment.measured_h=3 manager.tg_cycles=1,10,40
+//   pcapsim --seeds=42,1234 manager.policy=mpc,hri cluster.control_period_s=1,4
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -21,7 +29,6 @@
 
 #include "cluster/config_loader.hpp"
 #include "common/string_util.hpp"
-#include "common/thread_pool.hpp"
 #include "cluster/scenario.hpp"
 #include "metrics/report.hpp"
 
@@ -78,12 +85,38 @@ void print_report(const cluster::ExperimentResult& r) {
   table.print();
 }
 
-/// Runs one row per value of `sweep`. One probe of `base` calibrates
-/// every row without an explicit provision: the row's P_Max is that
-/// uncapped peak times its own provision_fraction, so rows that differ in
-/// any other key are capped against the same P_Max.
-void run_sweep(cluster::ExperimentConfig base, const Override& sweep,
-               std::vector<cluster::ExperimentConfig> rows) {
+/// Parses the list of --seeds=S1,S2,...; empty if any entry is not an
+/// unsigned integer.
+std::vector<std::uint64_t> parse_seeds(const std::string& list) {
+  std::vector<std::uint64_t> seeds;
+  for (const std::string& entry : common::split(list, ',')) {
+    const std::string_view v = common::trim(entry);
+    std::uint64_t seed = 0;
+    const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), seed);
+    if (v.empty() || ec != std::errc() || end != v.data() + v.size()) return {};
+    seeds.push_back(seed);
+  }
+  return seeds;
+}
+
+/// Runs the zipped `rows` and a manager.policy=none baseline on `base`,
+/// each averaged over `seeds`, and prints one table row per sweep index.
+/// One probe of `base` calibrates every config without an explicit
+/// provision: a row's P_Max is that uncapped peak times its own
+/// provision_fraction, so rows that differ in any other key are capped
+/// against the same P_Max.
+void run_sweep(cluster::ExperimentConfig base,
+               const std::vector<const Override*>& sweeps,
+               std::vector<cluster::ExperimentConfig> rows,
+               const std::vector<std::uint64_t>& seeds) {
+  cluster::ExperimentConfig none = base;
+  none.manager = "none";
+  // Zones and control-plane faults shape only a capping manager; clearing
+  // them lets the baseline run uncapped on any base config.
+  none.zone_count = 1;
+  none.control = {};
+  rows.push_back(none);
+
   const auto uncalibrated = [](const cluster::ExperimentConfig& c) {
     return c.provision <= Watts{0.0};
   };
@@ -98,26 +131,36 @@ void run_sweep(cluster::ExperimentConfig base, const Override& sweep,
   };
   calibrate(base);
   std::for_each(rows.begin(), rows.end(), calibrate);
-  std::printf("sweeping '%s' over %zu values; P_Max = %.0f W\n\n",
-              sweep.key.c_str(), rows.size(), base.provision.value());
 
-  std::vector<cluster::ExperimentResult> results(rows.size());
-  common::ThreadPool pool;
-  pool.parallel_for(rows.size(), [&](std::size_t i) {
-    results[i] = cluster::run_experiment(rows[i]);
-  });
+  std::vector<std::string> header;
+  for (const Override* o : sweeps) header.push_back(o->key);
+  std::printf("sweeping %s over %zu rows x %zu seeds; P_Max = %.0f W\n\n",
+              common::join(header, ", ").c_str(), rows.size() - 1,
+              std::max<std::size_t>(seeds.size(), 1), base.provision.value());
 
-  metrics::Table table({sweep.key, "perf", "CPLJ", "P_max (W)", "dPxT",
-                        "yellow (s)", "red (s)"});
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const auto& r = results[i];
-    table.cell(sweep.values[i])
-        .cell(r.perf.performance, 4)
-        .cell_percent(r.perf.lossless_fraction)
-        .cell(r.p_max.value(), 0)
+  const std::vector<cluster::AveragedResult> results =
+      cluster::average_over_seeds(rows, seeds);
+  const cluster::AveragedResult& baseline = results.back();
+  header.insert(header.end(),
+                {"row P_Max (W)", "perf", "CPLJ", "P_max (W)",
+                 "P_max vs none", "dPxT", "dPxT reduction", "yellow (s)",
+                 "red (s)", "mgr util"});
+  metrics::Table table(header);
+  for (std::size_t i = 0; i + 1 < results.size(); ++i) {
+    const cluster::AveragedResult& r = results[i];
+    for (const Override* o : sweeps) table.cell(o->values[i]);
+    table.cell(rows[i].provision.value(), 0)
+        .cell(r.performance, 4)
+        .cell_percent(r.lossless_fraction)
+        .cell(r.p_max_w, 0)
+        .cell_percent(1.0 - r.p_max_w / baseline.p_max_w)
         .cell(r.delta_pxt, 5)
-        .cell(r.yellow_cycles)
-        .cell(r.red_cycles);
+        .cell_percent(baseline.delta_pxt > 0.0
+                          ? 1.0 - r.delta_pxt / baseline.delta_pxt
+                          : 0.0)
+        .cell(r.yellow_s, 0)
+        .cell(r.red_s, 0)
+        .cell_percent(r.manager_utilization, 3);
     table.end_row();
   }
   table.print();
@@ -129,6 +172,7 @@ int main(int argc, char** argv) {
   bool print_config = false;
   const char* metrics_mode = nullptr;
   const char* config_path = nullptr;
+  std::vector<std::uint64_t> seeds;
   std::vector<Override> overrides;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -140,6 +184,11 @@ int main(int argc, char** argv) {
       if (std::strcmp(metrics_mode, "prom") != 0 &&
           std::strcmp(metrics_mode, "json") != 0) {
         return fail("--metrics wants prom or json");
+      }
+    } else if (common::starts_with(arg, "--seeds=")) {
+      seeds = parse_seeds(arg.substr(8));
+      if (seeds.empty()) {
+        return fail("malformed '" + arg + "' (want --seeds=S1,S2,...)");
       }
     } else if (eq != std::string::npos) {
       const std::string key(common::trim(arg.substr(0, eq)));
@@ -160,43 +209,57 @@ int main(int argc, char** argv) {
     }
   }
 
-  // The file's keys, overlaid by every single-valued override; a swept key
-  // is set per row on top of that.
+  // The file's keys, overlaid by every single-valued override; the swept
+  // keys are set per row on top of that.
   try {
     common::Config keys;
     if (config_path != nullptr) keys = common::Config::load_file(config_path);
-    const Override* sweep = nullptr;
+    std::vector<const Override*> sweeps;
     for (const Override& o : overrides) {
       if (o.values.size() == 1) {
         keys.set(o.key, o.values.front());
-      } else if (sweep != nullptr) {
-        return fail("only one key may take several values (got '" +
-                    sweep->key + "' and '" + o.key + "')");
+      } else if (!sweeps.empty() &&
+                 o.values.size() != sweeps.front()->values.size()) {
+        return fail("swept lists differ in length ('" + sweeps.front()->key +
+                    "' has " + std::to_string(sweeps.front()->values.size()) +
+                    " values, '" + o.key + "' has " +
+                    std::to_string(o.values.size()) + ")");
       } else {
-        sweep = &o;
+        sweeps.push_back(&o);
       }
     }
     const cluster::ExperimentConfig cfg =
         cluster::apply_config(cluster::paper_scenario(), keys);
 
+    if (!seeds.empty()) {
+      if (sweeps.empty()) {
+        return fail("--seeds averages the rows of a sweep; give a key "
+                    "several values");
+      }
+      if (std::any_of(sweeps.begin(), sweeps.end(), [](const Override* o) {
+            return o->key == "cluster.seed";
+          })) {
+        return fail("--seeds sets cluster.seed; do not sweep it as well");
+      }
+    }
     if (print_config) {
-      if (sweep != nullptr) {
+      if (!sweeps.empty()) {
         return fail("--print-config takes one value per key");
       }
       std::printf("%s", cluster::config_text(cfg).c_str());
       return 0;
     }
-    if (sweep != nullptr) {
+    if (!sweeps.empty()) {
       if (metrics_mode != nullptr) {
         return fail("--metrics exports a single run, not a sweep");
       }
       std::vector<cluster::ExperimentConfig> rows;
-      for (const std::string& v : sweep->values) {
+      for (std::size_t i = 0; i < sweeps.front()->values.size(); ++i) {
         common::Config row = keys;
-        row.set(sweep->key, v);
+        for (const Override* o : sweeps) row.set(o->key, o->values[i]);
         rows.push_back(cluster::apply_config(cluster::paper_scenario(), row));
       }
-      run_sweep(cfg, *sweep, std::move(rows));
+      run_sweep(cfg, sweeps, std::move(rows), seeds);
       return 0;
     }
 

@@ -144,13 +144,13 @@ const std::vector<Key>& keys() {
       key("cluster.max_procs_per_node", "rank placement width", kPositive,
           FIELD(cluster.scheduler.max_procs_per_node)),
       key("cluster.privileged_fraction", "fraction of jobs marked privileged",
-          kAny, FIELD(cluster.privileged_job_fraction)),
-      key("cluster.idle_utilization", "utilization of an idle node", kAny,
+          kNonNeg, FIELD(cluster.privileged_job_fraction)),
+      key("cluster.idle_utilization", "utilization of an idle node", kNonNeg,
           FIELD(cluster.idle_utilization)),
       key("cluster.utilization_noise", "sigma of per-tick utilization noise",
-          kAny, FIELD(cluster.utilization_noise_sigma)),
-      key("cluster.ramp_tau_s", "utilization ramp time constant (s)", kAny,
-          FIELD(cluster.utilization_ramp_tau_s)),
+          kNonNeg, FIELD(cluster.utilization_noise_sigma)),
+      key("cluster.ramp_tau_s", "utilization ramp time constant (s)",
+          kNonNeg, FIELD(cluster.utilization_ramp_tau_s)),
 
       key("manager.policy", "manager name, one of manager_names()",
           kManager, FIELD(manager)),
@@ -158,13 +158,17 @@ const std::vector<Key>& keys() {
           kAny, FIELD(candidate_count)),
       key("manager.dynamic_candidates", "use the §III.A selection algorithm",
           kAny, FIELD(dynamic_candidates)),
-      key("manager.tg_cycles", "steady-green timer T_g", kAny,
+      key("manager.tg_cycles", "steady-green timer T_g", kPositive,
           FIELD(capping.steady_green_cycles)),
-      key("manager.red_margin", "P_H factor", kAny, FIELD(red_margin)),
-      key("manager.yellow_margin", "P_L factor", kAny, FIELD(yellow_margin)),
-      key("manager.adjust_period_cycles", "threshold adjust period t_p", kAny,
-          FIELD(adjust_period_cycles)),
-      key("manager.feedback_gain", "gain of the feedback baseline", kAny,
+      key("manager.red_margin", "P_H factor", kNonNeg, FIELD(red_margin)),
+      key("manager.yellow_margin", "P_L factor", kNonNeg,
+          FIELD(yellow_margin)),
+      key("manager.thresholds_from_provision",
+          "derive P_L/P_H from P_Max, no learning (administrator mode)", kAny,
+          FIELD(thresholds_from_provision)),
+      key("manager.adjust_period_cycles", "threshold adjust period t_p",
+          kPositive, FIELD(adjust_period_cycles)),
+      key("manager.feedback_gain", "gain of the feedback baseline", kPositive,
           FIELD(feedback_gain)),
 
       key("experiment.training_h", "threshold training phase", kHours,
@@ -172,10 +176,10 @@ const std::vector<Key>& keys() {
       key("experiment.measured_h", "measured window", kHours, FIELD(measured)),
       key("experiment.calibration_h", "uncapped provision probe", kHours,
           FIELD(calibration_duration)),
-      key("experiment.provision_w", "explicit P_Max (0 = calibrate)", kAny,
-          FIELD(provision)),
+      key("experiment.provision_w", "explicit P_Max (0 = calibrate)",
+          kNonNeg, FIELD(provision)),
       key("experiment.provision_fraction", "P_Max / uncapped probe peak",
-          kAny, FIELD(provision_fraction)),
+          kPositive, FIELD(provision_fraction)),
 
       key("telemetry.loss_rate", "agent-report loss probability", kNonNeg,
           FIELD(transport.loss_rate)),

@@ -7,6 +7,7 @@
 #include "baselines/budget_manager.hpp"
 #include "baselines/feedback_manager.hpp"
 #include "common/logging.hpp"
+#include "common/thread_pool.hpp"
 #include "power/policy_registry.hpp"
 #include "power/zone_manager.hpp"
 
@@ -240,6 +241,42 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   r.metrics_prometheus = cl.metrics().prometheus_text();
   r.metrics_json = cl.metrics().json_snapshot();
   return r;
+}
+
+std::vector<AveragedResult> average_over_seeds(
+    const std::vector<ExperimentConfig>& configs,
+    const std::vector<std::uint64_t>& seeds) {
+  const std::size_t runs = std::max<std::size_t>(seeds.size(), 1);
+  std::vector<ExperimentResult> results(configs.size() * runs);
+  common::ThreadPool pool;
+  pool.parallel_for(results.size(), [&](std::size_t i) {
+    ExperimentConfig c = configs[i / runs];
+    if (!seeds.empty()) c.cluster.seed = seeds[i % runs];
+    results[i] = run_experiment(c);
+  });
+
+  std::vector<AveragedResult> averages(configs.size());
+  const double n = static_cast<double>(runs);
+  for (std::size_t k = 0; k < configs.size(); ++k) {
+    AveragedResult& avg = averages[k];
+    avg.manager = configs[k].manager;
+    for (std::size_t s = 0; s < runs; ++s) {
+      const ExperimentResult& r = results[k * runs + s];
+      avg.performance += r.perf.performance / n;
+      avg.lossless_fraction += r.perf.lossless_fraction / n;
+      avg.p_max_w += r.p_max.value() / n;
+      avg.delta_pxt += r.delta_pxt / n;
+      avg.yellow_s += static_cast<double>(r.yellow_cycles) / n;
+      avg.red_s += static_cast<double>(r.red_cycles) / n;
+      avg.manager_utilization += r.mean_manager_utilization / n;
+      avg.predictive_elevations +=
+          static_cast<double>(r.predictive_elevations) / n;
+      avg.predictor_overshoots +=
+          static_cast<double>(r.predictor_overshoots) / n;
+      avg.predictor_misses += static_cast<double>(r.predictor_misses) / n;
+    }
+  }
+  return averages;
 }
 
 }  // namespace pcap::cluster

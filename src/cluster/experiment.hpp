@@ -159,6 +159,29 @@ struct ExperimentResult {
 /// metrics of the measured window.
 ExperimentResult run_experiment(const ExperimentConfig& config);
 
+/// The scalar results of one config averaged over seeds.
+struct AveragedResult {
+  std::string manager;
+  double performance = 0.0;
+  double lossless_fraction = 0.0;
+  double p_max_w = 0.0;
+  double delta_pxt = 0.0;
+  double yellow_s = 0.0;
+  double red_s = 0.0;
+  double manager_utilization = 0.0;
+  double predictive_elevations = 0.0;
+  double predictor_overshoots = 0.0;
+  double predictor_misses = 0.0;
+};
+
+/// Runs every config once per seed, all (config, seed) pairs in one
+/// parallel_for, then folds each config's runs serially in seed order
+/// (Σ xᵢ/n), so the means do not depend on the worker count. With no
+/// seeds each config runs once at its own cluster.seed.
+std::vector<AveragedResult> average_over_seeds(
+    const std::vector<ExperimentConfig>& configs,
+    const std::vector<std::uint64_t>& seeds);
+
 /// Probes the uncapped peak power of the configured cluster/workload over
 /// `duration` (used for provision calibration; deterministic given seed).
 Watts probe_uncapped_peak(const ClusterConfig& cluster, Seconds duration);

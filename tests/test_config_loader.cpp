@@ -161,13 +161,15 @@ TEST(ConfigLoader, ManagerSection) {
       "dynamic_candidates = true\n"
       "tg_cycles = 20\n"
       "red_margin = 0.05\n"
-      "yellow_margin = 0.12\n");
+      "yellow_margin = 0.12\n"
+      "thresholds_from_provision = true\n");
   EXPECT_EQ(cfg.manager, "hri-c");
   EXPECT_EQ(cfg.candidate_count, 32);
   EXPECT_TRUE(cfg.dynamic_candidates);
   EXPECT_EQ(cfg.capping.steady_green_cycles, 20);
   EXPECT_DOUBLE_EQ(cfg.red_margin, 0.05);
   EXPECT_DOUBLE_EQ(cfg.yellow_margin, 0.12);
+  EXPECT_TRUE(cfg.thresholds_from_provision);
 }
 
 TEST(ConfigLoader, ExperimentSection) {
@@ -236,8 +238,10 @@ TEST(ConfigLoader, NegativeFaultKnobThrows) {
   EXPECT_THROW(load("[actuation]\nmax_retries = -1\n"), std::runtime_error);
 }
 
-// Sizes and periods must be positive and phase lengths non-negative:
-// -1 nodes would read as SIZE_MAX, and a zero tick never advances time.
+// Sizes, periods, T_g and gains must be positive, phase lengths, margins
+// and utilization knobs non-negative: -1 nodes would read as SIZE_MAX, a
+// zero tick never advances time, and a NaN margin passes the learner's
+// `<` checks.
 TEST(ConfigLoader, SizesPeriodsAndPhaseLengthsAreRangeChecked) {
   const auto rejects = [](const std::string& section, const std::string& key,
                           std::initializer_list<const char*> values) {
@@ -251,6 +255,17 @@ TEST(ConfigLoader, SizesPeriodsAndPhaseLengthsAreRangeChecked) {
   rejects("cluster", "max_procs_per_node", {"-1", "0", "nan"});
   rejects("cluster", "tick_s", {"-1", "0", "nan", "inf"});
   rejects("cluster", "control_period_s", {"-1", "0", "nan", "inf"});
+  for (const char* key : {"privileged_fraction", "idle_utilization",
+                          "utilization_noise", "ramp_tau_s"}) {
+    rejects("cluster", key, {"-0.1", "nan"});
+  }
+  rejects("manager", "tg_cycles", {"-1", "0"});
+  rejects("manager", "adjust_period_cycles", {"-1", "0"});
+  rejects("manager", "feedback_gain", {"0", "nan"});
+  rejects("manager", "red_margin", {"-0.1", "nan"});
+  rejects("manager", "yellow_margin", {"-0.1", "nan"});
+  rejects("experiment", "provision_fraction", {"0", "nan", "inf"});
+  rejects("experiment", "provision_w", {"-1", "nan"});
   for (const char* key : {"training_h", "measured_h", "calibration_h"}) {
     rejects("experiment", key, {"-1", "nan", "inf"});
     EXPECT_EQ(load(std::string("[experiment]\n") + key + " = 0\n")
