@@ -124,11 +124,6 @@ class Node {
   [[nodiscard]] Celsius temperature_at(Seconds now) const {
     return pool_->advance_temperature_to(slot_, now.value());
   }
-  /// Integrates the thermal model over dt at the current true power
-  /// (legacy explicit-step entry point; standalone nodes and tests).
-  void advance_thermal(Seconds dt) {
-    pool_->advance_temperature_by(slot_, dt.value());
-  }
 
  private:
   NodeId id_;

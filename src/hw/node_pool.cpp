@@ -133,9 +133,9 @@ void NodeStatePool::set_operating_point(std::size_t i,
 }
 
 void NodeStatePool::refresh_static(std::size_t i) const {
-  // Exactly PowerModel::static_power's evaluation order — ((idle + mem)
-  // + nic) — split so the observed-counters fast path can re-evaluate the
-  // NIC term alone.
+  // Exactly PowerModel::power's evaluation order — ((idle + mem) + nic)
+  // first, then + uti * cpu_dyn in estimated_power() — split so the
+  // observed-counters fast path can re-evaluate the NIC term alone.
   const NodeSpec& spec = *spec_[i];
   const DevicePowerTable& t = spec.power_model.table();
   const auto l = static_cast<std::size_t>(level_[i]);
@@ -169,13 +169,7 @@ Watts NodeStatePool::true_power(std::size_t i) const {
   if (true_valid_[i] != 0) return Watts{true_power_w_[i]};
   const double estimated = estimated_power(i).value();
   const double idle = idle_leak_w_[i];
-  const ThermalParams& th = spec_[i]->thermal;
-  double leak = 1.0;
-  if (th.leakage_coefficient != 0.0 &&
-      temperature_c_[i] > th.leakage_reference.value()) {
-    leak = 1.0 + th.leakage_coefficient *
-                     (temperature_c_[i] - th.leakage_reference.value());
-  }
+  const double leak = leakage_factor(spec_[i]->thermal, temperature_c_[i]);
   true_power_w_[i] = ((estimated - idle) + idle * leak) * variation_[i];
   true_valid_[i] = 1;
   return Watts{true_power_w_[i]};
@@ -254,12 +248,6 @@ Celsius NodeStatePool::advance_temperature_to(std::size_t i,
     thermal_time_s_[i] = now_s;
   }
   return Celsius{temperature_c_[i]};
-}
-
-void NodeStatePool::advance_temperature_by(std::size_t i, double dt_s) const {
-  const double p = true_power(i).value();
-  step_temperature(i, p, dt_s);
-  thermal_time_s_[i] += dt_s;
 }
 
 void NodeStatePool::enable_change_tracking() {

@@ -122,9 +122,6 @@ class NodeStatePool {
   /// Fast-forwards the slot's temperature to `now_s` under the current
   /// true power and returns it. No-op when now_s <= the stored timestamp.
   Celsius advance_temperature_to(std::size_t i, double now_s) const;
-  /// Legacy Node::advance_thermal: one explicit step of `dt` from the
-  /// stored state (standalone nodes and tests drive this directly).
-  void advance_temperature_by(std::size_t i, double dt_s) const;
 
   // -- change tracking ------------------------------------------------------
   /// Cluster-owned pools track external power-relevant writes (level

@@ -20,6 +20,11 @@ void NodeSpec::validate() const {
   if (nic_bandwidth <= 0.0) {
     throw std::invalid_argument("NodeSpec: non-positive NIC bandwidth");
   }
+  if (thermal.thermal_resistance < 0.0 ||
+      thermal.time_constant <= Seconds{0.0} ||
+      thermal.leakage_coefficient < 0.0) {
+    throw std::invalid_argument("NodeSpec: bad thermal parameters");
+  }
 }
 
 NodeSpecPtr tianhe1a_node_spec() {

@@ -27,7 +27,9 @@ struct NodeSpec {
   [[nodiscard]] int total_cores() const { return sockets * cores_per_socket; }
 
   /// Validates invariants (ladder depth == power table depth, positive
-  /// core/memory/bandwidth figures). Throws std::invalid_argument.
+  /// core/memory/bandwidth figures, non-negative thermal resistance and
+  /// leakage, positive thermal time constant). Throws
+  /// std::invalid_argument.
   void validate() const;
 };
 

@@ -48,25 +48,12 @@ SystemPowerMeter::SystemPowerMeter(PowerMeterParams params, common::Rng rng)
   }
 }
 
-Watts SystemPowerMeter::measure(const std::vector<Node>& nodes) {
-  Watts total{0.0};
-  for (const Node& n : nodes) total += n.true_power();
-  return measure_sum(total);
-}
-
 Watts SystemPowerMeter::measure_sum(Watts it_power) {
   const Watts truth = it_power / params_.psu_efficiency;
   if (params_.noise_sigma == 0.0) return truth;
   const double factor =
       std::max(0.0, rng_.normal(1.0, params_.noise_sigma));
   return truth * factor;
-}
-
-Watts SystemPowerMeter::exact(const std::vector<Node>& nodes,
-                              double psu_efficiency) {
-  Watts total{0.0};
-  for (const Node& n : nodes) total += n.true_power();
-  return total / psu_efficiency;
 }
 
 }  // namespace pcap::hw

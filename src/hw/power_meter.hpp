@@ -11,7 +11,6 @@
 
 #include "common/rng.hpp"
 #include "common/units.hpp"
-#include "hw/node.hpp"
 
 namespace pcap::hw {
 
@@ -63,20 +62,10 @@ class SystemPowerMeter {
  public:
   SystemPowerMeter(PowerMeterParams params, common::Rng rng);
 
-  /// Sum of node true powers divided by PSU efficiency, with multiplicative
-  /// measurement noise. This is P in Algorithm 1.
-  Watts measure(const std::vector<Node>& nodes);
-
-  /// Same conversion and noise applied to an externally accumulated
-  /// IT-side power sum — the incremental tick path, where the cluster
-  /// already holds every node's true power and only the aggregation is
-  /// left. One meter-noise draw either way, so both entry points advance
-  /// the meter's RNG stream identically.
+  /// The IT-side sum of node true powers (the cluster's PowerSumTree
+  /// total) divided by PSU efficiency, with one multiplicative
+  /// measurement-noise draw. This is P in Algorithm 1.
   Watts measure_sum(Watts it_power);
-
-  /// Noise-free reading, for metrics that want ground truth.
-  [[nodiscard]] static Watts exact(const std::vector<Node>& nodes,
-                                   double psu_efficiency);
 
   [[nodiscard]] const PowerMeterParams& params() const { return params_; }
 

@@ -42,39 +42,17 @@ Watts PowerModel::power(Level level, const OperatingPoint& op) const {
   }
   const auto l = static_cast<std::size_t>(level);
   const double uti = std::clamp(op.cpu_utilization, 0.0, 1.0);
-  // Summed as static share + utilisation term, in exactly the order the
-  // cached two-piece evaluation uses, so both paths agree to the bit.
+  // Summed as static share + utilisation term, in exactly the order
+  // NodeStatePool's cached two-piece evaluation uses, so both paths agree
+  // to the bit.
   return table_.idle[l] + op.mem_fraction() * table_.mem_dyn[l] +
          op.nic_fraction() * table_.nic_dyn[l] + uti * table_.cpu_dyn[l];
-}
-
-Watts PowerModel::static_power(Level level, const OperatingPoint& op) const {
-  if (level < 0 || level >= num_levels()) {
-    throw std::out_of_range("PowerModel::static_power: bad level");
-  }
-  const auto l = static_cast<std::size_t>(level);
-  return table_.idle[l] + op.mem_fraction() * table_.mem_dyn[l] +
-         op.nic_fraction() * table_.nic_dyn[l];
-}
-
-Watts PowerModel::cpu_dyn(Level level) const {
-  if (level < 0 || level >= num_levels()) {
-    throw std::out_of_range("PowerModel::cpu_dyn: bad level");
-  }
-  return table_.cpu_dyn[static_cast<std::size_t>(level)];
 }
 
 Watts PowerModel::theoretical_max() const {
   const auto top = static_cast<std::size_t>(num_levels() - 1);
   return table_.idle[top] + table_.cpu_dyn[top] + table_.mem_dyn[top] +
          table_.nic_dyn[top];
-}
-
-Watts PowerModel::idle_power(Level level) const {
-  if (level < 0 || level >= num_levels()) {
-    throw std::out_of_range("PowerModel::idle_power: bad level");
-  }
-  return table_.idle[static_cast<std::size_t>(level)];
 }
 
 DevicePowerTable make_scaled_table(const DvfsLadder& ladder, Watts idle_base,

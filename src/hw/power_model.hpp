@@ -59,27 +59,9 @@ class PowerModel {
   /// P(l) for the given operating point. `level` must be valid.
   [[nodiscard]] Watts power(Level level, const OperatingPoint& op) const;
 
-  /// The share of formula (1) that does not depend on CPU utilisation:
-  /// idle + memory + NIC terms. power(l, op) == static_power(l, op) +
-  /// clamp(op.cpu_utilization) * cpu_dyn(l) up to rounding; callers whose
-  /// utilisation moves every tick cache this and pay a multiply-add.
-  [[nodiscard]] Watts static_power(Level level, const OperatingPoint& op) const;
-  /// The utilisation coefficient of formula (1) at `level`.
-  [[nodiscard]] Watts cpu_dyn(Level level) const;
-
-  /// Estimated power if the node were moved to `level` while keeping the
-  /// same resource usage — the paper's P'(x) when level = current-1
-  /// (Algorithm 2). Clamps usage fractions exactly like power().
-  [[nodiscard]] Watts power_at(Level level, const OperatingPoint& op) const {
-    return power(level, op);
-  }
-
   /// Theoretical per-node maximum: all usage fractions at 1 on the top
   /// level. Contributes to P_thy = sum_i P_i (§II.D, necessity).
   [[nodiscard]] Watts theoretical_max() const;
-
-  /// Idle power at the given level.
-  [[nodiscard]] Watts idle_power(Level level) const;
 
  private:
   DevicePowerTable table_;

@@ -27,12 +27,12 @@ struct ThermalParams {
                                      ///< disables the feedback entirely.
 };
 
-/// Closed-form pieces of the RC integral, shared by ThermalModel::step and
-/// the NodeStatePool's lazy fast-forward. Power is piecewise-constant
-/// between power-changing events, so advancing by any dt under the power
-/// that held over the interval is the *exact* solution of the ODE — this
-/// is what lets quiescent nodes skip per-tick thermal stepping entirely
-/// and fast-forward in one evaluation when they next wake.
+/// Closed-form pieces of the RC integral, used by the NodeStatePool's lazy
+/// fast-forward. Power is piecewise-constant between power-changing
+/// events, so advancing by any dt under the power that held over the
+/// interval is the *exact* solution of the ODE — this is what lets
+/// quiescent nodes skip per-tick thermal stepping entirely and
+/// fast-forward in one evaluation when they next wake.
 inline double thermal_decay(const ThermalParams& p, double dt_s) {
   return std::exp(-dt_s / p.time_constant.value());
 }
@@ -43,56 +43,15 @@ inline double thermal_fast_forward(const ThermalParams& p, double current_c,
   return target + (current_c - target) * decay;
 }
 
-class ThermalModel {
- public:
-  explicit ThermalModel(ThermalParams params);
-
-  [[nodiscard]] const ThermalParams& params() const { return params_; }
-
-  /// Steady-state temperature under constant power draw.
-  [[nodiscard]] Celsius equilibrium(Watts power) const;
-
-  /// Advances the temperature by dt under draw `power` (exact exponential
-  /// integration of the linear ODE, stable for any dt).
-  [[nodiscard]] Celsius step(Celsius current, Watts power, Seconds dt) const;
-
-  /// Multiplier (>= 1) applied to static power: 1 below the reference,
-  /// 1 + k * (T - T_ref) above it.
-  [[nodiscard]] double leakage_factor(Celsius temperature) const;
-
- private:
-  ThermalParams params_;
-  // step() runs every simulation tick with a constant dt; the decay
-  // factor exp(-dt/tau) is re-derived only when dt changes. Each node
-  // owns its ThermalModel copy, so the cache is never shared.
-  mutable double cached_dt_ = -1.0;
-  mutable double cached_decay_ = 1.0;
-};
-
-// step() and leakage_factor() run once per node per tick; inline so the
-// thermal advance folds into its caller.
-
-inline Celsius ThermalModel::equilibrium(Watts power) const {
-  return params_.ambient + Celsius{power.value() * params_.thermal_resistance};
-}
-
-inline Celsius ThermalModel::step(Celsius current, Watts power,
-                                  Seconds dt) const {
-  const Celsius target = equilibrium(power);
-  if (dt.value() != cached_dt_) {
-    cached_dt_ = dt.value();
-    cached_decay_ = std::exp(-dt / params_.time_constant);
-  }
-  return target + (current - target) * cached_decay_;
-}
-
-inline double ThermalModel::leakage_factor(Celsius temperature) const {
-  if (params_.leakage_coefficient == 0.0 ||
-      temperature <= params_.leakage_reference) {
+/// Multiplier (>= 1) applied to idle (leakage) power: 1 at or below the
+/// reference temperature, 1 + k * (T - T_ref) above it.
+inline double leakage_factor(const ThermalParams& p, double temperature_c) {
+  if (p.leakage_coefficient == 0.0 ||
+      temperature_c <= p.leakage_reference.value()) {
     return 1.0;
   }
-  const double excess = (temperature - params_.leakage_reference).value();
-  return 1.0 + params_.leakage_coefficient * excess;
+  return 1.0 + p.leakage_coefficient *
+                   (temperature_c - p.leakage_reference.value());
 }
 
 }  // namespace pcap::hw

@@ -86,17 +86,11 @@ TEST(PowerModel, BadLevelThrows) {
   const PowerModel m(simple_table());
   EXPECT_THROW((void)m.power(2, op_full()), std::out_of_range);
   EXPECT_THROW((void)m.power(-1, op_full()), std::out_of_range);
-  EXPECT_THROW((void)m.idle_power(5), std::out_of_range);
 }
 
 TEST(PowerModel, TheoreticalMax) {
   const PowerModel m(simple_table());
   EXPECT_DOUBLE_EQ(m.theoretical_max().value(), 140.0 + 190.0 + 60.0 + 25.0);
-}
-
-TEST(PowerModel, PowerAtEqualsPowerAtSameLevel) {
-  const PowerModel m(simple_table());
-  EXPECT_EQ(m.power_at(0, op_full()), m.power(0, op_full()));
 }
 
 TEST(DevicePowerTable, ValidateCatchesRagged) {
@@ -174,7 +168,7 @@ TEST(TianheSpec, PowerEnvelopeIsPlausible) {
   const PowerModel& m = spec->power_model;
   // Idle at top level ~140 W; flat out ~415 W; floor-level full load in
   // between — the envelope a dual-X5670 board actually has.
-  EXPECT_NEAR(m.idle_power(9).value(), 140.0, 5.0);
+  EXPECT_NEAR(m.table().idle[9].value(), 140.0, 5.0);
   EXPECT_NEAR(m.theoretical_max().value(), 415.0, 10.0);
   EXPECT_LT(m.power(0, op_full()), m.power(9, op_full()));
   EXPECT_GT(m.power(0, op_full()).value(), 200.0);

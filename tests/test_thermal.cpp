@@ -4,6 +4,8 @@
 
 #include <cmath>
 
+#include "hw/node_spec.hpp"
+
 namespace pcap::hw {
 namespace {
 
@@ -17,79 +19,83 @@ ThermalParams params() {
   return p;
 }
 
+// One advance of dt seconds from `current` under `power_w`.
+double step(const ThermalParams& p, double current, double power_w,
+            double dt_s) {
+  return thermal_fast_forward(p, current, power_w, thermal_decay(p, dt_s));
+}
+
 TEST(Thermal, EquilibriumIsAmbientPlusRTimesP) {
-  const ThermalModel m(params());
-  EXPECT_DOUBLE_EQ(m.equilibrium(Watts{300.0}).value(), 20.0 + 30.0);
-  EXPECT_DOUBLE_EQ(m.equilibrium(Watts{0.0}).value(), 20.0);
+  // A fully decayed advance (decay 0) lands on the equilibrium.
+  const ThermalParams p = params();
+  EXPECT_DOUBLE_EQ(thermal_fast_forward(p, 35.0, 300.0, 0.0), 20.0 + 30.0);
+  EXPECT_DOUBLE_EQ(thermal_fast_forward(p, 35.0, 0.0, 0.0), 20.0);
 }
 
 TEST(Thermal, StepApproachesEquilibrium) {
-  const ThermalModel m(params());
-  Celsius t{20.0};
-  for (int i = 0; i < 1000; ++i) t = m.step(t, Watts{300.0}, Seconds{1.0});
-  EXPECT_NEAR(t.value(), 50.0, 0.1);
+  const ThermalParams p = params();
+  double t = 20.0;
+  for (int i = 0; i < 1000; ++i) t = step(p, t, 300.0, 1.0);
+  EXPECT_NEAR(t, 50.0, 0.1);
 }
 
 TEST(Thermal, StepMonotoneTowardsTarget) {
-  const ThermalModel m(params());
-  const Celsius t1 = m.step(Celsius{20.0}, Watts{300.0}, Seconds{1.0});
-  const Celsius t2 = m.step(t1, Watts{300.0}, Seconds{1.0});
-  EXPECT_GT(t1, Celsius{20.0});
+  const ThermalParams p = params();
+  const double t1 = step(p, 20.0, 300.0, 1.0);
+  const double t2 = step(p, t1, 300.0, 1.0);
+  EXPECT_GT(t1, 20.0);
   EXPECT_GT(t2, t1);
-  EXPECT_LT(t2, Celsius{50.0});
+  EXPECT_LT(t2, 50.0);
 }
 
 TEST(Thermal, CoolsWhenPowerDrops) {
-  const ThermalModel m(params());
-  const Celsius hot{45.0};
-  const Celsius cooled = m.step(hot, Watts{0.0}, Seconds{10.0});
-  EXPECT_LT(cooled, hot);
-  EXPECT_GT(cooled, Celsius{20.0});
+  const ThermalParams p = params();
+  const double cooled = step(p, 45.0, 0.0, 10.0);
+  EXPECT_LT(cooled, 45.0);
+  EXPECT_GT(cooled, 20.0);
 }
 
 TEST(Thermal, LargeStepIsStable) {
   // Exact exponential integration cannot overshoot, even for dt >> tau.
-  const ThermalModel m(params());
-  const Celsius t = m.step(Celsius{20.0}, Watts{300.0}, Seconds{1e6});
-  EXPECT_NEAR(t.value(), 50.0, 1e-6);
+  EXPECT_NEAR(step(params(), 20.0, 300.0, 1e6), 50.0, 1e-6);
 }
 
 TEST(Thermal, StepExactExponential) {
-  const ThermalModel m(params());
   // One step of dt = tau: gap shrinks by e^-1.
-  const Celsius t = m.step(Celsius{20.0}, Watts{300.0}, Seconds{100.0});
-  EXPECT_NEAR(t.value(), 50.0 - 30.0 * std::exp(-1.0), 1e-9);
+  EXPECT_DOUBLE_EQ(thermal_decay(params(), 100.0), std::exp(-1.0));
+  EXPECT_NEAR(step(params(), 20.0, 300.0, 100.0),
+              50.0 - 30.0 * std::exp(-1.0), 1e-9);
 }
 
 TEST(Thermal, LeakageBelowReferenceIsOne) {
-  const ThermalModel m(params());
-  EXPECT_DOUBLE_EQ(m.leakage_factor(Celsius{30.0}), 1.0);
-  EXPECT_DOUBLE_EQ(m.leakage_factor(Celsius{50.0}), 1.0);
+  EXPECT_DOUBLE_EQ(leakage_factor(params(), 30.0), 1.0);
+  EXPECT_DOUBLE_EQ(leakage_factor(params(), 50.0), 1.0);
 }
 
 TEST(Thermal, LeakageGrowsAboveReference) {
-  const ThermalModel m(params());
-  EXPECT_DOUBLE_EQ(m.leakage_factor(Celsius{60.0}), 1.0 + 0.002 * 10.0);
-  EXPECT_GT(m.leakage_factor(Celsius{80.0}), m.leakage_factor(Celsius{60.0}));
+  EXPECT_DOUBLE_EQ(leakage_factor(params(), 60.0), 1.0 + 0.002 * 10.0);
+  EXPECT_GT(leakage_factor(params(), 80.0), leakage_factor(params(), 60.0));
 }
 
 TEST(Thermal, ZeroCoefficientDisablesLeakage) {
   ThermalParams p = params();
   p.leakage_coefficient = 0.0;
-  const ThermalModel m(p);
-  EXPECT_DOUBLE_EQ(m.leakage_factor(Celsius{90.0}), 1.0);
+  EXPECT_DOUBLE_EQ(leakage_factor(p, 90.0), 1.0);
 }
 
 TEST(Thermal, BadParamsThrow) {
-  ThermalParams p = params();
-  p.time_constant = Seconds{0.0};
-  EXPECT_THROW(ThermalModel{p}, std::invalid_argument);
-  p = params();
-  p.thermal_resistance = -1.0;
-  EXPECT_THROW(ThermalModel{p}, std::invalid_argument);
-  p = params();
-  p.leakage_coefficient = -0.1;
-  EXPECT_THROW(ThermalModel{p}, std::invalid_argument);
+  // A node spec carries its thermal parameters; validate() rejects them.
+  NodeSpec spec = *tianhe1a_node_spec();
+  spec.thermal = params();
+  EXPECT_NO_THROW(spec.validate());
+  spec.thermal.time_constant = Seconds{0.0};
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
+  spec.thermal = params();
+  spec.thermal.thermal_resistance = -1.0;
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
+  spec.thermal = params();
+  spec.thermal.leakage_coefficient = -0.1;
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
 }
 
 }  // namespace
