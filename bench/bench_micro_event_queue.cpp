@@ -27,24 +27,6 @@ void BM_ScheduleAndPop(benchmark::State& state) {
 }
 BENCHMARK(BM_ScheduleAndPop)->RangeMultiplier(4)->Range(64, 16384)->Complexity();
 
-void BM_CancelHeavy(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  common::Rng rng(2);
-  for (auto _ : state) {
-    sim::EventQueue q;
-    std::vector<sim::EventId> ids;
-    ids.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      ids.push_back(q.schedule(Seconds{rng.uniform(0.0, 1e6)}, [] {}));
-    }
-    for (std::size_t i = 0; i < n; i += 2) q.cancel(ids[i]);
-    while (!q.empty()) benchmark::DoNotOptimize(q.pop());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_CancelHeavy)->Arg(4096);
-
 void BM_PeriodicTicks(benchmark::State& state) {
   for (auto _ : state) {
     sim::Simulation sim;

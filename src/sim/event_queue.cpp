@@ -1,59 +1,26 @@
 #include "sim/event_queue.hpp"
 
-#include <cassert>
 #include <stdexcept>
 #include <utility>
 
 namespace pcap::sim {
 
-EventId EventQueue::schedule(Seconds t, EventFn fn) {
-  const EventId id = next_id_++;
-  cancelled_.push_back(false);
-  heap_.push(Event{t, next_sequence_++, id, std::move(fn)});
-  ++live_count_;
-  return id;
-}
-
-bool EventQueue::cancel(EventId id) {
-  if (id >= cancelled_.size() || cancelled_[id]) return false;
-  cancelled_[id] = true;
-  if (live_count_ == 0) return false;
-  --live_count_;
-  return true;
-}
-
-void EventQueue::drop_cancelled() const {
-  while (!heap_.empty() && cancelled_[heap_.top().id]) {
-    // const_cast is confined here: popping a cancelled entry does not
-    // change the queue's observable (live) state.
-    const_cast<std::priority_queue<Event, std::vector<Event>, Later>&>(heap_)
-        .pop();
-  }
+void EventQueue::schedule(Seconds t, EventFn fn) {
+  heap_.push(Event{t, next_sequence_++, std::move(fn)});
 }
 
 Seconds EventQueue::next_time() const {
-  drop_cancelled();
   if (heap_.empty()) throw std::logic_error("EventQueue::next_time on empty");
   return heap_.top().time;
 }
 
 Event EventQueue::pop() {
-  drop_cancelled();
   if (heap_.empty()) throw std::logic_error("EventQueue::pop on empty");
   // priority_queue::top() is const; moving out then popping is the standard
   // idiom for move-only payloads.
   Event ev = std::move(const_cast<Event&>(heap_.top()));
   heap_.pop();
-  cancelled_[ev.id] = true;  // fired events cannot be cancelled again
-  assert(live_count_ > 0);
-  --live_count_;
   return ev;
-}
-
-void EventQueue::clear() {
-  heap_ = {};
-  cancelled_.clear();
-  live_count_ = 0;
 }
 
 }  // namespace pcap::sim

@@ -15,35 +15,27 @@
 
 namespace pcap::sim {
 
-using EventId = std::uint64_t;
 using EventFn = std::function<void()>;
 
 struct Event {
   Seconds time{0.0};
   std::uint64_t sequence = 0;  // tie-breaker: insertion order
-  EventId id = 0;
   EventFn fn;
 };
 
 class EventQueue {
  public:
-  /// Schedules `fn` at absolute time `t`; returns a handle for cancel().
-  EventId schedule(Seconds t, EventFn fn);
+  /// Schedules `fn` at absolute time `t`.
+  void schedule(Seconds t, EventFn fn);
 
-  /// Lazily cancels an event; it stays queued but will not fire.
-  /// Returns false if the id was never issued or already fired/cancelled.
-  bool cancel(EventId id);
+  [[nodiscard]] bool empty() const { return heap_.empty(); }
+  [[nodiscard]] std::size_t size() const { return heap_.size(); }
 
-  [[nodiscard]] bool empty() const { return live_count_ == 0; }
-  [[nodiscard]] std::size_t size() const { return live_count_; }
-
-  /// Time of the earliest live event. Requires !empty().
+  /// Time of the earliest event. Requires !empty().
   [[nodiscard]] Seconds next_time() const;
 
-  /// Pops and returns the earliest live event. Requires !empty().
+  /// Pops and returns the earliest event. Requires !empty().
   Event pop();
-
-  void clear();
 
  private:
   struct Later {
@@ -53,13 +45,8 @@ class EventQueue {
     }
   };
 
-  void drop_cancelled() const;
-
-  mutable std::priority_queue<Event, std::vector<Event>, Later> heap_;
-  mutable std::vector<bool> cancelled_;  // indexed by EventId
+  std::priority_queue<Event, std::vector<Event>, Later> heap_;
   std::uint64_t next_sequence_ = 0;
-  EventId next_id_ = 0;
-  std::size_t live_count_ = 0;
 };
 
 }  // namespace pcap::sim

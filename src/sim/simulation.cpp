@@ -6,48 +6,29 @@
 
 namespace pcap::sim {
 
-void PeriodicHandle::cancel() {
-  if (state_) state_->cancelled = true;
-}
-
-bool PeriodicHandle::active() const { return state_ && !state_->cancelled; }
-
-EventId Simulation::schedule_in(Seconds delay, EventFn fn) {
-  if (delay < Seconds{0.0}) {
-    throw std::invalid_argument("Simulation::schedule_in: negative delay");
-  }
-  return queue_.schedule(now_ + delay, std::move(fn));
-}
-
-EventId Simulation::schedule_at(Seconds t, EventFn fn) {
+void Simulation::schedule_at(Seconds t, EventFn fn) {
   if (t < now_) {
     throw std::invalid_argument("Simulation::schedule_at: time in the past");
   }
-  return queue_.schedule(t, std::move(fn));
+  queue_.schedule(t, std::move(fn));
 }
 
-PeriodicHandle Simulation::every(Seconds period, Seconds offset,
-                                 std::function<void(Seconds)> fn) {
+void Simulation::every(Seconds period, Seconds offset,
+                       std::function<void(Seconds)> fn) {
   if (period <= Seconds{0.0}) {
     throw std::invalid_argument("Simulation::every: non-positive period");
   }
-  auto state = std::make_shared<PeriodicHandle::State>();
-  auto shared_fn =
-      std::make_shared<std::function<void(Seconds)>>(std::move(fn));
-  schedule_periodic(now_ + offset, period, state, shared_fn);
-  return PeriodicHandle{state};
+  schedule_periodic(
+      now_ + offset, period,
+      std::make_shared<std::function<void(Seconds)>>(std::move(fn)));
 }
 
 void Simulation::schedule_periodic(
     Seconds first, Seconds period,
-    std::shared_ptr<PeriodicHandle::State> state,
     std::shared_ptr<std::function<void(Seconds)>> fn) {
-  queue_.schedule(first, [this, first, period, state, fn] {
-    if (state->cancelled) return;
+  queue_.schedule(first, [this, first, period, fn] {
     (*fn)(first);
-    if (!state->cancelled) {
-      schedule_periodic(first + period, period, state, fn);
-    }
+    schedule_periodic(first + period, period, fn);
   });
 }
 
@@ -63,26 +44,6 @@ void Simulation::run_until(Seconds end) {
     ++processed_;
   }
   now_ = end;
-  publish_metrics();
-}
-
-bool Simulation::step() {
-  if (queue_.empty()) return false;
-  Event ev = queue_.pop();
-  if (ev.time < now_) {
-    throw std::logic_error("Simulation::step: event time before now");
-  }
-  now_ = ev.time;
-  ev.fn();
-  ++processed_;
-  publish_metrics();
-  return true;
-}
-
-void Simulation::reset() {
-  queue_.clear();
-  now_ = Seconds{0.0};
-  processed_ = 0;
   publish_metrics();
 }
 

@@ -16,26 +16,6 @@
 
 namespace pcap::sim {
 
-class Simulation;
-
-/// Handle to a periodic process; cancel() stops future firings.
-class PeriodicHandle {
- public:
-  PeriodicHandle() = default;
-
-  void cancel();
-  [[nodiscard]] bool active() const;
-
- private:
-  friend class Simulation;
-  struct State {
-    bool cancelled = false;
-  };
-  explicit PeriodicHandle(std::shared_ptr<State> state)
-      : state_(std::move(state)) {}
-  std::shared_ptr<State> state_;
-};
-
 class Simulation {
  public:
   Simulation() = default;
@@ -43,29 +23,19 @@ class Simulation {
   [[nodiscard]] Seconds now() const { return now_; }
   [[nodiscard]] std::uint64_t events_processed() const { return processed_; }
 
-  /// Schedules `fn` after a relative delay (>= 0).
-  EventId schedule_in(Seconds delay, EventFn fn);
-
   /// Schedules `fn` at an absolute time (>= now()).
-  EventId schedule_at(Seconds t, EventFn fn);
+  void schedule_at(Seconds t, EventFn fn);
 
-  /// Registers `fn(now)` to fire every `period`, first at now()+offset.
-  /// The callback runs until cancelled or the simulation ends.
-  PeriodicHandle every(Seconds period, Seconds offset,
-                       std::function<void(Seconds)> fn);
+  /// Registers `fn(now)` to fire every `period`, first at now()+offset,
+  /// for the rest of the simulation.
+  void every(Seconds period, Seconds offset, std::function<void(Seconds)> fn);
 
   /// Runs events until the queue is empty or the clock would pass `end`.
   /// The clock finishes exactly at `end`.
   void run_until(Seconds end);
 
-  /// Runs a single event if one is pending; returns false otherwise.
-  bool step();
-
-  /// Drops all pending events and resets the clock to zero.
-  void reset();
-
   /// Registers the engine's series (events processed, pending events) in
-  /// `reg` and publishes them at the end of every run_until()/step().
+  /// `reg` and publishes them at the end of every run_until().
   /// The registry must outlive the simulation.
   void attach_metrics(obs::Registry& reg);
 
@@ -77,7 +47,6 @@ class Simulation {
   }
 
   void schedule_periodic(Seconds first, Seconds period,
-                         std::shared_ptr<PeriodicHandle::State> state,
                          std::shared_ptr<std::function<void(Seconds)>> fn);
 
   EventQueue queue_;

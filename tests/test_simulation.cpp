@@ -21,7 +21,7 @@ TEST(Simulation, RunUntilAdvancesClockToEnd) {
 TEST(Simulation, ScheduleInFiresAtRightTime) {
   Simulation sim;
   Seconds fired{-1.0};
-  sim.schedule_in(Seconds{5.0}, [&] { fired = sim.now(); });
+  sim.schedule_at(sim.now() + Seconds{5.0}, [&] { fired = sim.now(); });
   sim.run_until(Seconds{10.0});
   EXPECT_EQ(fired, Seconds{5.0});
 }
@@ -38,17 +38,12 @@ TEST(Simulation, ScheduleAtAbsoluteTime) {
 TEST(Simulation, EventsBeyondEndDoNotFire) {
   Simulation sim;
   bool ran = false;
-  sim.schedule_in(Seconds{5.0}, [&] { ran = true; });
+  sim.schedule_at(Seconds{5.0}, [&] { ran = true; });
   sim.run_until(Seconds{4.0});
   EXPECT_FALSE(ran);
   EXPECT_EQ(sim.now(), Seconds{4.0});
   sim.run_until(Seconds{5.0});
   EXPECT_TRUE(ran);
-}
-
-TEST(Simulation, NegativeDelayThrows) {
-  Simulation sim;
-  EXPECT_THROW(sim.schedule_in(Seconds{-1.0}, [] {}), std::invalid_argument);
 }
 
 TEST(Simulation, PastAbsoluteTimeThrows) {
@@ -66,9 +61,10 @@ TEST(Simulation, PastEndThrows) {
 TEST(Simulation, EventsCanScheduleEvents) {
   Simulation sim;
   std::vector<double> times;
-  sim.schedule_in(Seconds{1.0}, [&] {
+  sim.schedule_at(Seconds{1.0}, [&] {
     times.push_back(sim.now().value());
-    sim.schedule_in(Seconds{1.0}, [&] { times.push_back(sim.now().value()); });
+    sim.schedule_at(sim.now() + Seconds{1.0},
+                    [&] { times.push_back(sim.now().value()); });
   });
   sim.run_until(Seconds{10.0});
   ASSERT_EQ(times.size(), 2u);
@@ -93,62 +89,10 @@ TEST(Simulation, PeriodicWithZeroOffsetFiresImmediately) {
   EXPECT_EQ(count, 4);  // t = 0, 1, 2, 3
 }
 
-TEST(Simulation, PeriodicCancelStopsFirings) {
-  Simulation sim;
-  int count = 0;
-  PeriodicHandle h =
-      sim.every(Seconds{1.0}, Seconds{1.0}, [&](Seconds) { ++count; });
-  sim.run_until(Seconds{3.0});
-  EXPECT_TRUE(h.active());
-  h.cancel();
-  EXPECT_FALSE(h.active());
-  sim.run_until(Seconds{10.0});
-  EXPECT_EQ(count, 3);
-}
-
-TEST(Simulation, PeriodicCancelFromInsideCallback) {
-  Simulation sim;
-  int count = 0;
-  PeriodicHandle h;
-  h = sim.every(Seconds{1.0}, Seconds{1.0}, [&](Seconds) {
-    if (++count == 2) h.cancel();
-  });
-  sim.run_until(Seconds{10.0});
-  EXPECT_EQ(count, 2);
-}
-
 TEST(Simulation, NonPositivePeriodThrows) {
   Simulation sim;
   EXPECT_THROW(sim.every(Seconds{0.0}, Seconds{0.0}, [](Seconds) {}),
                std::invalid_argument);
-}
-
-TEST(Simulation, StepExecutesOneEvent) {
-  Simulation sim;
-  int count = 0;
-  sim.schedule_in(Seconds{1.0}, [&] { ++count; });
-  sim.schedule_in(Seconds{2.0}, [&] { ++count; });
-  EXPECT_TRUE(sim.step());
-  EXPECT_EQ(count, 1);
-  EXPECT_EQ(sim.now(), Seconds{1.0});
-  EXPECT_TRUE(sim.step());
-  EXPECT_FALSE(sim.step());
-}
-
-TEST(Simulation, StepAfterRunUntilKeepsTimeMonotonic) {
-  // run_until(5) advances the clock past the first event and leaves the
-  // second queued; step() must accept it (time moves forward) and never
-  // rewind now(). The converse — a stale event — makes step() throw, but
-  // the scheduling API already refuses to create one.
-  Simulation sim;
-  int count = 0;
-  sim.schedule_at(Seconds{1.0}, [&] { ++count; });
-  sim.schedule_at(Seconds{6.0}, [&] { ++count; });
-  sim.run_until(Seconds{5.0});
-  EXPECT_EQ(count, 1);
-  EXPECT_NO_THROW(sim.step());
-  EXPECT_EQ(count, 2);
-  EXPECT_EQ(sim.now(), Seconds{6.0});
 }
 
 TEST(Simulation, EventsProcessedCounter) {
@@ -156,16 +100,6 @@ TEST(Simulation, EventsProcessedCounter) {
   sim.every(Seconds{1.0}, Seconds{1.0}, [](Seconds) {});
   sim.run_until(Seconds{5.0});
   EXPECT_EQ(sim.events_processed(), 5u);
-}
-
-TEST(Simulation, ResetClearsEverything) {
-  Simulation sim;
-  bool ran = false;
-  sim.schedule_in(Seconds{1.0}, [&] { ran = true; });
-  sim.reset();
-  sim.run_until(Seconds{5.0});
-  EXPECT_FALSE(ran);
-  EXPECT_EQ(sim.now(), Seconds{5.0});
 }
 
 TEST(Simulation, TwoPeriodicsStableOrderAtTies) {
