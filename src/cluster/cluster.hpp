@@ -212,8 +212,6 @@ class Cluster {
       const {
     return finished_records_;
   }
-  /// Clears recorded data (not simulation state).
-  void clear_recording();
 
   /// Record of jobs generated so far (submit time/app/nprocs) — exportable
   /// as a workload trace for replay experiments.

@@ -55,10 +55,6 @@ void Config::set(std::string key, std::string value) {
   values_[std::move(key)] = std::move(value);
 }
 
-bool Config::has(const std::string& key) const {
-  return values_.count(key) != 0;
-}
-
 std::optional<std::string> Config::raw(const std::string& key) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return std::nullopt;
@@ -110,27 +106,6 @@ bool Config::get_bool(const std::string& key, bool def) const {
   throw std::runtime_error("config: key '" + key + "' is not a bool: " + *v);
 }
 
-std::vector<double> Config::get_double_list(
-    const std::string& key, const std::vector<double>& def) const {
-  const auto v = raw(key);
-  if (!v) return def;
-  std::vector<double> out;
-  for (const auto& part : split(*v, ',')) {
-    const auto t = trim(part);
-    if (t.empty()) continue;
-    errno = 0;
-    char* end = nullptr;
-    const std::string item(t);
-    const double parsed = std::strtod(item.c_str(), &end);
-    if (errno != 0 || end == item.c_str()) {
-      throw std::runtime_error("config: key '" + key +
-                               "' has a non-numeric element: " + item);
-    }
-    out.push_back(parsed);
-  }
-  return out;
-}
-
 std::vector<std::string> Config::keys() const {
   std::vector<std::string> out;
   out.reserve(values_.size());
@@ -147,10 +122,6 @@ std::string Config::to_string() const {
     out += '\n';
   }
   return out;
-}
-
-void Config::merge(const Config& other) {
-  for (const auto& [k, v] : other.values_) values_[k] = v;
 }
 
 }  // namespace pcap::common

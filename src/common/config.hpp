@@ -31,7 +31,6 @@ class Config {
 
   void set(std::string key, std::string value);
 
-  [[nodiscard]] bool has(const std::string& key) const;
   [[nodiscard]] std::optional<std::string> raw(const std::string& key) const;
 
   /// Typed getters with defaults. Conversion failure throws
@@ -43,18 +42,11 @@ class Config {
   [[nodiscard]] double get_double(const std::string& key, double def) const;
   [[nodiscard]] bool get_bool(const std::string& key, bool def) const;
 
-  /// Comma-separated list of doubles, e.g. "1.6, 1.73, 2.93".
-  [[nodiscard]] std::vector<double> get_double_list(
-      const std::string& key, const std::vector<double>& def) const;
-
   /// All keys in sorted order (map iteration order).
   [[nodiscard]] std::vector<std::string> keys() const;
 
   /// Serialises back to INI text (flat keys, no sections).
   [[nodiscard]] std::string to_string() const;
-
-  /// Merges `other` into this config; other's values win on conflict.
-  void merge(const Config& other);
 
  private:
   std::map<std::string, std::string> values_;

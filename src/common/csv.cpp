@@ -22,10 +22,6 @@ CsvWriter& CsvWriter::cell(const std::string& value) {
   return *this;
 }
 
-CsvWriter& CsvWriter::cell(const char* value) {
-  return cell(std::string(value));
-}
-
 CsvWriter& CsvWriter::cell(double value) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.10g", value);

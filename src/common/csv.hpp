@@ -16,7 +16,6 @@ class CsvWriter {
 
   /// Appends one cell to the current row. Mixed-type overloads.
   CsvWriter& cell(const std::string& value);
-  CsvWriter& cell(const char* value);
   CsvWriter& cell(double value);
   CsvWriter& cell(std::int64_t value);
   CsvWriter& cell(std::size_t value);

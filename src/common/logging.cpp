@@ -23,16 +23,6 @@ const char* log_level_name(LogLevel level) {
   return "?";
 }
 
-LogLevel parse_log_level(const std::string& name) {
-  if (name == "trace") return LogLevel::kTrace;
-  if (name == "debug") return LogLevel::kDebug;
-  if (name == "info") return LogLevel::kInfo;
-  if (name == "warn") return LogLevel::kWarn;
-  if (name == "error") return LogLevel::kError;
-  if (name == "off") return LogLevel::kOff;
-  return LogLevel::kInfo;
-}
-
 Logger& Logger::instance() {
   static Logger logger;
   return logger;

@@ -24,10 +24,6 @@ enum class LogLevel : int {
 /// Returns the printable name of a level ("INFO", ...).
 const char* log_level_name(LogLevel level);
 
-/// Parses "trace"/"debug"/"info"/"warn"/"error"/"off"; returns kInfo on
-/// unknown input.
-LogLevel parse_log_level(const std::string& name);
-
 class Logger {
  public:
   using Sink = std::function<void(LogLevel, const std::string&)>;

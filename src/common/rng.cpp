@@ -42,10 +42,6 @@ Rng Rng::stream(std::uint64_t index) const {
   return Rng{acc};
 }
 
-Rng Rng::fork(std::string_view tag, std::uint64_t index) {
-  return fork(tag).stream(index);
-}
-
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
   assert(lo <= hi);
   const auto range = static_cast<std::uint64_t>(hi - lo) + 1;
@@ -138,19 +134,6 @@ template double normal_slow<Rng>(Rng&, std::int32_t);
 template double normal_slow<CounterRng>(CounterRng&, std::int32_t);
 
 }  // namespace detail
-
-double Rng::exponential(double mean) {
-  assert(mean > 0.0);
-  double u = 0.0;
-  do {
-    u = uniform();
-  } while (u <= 0.0);
-  return -mean * std::log(u);
-}
-
-double Rng::lognormal(double median, double sigma) {
-  return median * std::exp(sigma * normal());
-}
 
 std::size_t Rng::index(std::size_t n) {
   assert(n > 0);

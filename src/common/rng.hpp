@@ -73,11 +73,6 @@ class Rng {
   /// per-element noise draws order-independent: fork one root per purpose,
   /// then stream(i) per element.
   [[nodiscard]] Rng stream(std::uint64_t index) const;
-  /// fork(tag) + stream(index) in one call: a named family of indexed
-  /// streams (e.g. fork("util-noise", node_id)). Advances the parent once
-  /// per call like fork(); prefer forking the root once and calling
-  /// stream() when deriving many siblings.
-  [[nodiscard]] Rng fork(std::string_view tag, std::uint64_t index);
 
   /// Raw 64 uniformly distributed bits. Inline: every distribution below
   /// bottoms out here, often once per node per tick.
@@ -100,20 +95,10 @@ class Rng {
   double normal() { return detail::ziggurat_normal(*this); }
   /// Normal with the given mean and standard deviation.
   double normal(double mean, double stddev);
-  /// Exponential with the given mean (= 1/lambda). Requires mean > 0.
-  double exponential(double mean);
   /// Bernoulli trial with probability p of true.
   bool bernoulli(double p);
-  /// Log-normal such that the *median* of the distribution is `median` and
-  /// the underlying normal has standard deviation `sigma`.
-  double lognormal(double median, double sigma);
   /// Uniformly selects an index in [0, n). Requires n > 0.
   std::size_t index(std::size_t n);
-  /// Uniformly selects one element of a non-empty vector.
-  template <typename T>
-  const T& pick(const std::vector<T>& v) {
-    return v[index(v.size())];
-  }
   /// Fisher-Yates shuffle.
   template <typename T>
   void shuffle(std::vector<T>& v) {

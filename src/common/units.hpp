@@ -8,7 +8,6 @@
 #include <cmath>
 #include <compare>
 #include <cstdint>
-#include <string>
 
 namespace pcap {
 
@@ -175,16 +174,5 @@ constexpr Bytes operator""_GiB(unsigned long long v) {
   return Bytes{static_cast<double>(v) * 1024.0 * 1024.0 * 1024.0};
 }
 }  // namespace literals
-
-// -- formatting ------------------------------------------------------------
-
-/// "12.3 W" / "4.56 kW" depending on magnitude.
-std::string to_string(Watts w);
-/// "1.23 kJ" / "4.5 MJ" depending on magnitude.
-std::string to_string(Joules j);
-/// "90 s" / "1.5 h" depending on magnitude.
-std::string to_string(Seconds s);
-/// "2.93 GHz".
-std::string to_string(Hertz f);
 
 }  // namespace pcap

@@ -30,38 +30,6 @@ std::size_t Interconnect::switch_of(std::size_t node) const {
   return node / static_cast<std::size_t>(params_.nodes_per_switch);
 }
 
-std::vector<double> Interconnect::uplink_utilization(
-    const std::vector<double>& offered_bytes, Seconds dt) const {
-  if (offered_bytes.size() != num_nodes_) {
-    throw std::invalid_argument("Interconnect: offered size mismatch");
-  }
-  if (dt <= Seconds{0.0}) {
-    throw std::invalid_argument("Interconnect: non-positive dt");
-  }
-  std::vector<double> offered(num_switches_, 0.0);
-  for (std::size_t i = 0; i < num_nodes_; ++i) {
-    offered[switch_of(i)] +=
-        std::max(0.0, offered_bytes[i]) * params_.remote_fraction;
-  }
-  const double capacity = params_.uplink_bandwidth * dt.value();
-  for (double& o : offered) o /= capacity;
-  return offered;
-}
-
-std::vector<double> Interconnect::delivered_fractions(
-    const std::vector<double>& offered_bytes, Seconds dt) const {
-  std::vector<double> fractions(num_nodes_, 1.0);
-  if (!params_.enabled) return fractions;
-
-  const std::vector<double> utilization =
-      uplink_utilization(offered_bytes, dt);
-  for (std::size_t i = 0; i < num_nodes_; ++i) {
-    const double u = utilization[switch_of(i)];
-    if (u > 1.0) fractions[i] = 1.0 / u;
-  }
-  return fractions;
-}
-
 void Interconnect::delivered_fractions_into(
     const std::vector<double>& offered_bytes, Seconds dt,
     std::vector<double>& out) {

@@ -37,29 +37,19 @@ class Interconnect {
   [[nodiscard]] std::size_t num_switches() const { return num_switches_; }
   [[nodiscard]] std::size_t switch_of(std::size_t node) const;
 
-  /// Computes per-node delivered fractions (in (0, 1]) for one interval.
-  /// `offered_bytes[i]` is node i's traffic within `dt`. When disabled,
-  /// every fraction is 1.
-  [[nodiscard]] std::vector<double> delivered_fractions(
-      const std::vector<double>& offered_bytes, Seconds dt) const;
-
-  /// Allocation-free variant for the per-tick hot path: writes the
-  /// fractions into `out` (resized to num_nodes) and reuses an internal
-  /// per-switch scratch buffer, so steady-state ticks never touch the
-  /// heap.
+  /// Computes per-node delivered fractions (in (0, 1]) for one interval
+  /// into `out` (resized to num_nodes). `offered_bytes[i]` is node i's
+  /// traffic within `dt`; when disabled, every fraction is 1. Reuses an
+  /// internal per-switch scratch buffer, so steady-state ticks never
+  /// touch the heap.
   void delivered_fractions_into(const std::vector<double>& offered_bytes,
                                 Seconds dt, std::vector<double>& out);
-
-  /// Per-switch uplink utilisation (offered remote bytes / capacity) for
-  /// the same inputs — can exceed 1 when oversubscribed.
-  [[nodiscard]] std::vector<double> uplink_utilization(
-      const std::vector<double>& offered_bytes, Seconds dt) const;
 
  private:
   InterconnectParams params_;
   std::size_t num_nodes_;
   std::size_t num_switches_;
-  std::vector<double> switch_offered_;  ///< delivered_fractions_into scratch
+  std::vector<double> switch_offered_;  ///< per-switch scratch
 };
 
 }  // namespace pcap::interconnect

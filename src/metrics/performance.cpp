@@ -8,13 +8,6 @@
 
 namespace pcap::metrics {
 
-double JobRecord::energy_delay(int n) const {
-  if (n < 0) throw std::invalid_argument("JobRecord::energy_delay: n < 0");
-  double d = 1.0;
-  for (int i = 0; i < n; ++i) d *= actual_s;
-  return energy_j * d;
-}
-
 std::vector<AppEnergySummary> summarize_by_app(
     const std::vector<JobRecord>& jobs) {
   // Accumulate into local sums and divide only when building the output:

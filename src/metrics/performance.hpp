@@ -34,8 +34,6 @@ struct JobRecord {
   [[nodiscard]] double slowdown_percent() const {
     return baseline_s > 0.0 ? (actual_s / baseline_s - 1.0) * 100.0 : 0.0;
   }
-  /// E x D^n (Penzes & Martin), the per-job energy-delay trade-off.
-  [[nodiscard]] double energy_delay(int n = 1) const;
 };
 
 /// Per-application aggregation of finished-job records.

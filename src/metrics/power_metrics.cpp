@@ -1,8 +1,6 @@
 #include "metrics/power_metrics.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <stdexcept>
 
 namespace pcap::metrics {
 
@@ -30,47 +28,10 @@ Joules overspent_energy(const PowerTrace& trace, Watts threshold) {
   return Joules{over * trace.dt.value()};
 }
 
-Seconds time_above(const PowerTrace& trace, Watts threshold) {
-  std::size_t n = 0;
-  for (const double w : trace.watts) {
-    if (w > threshold.value()) ++n;
-  }
-  return trace.dt * static_cast<double>(n);
-}
-
 double accumulated_overspend(const PowerTrace& trace, Watts threshold) {
   const Joules total = total_energy(trace);
   if (total <= Joules{0.0}) return 0.0;
   return overspent_energy(trace, threshold) / total;
-}
-
-double fraction_above(const PowerTrace& trace, Watts threshold) {
-  if (trace.empty()) return 0.0;
-  // Strict comparison, like time_above and overspent_energy: a sample
-  // exactly at the threshold is not overspending.
-  std::size_t n = 0;
-  for (const double w : trace.watts) {
-    if (w > threshold.value()) ++n;
-  }
-  return static_cast<double>(n) / static_cast<double>(trace.size());
-}
-
-double energy_delay_product(Joules energy, Seconds delay, int n) {
-  if (n < 0) throw std::invalid_argument("energy_delay_product: n < 0");
-  return energy.value() * std::pow(delay.value(), n);
-}
-
-double work_per_watt(double work_units, Joules energy, Seconds duration) {
-  if (duration <= Seconds{0.0} || energy <= Joules{0.0}) return 0.0;
-  const Watts mean = energy / duration;
-  return work_units / duration.value() / mean.value();
-}
-
-double pue(Watts facility, Watts it_equipment) {
-  if (it_equipment <= Watts{0.0}) {
-    throw std::invalid_argument("pue: IT power must be positive");
-  }
-  return facility / it_equipment;
 }
 
 }  // namespace pcap::metrics

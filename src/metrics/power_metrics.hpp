@@ -5,8 +5,7 @@
 //
 // i.e. the overspent energy above the provision threshold relative to the
 // total energy — a proxy for the accumulated thermal impact of power
-// overload. Also provides the classic survey metrics the paper reviews
-// (E×Dⁿ, throughput/W, PUE) for completeness.
+// overload.
 #pragma once
 
 #include <vector>
@@ -31,10 +30,8 @@ struct PowerTrace {
 
 // Threshold-boundary convention: a sample sitting EXACTLY at the
 // threshold is not "above" it. overspent_energy contributes zero there
-// (max(0, P - th) == 0), so time_above, fraction_above and
-// accumulated_overspend all use the same strict P > th comparison — a
-// trace pinned at the threshold reports zero overspend, zero time above
-// and zero fraction above, never a mix.
+// (max(0, P - th) == 0), and so does accumulated_overspend — a trace
+// pinned at the threshold reports zero overspend.
 
 /// Peak power P_max of the trace (0 for an empty trace).
 Watts peak_power(const PowerTrace& trace);
@@ -48,27 +45,8 @@ Joules total_energy(const PowerTrace& trace);
 /// Energy spent above the threshold: ∫_{P>th} (P - th) dt.
 Joules overspent_energy(const PowerTrace& trace, Watts threshold);
 
-/// Total time spent strictly above the threshold.
-Seconds time_above(const PowerTrace& trace, Watts threshold);
-
 /// The paper's ΔP×T metric. Returns 0 for an empty trace or zero total
 /// energy.
 double accumulated_overspend(const PowerTrace& trace, Watts threshold);
-
-/// Fraction of samples strictly above the threshold (0 for an empty
-/// trace). Agrees with time_above on every sample:
-/// fraction_above * duration == time_above.
-double fraction_above(const PowerTrace& trace, Watts threshold);
-
-// -- survey metrics (§I.B) ---------------------------------------------------
-
-/// E×Dⁿ: energy times delay^n (Penzes & Martin).
-double energy_delay_product(Joules energy, Seconds delay, int n = 1);
-
-/// Green500-style efficiency: useful work per watt.
-double work_per_watt(double work_units, Joules energy, Seconds duration);
-
-/// Power Usage Effectiveness: facility power over IT power (>= 1).
-double pue(Watts facility, Watts it_equipment);
 
 }  // namespace pcap::metrics

@@ -122,11 +122,6 @@ CycleDecision CappingEngine::red_cycle(const PolicyContext& ctx) {
   return d;
 }
 
-void CappingEngine::reset() {
-  time_g_ = 0;
-  degraded_.clear();
-}
-
 EngineCheckpoint CappingEngine::checkpoint() const {
   EngineCheckpoint cp;
   cp.time_g = time_g_;

@@ -82,9 +82,6 @@ class CappingEngine {
   }
   [[nodiscard]] const CappingParams& params() const { return params_; }
 
-  /// Forgets all throttling history (e.g. when capping is switched off).
-  void reset();
-
   /// Records a non-green cycle without running a decision: Time_g := 0,
   /// A_degraded untouched. The zone tree calls this for shards it skips
   /// in yellow/red (no capacity left / already floored), so a later green

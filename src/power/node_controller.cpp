@@ -24,10 +24,4 @@ std::size_t NodeController::apply(const std::vector<LevelCommand>& commands,
   return changed;
 }
 
-void NodeController::reset_counters() {
-  received_ = 0;
-  applied_ = 0;
-  clamped_ = 0;
-}
-
 }  // namespace pcap::power

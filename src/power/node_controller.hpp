@@ -34,8 +34,6 @@ class NodeController {
   /// change the level, and an ignored one may simply have been a no-op.
   [[nodiscard]] std::uint64_t commands_clamped() const { return clamped_; }
 
-  void reset_counters();
-
  private:
   std::uint64_t received_ = 0;
   std::uint64_t applied_ = 0;

@@ -117,9 +117,7 @@ void ActuationReconciler::observe_node(hw::NodeId id, hw::Level observed,
     // (reboot reset, partial transition acked long ago, operator). Heal
     // it back to the believed level and track the heal like any command.
     ++work.divergences;
-    ++divergences_;
     ++work.heals;
-    ++heals_;
     work.commands.push_back(LevelCommand{id, s.believed_level});
     register_pending(s, s.believed_level, now_cycle);
   }
@@ -189,7 +187,6 @@ void ActuationReconciler::admit(const std::vector<LevelCommand>& decided,
     Slot& s = slots_.touch(cmd.node);
     if (s.unresponsive) {
       ++work.suppressed;
-      ++suppressed_;
       continue;
     }
     if (s.has_pending && s.pending_target == cmd.level) {

@@ -144,12 +144,7 @@ class ActuationReconciler {
   // Cumulative counters over the reconciler's lifetime.
   [[nodiscard]] std::uint64_t total_acks() const { return acks_; }
   [[nodiscard]] std::uint64_t total_retries() const { return retries_; }
-  [[nodiscard]] std::uint64_t total_divergences() const {
-    return divergences_;
-  }
-  [[nodiscard]] std::uint64_t total_heals() const { return heals_; }
   [[nodiscard]] std::uint64_t total_abandoned() const { return abandoned_; }
-  [[nodiscard]] std::uint64_t total_suppressed() const { return suppressed_; }
   [[nodiscard]] std::uint64_t total_readmitted() const { return readmitted_; }
   [[nodiscard]] std::uint64_t total_adopted() const { return adopted_; }
 
@@ -200,10 +195,7 @@ class ActuationReconciler {
   std::size_t unresponsive_count_ = 0;
   std::uint64_t acks_ = 0;
   std::uint64_t retries_ = 0;
-  std::uint64_t divergences_ = 0;
-  std::uint64_t heals_ = 0;
   std::uint64_t abandoned_ = 0;
-  std::uint64_t suppressed_ = 0;
   std::uint64_t readmitted_ = 0;
   std::uint64_t adopted_ = 0;
 };

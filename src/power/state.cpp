@@ -4,18 +4,6 @@
 
 namespace pcap::power {
 
-const char* power_state_name(PowerState s) {
-  switch (s) {
-    case PowerState::kGreen:
-      return "green";
-    case PowerState::kYellow:
-      return "yellow";
-    case PowerState::kRed:
-      return "red";
-  }
-  return "?";
-}
-
 PowerState classify_power(Watts p, Watts p_low, Watts p_high) {
   if (p_low > p_high) {
     throw std::invalid_argument("classify_power: P_L > P_H");

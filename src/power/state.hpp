@@ -11,8 +11,6 @@ namespace pcap::power {
 
 enum class PowerState { kGreen, kYellow, kRed };
 
-const char* power_state_name(PowerState s);
-
 /// Classifies a measured system power against the two thresholds.
 /// Green: P < P_L.  Yellow: P_L <= P < P_H.  Red: P >= P_H.
 /// Requires p_low <= p_high.

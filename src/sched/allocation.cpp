@@ -5,16 +5,6 @@
 
 namespace pcap::sched {
 
-const char* allocation_strategy_name(AllocationStrategy s) {
-  switch (s) {
-    case AllocationStrategy::kFirstFit:
-      return "first_fit";
-    case AllocationStrategy::kRandom:
-      return "random";
-  }
-  return "?";
-}
-
 Allocator::Allocator(AllocationStrategy strategy, common::Rng rng)
     : strategy_(strategy), rng_(rng) {}
 

@@ -18,8 +18,6 @@ enum class AllocationStrategy {
   kRandom,    ///< uniformly random free nodes (spreads heat)
 };
 
-const char* allocation_strategy_name(AllocationStrategy s);
-
 struct Allocation {
   std::vector<hw::NodeId> nodes;
   std::vector<int> procs_per_node;  ///< parallel to `nodes`

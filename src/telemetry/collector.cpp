@@ -185,13 +185,4 @@ std::optional<SampleHistoryView> Collector::history(hw::NodeId id) const {
   return history_at_slot(slot);
 }
 
-Watts Collector::estimated_candidate_power() const {
-  Watts total{0.0};
-  for (std::size_t slot = 0; slot < candidates_.size(); ++slot) {
-    if (hist_size_[slot] == 0) continue;
-    total += history_at_slot(slot).back().estimated_power;
-  }
-  return total;
-}
-
 }  // namespace pcap::telemetry

@@ -167,9 +167,6 @@ class Collector {
   /// per-layer metric.
   [[nodiscard]] bool dedup_active() const { return false; }
 
-  /// Sum of the latest estimated powers over the candidate set.
-  [[nodiscard]] Watts estimated_candidate_power() const;
-
   /// Modelled CPU utilisation of the management node in the last cycle.
   [[nodiscard]] double last_cycle_manager_utilization() const {
     return last_manager_utilization_;

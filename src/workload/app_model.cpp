@@ -11,12 +11,6 @@ double AppModel::iteration_seconds() const {
   return total;
 }
 
-double AppModel::prologue_seconds() const {
-  double total = 0.0;
-  for (const Phase& p : prologue) total += p.seconds_per_iteration;
-  return total;
-}
-
 double AppModel::duration_at(int nprocs) const {
   if (nprocs <= 0) {
     throw std::invalid_argument("AppModel::duration_at: nprocs <= 0");
@@ -46,16 +40,6 @@ const Phase& AppModel::phase_at(double progress_seconds) const {
     within -= p.seconds_per_iteration;
   }
   return iteration.back();  // numerical edge: exactly at the boundary
-}
-
-double AppModel::mean_cpu_utilization() const {
-  const double iter = iteration_seconds();
-  if (iter <= 0.0) return 0.0;
-  double weighted = 0.0;
-  for (const Phase& p : iteration) {
-    weighted += p.cpu_utilization * p.seconds_per_iteration;
-  }
-  return weighted / iter;
 }
 
 void AppModel::validate() const {

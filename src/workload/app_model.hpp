@@ -33,19 +33,12 @@ struct AppModel {
   /// Seconds of one full iteration at full speed.
   [[nodiscard]] double iteration_seconds() const;
 
-  /// Seconds of the one-off prologue at full speed.
-  [[nodiscard]] double prologue_seconds() const;
-
   /// Full-speed duration for an nprocs-process run of this application.
   [[nodiscard]] double duration_at(int nprocs) const;
 
   /// The phase active after `progress` seconds of full-speed execution
   /// (progress is folded into the iteration cycle).
   [[nodiscard]] const Phase& phase_at(double progress_seconds) const;
-
-  /// Average CPU utilisation over one iteration (time-weighted), a rough
-  /// indicator of how power-hungry the application is.
-  [[nodiscard]] double mean_cpu_utilization() const;
 
   /// Validates all phases and scaling parameters.
   void validate() const;

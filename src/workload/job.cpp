@@ -5,28 +5,6 @@
 
 namespace pcap::workload {
 
-const char* job_priority_name(JobPriority p) {
-  switch (p) {
-    case JobPriority::kNormal:
-      return "normal";
-    case JobPriority::kPrivileged:
-      return "privileged";
-  }
-  return "?";
-}
-
-const char* job_state_name(JobState s) {
-  switch (s) {
-    case JobState::kQueued:
-      return "queued";
-    case JobState::kRunning:
-      return "running";
-    case JobState::kFinished:
-      return "finished";
-  }
-  return "?";
-}
-
 Job::Job(JobId id, AppModel app, int nprocs, Seconds submit_time,
          JobPriority priority)
     : id_(id),
@@ -45,23 +23,6 @@ Seconds Job::actual_duration() const {
     throw std::logic_error("Job::actual_duration: job not finished");
   }
   return finish_time_ - start_time_;
-}
-
-int Job::nodes_needed(int cores_per_node) const {
-  if (cores_per_node <= 0) {
-    throw std::invalid_argument("Job::nodes_needed: cores_per_node <= 0");
-  }
-  return (nprocs_ + cores_per_node - 1) / cores_per_node;
-}
-
-int Job::procs_on_node(std::size_t alloc_index, int cores_per_node) const {
-  const int total_nodes = nodes_needed(cores_per_node);
-  if (alloc_index >= static_cast<std::size_t>(total_nodes)) return 0;
-  if (alloc_index + 1 < static_cast<std::size_t>(total_nodes)) {
-    return cores_per_node;
-  }
-  const int rem = nprocs_ % cores_per_node;
-  return rem == 0 ? cores_per_node : rem;
 }
 
 void Job::start(std::vector<hw::NodeId> nodes, std::vector<int> procs_per_node,
@@ -106,10 +67,6 @@ bool Job::advance(Seconds dt, double progress_rate, Seconds now_end) {
     return true;
   }
   return false;
-}
-
-double Job::remaining_seconds() const {
-  return std::max(0.0, duration_s_ - progress_s_);
 }
 
 const Phase& Job::current_phase() const { return app_.phase_at(progress_s_); }

@@ -14,14 +14,10 @@ using JobId = std::uint64_t;
 
 enum class JobState { kQueued, kRunning, kFinished };
 
-const char* job_state_name(JobState s);
-
 /// §II.A: jobs that are "urgent, of high priority in real-time systems,
 /// or critical to the system's performance" make their nodes privileged —
 /// such nodes must never be degraded and are excluded from A_candidate.
 enum class JobPriority { kNormal, kPrivileged };
-
-const char* job_priority_name(JobPriority p);
 
 class Job {
  public:
@@ -50,14 +46,6 @@ class Job {
   /// finished.
   [[nodiscard]] Seconds actual_duration() const;
 
-  /// Number of whole nodes an allocation needs given cores per node.
-  [[nodiscard]] int nodes_needed(int cores_per_node) const;
-
-  /// Processes placed on the i-th allocated node (whole nodes filled
-  /// first; the last node may be partial).
-  [[nodiscard]] int procs_on_node(std::size_t alloc_index,
-                                  int cores_per_node) const;
-
   // -- lifecycle -------------------------------------------------------------
   /// Transition queued -> running on the given nodes at time `now`.
   /// `procs_per_node[i]` processes are placed on `nodes[i]`; the placement
@@ -73,8 +61,6 @@ class Job {
 
   /// Full-speed seconds of execution completed so far.
   [[nodiscard]] double progress_seconds() const { return progress_s_; }
-  /// Remaining full-speed seconds.
-  [[nodiscard]] double remaining_seconds() const;
   /// Phase currently executing (by progress position).
   [[nodiscard]] const Phase& current_phase() const;
 

@@ -107,12 +107,5 @@ TEST(Allocator, RandomStrategyVariesSelection) {
   EXPECT_GT(selections.size(), 1u);
 }
 
-TEST(AllocationStrategyNames, AreStable) {
-  EXPECT_STREQ(allocation_strategy_name(AllocationStrategy::kFirstFit),
-               "first_fit");
-  EXPECT_STREQ(allocation_strategy_name(AllocationStrategy::kRandom),
-               "random");
-}
-
 }  // namespace
 }  // namespace pcap::sched

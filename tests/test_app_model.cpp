@@ -79,17 +79,11 @@ TEST(AppModel, PrologueRunsOnceThenIterates) {
                       .mem_fraction = 0.1,
                       .comm_bytes_per_proc_per_s = 0.0,
                       .seconds_per_iteration = 50.0}};
-  EXPECT_DOUBLE_EQ(m.prologue_seconds(), 50.0);
   EXPECT_EQ(m.phase_at(0.0).name, "init");
   EXPECT_EQ(m.phase_at(49.9).name, "init");
   EXPECT_EQ(m.phase_at(50.0).name, "hot");
   EXPECT_EQ(m.phase_at(80.0).name, "cold");
   EXPECT_EQ(m.phase_at(90.0).name, "hot");  // cycling excludes the prologue
-}
-
-TEST(AppModel, MeanCpuUtilizationTimeWeighted) {
-  // (0.9*30 + 0.3*10) / 40 = 0.75.
-  EXPECT_NEAR(two_phase_app().mean_cpu_utilization(), 0.75, 1e-12);
 }
 
 TEST(AppModel, ValidateAcceptsGoodModel) {

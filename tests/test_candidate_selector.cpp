@@ -107,14 +107,6 @@ TEST(CandidateSelector, BadPeriodThrows) {
   EXPECT_THROW(CandidateSelector{p}, std::invalid_argument);
 }
 
-TEST(JobPriority, Names) {
-  EXPECT_STREQ(workload::job_priority_name(workload::JobPriority::kNormal),
-               "normal");
-  EXPECT_STREQ(
-      workload::job_priority_name(workload::JobPriority::kPrivileged),
-      "privileged");
-}
-
 TEST(JobPriority, GeneratorHonoursFraction) {
   auto gen = workload::JobGenerator::paper_default(
       common::Rng(5), 0, workload::NpbClass::kC, 0.3);

@@ -346,16 +346,6 @@ TEST(Capping, RejoiningNodeIsNotRestoredAbovePreThrottleLevel) {
   EXPECT_TRUE(e.degraded().empty());
 }
 
-TEST(Capping, ResetForgetsHistory) {
-  CappingEngine e(tg(3));
-  FixedPolicy policy({0});
-  const auto ctx = make_ctx(1, 9);
-  e.cycle(PowerState::kYellow, policy, ctx);
-  e.reset();
-  EXPECT_TRUE(e.degraded().empty());
-  EXPECT_EQ(e.green_timer(), 0);
-}
-
 TEST(Capping, NonPositiveTgThrows) {
   EXPECT_THROW(CappingEngine(tg(0)), std::invalid_argument);
 }

@@ -191,15 +191,5 @@ TEST(Cluster, BadConfigThrows) {
   EXPECT_THROW(Cluster{cfg}, std::invalid_argument);
 }
 
-TEST(Cluster, ClearRecordingResets) {
-  Cluster c(small_config());
-  c.start_recording();
-  c.run(Seconds{60.0});
-  EXPECT_GT(c.recorder().size(), 0u);
-  c.clear_recording();
-  EXPECT_EQ(c.recorder().size(), 0u);
-  EXPECT_TRUE(c.finished_records().empty());
-}
-
 }  // namespace
 }  // namespace pcap::cluster

@@ -106,16 +106,6 @@ TEST(Collector, SurvivingCandidateKeepsHistoryAcrossSetChange) {
   EXPECT_TRUE(c.latest(0).has_value());
 }
 
-TEST(Collector, EstimatedCandidatePowerSums) {
-  Collector c(quiet_params(), common::Rng(8));
-  c.set_candidate_set({0, 1});
-  auto nodes = make_nodes(2);
-  c.collect(nodes, Seconds{1.0}, 1);
-  const double expected = nodes[0].estimated_power().value() +
-                          nodes[1].estimated_power().value();
-  EXPECT_NEAR(c.estimated_candidate_power().value(), expected, 1e-9);
-}
-
 TEST(Collector, OutOfRangeCandidateThrows) {
   Collector c(quiet_params(), common::Rng(9));
   c.set_candidate_set({5});

@@ -77,32 +77,9 @@ TEST(Config, EmptyKeyThrows) {
   EXPECT_THROW(Config::parse(" = value\n"), std::runtime_error);
 }
 
-TEST(Config, DoubleList) {
-  const Config c = Config::parse("freqs = 1.6, 1.73, 2.93\n");
-  const auto v = c.get_double_list("freqs", {});
-  ASSERT_EQ(v.size(), 3u);
-  EXPECT_DOUBLE_EQ(v[0], 1.6);
-  EXPECT_DOUBLE_EQ(v[2], 2.93);
-}
-
-TEST(Config, DoubleListDefault) {
-  const Config c = Config::parse("");
-  const auto v = c.get_double_list("freqs", {1.0, 2.0});
-  ASSERT_EQ(v.size(), 2u);
-}
-
 TEST(Config, LastValueWins) {
   const Config c = Config::parse("x = 1\nx = 2\n");
   EXPECT_EQ(c.get_int("x", 0), 2);
-}
-
-TEST(Config, MergeOverrides) {
-  Config base = Config::parse("a = 1\nb = 2\n");
-  const Config over = Config::parse("b = 3\nc = 4\n");
-  base.merge(over);
-  EXPECT_EQ(base.get_int("a", 0), 1);
-  EXPECT_EQ(base.get_int("b", 0), 3);
-  EXPECT_EQ(base.get_int("c", 0), 4);
 }
 
 TEST(Config, RoundTripThroughToString) {
@@ -114,8 +91,6 @@ TEST(Config, RoundTripThroughToString) {
 
 TEST(Config, HasAndRaw) {
   const Config c = Config::parse("x = 7\n");
-  EXPECT_TRUE(c.has("x"));
-  EXPECT_FALSE(c.has("y"));
   EXPECT_EQ(c.raw("x").value(), "7");
   EXPECT_FALSE(c.raw("y").has_value());
 }

@@ -30,22 +30,6 @@ TEST(Job, RejectsNonPositiveProcs) {
                std::invalid_argument);
 }
 
-TEST(Job, NodesNeededCeils) {
-  const Job j = make_job(24);
-  EXPECT_EQ(j.nodes_needed(12), 2);
-  EXPECT_EQ(j.nodes_needed(10), 3);
-  EXPECT_EQ(j.nodes_needed(24), 1);
-  EXPECT_EQ(j.nodes_needed(5), 5);
-}
-
-TEST(Job, ProcsOnNodeFillsWholeNodesFirst) {
-  const Job j = make_job(25);
-  EXPECT_EQ(j.procs_on_node(0, 12), 12);
-  EXPECT_EQ(j.procs_on_node(1, 12), 12);
-  EXPECT_EQ(j.procs_on_node(2, 12), 1);
-  EXPECT_EQ(j.procs_on_node(3, 12), 0);  // beyond the allocation
-}
-
 TEST(Job, StartTransitionsToRunning) {
   Job j = make_job(24);
   j.start({0, 1}, {12, 12}, Seconds{150.0});
@@ -142,15 +126,6 @@ TEST(Job, ThrottledJobTakesLonger) {
   EXPECT_NEAR(b_finish / a_finish, 1.0 / 0.8, 0.01);
 }
 
-TEST(Job, RemainingSecondsCountsDown) {
-  Job j = make_job(12);
-  const double dur = j.baseline_duration().value();
-  j.start({0}, {12}, Seconds{0.0});
-  EXPECT_DOUBLE_EQ(j.remaining_seconds(), dur);
-  j.advance(Seconds{10.0}, 1.0, Seconds{10.0});
-  EXPECT_DOUBLE_EQ(j.remaining_seconds(), dur - 10.0);
-}
-
 TEST(Job, CurrentPhaseFollowsProgress) {
   Job j(7, npb_by_name("lu", NpbClass::kD), 12, Seconds{0.0});
   j.start({0}, {12}, Seconds{0.0});
@@ -165,12 +140,6 @@ TEST(Job, ActualDurationBeforeFinishThrows) {
   EXPECT_THROW((void)j.actual_duration(), std::logic_error);
   j.start({0}, {12}, Seconds{0.0});
   EXPECT_THROW((void)j.actual_duration(), std::logic_error);
-}
-
-TEST(Job, StateNames) {
-  EXPECT_STREQ(job_state_name(JobState::kQueued), "queued");
-  EXPECT_STREQ(job_state_name(JobState::kRunning), "running");
-  EXPECT_STREQ(job_state_name(JobState::kFinished), "finished");
 }
 
 }  // namespace

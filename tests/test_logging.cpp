@@ -37,16 +37,6 @@ TEST(Logging, LevelNames) {
   EXPECT_STREQ(log_level_name(LogLevel::kOff), "OFF");
 }
 
-TEST(Logging, ParseLevels) {
-  EXPECT_EQ(parse_log_level("trace"), LogLevel::kTrace);
-  EXPECT_EQ(parse_log_level("debug"), LogLevel::kDebug);
-  EXPECT_EQ(parse_log_level("info"), LogLevel::kInfo);
-  EXPECT_EQ(parse_log_level("warn"), LogLevel::kWarn);
-  EXPECT_EQ(parse_log_level("error"), LogLevel::kError);
-  EXPECT_EQ(parse_log_level("off"), LogLevel::kOff);
-  EXPECT_EQ(parse_log_level("bogus"), LogLevel::kInfo);  // fallback
-}
-
 TEST(Logging, SinkReceivesFormattedMessage) {
   LogCapture cap;
   Logger::instance().set_level(LogLevel::kInfo);

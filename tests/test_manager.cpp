@@ -249,15 +249,6 @@ TEST(NodeController, UnknownNodeThrows) {
   EXPECT_THROW(ctl.apply({{7, 3}}, rig.nodes), std::out_of_range);
 }
 
-TEST(NodeController, ResetCounters) {
-  Rig rig(1);
-  NodeController ctl;
-  ctl.apply({{0, 3}}, rig.nodes);
-  ctl.reset_counters();
-  EXPECT_EQ(ctl.commands_received(), 0u);
-  EXPECT_EQ(ctl.transitions_applied(), 0u);
-}
-
 TEST(NoCappingManager, DoesNothing) {
   Rig rig(2);
   rig.load(0.9);

@@ -87,15 +87,6 @@ TEST(Summary, SlowdownStatistics) {
   EXPECT_DOUBLE_EQ(s.worst_slowdown_percent, 30.0);
 }
 
-TEST(JobRecord, EnergyDelayProduct) {
-  JobRecord r = rec(100.0, 120.0);
-  r.energy_j = 500.0;
-  EXPECT_DOUBLE_EQ(r.energy_delay(0), 500.0);
-  EXPECT_DOUBLE_EQ(r.energy_delay(1), 500.0 * 120.0);
-  EXPECT_DOUBLE_EQ(r.energy_delay(2), 500.0 * 120.0 * 120.0);
-  EXPECT_THROW((void)r.energy_delay(-1), std::invalid_argument);
-}
-
 TEST(SummarizeByApp, GroupsAndAverages) {
   JobRecord a = rec(100.0, 110.0);
   a.app = "EP";
@@ -157,15 +148,6 @@ TEST(SummarizeByApp, ZeroDurationJobDoesNotPoisonMeans) {
   EXPECT_EQ(by_app[0].jobs, 2u);
   EXPECT_DOUBLE_EQ(by_app[0].mean_energy_j, 150.0);
   EXPECT_DOUBLE_EQ(by_app[0].mean_duration_s, 50.0);
-}
-
-TEST(EnergyDelayProduct, ZeroExponentIsEnergy) {
-  // E x D^0 == E even for a zero-duration delay (0^0 treated as 1 by
-  // the loop formulation — no pow(0, 0) surprise).
-  JobRecord r = rec(100.0, 0.0);
-  r.energy_j = 500.0;
-  EXPECT_DOUBLE_EQ(r.energy_delay(0), 500.0);
-  EXPECT_DOUBLE_EQ(r.energy_delay(1), 0.0);
 }
 
 TEST(Summary, UncappedRunScoresPerfectly) {

@@ -49,20 +49,6 @@ TEST(OverspentEnergy, ZeroWhenNeverAbove) {
       overspent_energy(trace({100.0, 120.0}), Watts{150.0}).value(), 0.0);
 }
 
-TEST(TimeAbove, CountsSamples) {
-  EXPECT_DOUBLE_EQ(
-      time_above(trace({200.0, 100.0, 151.0}, 2.0), Watts{150.0}).value(),
-      4.0);
-}
-
-TEST(TimeAbove, ThresholdExactSampleIsNotAbove) {
-  // The boundary convention (power_metrics.hpp): a sample sitting exactly
-  // at the threshold is NOT above it, matching overspent_energy's
-  // max(0, w - th) which contributes nothing there.
-  EXPECT_DOUBLE_EQ(
-      time_above(trace({150.0, 150.0, 150.0}), Watts{150.0}).value(), 0.0);
-}
-
 TEST(AccumulatedOverspend, MatchesPaperFormula) {
   // P = {200, 100, 300}, th = 150. Overspend = 200, total = 600.
   EXPECT_NEAR(accumulated_overspend(trace({200.0, 100.0, 300.0}),
@@ -97,22 +83,6 @@ TEST(AccumulatedOverspend, CappingReducesIt) {
             accumulated_overspend(uncapped, Watts{150.0}));
 }
 
-TEST(FractionAbove, CountsStrictlyAbove) {
-  // Strict >: the threshold-exact 150 W sample does not count. Before the
-  // fix this returned 2/3 (inclusive) while time_above said 1 sample.
-  EXPECT_DOUBLE_EQ(fraction_above(trace({100.0, 150.0, 200.0}), Watts{150.0}),
-                   1.0 / 3.0);
-  EXPECT_DOUBLE_EQ(fraction_above(trace({}), Watts{1.0}), 0.0);
-}
-
-TEST(FractionAbove, AgreesWithTimeAboveAtThreshold) {
-  // fraction_above * duration == time_above, including at the boundary.
-  const auto t = trace({149.9, 150.0, 150.1, 200.0}, 2.0);
-  EXPECT_DOUBLE_EQ(
-      fraction_above(t, Watts{150.0}) * t.duration().value(),
-      time_above(t, Watts{150.0}).value());
-}
-
 TEST(AccumulatedOverspend, ZeroDtTraceIsZero) {
   // Degenerate dt = 0: both integrals vanish; no division blow-up.
   EXPECT_DOUBLE_EQ(
@@ -126,53 +96,21 @@ TEST(AccumulatedOverspend, AllBelowThresholdIsZero) {
 
 TEST(AccumulatedOverspend, AllAtThresholdIsZero) {
   // Every sample exactly at the threshold overspends nothing — the same
-  // boundary convention time_above/fraction_above follow.
+  // boundary convention overspent_energy follows.
   EXPECT_DOUBLE_EQ(
       accumulated_overspend(trace({150.0, 150.0, 150.0}), Watts{150.0}),
       0.0);
 }
 
-TEST(BoundaryConvention, AllFourMetricsAgreeOnAThresholdExactSample) {
+TEST(BoundaryConvention, OverspendMetricsAgreeOnAThresholdExactSample) {
   // ΔP×T boundary pin: one sample exactly AT the threshold, one below,
-  // one strictly above. All four metrics must count only the strict
-  // excursion — an exact-at-threshold sample contributes zero overspend,
-  // zero time and zero fraction, never a mix of conventions.
+  // one strictly above. Both overspend metrics must count only the strict
+  // excursion — an exact-at-threshold sample contributes zero overspend.
   const auto t = trace({150.0, 149.0, 151.0}, 2.0);
   const Watts th{150.0};
   EXPECT_DOUBLE_EQ(overspent_energy(t, th).value(), 1.0 * 2.0);
-  EXPECT_DOUBLE_EQ(time_above(t, th).value(), 2.0);
-  EXPECT_DOUBLE_EQ(fraction_above(t, th), 1.0 / 3.0);
   EXPECT_DOUBLE_EQ(accumulated_overspend(t, th),
                    (1.0 * 2.0) / ((150.0 + 149.0 + 151.0) * 2.0));
-}
-
-TEST(EnergyDelayProduct, Powers) {
-  EXPECT_DOUBLE_EQ(energy_delay_product(Joules{100.0}, Seconds{2.0}, 1),
-                   200.0);
-  EXPECT_DOUBLE_EQ(energy_delay_product(Joules{100.0}, Seconds{2.0}, 2),
-                   400.0);
-  EXPECT_DOUBLE_EQ(energy_delay_product(Joules{100.0}, Seconds{2.0}, 0),
-                   100.0);
-  EXPECT_THROW(energy_delay_product(Joules{1.0}, Seconds{1.0}, -1),
-               std::invalid_argument);
-}
-
-TEST(WorkPerWatt, Green500Style) {
-  // 1000 work units in 10 s at mean 50 W -> 100 units/s / 50 W = 2.
-  EXPECT_DOUBLE_EQ(work_per_watt(1000.0, Joules{500.0}, Seconds{10.0}), 2.0);
-  EXPECT_DOUBLE_EQ(work_per_watt(1.0, Joules{0.0}, Seconds{10.0}), 0.0);
-}
-
-TEST(WorkPerWatt, ZeroDurationIsZero) {
-  // Degenerate zero/negative durations short-circuit to 0 instead of
-  // dividing by zero.
-  EXPECT_DOUBLE_EQ(work_per_watt(1000.0, Joules{500.0}, Seconds{0.0}), 0.0);
-  EXPECT_DOUBLE_EQ(work_per_watt(1000.0, Joules{500.0}, Seconds{-1.0}), 0.0);
-}
-
-TEST(Pue, FacilityOverIt) {
-  EXPECT_DOUBLE_EQ(pue(Watts{170.0}, Watts{100.0}), 1.7);
-  EXPECT_THROW(pue(Watts{100.0}, Watts{0.0}), std::invalid_argument);
 }
 
 }  // namespace

@@ -46,12 +46,6 @@ TEST(PowerState, InvertedThresholdsThrow) {
                std::invalid_argument);
 }
 
-TEST(PowerState, Names) {
-  EXPECT_STREQ(power_state_name(PowerState::kGreen), "green");
-  EXPECT_STREQ(power_state_name(PowerState::kYellow), "yellow");
-  EXPECT_STREQ(power_state_name(PowerState::kRed), "red");
-}
-
 // Property: classification is monotone in P for any valid thresholds.
 class StateMonotone
     : public ::testing::TestWithParam<std::tuple<double, double>> {};

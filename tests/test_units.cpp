@@ -76,28 +76,5 @@ TEST(Units, DefaultConstructedIsZero) {
   EXPECT_DOUBLE_EQ(Seconds{}.value(), 0.0);
 }
 
-TEST(UnitsFormat, WattsScales) {
-  EXPECT_EQ(to_string(Watts{12.0}), "12 W");
-  EXPECT_EQ(to_string(Watts{4550.0}), "4.55 kW");
-  EXPECT_EQ(to_string(Watts{12.659e6}), "12.7 MW");
-}
-
-TEST(UnitsFormat, SecondsScales) {
-  EXPECT_EQ(to_string(Seconds{30.0}), "30 s");
-  EXPECT_EQ(to_string(Seconds{90.0}), "1.5 min");
-  EXPECT_EQ(to_string(Seconds{7200.0}), "2 h");
-}
-
-TEST(UnitsFormat, JoulesScales) {
-  EXPECT_EQ(to_string(Joules{500.0}), "500 J");
-  EXPECT_EQ(to_string(Joules{2500.0}), "2.5 kJ");
-  EXPECT_EQ(to_string(Joules{3.2e6}), "3.2 MJ");
-  EXPECT_EQ(to_string(Joules{7.5e9}), "7.5 GJ");
-}
-
-TEST(UnitsFormat, Hertz) {
-  EXPECT_EQ(to_string(Hertz{2.93e9}), "2.93 GHz");
-}
-
 }  // namespace
 }  // namespace pcap
