@@ -18,10 +18,11 @@
 //
 // --verify runs each population four ways — {serial, parallel} x
 // {quiescence on, off} — with trace recording on, folds every cycle point
-// (meter power, state, targets, transitions, reconciler counters) and
-// every finished job's energy attribution into an FNV-1a digest, and
-// fails (exit 1) unless all four digests are bit-identical. This is the
-// CI determinism gate for the event-driven tick path.
+// (meter power, state, targets, transitions, reconciler counters), every
+// finished job's energy attribution and every candidate's newest held
+// telemetry sample (cycle, estimated power, level, busy) into an FNV-1a
+// digest, and fails (exit 1) unless all four digests are bit-identical.
+// This is the CI determinism gate for the event-driven tick path.
 //
 // --obs=off disables the cycle-phase span timers (ClusterConfig::
 // obs_timing); counters and gauges stay live either way. Pairing an
@@ -67,7 +68,7 @@ cluster::Cluster make_cluster(std::size_t nodes, std::size_t worker_threads,
   return cluster::Cluster(cfg);
 }
 
-void attach_manager(cluster::Cluster& cl) {
+const power::ZoneTreeManager& attach_manager(cluster::Cluster& cl) {
   power::CappingManagerParams p;
   p.thresholds.provision = cl.theoretical_peak() * 0.9;
   p.thresholds.training_cycles = 0;
@@ -77,7 +78,9 @@ void attach_manager(cluster::Cluster& cl) {
       power::ZoneTreeParams{}, p, [] { return power::make_policy("mpc"); },
       common::Rng(1234u ^ 0x9d2c5680u));
   mgr->set_candidate_set(cl.controllable_nodes());
+  const power::ZoneTreeManager& tree = *mgr;
   cl.set_manager(std::move(mgr));
+  return tree;
 }
 
 double run_case(const Case& c, std::size_t worker_threads, bool obs_timing,
@@ -121,14 +124,15 @@ std::uint64_t fnv_mix(std::uint64_t h, const void* p, std::size_t n) {
 }
 
 /// One full recorded run, folded to a digest: every control-cycle point
-/// (meter reading, band, state, actuation and reconciler counters) and
-/// every finished job's identity and attributed energy. Bit-identical
-/// trajectories — the tentpole determinism requirement — give bit-
-/// identical digests; a single ULP of drift anywhere does not.
+/// (meter reading, band, state, actuation and reconciler counters), every
+/// finished job's identity and attributed energy, and every candidate's
+/// newest held telemetry sample. Bit-identical trajectories — the
+/// tentpole determinism requirement — give bit-identical digests; a
+/// single ULP of drift anywhere does not.
 std::uint64_t digest_run(const Case& c, std::size_t worker_threads,
                          bool quiesce) {
   cluster::Cluster cl = make_cluster(c.nodes, worker_threads, false, quiesce);
-  attach_manager(cl);
+  const power::ZoneTreeManager& tree = attach_manager(cl);
   cl.start_recording();
   cl.run(Seconds{static_cast<double>(c.warm + c.measure)});
 
@@ -150,6 +154,21 @@ std::uint64_t digest_run(const Case& c, std::size_t worker_threads,
     h = fnv_mix(h, &id, sizeof(id));
     h = fnv_mix(h, &r.energy_j, sizeof(r.energy_j));
     h = fnv_mix(h, &r.actual_s, sizeof(r.actual_s));
+  }
+  // The telemetry the controller last acted on. Meter readings and
+  // counters move only when a decision does, so agent noise that shifts
+  // no decision shows up here alone.
+  for (std::size_t z = 0; z < tree.zone_count(); ++z) {
+    const telemetry::Collector& col = tree.zone(z).collector();
+    for (const hw::NodeId id : col.candidate_set()) {
+      const auto s = col.latest(id);
+      if (!s) continue;
+      const double est = s->estimated_power.value();
+      const std::int64_t fields[] = {id, static_cast<std::int64_t>(s->cycle),
+                                     s->level, s->busy ? 1 : 0};
+      h = fnv_mix(h, fields, sizeof(fields));
+      h = fnv_mix(h, &est, sizeof(est));
+    }
   }
   return h;
 }
