@@ -64,10 +64,10 @@ struct ManagerReport {
   std::size_t transitions = 0;  ///< level changes actually applied
   double manager_utilization = 0.0;  ///< Fig.5 cost model, this cycle
 
-  // Telemetry health, this cycle. Zero on the steady-green fast path
-  // (no context phase runs) and on a wait cycle (context_phase reconciles
-  // without a build, and only under exact telemetry, where every tally is
-  // zero).
+  // Telemetry health, this cycle. Zero on the steady-green fast path and
+  // on an idle green cycle (no context phase runs), and on a wait cycle
+  // (context_phase reconciles without a build, and only under exact
+  // telemetry, where every tally is zero).
   std::size_t stale_nodes = 0;       ///< views past the sample-age bound
   std::size_t missing_nodes = 0;     ///< candidates with no usable sample
   std::size_t fallback_nodes = 0;    ///< views on a substituted estimate
@@ -76,8 +76,8 @@ struct ManagerReport {
   std::size_t deferred_targets = 0;  ///< targets passed over: command in flight
 
   // Actuation reconciliation, this cycle. Zero whenever no context phase
-  // ran (steady green with nothing pending); a wait cycle reconciles, so
-  // its acks, divergences and heals count.
+  // ran (steady green or an idle green cycle, nothing pending); a wait
+  // cycle reconciles, so its acks, divergences and heals count.
   std::size_t acks = 0;         ///< commands confirmed by telemetry
   std::size_t retries = 0;      ///< unacked commands re-sent
   std::size_t divergences = 0;  ///< observed level != believed level
@@ -214,10 +214,11 @@ struct CappingManagerParams {
   /// Overstating a blind node's draw keeps the aggregate estimate — and
   /// therefore capping — on the safe side of the provision.
   double stale_power_margin = 0.10;
-  /// Steady-green telemetry stride: when the classified state is green and
-  /// nothing is degraded, pending, unresponsive or in flight, the full
-  /// agent sweep runs only every this many cycles (1 = sweep every cycle,
-  /// the legacy cadence). Any cycle that passes the context gate collects
+  /// Steady-green telemetry stride: on a green cycle that fails the
+  /// context gate — nothing degraded, pending, unresponsive or in flight,
+  /// or an idle cycle (see CappingManager::context_gate) — the full agent
+  /// sweep runs only every this many cycles (1 = sweep every cycle, the
+  /// legacy cadence). Any cycle that passes the context gate collects
   /// first — the gate is evaluated before the sweep and can only shrink
   /// between then and context_phase — so neither a context build nor a
   /// wait pass reads across a strided gap, and max_sample_age_cycles
@@ -356,11 +357,28 @@ class CappingManager final {
   /// in_flight/pending state; re-evaluating after it can disagree with
   /// the collect decision made before it (collect skipped, context built
   /// on stale views).
+  ///
+  /// False on a green cycle with nothing degraded, pending, unresponsive,
+  /// in flight or awaiting watchdog adoption, and on an idle green cycle:
+  /// one with A_degraded non-empty but nothing else outstanding, exact
+  /// telemetry, exact actuation (no reboot or failed transition can move
+  /// a level unseen), the candidate set unchanged since the last build,
+  /// and green timer + 2 < T_g, so neither this cycle nor the next one
+  /// restores. Nothing reads what an idle cycle would collect: Algorithm 1
+  /// reads no view before T_g, and the cycle before restoration still
+  /// sweeps, so the restoration build's power_prev is last cycle's sample.
   [[nodiscard]] bool context_gate(PowerState state) const {
-    return state != PowerState::kGreen || !engine_.degraded().empty() ||
-           reconciler_.pending_count() > 0 ||
-           reconciler_.unresponsive_count() > 0 ||
-           channel_.in_flight_count() > 0 || watchdog_pending();
+    if (state != PowerState::kGreen || reconciler_.pending_count() > 0 ||
+        reconciler_.unresponsive_count() > 0 ||
+        channel_.in_flight_count() > 0 || watchdog_pending()) {
+      return true;
+    }
+    if (engine_.degraded().empty()) return false;
+    const bool idle = exact_telemetry_ && !params_.actuation.enabled() &&
+                      !candidates_changed_ &&
+                      engine_.green_timer() + 2 <
+                          engine_.params().steady_green_cycles;
+    return !idle;
   }
 
   /// No loss, no delay, no telemetry faults: a cycle that collected
@@ -537,7 +555,8 @@ class CappingManager final {
   std::int64_t collect_stride_ = 1;
   bool exact_telemetry_ = false;  ///< see exact_telemetry()
   /// Set by set_candidate_set, cleared by a reconciled build: scratch_ctx_
-  /// does not yet hold the current candidate set, so no wait pass.
+  /// does not yet hold the current candidate set, so no wait pass and no
+  /// idle cycle.
   bool candidates_changed_ = true;
   common::ThreadPool* pool_ = nullptr;
   /// Per-slot records from the refill; persist across cycles so the

@@ -35,6 +35,21 @@
 // Phases A (collect), C (context), D (policy) and E (actuate) publish the
 // pcap_cycle_phase_seconds spans.
 //
+// Activity. A zone is ACTIVE on a cycle when it runs a context phase (a
+// build, or on a green wait cycle the reconcile-only wait pass); only an
+// active zone must sweep first, and only an active zone counts in
+// pcap_zone_active_cycles_total and refreshes pcap_zone_power_watts. A
+// green zone is active exactly when its shard's context gate fires
+// (CappingManager::context_gate): something pending, unresponsive, in
+// flight or awaiting watchdog adoption, or A_degraded non-empty on a
+// cycle that is not idle. An idle green cycle — exact telemetry, exact
+// actuation, the candidate set unchanged since the last build, and
+// restoration more than one cycle away — reads nothing, so it neither
+// sweeps (bar the stride's own schedule) nor runs a context phase. The
+// cycle before restoration is never idle. Every live zone still selects
+// on a green cycle, so its green timer ticks; yellow and red activity
+// follow the quiescence rule below.
+//
 // Quiescence (Z >= 2): a zone whose last context phase was CLEAN (no
 // stale/missing/fallback/rejected views, nothing pending, unresponsive or
 // in flight) publishes trustworthy power/capacity hints; a green wait
@@ -150,7 +165,7 @@ class ZoneTreeManager final : public PowerManagerBase {
     return *zones_[z].shard;
   }
   [[nodiscard]] const ZoneTreeParams& params() const { return params_; }
-  /// Zones that ran collect+context+select last cycle (quiescence probe).
+  /// Zones that ran a context phase last cycle (quiescence probe).
   [[nodiscard]] std::size_t zones_active_last_cycle() const {
     return active_last_cycle_;
   }
@@ -182,7 +197,7 @@ class ZoneTreeManager final : public PowerManagerBase {
     bool worst_case_valid = false;
 
     // Per-cycle scratch.
-    bool active = false;   ///< built context + selected this cycle
+    bool active = false;   ///< ran a context phase this cycle
     bool collected = false;
     bool down = false;     ///< zone shard crashed this cycle
     Watts share{0.0};

@@ -126,7 +126,8 @@ class Collector {
                std::size_t monitored_jobs);
 
   /// Advances the collection clock without sweeping any agent — the
-  /// manager's steady-green collect stride and its training cycles. Sample
+  /// manager's steady-green collect stride, its idle green cycles (which
+  /// only occur under exact telemetry) and its training cycles. Sample
   /// ages and reconciler deadlines keep counting (they are denominated in
   /// cycles), but no agent samples, no transport draws, no fault-process
   /// steps happen.

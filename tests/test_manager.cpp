@@ -9,6 +9,7 @@
 #include <string>
 
 #include "hw/node_spec.hpp"
+#include "hw/watchdog.hpp"
 #include "power/policy_registry.hpp"
 #include "support.hpp"
 #include "workload/npb.hpp"
@@ -861,7 +862,10 @@ TEST(WaitPass, WaitCyclesAckAndHealWithoutBuilding) {
   Rig rig(2);
   rig.load(0.9);
   rig.run_job(1, 24);  // nodes 0, 1
-  ZoneTreeManager m = test::one_zone(wait_rig_params(), "mpc");
+  CappingManagerParams p = wait_rig_params();
+  p.capping.steady_green_cycles = 6;
+  const std::int64_t tg = p.capping.steady_green_cycles;
+  ZoneTreeManager m = test::one_zone(p, "mpc");
   m.set_candidate_set({0, 1});
   const CappingManager& shard = m.zone(0);
   const auto builds = [&] { return shard.incremental_stats().full_builds; };
@@ -873,28 +877,37 @@ TEST(WaitPass, WaitCyclesAckAndHealWithoutBuilding) {
   ASSERT_EQ(shard.engine().degraded().size(), 2u);
   EXPECT_EQ(builds(), 1u);
 
-  // Green 1: the gate fires (A_degraded is non-empty), the throttles ack.
+  // Green 1: the gate fires (the throttles are pending), the throttles ack.
   ASSERT_TRUE(shard.context_gate(PowerState::kGreen));
   r = m.cycle(Watts{100.0}, rig.nodes, rig.scheduler, Seconds{2.0});
   EXPECT_EQ(r.acks, 2u);
   EXPECT_EQ(builds(), 1u);
 
-  // Green 2: an external reset is seen, and healed on the same cycle.
+  // An external reset lands on an idle cycle. Nothing reads telemetry
+  // until the forced sweep of the cycle before restoration: the reset is
+  // seen there, within T_g - 2 cycles, and healed on that cycle.
+  ASSERT_FALSE(shard.context_gate(PowerState::kGreen));
   rig.nodes[0].set_level(9);
-  r = m.cycle(Watts{100.0}, rig.nodes, rig.scheduler, Seconds{3.0});
+  int seen_after = 0;
+  double t = 2.0;
+  do {
+    ASSERT_LT(seen_after, tg - 2) << "the reset was never seen";
+    ++seen_after;
+    r = m.cycle(Watts{100.0}, rig.nodes, rig.scheduler, Seconds{++t});
+    ASSERT_EQ(r.state, PowerState::kGreen);
+    EXPECT_EQ(r.targets, 0u);
+    EXPECT_EQ(builds(), 1u);
+  } while (r.divergences == 0);
+  EXPECT_EQ(seen_after, tg - 2);
+  EXPECT_EQ(shard.engine().green_timer() + 1, tg);
   EXPECT_EQ(r.divergences, 1u);
   EXPECT_EQ(r.heals, 1u);
   EXPECT_EQ(rig.nodes[0].level(), 8);
-  EXPECT_EQ(builds(), 1u);
 
-  // Green 3: the heal acks.
-  r = m.cycle(Watts{100.0}, rig.nodes, rig.scheduler, Seconds{4.0});
+  // Green T_g: the heal acks, and Algorithm 1 restores, so this cycle
+  // builds.
+  r = m.cycle(Watts{100.0}, rig.nodes, rig.scheduler, Seconds{++t});
   EXPECT_EQ(r.acks, 1u);
-  EXPECT_EQ(r.targets, 0u);
-  EXPECT_EQ(builds(), 1u);
-
-  // Green 4 = T_g: Algorithm 1 restores, so this cycle builds.
-  r = m.cycle(Watts{100.0}, rig.nodes, rig.scheduler, Seconds{5.0});
   EXPECT_EQ(builds(), 2u);
   EXPECT_EQ(r.targets, 2u);
   EXPECT_EQ(rig.nodes[0].level(), 9);
@@ -955,6 +968,9 @@ TEST(WaitPass, InexactTelemetryBuildsOnEveryGatedCycle) {
 
 // At Z = 2 a zone that waited still reports the power a build would have
 // folded: pcap_zone_power_watts is the sum over a fresh read-only build.
+// With T_g = 4 the first green cycle waits (the floor commands are
+// pending), the second is idle and the third is the cycle before
+// restoration, which waits again.
 TEST(WaitPass, ZoneTreeWaitCycleReportsTheBuildsZonePower) {
   Rig rig(4);
   rig.load(0.9);
@@ -979,12 +995,16 @@ TEST(WaitPass, ZoneTreeWaitCycleReportsTheBuildsZonePower) {
     red_builds[z] = m.zone(z).incremental_stats().full_builds;
     ASSERT_FALSE(m.zone(z).engine().degraded().empty());
   }
-  for (int c = 2; c <= 3; ++c) {
+  for (int c = 2; c <= 4; ++c) {
     const ManagerReport r =
         m.cycle(Watts{100.0}, rig.nodes, rig.scheduler,
                 Seconds{static_cast<double>(c)});
     ASSERT_EQ(r.state, PowerState::kGreen);
-    ASSERT_EQ(m.zones_active_last_cycle(), 2u);
+    if (c == 3) {  // idle
+      ASSERT_EQ(m.zones_active_last_cycle(), 0u);
+      continue;
+    }
+    ASSERT_EQ(m.zones_active_last_cycle(), 2u) << "cycle " << c;
     for (std::size_t z = 0; z < 2; ++z) {
       EXPECT_EQ(m.zone(z).incremental_stats().full_builds, red_builds[z]);
       PolicyContext ctx;
@@ -995,6 +1015,296 @@ TEST(WaitPass, ZoneTreeWaitCycleReportsTheBuildsZonePower) {
       EXPECT_EQ(zone_power(z), sum.value()) << "cycle " << c << " zone " << z;
       EXPECT_LT(zone_power(z), red_power[z]);  // floored since the red cycle
     }
+  }
+}
+
+// -- idle cycles -----------------------------------------------------------
+
+// An idle green cycle (CappingManager::context_gate) neither sweeps nor
+// runs a context phase. These rigs reach one: a yellow cycle throttles
+// the job, the first green cycle acks the throttles, and with T_g = 6 the
+// green cycles at timer 1..3 are idle unless something forces them. The
+// collect stride is long, so only a gated cycle sweeps.
+CappingManagerParams idle_rig_params() {
+  CappingManagerParams p = wait_rig_params();
+  p.capping.steady_green_cycles = 6;
+  p.green_collect_stride = 1000;
+  return p;
+}
+
+/// The one-zone tree over a two-node job, driven one cycle at a time.
+struct IdleRig {
+  Rig rig{2};
+  ZoneTreeManager m;
+  double t = 0.0;
+
+  explicit IdleRig(const CappingManagerParams& p,
+                   common::Rng rng = common::Rng(1))
+      : m(test::one_zone(p, "mpc", rng)) {
+    rig.load(0.9);
+    rig.run_job(1, 24);  // nodes 0, 1
+    m.set_candidate_set({0, 1});
+  }
+  [[nodiscard]] const CappingManager& shard() const { return m.zone(0); }
+  [[nodiscard]] std::uint64_t delivered() const {
+    return shard().collector().samples_delivered();
+  }
+  ManagerReport cycle(Watts measured) {
+    t += 1.0;
+    return m.cycle(measured, rig.nodes, rig.scheduler, Seconds{t});
+  }
+  ManagerReport yellow() { return cycle(Watts{1700.0}); }
+  ManagerReport green() { return cycle(Watts{100.0}); }
+  /// Runs a green cycle; true when it swept both candidates.
+  bool green_swept() {
+    const std::uint64_t before = delivered();
+    green();
+    return delivered() == before + 2;
+  }
+};
+
+/// Everything the idle rule asks of a green cycle except exact telemetry,
+/// exact actuation and an unchanged candidate set.
+bool idle_but_for_the_planes(const CappingManager& s) {
+  return !s.engine().degraded().empty() &&
+         s.reconciler().pending_count() == 0 &&
+         s.reconciler().unresponsive_count() == 0 &&
+         s.actuation_channel().in_flight_count() == 0 &&
+         !s.watchdog_pending() &&
+         s.engine().green_timer() + 2 <
+             s.engine().params().steady_green_cycles;
+}
+
+TEST(IdleCycle, PendingCommandForcesTheSweep) {
+  IdleRig r(idle_rig_params());
+  r.yellow();
+  ASSERT_EQ(r.shard().reconciler().pending_count(), 2u);
+  EXPECT_TRUE(r.green_swept());  // the throttles ack
+  ASSERT_EQ(r.shard().reconciler().pending_count(), 0u);
+  EXPECT_FALSE(r.green_swept());  // idle
+}
+
+TEST(IdleCycle, UnresponsiveNodeForcesTheSweep) {
+  CappingManagerParams p = idle_rig_params();
+  p.reconciliation.max_retries = 0;  // abandon at the first due check
+  p.reconciliation.retry_backoff_base_cycles = 1;
+  IdleRig r(p);
+  r.yellow();
+  r.rig.nodes[0].set_level(9);  // node 0's throttle never shows
+  r.green();
+  ASSERT_EQ(r.shard().reconciler().unresponsive_count(), 1u);
+  ASSERT_EQ(r.shard().reconciler().pending_count(), 0u);
+  EXPECT_TRUE(r.green_swept());  // and readmits node 0
+  ASSERT_EQ(r.shard().reconciler().unresponsive_count(), 0u);
+  EXPECT_FALSE(r.green_swept());
+}
+
+// A command can only be in flight when deliveries are delayed, so the
+// enabled actuation model forces this sweep too. Both throttles are
+// abandoned while queued and the nodes readmitted, so nothing is pending
+// or unresponsive while the delayed commands are still on the wire.
+TEST(IdleCycle, CommandInFlightForcesTheSweep) {
+  CappingManagerParams p = idle_rig_params();
+  p.actuation.delivery_delay_cycles = 3;
+  p.reconciliation.max_retries = 0;
+  p.reconciliation.retry_backoff_base_cycles = 1;
+  IdleRig r(p);
+  r.yellow();
+  r.green();  // the throttles are still queued: abandoned
+  ASSERT_EQ(r.shard().reconciler().unresponsive_count(), 2u);
+  r.green();  // readmitted
+  const CappingManager& s = r.shard();
+  ASSERT_EQ(s.reconciler().unresponsive_count(), 0u);
+  ASSERT_EQ(s.reconciler().pending_count(), 0u);
+  ASSERT_EQ(s.actuation_channel().in_flight_count(), 2u);
+  ASSERT_FALSE(s.engine().degraded().empty());
+  ASSERT_LT(s.engine().green_timer() + 2,
+            s.engine().params().steady_green_cycles);
+  EXPECT_TRUE(s.context_gate(PowerState::kGreen));
+  EXPECT_TRUE(r.green_swept());
+}
+
+TEST(IdleCycle, WatchdogAdoptionForcesTheSweep) {
+  hw::FailsafeWatchdog wd({.timeout_cycles = 1, .safe_level = 2});
+  IdleRig r(idle_rig_params());
+  r.m.set_watchdog(&wd);
+  r.yellow();
+  wd.tick(r.rig.nodes);
+  r.green();  // the throttles ack
+  wd.tick(r.rig.nodes);
+  // A control period the controller missed: the failsafe steps both
+  // nodes down behind the reconciler's back.
+  ASSERT_EQ(wd.tick(r.rig.nodes), 2u);
+  const CappingManager& s = r.shard();
+  ASSERT_TRUE(s.watchdog_pending());
+  ASSERT_FALSE(s.engine().degraded().empty());
+  ASSERT_EQ(s.reconciler().pending_count(), 0u);
+  ASSERT_LT(s.engine().green_timer() + 2,
+            s.engine().params().steady_green_cycles);
+  const std::uint64_t before = r.delivered();
+  const ManagerReport rep = r.green();
+  EXPECT_EQ(r.delivered(), before + 2);
+  EXPECT_EQ(rep.watchdog_adoptions, 2u);
+  EXPECT_FALSE(s.watchdog_pending());
+}
+
+TEST(IdleCycle, CandidateSetChangeForcesTheSweep) {
+  IdleRig r(idle_rig_params());
+  r.yellow();
+  r.green();
+  ASSERT_TRUE(idle_but_for_the_planes(r.shard()));
+  ASSERT_FALSE(r.shard().context_gate(PowerState::kGreen));
+  r.m.set_candidate_set({0, 1});  // same members, re-partitioned
+  const std::uint64_t builds = r.shard().incremental_stats().full_builds;
+  EXPECT_TRUE(r.green_swept());
+  EXPECT_EQ(r.shard().incremental_stats().full_builds, builds + 1);
+  EXPECT_FALSE(r.green_swept());
+}
+
+/// Drives `p` through green runs broken by a yellow cycle every twelfth
+/// cycle, and counts the green cycles the idle rule would take but for the
+/// planes: how many of them gated, and how many swept (a build, or under
+/// exact telemetry a full delivery).
+struct IdleProbe {
+  int candidates = 0;  ///< green cycles idle_but_for_the_planes
+  int gated = 0;
+  int swept = 0;
+};
+IdleProbe probe_idle(const CappingManagerParams& p, std::uint64_t seed) {
+  IdleRig r(p, common::Rng(seed).fork("idle"));
+  const CappingManager& s = r.shard();
+  const bool exact = s.exact_telemetry();
+  IdleProbe out;
+  for (int c = 1; c <= 72; ++c) {
+    if (c % 12 == 1) {
+      r.yellow();
+      continue;
+    }
+    const bool candidate = idle_but_for_the_planes(s);
+    const bool gate = s.context_gate(PowerState::kGreen);
+    const std::uint64_t delivered = r.delivered();
+    const std::uint64_t builds = s.incremental_stats().full_builds;
+    r.green();
+    if (!candidate) continue;
+    ++out.candidates;
+    out.gated += gate ? 1 : 0;
+    const bool swept = exact ? r.delivered() == delivered + 2
+                             : s.incremental_stats().full_builds == builds + 1;
+    out.swept += swept ? 1 : 0;
+  }
+  return out;
+}
+
+// Faulted planes never go idle: a lossy, delayed or faulty telemetry
+// plane gates (and builds on) every green cycle with A_degraded
+// non-empty. The exact twin goes idle on each such cycle.
+TEST(IdleCycle, InexactTelemetryForcesTheSweep) {
+  struct Case {
+    const char* name;
+    void (*apply)(CappingManagerParams&);
+  };
+  const Case cases[] = {
+      {"exact", [](CappingManagerParams&) {}},
+      {"loss",
+       [](CappingManagerParams& p) { p.collector.transport.loss_rate = 0.2; }},
+      // Sweeping every cycle: a delayed report from a strided sweep lands
+      // past the sample-age bound, and stale views throttle nothing.
+      {"delay",
+       [](CappingManagerParams& p) {
+         p.collector.transport.delay_cycles = 1;
+         p.green_collect_stride = 1;
+       }},
+      {"dropout",
+       [](CappingManagerParams& p) {
+         p.collector.faults.agent_dropout_rate = 0.2;
+       }},
+      {"crash",
+       [](CappingManagerParams& p) {
+         p.collector.faults.crash_rate = 0.05;
+         p.collector.faults.crash_duration_cycles = 3;
+       }},
+      {"corruption",
+       [](CappingManagerParams& p) {
+         p.collector.faults.corruption_rate = 0.2;
+       }},
+  };
+  for (const Case& tc : cases) {
+    CappingManagerParams p = idle_rig_params();
+    tc.apply(p);
+    const IdleProbe got = probe_idle(p, test::fault_seed(21));
+    ASSERT_GT(got.candidates, 0) << tc.name;
+    if (std::string(tc.name) == "exact") {
+      EXPECT_EQ(got.gated, 0) << tc.name;
+      EXPECT_EQ(got.swept, 0) << tc.name;
+    } else {
+      EXPECT_EQ(got.gated, got.candidates) << tc.name;
+      EXPECT_EQ(got.swept, got.candidates) << tc.name;
+    }
+  }
+}
+
+// An enabled actuation fault model can move a level unseen (a reboot, a
+// failed or partial transition, a lost command), so such a plane never
+// goes idle either, even on cycles with nothing pending or in flight.
+TEST(IdleCycle, EnabledActuationFaultModelForcesTheSweep) {
+  struct Case {
+    const char* name;
+    void (*apply)(CappingManagerParams&);
+  };
+  const Case cases[] = {
+      {"loss",
+       [](CappingManagerParams& p) { p.actuation.command_loss_rate = 0.1; }},
+      {"delay",
+       [](CappingManagerParams& p) { p.actuation.delivery_delay_cycles = 1; }},
+      {"failure",
+       [](CappingManagerParams& p) {
+         p.actuation.transition_failure_rate = 0.1;
+       }},
+      {"partial",
+       [](CappingManagerParams& p) {
+         p.actuation.partial_transition_rate = 0.1;
+       }},
+      {"reboot",
+       [](CappingManagerParams& p) {
+         p.actuation.reboot_rate = 0.01;
+         p.actuation.reboot_duration_cycles = 2;
+       }},
+  };
+  for (const Case& tc : cases) {
+    CappingManagerParams p = idle_rig_params();
+    tc.apply(p);
+    const IdleProbe got = probe_idle(p, test::fault_seed(22));
+    ASSERT_GT(got.candidates, 0) << tc.name;
+    EXPECT_EQ(got.gated, got.candidates) << tc.name;
+    EXPECT_EQ(got.swept, got.candidates) << tc.name;
+  }
+}
+
+// The cycle before restoration still sweeps, so the restoration build's
+// views read last cycle's sample as power_prev, as without the idle rule.
+TEST(IdleCycle, RestorationBuildReadsTheCycleBeforesSample) {
+  const CappingManagerParams p = idle_rig_params();
+  const std::int64_t tg = p.capping.steady_green_cycles;
+  IdleRig r(p);
+  r.yellow();
+  int idle = 0;
+  for (std::int64_t timer = 0; timer + 1 < tg; ++timer) {
+    idle += r.green_swept() ? 0 : 1;
+  }
+  ASSERT_EQ(idle, tg - 3);  // timers 1 .. T_g - 3
+  const ManagerReport rep = r.green();
+  ASSERT_EQ(rep.targets, 2u);  // restores
+  const CappingManager& s = r.shard();
+  const telemetry::Collector& col = s.collector();
+  ASSERT_EQ(s.context().nodes.size(), 2u);
+  for (const NodeView& nv : s.context().nodes) {
+    const auto latest = col.latest(nv.id);
+    const auto previous = col.previous(nv.id);
+    ASSERT_TRUE(previous.has_value()) << "node " << nv.id;
+    EXPECT_EQ(latest->cycle, col.cycle_count());
+    EXPECT_EQ(previous->cycle + 1, latest->cycle) << "node " << nv.id;
+    EXPECT_TRUE(nv.has_prev) << "node " << nv.id;
+    EXPECT_EQ(nv.power_prev, previous->estimated_power) << "node " << nv.id;
   }
 }
 

@@ -469,6 +469,76 @@ TEST(ZoneTree, SteadyGreenRestoresAcrossZones) {
   }
 }
 
+// An idle green cycle (CappingManager::context_gate): A_degraded is
+// non-empty but nothing else is outstanding, both planes are exact and
+// T_g is more than one cycle away. The zone neither sweeps nor runs a
+// context phase, so a level moved behind the reconciler's back goes
+// unseen, and the zone power gauge keeps the last context phase's value.
+TEST(IdleCycle, IdleZoneDeliversNothingObservesNothingAndStaysInactive) {
+  Rig rig(4);
+  rig.load(0.9);
+  rig.run_job(1, 48);
+  CappingManagerParams p = shard_params();
+  p.capping.steady_green_cycles = 6;
+  p.green_collect_stride = 1000;
+  ZoneTreeManager m = make_tree(2, p);
+  m.set_candidate_set({0, 1, 2, 3});
+  obs::Registry reg;
+  m.bind_metrics(reg);
+  const auto series = [&](const char* name, std::size_t z) {
+    return std::string(name) + "{zone=\"" + std::to_string(z) + "\"}";
+  };
+  const auto active_cycles = [&](std::size_t z) {
+    return reg.value(
+        *reg.find_counter(series("pcap_zone_active_cycles_total", z)));
+  };
+  const auto zone_power = [&](std::size_t z) {
+    return reg.value(*reg.find_gauge(series("pcap_zone_power_watts", z)));
+  };
+
+  m.cycle(Watts{1900.0}, rig.nodes, rig.scheduler, Seconds{1.0});  // red
+  const ManagerReport acked =
+      m.cycle(Watts{100.0}, rig.nodes, rig.scheduler, Seconds{2.0});
+  ASSERT_EQ(acked.acks, 4u);
+  ASSERT_EQ(m.zones_active_last_cycle(), 2u);
+  const std::uint64_t delivered = m.zone(0).collector().samples_delivered() +
+                                  m.zone(1).collector().samples_delivered();
+  std::uint64_t active[2];
+  double power[2];
+  std::uint64_t builds[2];
+  for (std::size_t z = 0; z < 2; ++z) {
+    ASSERT_FALSE(m.zone(z).engine().degraded().empty());
+    ASSERT_FALSE(m.zone(z).context_gate(PowerState::kGreen)) << "zone " << z;
+    active[z] = active_cycles(z);
+    power[z] = zone_power(z);
+    builds[z] = m.zone(z).incremental_stats().full_builds;
+  }
+
+  rig.nodes[0].set_level(9);  // behind the reconciler's back
+  const ManagerReport r =
+      m.cycle(Watts{100.0}, rig.nodes, rig.scheduler, Seconds{3.0});
+  ASSERT_EQ(r.state, PowerState::kGreen);
+  EXPECT_EQ(m.zones_active_last_cycle(), 0u);
+  EXPECT_EQ(m.zone(0).collector().samples_delivered() +
+                m.zone(1).collector().samples_delivered(),
+            delivered);
+  EXPECT_EQ(r.acks, 0u);
+  EXPECT_EQ(r.divergences, 0u);
+  EXPECT_EQ(r.heals, 0u);
+  EXPECT_EQ(r.targets, 0u);
+  for (std::size_t z = 0; z < 2; ++z) {
+    const CappingManager& shard = m.zone(z);
+    EXPECT_EQ(shard.incremental_stats().full_builds, builds[z]);
+    EXPECT_EQ(active_cycles(z), active[z]) << "zone " << z;
+    EXPECT_EQ(zone_power(z), power[z]) << "zone " << z;
+    for (const hw::NodeId id : shard.candidate_set()) {
+      EXPECT_EQ(shard.collector().latest(id)->cycle + 1,
+                shard.collector().cycle_count())
+          << "node " << id;
+    }
+  }
+}
+
 // The tentpole's scaling property: a zone whose last clean context shows
 // nothing left to shed stops collecting/building/selecting entirely while
 // the global state is pinned, and re-arms the moment the scheduler moves.
