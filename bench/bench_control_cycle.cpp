@@ -2,7 +2,7 @@
 // (context assembly + target selection + actuation bookkeeping) measured
 // in steady state, independent of the data-plane tick.
 //
-// Five measurements per candidate count, serial and parallel:
+// Three measurements per candidate count, serial and parallel:
 //   yellow   — full one-zone ZoneTreeManager::cycle (the flat controller)
 //              with the meter pinned mid-band (collect + context build +
 //              policy select + actuation)
@@ -11,16 +11,9 @@
 //              assembly + the idempotent red walk)
 //   ctx+sel  — build_context_into + policy select alone, the two stages
 //              this bench exists to track (no collection, no actuation)
-//   zone-y   — Z-zone ZoneTreeManager::cycle, meter pinned mid-band,
-//              measured in the quiescent steady state (every zone floored
-//              and clean, all Z zones skipping their sweeps; hints exist
-//              only at Z >= 2). The flat yellow column
-//              pays the O(n) sweep every cycle in the same pinned state;
-//              the gap between the two columns is the quiescence win.
-//   zone-r   — same protocol with the meter pinned above P_H
 //
-// Usage: bench_control_cycle [--json] [--zones=Z] [node_count...]
-//   default node counts: 1024 8192 32768 131072 1048576; default Z = 8
+// Usage: bench_control_cycle [--json] [node_count...]
+//   default node counts: 1024 8192 32768 131072 1048576
 //
 // Serial = no thread pool attached; parallel = pool at hardware
 // concurrency. Results land in BENCH_control_cycle.json at the repo root
@@ -32,7 +25,6 @@
 #include <cstring>
 #include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -102,11 +94,6 @@ struct Result {
   double yellow_cps = 0.0;
   double red_cps = 0.0;
   double ctx_select_ips = 0.0;
-};
-
-struct ZoneResult {
-  double yellow_cps = 0.0;
-  double red_cps = 0.0;
 };
 
 power::CappingManagerParams manager_params(Watts provision) {
@@ -233,79 +220,10 @@ Result run_case(const Case& c, bool parallel) {
   return out;
 }
 
-ZoneResult run_zone_case(const Case& c, bool parallel, std::size_t zones) {
-  std::unique_ptr<common::ThreadPool> pool;
-  if (parallel) pool = std::make_unique<common::ThreadPool>(0);
-
-  const Watts provision{1000.0 * static_cast<double>(c.nodes)};
-  const Watts green = provision * 0.5;
-  const Watts yellow = provision * 0.88;
-  const Watts red = provision * 0.95;
-
-  std::vector<hw::NodeId> all_ids;
-  all_ids.reserve(c.nodes);
-  for (std::size_t i = 0; i < c.nodes; ++i) {
-    all_ids.push_back(static_cast<hw::NodeId>(i));
-  }
-
-  const auto make_manager = [&] {
-    power::ZoneTreeParams zp;
-    zp.zone_count = zones;
-    zp.redistribution = power::ZoneTreeParams::Redistribution::kProportional;
-    return std::make_unique<power::ZoneTreeManager>(
-        zp, manager_params(provision),
-        [] { return power::make_policy("mpc-c"); }, common::Rng(42));
-  };
-
-  // Pinned non-green drives every zone to the ladder floor within a few
-  // cycles; once the acks land and the hints turn clean, all Z zones
-  // quiesce. The timed loop measures that steady all-quiet state — the
-  // flat columns above measure the same pinned state but re-sweep every
-  // candidate every cycle.
-  const auto measure = [&](Watts pinned, int min_iters) {
-    Rig rig(c.nodes);
-    auto mgr = make_manager();
-    mgr->set_thread_pool(pool.get());
-    mgr->set_candidate_set(all_ids);
-    double now = 1.0;
-    for (int i = 0; i < 3; ++i) {  // fill histories (green: no context)
-      mgr->cycle(green, rig.nodes, *rig.scheduler, Seconds{now});
-      now += 1.0;
-    }
-    int drain = 0;
-    do {
-      mgr->cycle(pinned, rig.nodes, *rig.scheduler, Seconds{now});
-      now += 1.0;
-    } while (mgr->zones_active_last_cycle() > 0 && ++drain < 64);
-    if (mgr->zones_active_last_cycle() > 0) {
-      std::fprintf(stderr,
-                   "warning: %zu zones still active after drain; measuring "
-                   "a mixed (non-quiescent) steady state\n",
-                   mgr->zones_active_last_cycle());
-    }
-    // Quiescent cycles are orders of magnitude cheaper than full sweeps;
-    // run enough of them that the timer resolution is irrelevant.
-    const int iters = std::max(min_iters, 2000);
-    const double secs = timed([&] {
-      for (int i = 0; i < iters; ++i) {
-        mgr->cycle(pinned, rig.nodes, *rig.scheduler, Seconds{now});
-        now += 1.0;
-      }
-    });
-    return iters / secs;
-  };
-
-  ZoneResult out;
-  out.yellow_cps = measure(yellow, c.yellow_cycles);
-  out.red_cps = measure(red, c.red_cycles);
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   bool json = false;
-  std::size_t zones = 8;
   std::vector<Case> cases = {{1024, 4000, 4000, 6000},
                              {8192, 600, 600, 800},
                              {32768, 120, 120, 160},
@@ -315,19 +233,6 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0) {
       json = true;
-      continue;
-    }
-    if (std::strncmp(argv[i], "--zones=", 8) == 0) {
-      char* zend = nullptr;
-      const unsigned long long z = std::strtoull(argv[i] + 8, &zend, 10);
-      if (zend == argv[i] + 8 || *zend != '\0' || z < 1 || z > 4096) {
-        std::fprintf(stderr,
-                     "bench_control_cycle: bad zone count '%s' (expected "
-                     "--zones=Z with Z in [1, 4096])\n",
-                     argv[i] + 8);
-        return 2;
-      }
-      zones = static_cast<std::size_t>(z);
       continue;
     }
     char* end = nullptr;
@@ -359,44 +264,28 @@ int main(int argc, char** argv) {
   if (json) std::printf("[");
   bool first = true;
   if (!json) {
-    std::printf("zone columns: ZoneTreeManager, Z=%zu, quiescent steady "
-                "state\n",
-                zones);
-    std::printf("%8s  %12s  %14s  %11s  %13s  %14s  %16s  %12s  %14s  %12s  "
-                "%14s\n",
-                "nodes", "yellow c/s", "yellow-par c/s", "red c/s",
-                "red-par c/s", "ctx+sel it/s", "ctx+sel-par it/s",
-                "zone-y c/s", "zone-y-par c/s", "zone-r c/s",
-                "zone-r-par c/s");
+    std::printf("%8s  %12s  %14s  %11s  %13s  %14s  %16s\n", "nodes",
+                "yellow c/s", "yellow-par c/s", "red c/s", "red-par c/s",
+                "ctx+sel it/s", "ctx+sel-par it/s");
   }
   for (const Case& c : cases) {
     const Result serial = run_case(c, false);
     const Result parallel = run_case(c, true);
-    const ZoneResult zone_serial = run_zone_case(c, false, zones);
-    const ZoneResult zone_parallel = run_zone_case(c, true, zones);
     if (json) {
       std::printf(
           "%s\n  {\"nodes\": %zu, \"yellow_serial_cps\": %.2f, "
           "\"yellow_parallel_cps\": %.2f, \"red_serial_cps\": %.2f, "
           "\"red_parallel_cps\": %.2f, \"ctx_select_serial_ips\": %.2f, "
-          "\"ctx_select_parallel_ips\": %.2f, "
-          "\"zone_yellow_serial_cps\": %.2f, "
-          "\"zone_yellow_parallel_cps\": %.2f, "
-          "\"zone_red_serial_cps\": %.2f, \"zone_red_parallel_cps\": %.2f}",
+          "\"ctx_select_parallel_ips\": %.2f}",
           first ? "" : ",", c.nodes, serial.yellow_cps, parallel.yellow_cps,
           serial.red_cps, parallel.red_cps, serial.ctx_select_ips,
-          parallel.ctx_select_ips, zone_serial.yellow_cps,
-          zone_parallel.yellow_cps, zone_serial.red_cps,
-          zone_parallel.red_cps);
+          parallel.ctx_select_ips);
       first = false;
     } else {
-      std::printf("%8zu  %12.2f  %14.2f  %11.2f  %13.2f  %14.2f  %16.2f  "
-                  "%12.2f  %14.2f  %12.2f  %14.2f\n",
+      std::printf("%8zu  %12.2f  %14.2f  %11.2f  %13.2f  %14.2f  %16.2f\n",
                   c.nodes, serial.yellow_cps, parallel.yellow_cps,
                   serial.red_cps, parallel.red_cps, serial.ctx_select_ips,
-                  parallel.ctx_select_ips, zone_serial.yellow_cps,
-                  zone_parallel.yellow_cps, zone_serial.red_cps,
-                  zone_parallel.red_cps);
+                  parallel.ctx_select_ips);
     }
     std::fflush(stdout);
   }

@@ -75,7 +75,7 @@ CycleDecision CappingEngine::yellow_cycle(TargetSelectionPolicy& policy,
   time_g_ = 0;
 
   // A policy target can be invalid for two reasons: the policy is buggy
-  // (duplicate/idle/floored picks), or — far more often at scale — the
+  // (duplicate/idle/at-floor picks), or — far more often at scale — the
   // telemetry it acted on was stale or missing. Either way, aborting the
   // whole control cycle over one bad target means NO node gets throttled
   // while power sits above P_L, which is strictly worse than acting on
@@ -112,8 +112,8 @@ CycleDecision CappingEngine::red_cycle(const PolicyContext& ctx) {
   // command and does not (re-)enter A_degraded — repeating the red cycle
   // must not inflate target/actuation counts, and a node this engine
   // never lowered must not be "restored" above where it started. Stale
-  // nodes ARE floored: red is the safety state and flooring is the one
-  // command that is safe whatever the node's true level is.
+  // nodes ARE sent to the floor: red is the safety state and flooring is
+  // the one command that is safe whatever the node's true level is.
   for (const NodeView& nv : ctx.nodes) {
     if (nv.at_lowest) continue;
     d.commands.push_back(LevelCommand{nv.id, 0});  // lowest power state

@@ -45,7 +45,7 @@ struct CycleDecision {
   PowerState state = PowerState::kGreen;
   std::vector<LevelCommand> commands;  ///< the A_target with target levels
   /// Policy-selected targets the engine refused this cycle (unknown node,
-  /// idle, already floored, or stale telemetry). A healthy
+  /// idle, already at the ladder floor, or stale telemetry). A healthy
   /// policy keeps this at 0; under telemetry faults it quantifies how
   /// often selection ran ahead of the data.
   std::size_t skipped = 0;
@@ -83,10 +83,10 @@ class CappingEngine {
   [[nodiscard]] const CappingParams& params() const { return params_; }
 
   /// Records a non-green cycle without running a decision: Time_g := 0,
-  /// A_degraded untouched. The zone tree calls this for shards it skips
-  /// in yellow/red (no capacity left / already floored), so a later green
+  /// A_degraded untouched. The zone tree calls this for a yellow zone
+  /// with no deficit share (no shed capacity left), so a later green
   /// period still has to re-earn steady-green before restoring — exactly
-  /// as if yellow_cycle/red_cycle had run and emitted nothing.
+  /// as if yellow_cycle had run and emitted nothing.
   void note_non_green_cycle() { time_g_ = 0; }
 
   /// Adopts a node into A_degraded that this engine did not lower itself

@@ -6,21 +6,19 @@
 #include <stdexcept>
 #include <string>
 
-#include "power/state.hpp"
-
 namespace pcap::power {
 
 namespace {
 
-// v4: the header line names the policy that wrote the image
-// ("pcap-tree-checkpoint v4 mpc-c"). v3 had no name, so a restore could
-// not tell one policy's state from another's. Shard bodies carry no
-// learner or predictor line (the root's images sit once in the tree
-// header). Older images are not readable: warm restart is same-binary
-// by design, and rejecting the old header loudly beats resuming from a
-// layout this build no longer writes.
+// v5: the header line names the policy that wrote the image
+// ("pcap-tree-checkpoint v5 mpc-c"), shard bodies carry no learner or
+// predictor line (the root's images sit once in the tree header), and
+// each zone carries only its orphan accounting ("orphan <power>
+// <ever_measured>"). Older images are not
+// readable: warm restart is same-binary by design, and rejecting the old
+// header loudly beats resuming from a layout this build no longer writes.
 constexpr const char* kTreeMagic = "pcap-tree-checkpoint";
-constexpr const char* kTreeVersion = "v4";
+constexpr const char* kTreeVersion = "v5";
 
 /// C99 hexfloat: every bit of the mantissa survives the text round trip
 /// (iostream hexfloat extraction is unreliable across standard libraries,
@@ -196,9 +194,9 @@ ShardCheckpoint decode_shard_body(Tokens& t) {
 }  // namespace
 
 std::string encode_checkpoint(const TreeCheckpoint& cp) {
-  if (cp.shards.size() != cp.hints.size()) {
+  if (cp.shards.size() != cp.zones.size()) {
     throw std::runtime_error(
-        "checkpoint: tree shard/hint vectors must be parallel");
+        "checkpoint: tree shard/zone vectors must be parallel");
   }
   if (cp.policy.empty() ||
       cp.policy.find_first_of(" \t\n\r\f\v") != std::string::npos) {
@@ -209,15 +207,12 @@ std::string encode_checkpoint(const TreeCheckpoint& cp) {
   out << kTreeMagic << ' ' << kTreeVersion << ' ' << cp.policy << '\n';
   encode_learner(out, cp.learner);
   encode_doubles(out, "predictor", cp.predictor_state);
-  out << "state " << cp.last_state << ' ' << cp.job_events_seen << '\n';
   out << "zones " << cp.shards.size() << '\n';
   for (std::size_t z = 0; z < cp.shards.size(); ++z) {
     out << "zone " << z << '\n';
     encode_shard_body(out, cp.shards[z]);
-    const ZoneHintCheckpoint& h = cp.hints[z];
-    out << "hint " << (h.hints_valid ? 1 : 0) << ' ' << hex_double(h.power)
-        << ' ' << hex_double(h.capacity) << ' ' << (h.floored ? 1 : 0) << ' '
-        << (h.ever_measured ? 1 : 0) << '\n';
+    out << "orphan " << hex_double(cp.zones[z].power) << ' '
+        << (cp.zones[z].ever_measured ? 1 : 0) << '\n';
   }
   return out.str();
 }
@@ -235,20 +230,10 @@ TreeCheckpoint decode_tree_checkpoint(const std::string& text) {
   cp.policy = t.next("policy name");
   cp.learner = decode_learner(t);
   cp.predictor_state = decode_doubles(t, "predictor");
-  t.expect("state");
-  const std::int64_t state = t.next_i64("last_state");
-  if (state != static_cast<int>(PowerState::kGreen) &&
-      state != static_cast<int>(PowerState::kYellow) &&
-      state != static_cast<int>(PowerState::kRed)) {
-    throw std::runtime_error("checkpoint: bad power state " +
-                             std::to_string(state));
-  }
-  cp.last_state = static_cast<int>(state);
-  cp.job_events_seen = t.next_u64("job_events_seen");
   t.expect("zones");
   const std::uint64_t zones = t.next_u64("zone count");
   cp.shards.reserve(zones);
-  cp.hints.reserve(zones);
+  cp.zones.reserve(zones);
   for (std::uint64_t z = 0; z < zones; ++z) {
     t.expect("zone");
     const std::uint64_t idx = t.next_u64("zone index");
@@ -256,14 +241,11 @@ TreeCheckpoint decode_tree_checkpoint(const std::string& text) {
       throw std::runtime_error("checkpoint: zone index out of order");
     }
     cp.shards.push_back(decode_shard_body(t));
-    t.expect("hint");
-    ZoneHintCheckpoint h;
-    h.hints_valid = t.next_bool("hints_valid");
-    h.power = t.next_double("hint power");
-    h.capacity = t.next_double("hint capacity");
-    h.floored = t.next_bool("floored");
-    h.ever_measured = t.next_bool("ever_measured");
-    cp.hints.push_back(h);
+    t.expect("orphan");
+    ZoneCheckpoint zc;
+    zc.power = t.next_double("orphan power");
+    zc.ever_measured = t.next_bool("ever_measured");
+    cp.zones.push_back(zc);
   }
   return cp;
 }

@@ -6,9 +6,10 @@
 // unacceptable window. These structs capture the control plane's learned
 // and believed state — threshold learner window, Algorithm 1's A_degraded
 // and green timer, the reconciler's shadow tables, the collector's cycle
-// clock, and (at Z >= 2) per-zone quiescence hints — so a fresh
-// manager restored from a checkpoint resumes capped behaviour on its
-// first cycle.
+// clock, and each zone's last-known power — so a fresh manager restored
+// from a checkpoint resumes capped behaviour on its first cycle, and
+// still charges a zone that crashes before its next build at the power it
+// last drew.
 //
 // Encoding is line-oriented text with doubles in C99 hexfloat ("%a"), so
 // a decode → encode round trip is bit-exact: the restored learner
@@ -78,16 +79,16 @@ struct ShardCheckpoint {
   std::vector<double> policy_state;
 };
 
-struct ZoneHintCheckpoint {
-  bool hints_valid = false;
+/// What the root accounts a zone at while it is down: its last-known
+/// context power, or, when it never completed a build, its members'
+/// theoretical max draw (re-derived on restore, not carried).
+struct ZoneCheckpoint {
   double power = 0.0;
-  double capacity = 0.0;
-  bool floored = false;
   bool ever_measured = false;
 };
 
 /// The whole tree: root learner and predictor + per-shard state +
-/// quiescence hints (all-invalid at Z = 1, where hints do not exist).
+/// per-zone orphan accounting (power 0, never measured, at Z = 1).
 struct TreeCheckpoint {
   /// Name of the target-selection policy that wrote the image (one token,
   /// e.g. "mpc-c"). The per-shard policy_state is that policy's, so a
@@ -95,9 +96,7 @@ struct TreeCheckpoint {
   std::string policy;
   LearnerCheckpoint learner;  ///< the tree root's (only) learner
   std::vector<ShardCheckpoint> shards;
-  std::vector<ZoneHintCheckpoint> hints;  ///< parallel to shards
-  int last_state = 0;                     ///< root dirty-trigger state
-  std::uint64_t job_events_seen = 0;
+  std::vector<ZoneCheckpoint> zones;  ///< parallel to shards
   /// Opaque PowerPredictor::checkpoint_state() image; empty when the root
   /// runs without a predictor. A warm-restarted predictor must resume
   /// bit-identically or the first post-restart forecast (and thus the

@@ -25,10 +25,7 @@ bool plausible_sample(const telemetry::HeldSample& s, Watts ceiling) {
 
 ContextTotals totals_of(const PolicyContext& ctx) {
   ContextTotals t;
-  for (const NodeView& nv : ctx.nodes) {
-    t.power += nv.power;
-    if (!nv.at_lowest) t.floored = false;
-  }
+  for (const NodeView& nv : ctx.nodes) t.power += nv.power;
   for (const JobView& jv : ctx.jobs) t.capacity += jv.saving_one_level;
   return t;
 }
@@ -60,9 +57,9 @@ CappingManager::CappingManager(CappingManagerParams params, PolicyPtr policy,
     throw std::invalid_argument("CappingManager: bad green collect stride");
   }
   // No staleness clamp: any cycle that will build a policy context
-  // collects first (the gate runs before the sweep), so a strided skip
-  // run can never feed a decision; max_sample_age_cycles keeps governing
-  // in-context transport-delay staleness only.
+  // collects first (the gate runs before the sweep). Under transport
+  // delay that sweep's reports are still in flight, so the first build
+  // after a strided run can read stale views (see green_collect_stride).
   collect_stride_ = params_.green_collect_stride;
   const telemetry::TransportParams& transport = params_.collector.transport;
   exact_telemetry_ = transport.loss_rate == 0.0 &&
@@ -435,9 +432,9 @@ void CappingManager::fill_view_record(std::size_t slot,
   // A node already at the ladder floor has no level below it:
   // estimated_power_at(level - 1) would index off the bottom of the DVFS
   // table. Clamp the hypothetical to the current draw so saving_one_level
-  // contributes exactly 0 W for floored nodes — the value every consumer
-  // already assumes, since they all skip at_lowest views before reading
-  // it.
+  // contributes exactly 0 W for a node at the floor — the value every
+  // consumer already assumes, since they all skip at_lowest views before
+  // reading it.
   nv.power_one_level_down =
       nv.at_lowest ? nv.power : node.estimated_power_at(latest.level - 1);
   out = nv;
@@ -517,12 +514,11 @@ void CappingManager::reconcile_view(NodeView& nv, std::uint64_t sample_cycle,
 }
 
 void CappingManager::wait_pass(const std::vector<hw::Node>& nodes,
-                               const sched::Scheduler& scheduler,
                                ContextTotals* totals) {
   // Exact telemetry and a collect this cycle: every candidate's newest
   // sample is the one just taken, fresh and plausible. It is the sample
   // the refill would choose, and a build would keep every slot's view in
-  // slot order, so the sums below add what a build's totals add.
+  // slot order, so the power sum below adds what a build's totals add.
   const std::uint64_t now_cycle = collector_.cycle_count();
   const std::vector<hw::NodeId>& candidates = collector_.candidate_set();
   ContextTotals t;
@@ -535,32 +531,9 @@ void CappingManager::wait_pass(const std::vector<hw::Node>& nodes,
     nv.power = latest.estimated_power;
     reconcile_view(nv, latest.cycle, nodes, reconciler_, recon_work_,
                    now_cycle);
-    if (totals == nullptr) continue;
     t.power += nv.power;
-    if (latest.level != nodes[nv.id].spec().ladder.lowest()) {
-      t.floored = false;
-    }
   }
-  if (totals == nullptr) return;
-  // The job pass's one-step saving, job by job: busy nodes above the floor
-  // with no command in flight (so their view power is the sample's).
-  // Read before finish_observation, as the merge marks in-flight views.
-  job_index_.sync(scheduler);
-  for (const JobIndex::Entry& e : job_index_.entries()) {
-    Watts saving{0.0};
-    for (const hw::NodeId id : e.candidate_nodes) {
-      const telemetry::HeldSample& latest = collector_.history(id)->back();
-      const hw::Node& node = nodes[id];
-      if (!latest.busy || latest.level == node.spec().ladder.lowest() ||
-          reconciler_.in_flight(id)) {
-        continue;
-      }
-      saving += latest.estimated_power -
-                node.estimated_power_at(latest.level - 1);
-    }
-    t.capacity += saving;
-  }
-  *totals = t;
+  if (totals != nullptr) *totals = t;
 }
 
 void CappingManager::fill_job_view(const JobIndex::Entry& e,
@@ -652,7 +625,7 @@ void CappingManager::context_phase(PowerState band,
                         engine_.params().steady_green_cycles &&
                     !candidates_changed_ && exact_telemetry_;
   if (wait) {
-    wait_pass(nodes, scheduler, totals);
+    wait_pass(nodes, totals);
   } else {
     assemble_context(scratch_ctx_, nodes, scheduler, &reconciler_,
                      &recon_work_);

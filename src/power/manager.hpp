@@ -46,11 +46,10 @@ namespace pcap::power {
 struct ShardCheckpoint;  // power/checkpoint.hpp
 
 /// What the zone tree folds from a shard's context on an active cycle:
-/// its deficit-share weight and its quiescence hints.
+/// its deficit-share weight and, from a build, its shed capacity.
 struct ContextTotals {
   Watts power{0.0};     ///< Σ view power, in view order
   Watts capacity{0.0};  ///< Σ job one-step shed capacity, in job order
-  bool floored = true;  ///< every view sits at its ladder floor
 };
 
 /// What one control cycle did — recorded by experiments per cycle.
@@ -220,11 +219,16 @@ struct CappingManagerParams {
   /// sweep runs only every this many cycles (1 = sweep every cycle, the
   /// legacy cadence). Any cycle that passes the context gate collects
   /// first — the gate is evaluated before the sweep and can only shrink
-  /// between then and context_phase — so neither a context build nor a
-  /// wait pass reads across a strided gap, and max_sample_age_cycles
-  /// never has to cover the stride: staleness only matters on gated
-  /// cycles, which always just collected. The meter (the classification
-  /// input) is read every cycle regardless.
+  /// between then and context_phase. Under undelayed transport that sweep
+  /// delivers before the build reads it, so no build reads across a
+  /// strided gap and max_sample_age_cycles never has to cover the stride.
+  /// With transport delay_cycles > 0 that no longer holds: deliveries land
+  /// only during a sweep, so the gated sweep's own reports are still in
+  /// flight and the first gated cycle after a strided run reads samples
+  /// up to stride + delay_cycles - 1 cycles old. When that exceeds
+  /// max_sample_age_cycles every view is stale and the cycle throttles
+  /// nothing. No clamp ties the stride to the age bound. The meter (the
+  /// classification input) is read every cycle regardless.
   std::int64_t green_collect_stride = 16;
   /// When set, A_candidate is recomputed dynamically (§III.A algorithm
   /// (c)) instead of being fixed by set_candidate_set(). Read by the tree,
@@ -416,7 +420,8 @@ class CappingManager final {
   /// telemetry-health fields of `report` from a build; a wait pass leaves
   /// them zero, as a build under exact telemetry would. When `totals` is
   /// non-null it receives the context's totals: folded from the build, or
-  /// on a wait pass the same sums, in the same order, from the samples.
+  /// on a wait pass the same power sum, in the same order, from the
+  /// samples (capacity 0: only a yellow build's capacity is ever read).
   void context_phase(PowerState band, const std::vector<hw::Node>& nodes,
                      const sched::Scheduler& scheduler, ManagerReport& report,
                      ContextTotals* totals);
@@ -527,9 +532,8 @@ class CappingManager final {
                       std::uint64_t now_cycle) const;
 
   /// The wait pass (see context_phase): every candidate's newest sample
-  /// through reconcile_view; with `totals`, also the build's totals.
-  void wait_pass(const std::vector<hw::Node>& nodes,
-                 const sched::Scheduler& scheduler, ContextTotals* totals);
+  /// through reconcile_view; with `totals`, also the build's power sum.
+  void wait_pass(const std::vector<hw::Node>& nodes, ContextTotals* totals);
 
   /// The job pass: every job entry (parallel stage + serial compaction).
   void job_pass(PolicyContext& ctx) const;
@@ -550,8 +554,8 @@ class CappingManager final {
   ActuationReconciler reconciler_;
   hw::FailsafeWatchdog* watchdog_ = nullptr;
   std::size_t watchdog_group_ = 0;
-  /// Effective steady-green sweep stride (param clamped against the
-  /// staleness bound at construction).
+  /// Steady-green sweep stride, green_collect_stride as given (no clamp
+  /// against max_sample_age_cycles).
   std::int64_t collect_stride_ = 1;
   bool exact_telemetry_ = false;  ///< see exact_telemetry()
   /// Set by set_candidate_set, cleared by a reconciled build: scratch_ctx_

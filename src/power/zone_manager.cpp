@@ -90,7 +90,6 @@ void ZoneTreeManager::set_candidate_set(const std::vector<hw::NodeId>& ids) {
   for (std::size_t z = 0; z < zc; ++z) {
     Zone& zone = zones_[z];
     zone.shard->set_candidate_set(parts[z]);
-    zone.hints_valid = false;  // membership changed: hints describe the past
     zone.ever_measured = false;
     zone.worst_case_valid = false;
   }
@@ -118,10 +117,6 @@ void ZoneTreeManager::refresh_watchdog_groups() {
     groups.push_back(zone.shard->candidate_set());
   }
   watchdog_->set_groups(groups);
-}
-
-void ZoneTreeManager::invalidate_hints() {
-  for (Zone& zone : zones_) zone.hints_valid = false;
 }
 
 void ZoneTreeManager::bind_metrics(obs::Registry& reg) {
@@ -164,26 +159,6 @@ ManagerReport ZoneTreeManager::cycle(Watts measured,
   const PowerState effective = report.state;
   const bool zoned = zones_.size() >= 2;
 
-  if (root_down) {
-    // The root is blind this cycle: whatever it believed about the zones
-    // is stale by the time it wakes, and the dirty triggers below did not
-    // run, so every hint is dropped outright.
-    invalidate_hints();
-  } else {
-    // Root dirty triggers: a global state change re-arms every zone, and
-    // so does any job start/finish (membership of busy sets — and
-    // therefore shed capacity — may have moved anywhere). The EFFECTIVE
-    // state participates: a predictive elevation starting or ending moves
-    // the zones between the green and yellow regimes exactly as a real
-    // classification change would.
-    const std::size_t job_events = scheduler.job_events().size();
-    if (effective != last_state_ || job_events != job_events_seen_) {
-      invalidate_hints();
-    }
-    last_state_ = effective;
-    job_events_seen_ = job_events;
-  }
-
   // Zone liveness scratch + watchdog heartbeats — serial (the watchdog is
   // shared state). Group z heartbeats exactly when zone z's shard is up
   // AND the root is up: a node's silence clock only resets on controller
@@ -191,11 +166,7 @@ ManagerReport ZoneTreeManager::cycle(Watts measured,
   for (std::size_t z = 0; z < zones_.size(); ++z) {
     Zone& zone = zones_[z];
     zone.down = root_down || root_->control_faults().zone_down(z);
-    if (zone.down) {
-      zone.hints_valid = false;
-    } else if (watchdog_ != nullptr) {
-      watchdog_->heartbeat(z);
-    }
+    if (!zone.down && watchdog_ != nullptr) watchdog_->heartbeat(z);
   }
 
   // Candidate set re-selection (§III.A algorithm (c), Z = 1 only): a
@@ -216,12 +187,10 @@ ManagerReport ZoneTreeManager::cycle(Watts measured,
   // Phase A — per-zone gate + telemetry. The gate itself is O(1) per zone
   // and touches only that zone's state, so it runs serially up front; the
   // sweep that follows goes to the pool only when at least two zones
-  // actually collect. A quiescent (or steady-green strided, or idle
-  // green) cycle otherwise pays a pool handoff per phase for zero work per
-  // zone — the ~20x quiescent-cycle slowdown recorded in
-  // BENCH_control_cycle.json before this gate existed. The gate is still
-  // evaluated exactly once per zone, strictly before phase B
-  // (CappingManager::context_gate).
+  // actually collect. A steady-green strided or idle green cycle
+  // otherwise pays a pool handoff per phase for zero work per zone. The
+  // gate is still evaluated exactly once per zone, strictly before phase
+  // B (CappingManager::context_gate).
   for (std::size_t z = 0; z < zones_.size(); ++z) {
     Zone& zone = zones_[z];
     CappingManager& m = *zone.shard;
@@ -251,23 +220,9 @@ ManagerReport ZoneTreeManager::cycle(Watts measured,
       zone.active = gate;
       zone.collected = gate || m.collect_due();
     } else {
-      // Yellow/red quiescence (hints are only ever valid at Z >= 2): a
-      // hinted zone with nothing left to shed (yellow: zero job
-      // capacity; red: every node already at the floor) is skipped.
-      // Anything pending, in flight, unresponsive or awaiting watchdog
-      // adoption forces activity — acks, readmissions and adoptions only
-      // arrive through a context build.
-      const bool nothing_to_shed = effective == PowerState::kYellow
-                                       ? zone.capacity <= Watts{0.0}
-                                       : zone.floored;
-      const bool quiescent =
-          zone.hints_valid && nothing_to_shed &&
-          m.reconciler().pending_count() == 0 &&
-          m.reconciler().unresponsive_count() == 0 &&
-          m.actuation_channel().in_flight_count() == 0 &&
-          !m.watchdog_pending();
-      zone.active = !quiescent;
-      zone.collected = zone.active;
+      // Yellow/red: every live zone sweeps and builds.
+      zone.active = true;
+      zone.collected = true;
     }
   }
   std::size_t collecting_zones = 0;
@@ -293,19 +248,8 @@ ManagerReport ZoneTreeManager::cycle(Watts measured,
   }
 
   // Phase B — actuation-plane hardware events (reboots, due deliveries)
-  // mutate nodes: strictly serial, fixed zone order. A reboot resets a
-  // node to full power behind the zone's back, so it invalidates that
-  // zone's hints (the rebuild lands next cycle — one documented cycle of
-  // lag, conservative because the meter still sees the extra draw and the
-  // other zones shed for it).
-  for (Zone& zone : zones_) {
-    const std::uint64_t reboots_before =
-        zone.shard->actuation_channel().reboot_events();
-    zone.shard->begin_actuation_phase(nodes);
-    if (zone.shard->actuation_channel().reboot_events() != reboots_before) {
-      zone.hints_valid = false;
-    }
-  }
+  // mutate nodes: strictly serial, fixed zone order.
+  for (Zone& zone : zones_) zone.shard->begin_actuation_phase(nodes);
 
   const auto publish = [&] {
     std::size_t unresponsive_now = 0;
@@ -349,10 +293,9 @@ ManagerReport ZoneTreeManager::cycle(Watts measured,
             zone.shard->context_phase(effective, nodes, scheduler,
                                       zone.report,
                                       zoned ? &totals : nullptr);
-            if (!zoned) continue;  // no hints, no shares at Z = 1
+            if (!zoned) continue;  // no shares at Z = 1
             zone.power = totals.power;
             zone.capacity = totals.capacity;
-            zone.floored = totals.floored;
             zone.ever_measured = true;
           }
         });
@@ -362,7 +305,7 @@ ManagerReport ZoneTreeManager::cycle(Watts measured,
   // cross-zone arithmetic in the cycle; its inputs are per-zone values
   // already pinned above, so the fold is bit-identical for any worker
   // count). Only zones that are active AND still have shed capacity are
-  // eligible; skipped zones keep share 0.
+  // eligible; the rest keep share 0.
   if (zoned && effective == PowerState::kYellow) {
     // Forecast-driven deficit base: with an armed alarm the root sheds
     // for where the meter is heading, not just where it is — on an
@@ -419,16 +362,15 @@ ManagerReport ZoneTreeManager::cycle(Watts measured,
   }
 
   // Phase D — selection (parallel when at least two zones are active;
-  // per-shard engine/policy state is disjoint — skipped and green-idle
-  // zones only tick their engine timers, O(1) work that never justifies a
-  // handoff). Green runs every zone's engine — O(1) with nothing
-  // degraded — so each shard's green timer ticks every cycle. Skipped
-  // yellow/red zones reset their timer without a decision, as if a
-  // decision had run and emitted nothing. At Z = 1 the shard decides on
-  // every live cycle against the root's own (P, P_L) and forecast; at
-  // Z >= 2 a deciding shard's context carries (P, P_L) = (share, 0): in
-  // yellow its policy sheds exactly the zone's share; green and red
-  // consult no policy.
+  // per-shard engine/policy state is disjoint — inactive green zones only
+  // tick their engine timers, O(1) work that never justifies a handoff).
+  // Green runs every zone's engine — O(1) with nothing degraded — so each
+  // shard's green timer ticks every cycle. A yellow zone with no share
+  // resets its timer without a decision, as if a decision had run and
+  // emitted nothing. At Z = 1 the shard decides on every live cycle
+  // against the root's own (P, P_L) and forecast; at Z >= 2 a deciding
+  // shard's context carries (P, P_L) = (share, 0): in yellow its policy
+  // sheds exactly the zone's share; green and red consult no policy.
   {
     const obs::SpanTimer::Scope span = metrics_.policy_span.start();
     common::maybe_parallel_for(
@@ -446,10 +388,8 @@ ManagerReport ZoneTreeManager::cycle(Watts measured,
                                              report.p_low, root_->forecast());
               continue;
             }
-            const bool decides =
-                effective == PowerState::kGreen ||
-                (zone.active && (effective == PowerState::kRed ||
-                                 zone.share > Watts{0.0}));
+            const bool decides = effective != PowerState::kYellow ||
+                                 zone.share > Watts{0.0};
             if (decides) {
               zone.decision = m.select_phase(effective, zone.share, Watts{0.0},
                                              std::nullopt);
@@ -462,10 +402,7 @@ ManagerReport ZoneTreeManager::cycle(Watts measured,
 
   // Phase E — actuation mutates nodes: strictly serial, fixed zone order.
   // Every zone actuates every cycle (an empty decision still flushes the
-  // reconciler's retries/heals and applies due deliveries). Hints refresh
-  // here, after actuation: a zone that just sent commands has pending
-  // state, so its hints stay invalid until the acks come back through a
-  // clean build.
+  // reconciler's retries/heals and applies due deliveries).
   {
     const obs::SpanTimer::Scope span = metrics_.actuate_span.start();
     for (Zone& zone : zones_) {
@@ -478,16 +415,6 @@ ManagerReport ZoneTreeManager::cycle(Watts measured,
         continue;
       }
       zone.transitions = m.actuate_phase(zone.decision, nodes);
-      if (zoned && zone.active) {
-        const ManagerReport& zr = zone.report;
-        zone.hints_valid = zr.stale_nodes == 0 && zr.missing_nodes == 0 &&
-                           zr.fallback_nodes == 0 &&
-                           zr.rejected_samples == 0 &&
-                           zr.unresponsive_nodes == 0 &&
-                           m.reconciler().pending_count() == 0 &&
-                           m.reconciler().unresponsive_count() == 0 &&
-                           m.actuation_channel().in_flight_count() == 0;
-      }
     }
   }
 
@@ -512,19 +439,11 @@ TreeCheckpoint ZoneTreeManager::checkpoint() const {
   TreeCheckpoint cp;
   cp.policy = zones_.front().shard->policy().name();
   root_->checkpoint(cp.learner, cp.predictor_state);
-  cp.last_state = static_cast<int>(last_state_);
-  cp.job_events_seen = job_events_seen_;
   cp.shards.reserve(zones_.size());
-  cp.hints.reserve(zones_.size());
+  cp.zones.reserve(zones_.size());
   for (const Zone& zone : zones_) {
     cp.shards.push_back(zone.shard->checkpoint());
-    ZoneHintCheckpoint h;
-    h.hints_valid = zone.hints_valid;
-    h.power = zone.power.value();
-    h.capacity = zone.capacity.value();
-    h.floored = zone.floored;
-    h.ever_measured = zone.ever_measured;
-    cp.hints.push_back(h);
+    cp.zones.push_back({zone.power.value(), zone.ever_measured});
   }
   return cp;
 }
@@ -539,24 +458,18 @@ void ZoneTreeManager::restore(const TreeCheckpoint& cp) {
         "' != tree policy '" + policy + "'");
   }
   if (cp.shards.size() != zones_.size() ||
-      cp.hints.size() != zones_.size()) {
+      cp.zones.size() != zones_.size()) {
     throw std::invalid_argument(
         "ZoneTreeManager::restore: checkpoint zone count (" +
         std::to_string(cp.shards.size()) + ") != tree zone count (" +
         std::to_string(zones_.size()) + ")");
   }
   root_->restore(cp.learner, cp.predictor_state);
-  last_state_ = static_cast<PowerState>(cp.last_state);
-  job_events_seen_ = cp.job_events_seen;
   for (std::size_t z = 0; z < zones_.size(); ++z) {
     Zone& zone = zones_[z];
     zone.shard->restore(cp.shards[z]);
-    const ZoneHintCheckpoint& h = cp.hints[z];
-    zone.hints_valid = h.hints_valid;
-    zone.power = Watts{h.power};
-    zone.capacity = Watts{h.capacity};
-    zone.floored = h.floored;
-    zone.ever_measured = h.ever_measured;
+    zone.power = Watts{cp.zones[z].power};
+    zone.ever_measured = cp.zones[z].ever_measured;
     // Worst-case caches are re-derived from the live node table, not
     // carried across a restart.
     zone.worst_case_valid = false;

@@ -25,7 +25,7 @@
 //      that can still shed, folded serially in zone order), and a
 //      deciding shard's context carries (P, P_L) = (share s, 0), so
 //      ctx.required_saving() == s.
-//   2. Quiescence hints and the pcap_zone_* series exist only at Z >= 2.
+//   2. The pcap_zone_* series exist only at Z >= 2.
 //   3. Pool. At Z = 1 the shard gets the thread pool for its own sweeps;
 //      at Z >= 2 the pool fans out across zones and shards stay serial
 //      inside a zone task (no nested pool use).
@@ -47,21 +47,8 @@
 // restoration more than one cycle away — reads nothing, so it neither
 // sweeps (bar the stride's own schedule) nor runs a context phase. The
 // cycle before restoration is never idle. Every live zone still selects
-// on a green cycle, so its green timer ticks; yellow and red activity
-// follow the quiescence rule below.
-//
-// Quiescence (Z >= 2): a zone whose last context phase was CLEAN (no
-// stale/missing/fallback/rejected views, nothing pending, unresponsive or
-// in flight) publishes trustworthy power/capacity hints; a green wait
-// pass folds the same totals a build would. In yellow, a hinted
-// zone with zero job-level shed capacity is skipped outright (building
-// its context would select nothing); in red, a hinted zone whose every
-// context node sits at the ladder floor is skipped (its red cycle would
-// emit nothing). Skipped zones still tick their collector clock, still
-// process reboots/deliveries, and still reset their green timer. Hints
-// are invalidated by any global state change, any scheduler job
-// start/finish, and any reboot in the zone; degraded telemetry never
-// produces a clean build, so faulted zones simply stay fully active.
+// on a green cycle, so its green timer ticks. On a yellow or red cycle
+// every live zone is active: it sweeps and builds its context.
 #pragma once
 
 #include <cstdint>
@@ -149,8 +136,8 @@ class ZoneTreeManager final : public PowerManagerBase {
   [[nodiscard]] ControlRoot& root() { return *root_; }
 
   /// Captures/restores warm-restart state: the policy name, root
-  /// learner/predictor, per-shard engine/reconciler/collector-clock, zone
-  /// quiescence hints and the root dirty triggers. Restore into a tree
+  /// learner/predictor, per-shard engine/reconciler/collector-clock and
+  /// each zone's last-known power. Restore into a tree
   /// with the same policy and zone count AFTER set_candidate_set; restore
   /// throws std::invalid_argument otherwise. See power/checkpoint.hpp.
   [[nodiscard]] TreeCheckpoint checkpoint() const;
@@ -165,7 +152,7 @@ class ZoneTreeManager final : public PowerManagerBase {
     return *zones_[z].shard;
   }
   [[nodiscard]] const ZoneTreeParams& params() const { return params_; }
-  /// Zones that ran a context phase last cycle (quiescence probe).
+  /// Zones that ran a context phase last cycle.
   [[nodiscard]] std::size_t zones_active_last_cycle() const {
     return active_last_cycle_;
   }
@@ -182,11 +169,10 @@ class ZoneTreeManager final : public PowerManagerBase {
   struct Zone {
     std::unique_ptr<CappingManager> shard;  ///< holds the zone's members
 
-    // Hints from the last clean context build (see header comment).
-    bool hints_valid = false;
-    Watts power{0.0};     ///< sum of context node power
-    Watts capacity{0.0};  ///< sum of job-level one-step shed capacity
-    bool floored = false; ///< every context node at the ladder floor
+    Watts power{0.0};     ///< sum of context node power, last active cycle
+    /// Sum of job-level one-step shed capacity; read only by the yellow
+    /// root fold, from the same cycle's build.
+    Watts capacity{0.0};
     /// Ever completed a context build? Gates orphan accounting: a downed
     /// zone with a measured history is accounted at last-known power, one
     /// that crashed before its first build at theoretical worst case.
@@ -210,7 +196,6 @@ class ZoneTreeManager final : public PowerManagerBase {
     obs::CounterHandle active_cycles, targets_total;
   };
 
-  void invalidate_hints();
   /// Re-derives the watchdog's group partition (group z = zone z members).
   void refresh_watchdog_groups();
 
@@ -231,9 +216,6 @@ class ZoneTreeManager final : public PowerManagerBase {
   /// shards' stale_power_margin (both cover "we cannot see this anymore").
   double orphan_margin_ = 0.10;
 
-  // Root dirty triggers.
-  PowerState last_state_ = PowerState::kGreen;
-  std::size_t job_events_seen_ = 0;
   std::size_t active_last_cycle_ = 0;
 };
 

@@ -572,7 +572,7 @@ TEST(Checkpoint, MalformedImagesThrow) {
 }
 
 // A v2 image carries a learner and a predictor line in every shard body.
-// This build reads v4 only and says so, instead of failing on the first
+// This build reads v5 only and says so, instead of failing on the first
 // unexpected token.
 TEST(Checkpoint, V2TreeImageIsRejectedByVersion) {
   const std::string v2 =
@@ -595,15 +595,17 @@ TEST(Checkpoint, V2TreeImageIsRejectedByVersion) {
   } catch (const std::runtime_error& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("'v2'"), std::string::npos) << what;
-    EXPECT_NE(what.find("v4"), std::string::npos) << what;
+    EXPECT_NE(what.find("v5"), std::string::npos) << what;
   }
   // The current writer's header names the policy.
-  const std::string v4 = encode_checkpoint(make_manager().checkpoint());
-  EXPECT_EQ(v4.rfind("pcap-tree-checkpoint v4 mpc\n", 0), 0u);
+  const std::string v5 = encode_checkpoint(make_manager().checkpoint());
+  EXPECT_EQ(v5.rfind("pcap-tree-checkpoint v5 mpc\n", 0), 0u);
 }
 
 // A v3 image names no policy, so nothing could tell whose policy state it
-// carries. It is rejected by version, with the existing message.
+// carries; a v4 image names it but still carries the root "state" line and
+// the per-zone quiescence hints. Both are rejected by version, with the
+// existing message.
 TEST(Checkpoint, V3TreeImageIsRejectedByVersion) {
   const std::string v3 =
       "pcap-tree-checkpoint v3\n"
@@ -623,13 +625,38 @@ TEST(Checkpoint, V3TreeImageIsRejectedByVersion) {
   } catch (const std::runtime_error& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("'v3'"), std::string::npos) << what;
-    EXPECT_NE(what.find("reads v4 only"), std::string::npos) << what;
+    EXPECT_NE(what.find("reads v5 only"), std::string::npos) << what;
   }
-  // The same body under a v4 header with a policy name decodes.
+  // The same body under a v4 header with a policy name is a v4 image.
   std::string v4 = v3;
   v4.replace(0, std::string("pcap-tree-checkpoint v3").size(),
              "pcap-tree-checkpoint v4 mpc");
-  EXPECT_EQ(decode_tree_checkpoint(v4).policy, "mpc");
+  try {
+    (void)decode_tree_checkpoint(v4);
+    FAIL() << "a v4 image was accepted";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("'v4'"), std::string::npos) << what;
+    EXPECT_NE(what.find("reads v5 only"), std::string::npos) << what;
+  }
+  // v5 drops the state line and keeps each zone's orphan accounting.
+  const std::string v5 =
+      "pcap-tree-checkpoint v5 mpc\n"
+      "learner 0x1p+11 0x0p+0 0x0p+0 0 0 0 0 1\n"
+      "predictor 0\n"
+      "zones 1\n"
+      "zone 0\n"
+      "engine 0 0\n"
+      "recon 0\n"
+      "collector 0\n"
+      "policy 0\n"
+      "orphan 0x1.9p+10 1\n";
+  const TreeCheckpoint decoded = decode_tree_checkpoint(v5);
+  EXPECT_EQ(decoded.policy, "mpc");
+  ASSERT_EQ(decoded.zones.size(), 1u);
+  EXPECT_EQ(decoded.zones[0].power, 1600.0);
+  EXPECT_TRUE(decoded.zones[0].ever_measured);
+  EXPECT_EQ(encode_checkpoint(decoded), v5);
 }
 
 TEST(Checkpoint, PolicyNameMustBeOneToken) {
@@ -676,25 +703,6 @@ TEST(Checkpoint, RestoreRejectsAnotherPolicysImage) {
   // Each image still restores into a tree of its own policy.
   EXPECT_NO_THROW(pi_restart.restore(pi_image));
   EXPECT_NO_THROW(mpc_restart.restore(mpc_image));
-}
-
-TEST(Checkpoint, TreeImageWithAnOutOfRangeStateThrows) {
-  TreeCheckpoint cp;
-  cp.policy = "mpc";
-  cp.shards.resize(1);
-  cp.hints.resize(1);
-  cp.last_state = static_cast<int>(PowerState::kRed);
-  const std::string text = encode_checkpoint(cp);
-  EXPECT_EQ(decode_tree_checkpoint(text).last_state, cp.last_state);
-  // The root's dirty-trigger state becomes a PowerState on restore: a
-  // value outside green/yellow/red must fail decoding, not reach the cast.
-  const std::size_t at = text.find("\nstate 2 ");
-  ASSERT_NE(at, std::string::npos);
-  for (const char* bad : {"3", "-1", "4294967296"}) {
-    std::string image = text;
-    image.replace(at + 7, 1, bad);
-    EXPECT_THROW(decode_tree_checkpoint(image), std::runtime_error) << bad;
-  }
 }
 
 TEST(Checkpoint, WarmRestartContinuesExactlyWhereTheOldControllerStopped) {
@@ -791,7 +799,7 @@ TEST(Checkpoint, TreeCodecRoundTripsAndValidatesZoneCount) {
   }
   const TreeCheckpoint cp = m.checkpoint();
   ASSERT_EQ(cp.shards.size(), 2u);
-  ASSERT_EQ(cp.hints.size(), 2u);
+  ASSERT_EQ(cp.zones.size(), 2u);
   const std::string text = encode_checkpoint(cp);
   const TreeCheckpoint decoded = decode_tree_checkpoint(text);
   EXPECT_EQ(encode_checkpoint(decoded), text);
@@ -801,6 +809,38 @@ TEST(Checkpoint, TreeCodecRoundTripsAndValidatesZoneCount) {
   fresh.restore(decoded);
   EXPECT_EQ(fresh.root().thresholds().p_low().value(),
             m.root().thresholds().p_low().value());
+  // Each zone keeps its last-known power and its measured history, so the
+  // restored tree writes the same image back.
+  for (std::size_t z = 0; z < 2; ++z) {
+    EXPECT_GT(m.zone_power(z).value(), 0.0) << "zone " << z;
+    EXPECT_EQ(fresh.zone_power(z).value(), m.zone_power(z).value())
+        << "zone " << z;
+    EXPECT_TRUE(cp.zones[z].ever_measured) << "zone " << z;
+  }
+  EXPECT_EQ(encode_checkpoint(fresh.checkpoint()), text);
+  // A zone that crashes on the restored tree's first cycle is an orphan
+  // charged at its last-known power, not at its members' worst case.
+  const Watts orphan_power = fresh.zone_power(1);
+  fresh.root().control_faults().inject_zone_outage(1, 1);
+  const ManagerReport r =
+      fresh.cycle(Watts{1700.0}, rig.nodes, rig.scheduler, Seconds{4.0});
+  ASSERT_EQ(r.state, PowerState::kYellow);
+  ASSERT_EQ(r.zones_down, 1u);
+  EXPECT_NEAR(fresh.zone_share(0).value(),
+              1700.0 - r.p_low.value() + 0.1 * orphan_power.value(), 1e-9);
+
+  // A v4 image of the same tree is rejected by version.
+  std::string v4 = text;
+  v4.replace(0, std::string("pcap-tree-checkpoint v5").size(),
+             "pcap-tree-checkpoint v4");
+  try {
+    (void)decode_tree_checkpoint(v4);
+    FAIL() << "a v4 image was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("'v4' is not readable"),
+              std::string::npos)
+        << e.what();
+  }
 
   ZoneTreeManager wrong_shape = make_tree(3);
   wrong_shape.set_candidate_set({0, 1, 2, 3});
