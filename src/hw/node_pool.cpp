@@ -183,18 +183,6 @@ Watts NodeStatePool::estimated_power_at(std::size_t i, Level l) const {
   return spec.power_model.power(clamped, operating_point(i));
 }
 
-Watts NodeStatePool::estimated_power_observed(std::size_t i,
-                                              double observed_cpu,
-                                              double observed_nic_bytes) const {
-  if (static_valid_[i] == 0) refresh_static(i);
-  const double denom = nic_div_[i];
-  const double nic_frac =
-      denom <= 0.0 ? 0.0 : std::clamp(observed_nic_bytes / denom, 0.0, 1.0);
-  const double uti = std::clamp(observed_cpu, 0.0, 1.0);
-  return Watts{base_idle_mem_w_[i] + nic_frac * nic_dyn_w_[i] +
-               uti * cpu_dyn_w_[i]};
-}
-
 void NodeStatePool::step_temperature(std::size_t i, double power_w,
                                      double dt_s) const {
   const ThermalParams& th = spec_[i]->thermal;

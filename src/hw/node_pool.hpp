@@ -22,6 +22,7 @@
 //     mutable memo members.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -107,9 +108,18 @@ class NodeStatePool {
   /// Formula (1) evaluated at *observed* counter readings — the profiling
   /// agent's fast path. Reuses the slot's cached static split so a sample
   /// costs two multiply-adds and one divide, not a model evaluation.
-  [[nodiscard]] Watts estimated_power_observed(std::size_t i,
-                                               double observed_cpu,
-                                               double observed_nic_bytes) const;
+  /// Inline: the telemetry sweep calls it once per candidate per cycle.
+  [[nodiscard]] Watts estimated_power_observed(
+      std::size_t i, double observed_cpu, double observed_nic_bytes) const {
+    if (static_valid_[i] == 0) refresh_static(i);
+    const double denom = nic_div_[i];
+    const double nic_frac =
+        denom <= 0.0 ? 0.0
+                     : std::clamp(observed_nic_bytes / denom, 0.0, 1.0);
+    const double uti = std::clamp(observed_cpu, 0.0, 1.0);
+    return Watts{base_idle_mem_w_[i] + nic_frac * nic_dyn_w_[i] +
+                 uti * cpu_dyn_w_[i]};
+  }
 
   // -- thermal (lazy closed form) -------------------------------------------
   // Temperature is stored together with the sim-time it refers to; power

@@ -18,13 +18,19 @@ CycleDecision CappingEngine::cycle(PowerState band,
                                    TargetSelectionPolicy& policy,
                                    const PolicyContext& ctx) {
   // Nodes that left the candidate set (job churn, reconfiguration) are no
-  // longer ours to restore.
-  for (auto it = degraded_.begin(); it != degraded_.end();) {
-    if (ctx.node(*it) == nullptr) {
-      it = degraded_.erase(it);
-    } else {
-      ++it;
+  // longer ours to restore. Re-pruning against a context this engine has
+  // already pruned against is a no-op, so a manager build is pruned once:
+  // between two builds A_degraded only gains ids with a view in the current
+  // context — yellow inserts only targets with a view, red inserts
+  // ctx.nodes, and the manager adopts watchdog levels only from a build's
+  // views or from a wait pass, which runs under exact telemetry where the
+  // last build held a view for every candidate. A hand-built context
+  // (stamp 0) can change under the same object, so it prunes every cycle.
+  if (ctx.build_stamp() == 0 || ctx.build_stamp() != pruned_build_) {
+    for (const hw::NodeId id : degraded_) {
+      if (ctx.node(id) == nullptr) degraded_.erase(id);
     }
+    pruned_build_ = ctx.build_stamp();
   }
 
   switch (band) {
@@ -51,19 +57,12 @@ CycleDecision CappingEngine::green_cycle(const PolicyContext& ctx) {
   // unacknowledged — stays degraded but is not raised this cycle: its
   // true level is a guess, and restoring against a guess risks
   // overshooting the cap we just recovered from.
-  for (auto it = degraded_.begin(); it != degraded_.end();) {
-    const NodeView* nv = ctx.node(*it);
-    if (nv->stale || nv->command_in_flight) {
-      ++it;
-      continue;
-    }
+  for (const hw::NodeId id : degraded_) {
+    const NodeView* nv = ctx.node(id);
+    if (nv->stale || nv->command_in_flight) continue;
     const hw::Level restored = std::min(nv->level + 1, nv->highest_level);
-    d.commands.push_back(LevelCommand{*it, restored});
-    if (restored >= nv->highest_level) {
-      it = degraded_.erase(it);
-    } else {
-      ++it;
-    }
+    d.commands.push_back(LevelCommand{id, restored});
+    if (restored >= nv->highest_level) degraded_.erase(id);
   }
   return d;
 }
@@ -125,6 +124,7 @@ CycleDecision CappingEngine::red_cycle(const PolicyContext& ctx) {
 EngineCheckpoint CappingEngine::checkpoint() const {
   EngineCheckpoint cp;
   cp.time_g = time_g_;
+  cp.degraded.reserve(degraded_.size());
   cp.degraded.assign(degraded_.begin(), degraded_.end());  // ascending
   return cp;
 }
@@ -132,7 +132,8 @@ EngineCheckpoint CappingEngine::checkpoint() const {
 void CappingEngine::restore(const EngineCheckpoint& cp) {
   time_g_ = cp.time_g;
   degraded_.clear();
-  degraded_.insert(cp.degraded.begin(), cp.degraded.end());
+  for (const hw::NodeId id : cp.degraded) degraded_.insert(id);
+  pruned_build_ = 0;  // the restored set was never pruned here
 }
 
 }  // namespace pcap::power

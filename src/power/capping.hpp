@@ -17,10 +17,12 @@
 // engine the band to run.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <set>
+#include <iterator>
 #include <vector>
 
+#include "common/id_table.hpp"
 #include "common/units.hpp"
 #include "power/policy.hpp"
 #include "power/state.hpp"
@@ -56,6 +58,82 @@ struct CycleDecision {
   std::size_t deferred_in_flight = 0;
 };
 
+/// A_degraded as a dense id membership: one byte per id over the covered
+/// span plus a member count, so a member costs a byte instead of a tree
+/// node and membership is one array probe. Iteration visits members in
+/// ascending id order, the order restore commands and checkpoints come
+/// out in.
+class DegradedSet {
+ public:
+  class const_iterator {
+   public:
+    using iterator_category = std::input_iterator_tag;
+    using value_type = hw::NodeId;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const hw::NodeId*;
+    using reference = hw::NodeId;
+
+    const_iterator() = default;
+    const_iterator(const DegradedSet* set, std::size_t id)
+        : set_(set), id_(id) {
+      skip();
+    }
+    hw::NodeId operator*() const { return static_cast<hw::NodeId>(id_); }
+    const_iterator& operator++() {
+      ++id_;
+      skip();
+      return *this;
+    }
+    const_iterator operator++(int) {
+      const_iterator old = *this;
+      ++*this;
+      return old;
+    }
+    friend bool operator==(const const_iterator& a, const const_iterator& b) {
+      return a.id_ == b.id_;
+    }
+
+   private:
+    void skip() {
+      const std::size_t end = set_->members_.end_id();
+      while (id_ < end && set_->members_[id_] == 0) ++id_;
+    }
+    const DegradedSet* set_ = nullptr;
+    std::size_t id_ = 0;
+  };
+
+  [[nodiscard]] bool empty() const { return count_ == 0; }
+  [[nodiscard]] std::size_t size() const { return count_; }
+  [[nodiscard]] const_iterator begin() const {
+    return {this, members_.begin_id()};
+  }
+  [[nodiscard]] const_iterator end() const { return {this, members_.end_id()}; }
+
+  /// Widens the membership table to cover ids [lo, hi] without moving a
+  /// member: covering the candidate span up front keeps inserts in policy
+  /// order from shifting the table.
+  void cover(hw::NodeId lo, hw::NodeId hi) { members_.cover(lo, hi); }
+  void insert(hw::NodeId id) {
+    std::uint8_t& member = members_.touch(id);
+    count_ += member == 0 ? 1 : 0;
+    member = 1;
+  }
+  /// Removes a member (the id must be covered).
+  void erase(hw::NodeId id) {
+    count_ -= members_[id];
+    members_[id] = 0;
+  }
+  void clear() {
+    if (count_ == 0) return;
+    members_.reset(members_.begin_id(), members_.end_id() - 1, 0);
+    count_ = 0;
+  }
+
+ private:
+  common::IdTable<std::uint8_t> members_;
+  std::size_t count_ = 0;
+};
+
 class CappingEngine {
  public:
   explicit CappingEngine(CappingParams params);
@@ -64,14 +142,16 @@ class CappingEngine {
   /// decided (power/control_root.hpp), after any predictive elevation.
   /// `ctx` must describe the current candidate set (ctx.nodes) and job
   /// aggregation; `policy` is consulted only in yellow, where it reads the
-  /// saving to find from ctx.required_saving().
+  /// saving to find from ctx.required_saving(). A_degraded is pruned to
+  /// ctx's views once per context: on every cycle for a hand-built one
+  /// (build stamp 0), once per stamp for a manager build.
   CycleDecision cycle(PowerState band, TargetSelectionPolicy& policy,
                       const PolicyContext& ctx);
 
   /// A_degraded: candidates this engine has pushed below their top level.
-  [[nodiscard]] const std::set<hw::NodeId>& degraded() const {
-    return degraded_;
-  }
+  [[nodiscard]] const DegradedSet& degraded() const { return degraded_; }
+  /// Sizes A_degraded's table over a candidate id span [lo, hi].
+  void cover_ids(hw::NodeId lo, hw::NodeId hi) { degraded_.cover(lo, hi); }
   /// Time_g: consecutive green cycles so far.
   [[nodiscard]] std::int64_t green_timer() const { return time_g_; }
   /// Invalid/stale policy targets skipped over the engine's lifetime. One
@@ -93,7 +173,8 @@ class CappingEngine {
   /// — the failsafe watchdog stepped it down during a controller outage
   /// and the reconciler adopted the observed level. Membership is what
   /// lets steady-green restore the node back up; without it the failsafe
-  /// level would stick forever.
+  /// level would stick forever. The node must have a view in the context
+  /// the next cycle() runs against (see cycle() in capping.cpp).
   void adopt_degraded(hw::NodeId id) { degraded_.insert(id); }
 
   /// Captures/restores (Time_g, A_degraded) for warm restart. The
@@ -111,7 +192,10 @@ class CappingEngine {
   CappingParams params_;
   std::int64_t time_g_ = 0;
   std::uint64_t skipped_targets_ = 0;
-  std::set<hw::NodeId> degraded_;  ///< A_degraded
+  DegradedSet degraded_;  ///< A_degraded
+  /// Build stamp of the context A_degraded was last pruned against; 0
+  /// (never a build's stamp) forces the next prune.
+  std::uint64_t pruned_build_ = 0;
 };
 
 }  // namespace pcap::power

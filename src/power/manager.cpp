@@ -66,6 +66,7 @@ CappingManager::CappingManager(CappingManagerParams params, PolicyPtr policy,
                      transport.delay_cycles == 0 &&
                      !params_.collector.faults.enabled();
   collector_.set_cycle_period(params_.cycle_period);
+  collector_.set_sample_temperature(policy_->reads_temperature());
 }
 
 std::string CappingManager::name() const {
@@ -79,6 +80,8 @@ void CappingManager::set_candidate_set(const std::vector<hw::NodeId>& ids) {
   // index so both agree on membership. The refilter itself is deferred to
   // the next context build.
   job_index_.set_candidate_set(collector_.candidate_set());
+  const std::vector<hw::NodeId>& sorted = collector_.candidate_set();
+  if (!sorted.empty()) engine_.cover_ids(sorted.front(), sorted.back());
   candidates_changed_ = true;
 }
 
@@ -349,6 +352,7 @@ void CappingManager::assemble_context(
   }
   ctx.nodes.resize(kept);
   ctx.index_nodes();
+  ctx.stamp_build();
 
   // 3. Job views. entries() mirrors scheduler.running_jobs() in order, and
   // each entry's candidate_nodes keeps Nodes(J) order, so every per-job

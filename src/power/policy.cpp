@@ -1,6 +1,7 @@
 #include "power/policy.hpp"
 
 #include <algorithm>
+#include <atomic>
 
 namespace pcap::power {
 
@@ -15,6 +16,7 @@ const NodeView* PolicyContext::node(hw::NodeId id) const {
 }
 
 void PolicyContext::index_nodes() {
+  build_stamp_ = 0;
   if (nodes.empty()) {
     node_index_.clear();
     return;
@@ -26,6 +28,13 @@ void PolicyContext::index_nodes() {
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     node_index_[nodes[i].id] = static_cast<std::uint32_t>(i);
   }
+}
+
+void PolicyContext::stamp_build() {
+  // Process-wide, so no two builds share a stamp, whichever manager or
+  // context they came from.
+  static std::atomic<std::uint64_t> last_stamp{0};
+  build_stamp_ = last_stamp.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
 void SelectionScratch::build(const PolicyContext& ctx) {

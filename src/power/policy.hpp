@@ -102,7 +102,16 @@ struct PolicyContext {
   /// Lookup table id -> index into nodes (built lazily by callers that
   /// need it); provided here so every policy does not rebuild it.
   [[nodiscard]] const NodeView* node(hw::NodeId id) const;
-  void index_nodes();  ///< must be called after filling `nodes`
+  /// Must be called after filling `nodes`. Clears the build stamp: a
+  /// re-indexed context is hand-built again.
+  void index_nodes();
+
+  /// Stamp of the manager build that filled this context, unique in the
+  /// process; 0 for a hand-built context. CappingEngine prunes A_degraded
+  /// once per stamp.
+  [[nodiscard]] std::uint64_t build_stamp() const { return build_stamp_; }
+  /// Gives the context a fresh build stamp (after index_nodes()).
+  void stamp_build();
 
  private:
   /// Flat id -> index table over the views' id span [min id, max id];
@@ -110,6 +119,7 @@ struct PolicyContext {
   /// working-set size.
   static constexpr std::uint32_t kNoIndex = 0xffffffffu;
   common::IdTable<std::uint32_t> node_index_;
+  std::uint64_t build_stamp_ = 0;
 };
 
 /// Reusable, policy-owned working storage for select(). Every selection
@@ -188,6 +198,11 @@ class TargetSelectionPolicy {
   /// collection policy would hand it required_saving() == 0 and it would
   /// still grab its first whole job — throttling with nothing to save.
   [[nodiscard]] virtual bool forecast_driven() const { return false; }
+
+  /// Does select() read NodeView::temperature? The manager's telemetry
+  /// sweep reads board temperatures (fast-forwarding each node's thermal
+  /// state) only for policies that do.
+  [[nodiscard]] virtual bool reads_temperature() const { return false; }
 
   /// Internal controller state (e.g. a PI integral) as a flat double
   /// vector for warm restart; stateless policies return {}. A restored

@@ -149,6 +149,10 @@ class TablePolicy final : public TargetSelectionPolicy {
     return row_.goal == Goal::kPi || row_.goal == Goal::kForecast;
   }
 
+  [[nodiscard]] bool reads_temperature() const override {
+    return row_.score == mean_job_temperature;
+  }
+
   [[nodiscard]] std::vector<double> checkpoint_state() const override {
     if (row_.goal != Goal::kPi) return {};
     return {integral_};

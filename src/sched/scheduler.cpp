@@ -30,6 +30,7 @@ Scheduler::Scheduler(std::vector<int> cores_per_node, SchedulerOptions options,
                         ? std::min(cores, options_.max_procs_per_node)
                         : cores;
     max_procs_one_node_ = std::max(max_procs_one_node_, cap);
+    max_job_width_ += cap;
   }
 }
 
@@ -121,16 +122,6 @@ void Scheduler::remove_from_free(const std::vector<hw::NodeId>& taken) {
     free_ids_[write++] = free_ids_[r];
   }
   free_ids_.resize(write);
-}
-
-int Scheduler::max_job_width() const {
-  int width = 0;
-  for (const int cores : cores_per_node_) {
-    width += options_.max_procs_per_node > 0
-                 ? std::min(cores, options_.max_procs_per_node)
-                 : cores;
-  }
-  return width;
 }
 
 Job* Scheduler::find(JobId id) {

@@ -64,7 +64,7 @@ class Scheduler {
   }
   /// Largest job (in processes) this cluster can ever host, honouring the
   /// per-node rank cap.
-  [[nodiscard]] int max_job_width() const;
+  [[nodiscard]] int max_job_width() const { return max_job_width_; }
 
   [[nodiscard]] const std::vector<workload::JobId>& running_jobs() const {
     return running_;
@@ -110,6 +110,8 @@ class Scheduler {
   /// Most processes any single node can host under the rank cap —
   /// ceil(nprocs / this) lower-bounds the node count a job needs.
   int max_procs_one_node_ = 1;
+  /// Sum of the capped per-node rank counts, fixed at construction.
+  int max_job_width_ = 0;
   /// Ascending ids of all unowned nodes, maintained incrementally.
   /// The live region is [free_head_, size): first-fit consumes exactly the
   /// lowest free ids, so a launch retires a prefix by advancing the head

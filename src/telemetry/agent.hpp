@@ -28,12 +28,15 @@ struct AgentParams {
 /// Samples node `id` of `pool` (indexed by id) at `now`. The noise comes
 /// from CounterRng(cycle_key, id), cycle_key = counter_key(root, cycle):
 /// utilisation first, then NIC, each drawn only when non-zero. The power
-/// estimate is formula (1) at the node's level. Throws
-/// std::invalid_argument when pool[id] is another node.
+/// estimate is formula (1) at the node's level. The board temperature is
+/// read only when `read_temperature` is set; otherwise it stays 0 and the
+/// node's thermal state is not advanced. Throws std::invalid_argument when
+/// pool[id] is another node.
 inline NodeSample sample_node(const std::vector<hw::Node>& pool,
                               hw::NodeId id, Seconds now,
                               const AgentParams& params,
-                              std::uint64_t cycle_key) {
+                              std::uint64_t cycle_key,
+                              bool read_temperature = true) {
   const hw::Node& node = pool[id];
   if (node.id() != id) {
     throw std::invalid_argument("sample_node: node pool not indexed by id");
@@ -67,7 +70,7 @@ inline NodeSample sample_node(const std::vector<hw::Node>& pool,
   // Reading a temperature is what fast-forwards the node's lazy thermal
   // state: quiescent nodes integrate the RC exponential only when someone
   // actually looks.
-  s.temperature = node.temperature_at(now);
+  if (read_temperature) s.temperature = node.temperature_at(now);
   s.busy = node.busy();
   return s;
 }

@@ -94,7 +94,8 @@ void Collector::collect_one(std::size_t slot,
   const TransportParams& tp = params_.transport;
   const hw::NodeId id = candidates_[slot];
 
-  NodeSample sample = sample_node(nodes, id, now, params_.agent, noise_key);
+  NodeSample sample = sample_node(nodes, id, now, params_.agent, noise_key,
+                                  sample_temperature_);
 
   // Fault disposition first: a report that never leaves the node sees no
   // transport at all. Corruption mangles the sample in place and lets it

@@ -159,6 +159,11 @@ class Collector {
     return candidates_.empty() ? hw::NodeId{0} : candidates_.back();
   }
 
+  /// Whether agents read board temperatures (default on). Reading one
+  /// fast-forwards the node's thermal state, so a manager whose policy
+  /// never reads NodeView::temperature turns it off; samples then carry 0.
+  void set_sample_temperature(bool on) { sample_temperature_ = on; }
+
   /// Attaches (or detaches, with nullptr) the pool used to parallelise
   /// collect(). The collector does not own the pool.
   void set_thread_pool(common::ThreadPool* pool) { pool_ = pool; }
@@ -240,6 +245,7 @@ class Collector {
   std::uint64_t loss_root_;
   Seconds cycle_period_{1.0};
   common::ThreadPool* pool_ = nullptr;
+  bool sample_temperature_ = true;
   std::vector<hw::NodeId> candidates_;
   /// Per-candidate sweep state below is aligned with candidates_: the
   /// sweep indexes straight into these arrays — no hash probe per sample —

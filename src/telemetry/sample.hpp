@@ -30,25 +30,25 @@ struct NodeSample {
 };
 
 /// The part of a report the collector keeps: the fields the manager reads
-/// (§II.C, §IV.B) plus the cycle stamp. Counters and the node id end at
-/// the collector — a history slot is indexed by candidate, and nothing
-/// past the sweep reads CPU, memory or NIC figures. 40 bytes per held
-/// sample, in every slot of every history arena and in-flight queue.
+/// (§II.C, §IV.B) plus the cycle stamp. Counters, the node id and the
+/// sampling time end at the collector — a history slot is indexed by
+/// candidate, nothing past the sweep reads CPU, memory or NIC figures, and
+/// a sample's age is counted in cycles. 32 bytes per held sample, in every
+/// slot of every history arena and in-flight queue.
 struct HeldSample {
   /// Collection cycle at which the agent took this sample (stamped by the
   /// collector). Consumers subtract it from the current cycle to know how
   /// old the data they are acting on really is — under a lossy or delayed
   /// management plane "latest" can be many cycles stale.
   std::uint64_t cycle = 0;
-  Seconds time{0.0};
   Watts estimated_power{0.0};
   Celsius temperature{0.0};
   hw::Level level = 0;
   bool busy = false;
 
   static HeldSample of(const NodeSample& s, std::uint64_t cycle) {
-    return HeldSample{cycle, s.time, s.estimated_power, s.temperature,
-                      s.level, s.busy};
+    return HeldSample{cycle, s.estimated_power, s.temperature, s.level,
+                      s.busy};
   }
 };
 

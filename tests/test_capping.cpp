@@ -5,6 +5,7 @@
 #include <set>
 
 #include "common/rng.hpp"
+#include "power/checkpoint.hpp"
 #include "power/policy_registry.hpp"
 
 namespace pcap::power {
@@ -51,6 +52,11 @@ PolicyContext make_ctx(int n, hw::Level level, Watts power = Watts{1000.0},
   return ctx;
 }
 
+/// A_degraded as a std::set, for whole-set comparisons.
+std::set<hw::NodeId> members(const CappingEngine& e) {
+  return {e.degraded().begin(), e.degraded().end()};
+}
+
 CappingParams tg(std::int64_t cycles) {
   CappingParams p;
   p.steady_green_cycles = cycles;
@@ -76,7 +82,7 @@ TEST(Capping, YellowDegradesPolicyTargetsByOneLevel) {
   ASSERT_EQ(d.commands.size(), 2u);
   EXPECT_EQ(d.commands[0], (LevelCommand{0, 8}));
   EXPECT_EQ(d.commands[1], (LevelCommand{2, 8}));
-  EXPECT_EQ(e.degraded(), (std::set<hw::NodeId>{0, 2}));
+  EXPECT_EQ(members(e), (std::set<hw::NodeId>{0, 2}));
   EXPECT_EQ(e.green_timer(), 0);
 }
 
@@ -225,7 +231,7 @@ TEST(Capping, StaleTargetIsSkippedAndCounted) {
   EXPECT_EQ(d.skipped, 1u);
   ASSERT_EQ(d.commands.size(), 1u);
   EXPECT_EQ(d.commands[0].node, 1u);
-  EXPECT_EQ(e.degraded(), (std::set<hw::NodeId>{1}));
+  EXPECT_EQ(members(e), (std::set<hw::NodeId>{1}));
 }
 
 // Regression: red_cycle used to emit LevelCommand{id, 0} for *every*
@@ -258,7 +264,7 @@ TEST(Capping, RedDoesNotAdoptNodesAlreadyAtTheFloor) {
   EXPECT_EQ(d.commands[0].node, 0u);
   // Node 1 never entered A_degraded: the engine will not later "restore"
   // it above a state it never set.
-  EXPECT_EQ(e.degraded(), (std::set<hw::NodeId>{0}));
+  EXPECT_EQ(members(e), (std::set<hw::NodeId>{0}));
 }
 
 TEST(Capping, SteadyGreenSkipsStaleNodesButKeepsThemDegraded) {
@@ -275,7 +281,7 @@ TEST(Capping, SteadyGreenSkipsStaleNodesButKeepsThemDegraded) {
   // until its telemetry comes back.
   ASSERT_EQ(d.commands.size(), 1u);
   EXPECT_EQ(d.commands[0], (LevelCommand{1, 9}));
-  EXPECT_EQ(e.degraded(), (std::set<hw::NodeId>{0}));
+  EXPECT_EQ(members(e), (std::set<hw::NodeId>{0}));
 }
 
 TEST(Capping, YellowSkipsNodeWithCommandInFlight) {
@@ -290,7 +296,7 @@ TEST(Capping, YellowSkipsNodeWithCommandInFlight) {
   EXPECT_EQ(d.skipped, 0u);  // a deferral is routine, not a bad target
   ASSERT_EQ(d.commands.size(), 1u);
   EXPECT_EQ(d.commands[0], (LevelCommand{1, 8}));
-  EXPECT_EQ(e.degraded(), (std::set<hw::NodeId>{1}));
+  EXPECT_EQ(members(e), (std::set<hw::NodeId>{1}));
 }
 
 TEST(Capping, SteadyGreenSkipsInFlightNodesButKeepsThemDegraded) {
@@ -307,7 +313,7 @@ TEST(Capping, SteadyGreenSkipsInFlightNodesButKeepsThemDegraded) {
   // stays in A_degraded until its actuation state is known again.
   ASSERT_EQ(d.commands.size(), 1u);
   EXPECT_EQ(d.commands[0], (LevelCommand{1, 9}));
-  EXPECT_EQ(e.degraded(), (std::set<hw::NodeId>{0}));
+  EXPECT_EQ(members(e), (std::set<hw::NodeId>{0}));
 }
 
 // Candidate churn mid-degradation: a throttled node that leaves the
@@ -320,13 +326,13 @@ TEST(Capping, RejoiningNodeIsNotRestoredAbovePreThrottleLevel) {
   FixedPolicy policy({0, 1});
   auto ctx = make_ctx(2, 9);
   e.cycle(PowerState::kYellow, policy, ctx);
-  EXPECT_EQ(e.degraded(), (std::set<hw::NodeId>{0, 1}));
+  EXPECT_EQ(members(e), (std::set<hw::NodeId>{0, 1}));
 
   // Node 1 leaves A_candidate while degraded (level 8); the yellow
   // pressure keeps node 0 degraded (8 -> 7) through the churn.
   auto ctx_one = make_ctx(1, 8);
   e.cycle(PowerState::kYellow, policy, ctx_one);
-  EXPECT_EQ(e.degraded(), (std::set<hw::NodeId>{0}));
+  EXPECT_EQ(members(e), (std::set<hw::NodeId>{0}));
 
   // Node 1 rejoins, still at its throttled level 8, and the system goes
   // green. Every restore pass may lift node 0 (which the engine still
@@ -344,6 +350,86 @@ TEST(Capping, RejoiningNodeIsNotRestoredAbovePreThrottleLevel) {
   EXPECT_EQ(ctx.nodes[0].level, 9);  // node 0 fully restored...
   EXPECT_EQ(ctx.nodes[1].level, 8);  // ...node 1 left where it rejoined
   EXPECT_TRUE(e.degraded().empty());
+}
+
+// A_degraded is an id membership: however the policy ordered its targets,
+// steady green restores in ascending id order and the checkpoint lists the
+// members ascending.
+TEST(Capping, RestoreCommandsComeOutInAscendingIdOrder) {
+  CappingEngine e(tg(1));
+  BlindPolicy policy({5, 1, 3});
+  const CycleDecision yellow =
+      e.cycle(PowerState::kYellow, policy, make_ctx(6, 9));
+  ASSERT_EQ(yellow.commands.size(), 3u);
+  EXPECT_EQ(yellow.commands[0].node, 5u);  // policy order
+  EXPECT_EQ(e.checkpoint().degraded, (std::vector<hw::NodeId>{1, 3, 5}));
+
+  const CycleDecision green =
+      e.cycle(PowerState::kGreen, policy, make_ctx(6, 8));
+  EXPECT_EQ(green.commands,
+            (std::vector<LevelCommand>{{1, 9}, {3, 9}, {5, 9}}));
+  EXPECT_TRUE(e.degraded().empty());
+}
+
+// Two contexts from two builds: the second lacks node 1's view, so node 1
+// leaves A_degraded on the first cycle that runs against it.
+TEST(Capping, NodeMissingFromARebuiltContextLeavesADegraded) {
+  CappingEngine e(tg(3));
+  FixedPolicy policy({0, 1});
+  PolicyContext built = make_ctx(2, 9);
+  built.stamp_build();
+  e.cycle(PowerState::kYellow, policy, built);
+  ASSERT_EQ(members(e), (std::set<hw::NodeId>{0, 1}));
+
+  PolicyContext rebuilt = make_ctx(1, 8);
+  rebuilt.stamp_build();
+  ASSERT_NE(rebuilt.build_stamp(), built.build_stamp());
+  e.cycle(PowerState::kGreen, policy, rebuilt);
+  EXPECT_EQ(members(e), (std::set<hw::NodeId>{0}));
+}
+
+// A hand-built context (stamp 0) may change in place between cycles, so
+// the engine prunes against it on every cycle — also one that was stamped
+// and then re-indexed.
+TEST(Capping, HandBuiltContextPrunesEveryCycle) {
+  CappingEngine e(tg(3));
+  FixedPolicy policy({0, 1, 2});
+  PolicyContext ctx = make_ctx(3, 9);
+  ctx.stamp_build();
+  e.cycle(PowerState::kYellow, policy, ctx);
+  ASSERT_EQ(e.degraded().size(), 3u);
+
+  ctx.nodes.pop_back();  // node 2's view goes
+  ctx.index_nodes();
+  EXPECT_EQ(ctx.build_stamp(), 0u);
+  e.cycle(PowerState::kGreen, policy, ctx);
+  EXPECT_EQ(members(e), (std::set<hw::NodeId>{0, 1}));
+
+  ctx.nodes.pop_back();  // node 1's, in the same object
+  ctx.index_nodes();
+  e.cycle(PowerState::kGreen, policy, ctx);
+  EXPECT_EQ(members(e), (std::set<hw::NodeId>{0}));
+}
+
+// The checkpoint image is (Time_g, A_degraded ascending); restoring it and
+// checkpointing again gives the same image, and the restored engine
+// restores the same nodes in the same order.
+TEST(Capping, CheckpointRoundTripKeepsTheImage) {
+  CappingEngine e(tg(2));
+  BlindPolicy policy({7, 2, 4});
+  e.cycle(PowerState::kYellow, policy, make_ctx(8, 9));
+  e.cycle(PowerState::kGreen, policy, make_ctx(8, 8));
+  const EngineCheckpoint image = e.checkpoint();
+  EXPECT_EQ(image.time_g, 1);
+  EXPECT_EQ(image.degraded, (std::vector<hw::NodeId>{2, 4, 7}));
+
+  CappingEngine restored(tg(2));
+  restored.restore(image);
+  EXPECT_EQ(restored.checkpoint().time_g, image.time_g);
+  EXPECT_EQ(restored.checkpoint().degraded, image.degraded);
+  const auto ctx = make_ctx(8, 8);
+  EXPECT_EQ(restored.cycle(PowerState::kGreen, policy, ctx).commands,
+            e.cycle(PowerState::kGreen, policy, ctx).commands);
 }
 
 TEST(Capping, NonPositiveTgThrows) {

@@ -236,7 +236,6 @@ TEST(CollectorFaults, InFlightReportsStillArriveDuringAnOutage) {
   EXPECT_TRUE(c.fault_injector().is_silent(0));
   const auto s = c.latest(0);
   ASSERT_TRUE(s.has_value());
-  EXPECT_DOUBLE_EQ(s->time.value(), 2.0);
   EXPECT_EQ(s->cycle, 2u);
   EXPECT_EQ(c.samples_delivered(), 1u);
 }

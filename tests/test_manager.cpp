@@ -1308,5 +1308,96 @@ TEST(IdleCycle, RestorationBuildReadsTheCycleBeforesSample) {
   }
 }
 
+// -- A_degraded prune --------------------------------------------------------
+
+// The engine prunes A_degraded once per context build. Agent dropout with
+// a zero retry budget keeps abandoning nodes, and an abandoned node whose
+// samples go stale drops out of the next build; red every fifth cycle
+// keeps flooring the candidates, so dropped nodes are often degraded.
+// After every cycle A_degraded lies inside the context the cycle decided
+// against: a node a build dropped leaves A_degraded on that cycle.
+TEST(DegradedPrune, ViewLostUnderTelemetryFaultsLeavesADegradedThatCycle) {
+  constexpr int kNodes = 24;
+  Rig rig(kNodes);
+  rig.load(0.9);
+  rig.run_job(1, 12 * kNodes);
+  CappingManagerParams p = fast_params();
+  p.thresholds.training_cycles = 0;
+  p.thresholds.adjust_period_cycles = 1000;
+  p.max_sample_age_cycles = 2;
+  p.collector.faults.agent_dropout_rate = 0.1;
+  p.collector.faults.agent_recovery_rate = 0.3;
+  p.reconciliation.max_retries = 0;  // abandon at the first due check
+  p.reconciliation.retry_backoff_base_cycles = 1;
+  ZoneTreeManager m = test::one_zone(
+      p, "mpc", common::Rng(test::fault_seed(11)).fork("prune"));
+  const CappingManager& shard = m.zone(0);
+  std::vector<hw::NodeId> all(kNodes);
+  for (int i = 0; i < kNodes; ++i) all[i] = static_cast<hw::NodeId>(i);
+  m.set_candidate_set(all);
+
+  std::size_t dropped = 0;  // degraded nodes a build left without a view
+  for (int c = 1; c <= 200; ++c) {
+    const bool red = c % 5 == 0;
+    const std::vector<hw::NodeId> before(shard.engine().degraded().begin(),
+                                         shard.engine().degraded().end());
+    const std::uint64_t builds = shard.incremental_stats().full_builds;
+    m.cycle(red ? Watts{1e9} : Watts{0.0}, rig.nodes, rig.scheduler,
+            Seconds{static_cast<double>(c)});
+    const PolicyContext& ctx = shard.context();
+    for (const hw::NodeId id : shard.engine().degraded()) {
+      ASSERT_NE(ctx.node(id), nullptr) << "cycle " << c << " node " << id;
+    }
+    if (shard.incremental_stats().full_builds == builds) continue;
+    for (const hw::NodeId id : before) {
+      dropped += ctx.node(id) == nullptr ? 1 : 0;
+    }
+  }
+  EXPECT_GT(dropped, 0u);
+}
+
+// -- thermal sampling --------------------------------------------------------
+
+// Only the ht/ht-c rows read NodeView::temperature, and only their shards'
+// sweeps read board temperatures: an ht shard's views carry each node's
+// temperature_at(now), while an mpc-c shard's sweep leaves every node's
+// thermal state where it was.
+TEST(ThermalSampling, OnlyThermalPoliciesReadBoardTemperatures) {
+  for (const std::string& name : policy_names()) {
+    EXPECT_EQ(make_policy(name)->reads_temperature(),
+              name == "ht" || name == "ht-c")
+        << name;
+  }
+  for (const std::string policy : {"ht", "mpc-c"}) {
+    Rig rig(4);
+    rig.load(0.9);
+    rig.run_job(1, 48);
+    CappingManagerParams p = fast_params();
+    p.thresholds.training_cycles = 0;
+    ZoneTreeManager m = test::one_zone(p, policy);
+    m.set_candidate_set({0, 1, 2, 3});
+    std::vector<double> before;
+    for (const hw::Node& n : rig.nodes) before.push_back(n.temperature().value());
+
+    const Seconds now{30.0};
+    const ManagerReport r = m.cycle(Watts{0.0}, rig.nodes, rig.scheduler, now);
+    ASSERT_EQ(r.state, PowerState::kGreen) << policy;
+    PolicyContext ctx;
+    m.zone(0).build_context_into(ctx, rig.nodes, rig.scheduler);
+    ASSERT_EQ(ctx.nodes.size(), 4u) << policy;
+    for (const NodeView& nv : ctx.nodes) {
+      const hw::Node& node = rig.nodes[nv.id];
+      if (policy == "ht") {
+        EXPECT_NE(node.temperature().value(), before[nv.id]) << nv.id;
+        EXPECT_EQ(nv.temperature.value(), node.temperature_at(now).value())
+            << nv.id;
+      } else {
+        EXPECT_EQ(node.temperature().value(), before[nv.id]) << nv.id;
+        EXPECT_EQ(nv.temperature.value(), 0.0) << nv.id;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace pcap::power

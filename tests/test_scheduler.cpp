@@ -160,6 +160,23 @@ TEST(Scheduler, TooWideUnderRankCapThrows) {
   EXPECT_EQ(free_nodes(s), 0u);  // 8 procs spread 2 per node
 }
 
+// The width is a machine property fixed at construction: each node adds
+// its core count capped at max_procs_per_node, whatever is running.
+TEST(Scheduler, WidthSumsCappedCoresOfMixedNodes) {
+  SchedulerOptions opts;
+  opts.max_procs_per_node = 6;
+  Scheduler s(std::vector<int>{4, 12, 16}, opts, common::Rng(1));
+  EXPECT_EQ(s.max_job_width(), 4 + 6 + 6);
+  EXPECT_THROW(s.submit(make_job(1, 17)), std::invalid_argument);
+  s.submit(make_job(2, 16));
+  s.try_launch(Seconds{0.0});
+  EXPECT_EQ(free_nodes(s), 0u);
+  EXPECT_EQ(s.max_job_width(), 16);
+  s.submit(make_job(3, 16));  // queues behind the running job
+  EXPECT_THROW(s.submit(make_job(4, 17)), std::invalid_argument);
+  EXPECT_EQ(s.queue_length(), 1u);
+}
+
 TEST(Scheduler, TotalsAndWidth) {
   Scheduler s = make_sched(8);
   EXPECT_EQ(s.total_nodes(), 8);
