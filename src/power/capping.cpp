@@ -18,15 +18,15 @@ CycleDecision CappingEngine::cycle(PowerState band,
                                    TargetSelectionPolicy& policy,
                                    const PolicyContext& ctx) {
   // Nodes that left the candidate set (job churn, reconfiguration) are no
-  // longer ours to restore. Re-pruning against a context this engine has
-  // already pruned against is a no-op, so a manager build is pruned once:
-  // between two builds A_degraded only gains ids with a view in the current
-  // context — yellow inserts only targets with a view, red inserts
-  // ctx.nodes, and the manager adopts watchdog levels only from a build's
-  // views or from a wait pass, which runs under exact telemetry where the
-  // last build held a view for every candidate. A hand-built context
-  // (stamp 0) can change under the same object, so it prunes every cycle.
-  if (ctx.build_stamp() == 0 || ctx.build_stamp() != pruned_build_) {
+  // longer ours to restore. A context's node set is fixed between two
+  // index_nodes() calls, and each call gives it a fresh stamp, so A_degraded
+  // is pruned once per stamp: between two stamps it only gains ids with a
+  // view in the current context — yellow inserts only targets with a view,
+  // red inserts ctx.nodes, and the manager adopts watchdog levels only from
+  // a build's views or from a wait pass, which runs under exact telemetry
+  // where the last build held a view for every candidate. Re-pruning against
+  // the same stamp would be a no-op.
+  if (ctx.build_stamp() != pruned_build_) {
     for (const hw::NodeId id : degraded_) {
       if (ctx.node(id) == nullptr) degraded_.erase(id);
     }

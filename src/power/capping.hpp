@@ -19,6 +19,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <iterator>
 #include <vector>
 
@@ -94,8 +95,16 @@ class DegradedSet {
     }
 
    private:
+    // Steps over non-members a word at a time: a stride shard covers the
+    // whole cluster's id span, so its few members sit among ~N zero bytes.
     void skip() {
       const std::size_t end = set_->members_.end_id();
+      std::uint64_t word = 0;
+      while (end - id_ >= sizeof word) {
+        std::memcpy(&word, &set_->members_[id_], sizeof word);
+        if (word != 0) break;
+        id_ += sizeof word;
+      }
       while (id_ < end && set_->members_[id_] == 0) ++id_;
     }
     const DegradedSet* set_ = nullptr;
@@ -143,8 +152,7 @@ class CappingEngine {
   /// `ctx` must describe the current candidate set (ctx.nodes) and job
   /// aggregation; `policy` is consulted only in yellow, where it reads the
   /// saving to find from ctx.required_saving(). A_degraded is pruned to
-  /// ctx's views once per context: on every cycle for a hand-built one
-  /// (build stamp 0), once per stamp for a manager build.
+  /// ctx's views once per build stamp (PolicyContext::index_nodes()).
   CycleDecision cycle(PowerState band, TargetSelectionPolicy& policy,
                       const PolicyContext& ctx);
 
@@ -194,7 +202,7 @@ class CappingEngine {
   std::uint64_t skipped_targets_ = 0;
   DegradedSet degraded_;  ///< A_degraded
   /// Build stamp of the context A_degraded was last pruned against; 0
-  /// (never a build's stamp) forces the next prune.
+  /// (never an indexed context's stamp) forces the next prune.
   std::uint64_t pruned_build_ = 0;
 };
 

@@ -352,7 +352,6 @@ void CappingManager::assemble_context(
   }
   ctx.nodes.resize(kept);
   ctx.index_nodes();
-  ctx.stamp_build();
 
   // 3. Job views. entries() mirrors scheduler.running_jobs() in order, and
   // each entry's candidate_nodes keeps Nodes(J) order, so every per-job

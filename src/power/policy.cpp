@@ -16,7 +16,10 @@ const NodeView* PolicyContext::node(hw::NodeId id) const {
 }
 
 void PolicyContext::index_nodes() {
-  build_stamp_ = 0;
+  // Process-wide, so no two indexings share a stamp, whichever manager,
+  // zone or test context they came from.
+  static std::atomic<std::uint64_t> last_stamp{0};
+  build_stamp_ = last_stamp.fetch_add(1, std::memory_order_relaxed) + 1;
   if (nodes.empty()) {
     node_index_.clear();
     return;
@@ -28,13 +31,6 @@ void PolicyContext::index_nodes() {
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     node_index_[nodes[i].id] = static_cast<std::uint32_t>(i);
   }
-}
-
-void PolicyContext::stamp_build() {
-  // Process-wide, so no two builds share a stamp, whichever manager or
-  // context they came from.
-  static std::atomic<std::uint64_t> last_stamp{0};
-  build_stamp_ = last_stamp.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
 void SelectionScratch::build(const PolicyContext& ctx) {

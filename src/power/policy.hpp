@@ -102,16 +102,14 @@ struct PolicyContext {
   /// Lookup table id -> index into nodes (built lazily by callers that
   /// need it); provided here so every policy does not rebuild it.
   [[nodiscard]] const NodeView* node(hw::NodeId id) const;
-  /// Must be called after filling `nodes`. Clears the build stamp: a
-  /// re-indexed context is hand-built again.
+  /// Must be called after filling `nodes`, and again after any change to
+  /// which ids `nodes` holds. Gives the context a fresh build stamp.
   void index_nodes();
 
-  /// Stamp of the manager build that filled this context, unique in the
-  /// process; 0 for a hand-built context. CappingEngine prunes A_degraded
-  /// once per stamp.
+  /// Stamp of the last index_nodes() call, unique in the process; 0 before
+  /// the first. The node set is fixed between two stamps, so CappingEngine
+  /// prunes A_degraded once per stamp.
   [[nodiscard]] std::uint64_t build_stamp() const { return build_stamp_; }
-  /// Gives the context a fresh build stamp (after index_nodes()).
-  void stamp_build();
 
  private:
   /// Flat id -> index table over the views' id span [min id, max id];

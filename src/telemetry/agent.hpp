@@ -30,13 +30,16 @@ struct AgentParams {
 /// utilisation first, then NIC, each drawn only when non-zero. The power
 /// estimate is formula (1) at the node's level. The board temperature is
 /// read only when `read_temperature` is set; otherwise it stays 0 and the
-/// node's thermal state is not advanced. Throws std::invalid_argument when
-/// pool[id] is another node.
+/// node's thermal state is not advanced. Skipping the read changes no
+/// physics only while the node's leakage_coefficient is 0: with leakage on,
+/// the thermal state feeds true power, and a node integrated over longer
+/// steps draws slightly different power — so the simulated power would
+/// depend on whether the policy reads temperature. Throws
+/// std::invalid_argument when pool[id] is another node.
 inline NodeSample sample_node(const std::vector<hw::Node>& pool,
                               hw::NodeId id, Seconds now,
                               const AgentParams& params,
-                              std::uint64_t cycle_key,
-                              bool read_temperature = true) {
+                              std::uint64_t cycle_key, bool read_temperature) {
   const hw::Node& node = pool[id];
   if (node.id() != id) {
     throw std::invalid_argument("sample_node: node pool not indexed by id");

@@ -43,7 +43,7 @@ TEST(Agent, NoiselessSampleMatchesNodeEstimate) {
   p.nic_noise = 0.0;
   const std::vector<hw::Node> pool = busy_pool();
   const hw::Node& n = pool[3];
-  const NodeSample s = sample_node(pool, 3, Seconds{10.0}, p, key_at(1));
+  const NodeSample s = sample_node(pool, 3, Seconds{10.0}, p, key_at(1), true);
   EXPECT_EQ(s.node, 3u);
   EXPECT_EQ(s.time, Seconds{10.0});
   EXPECT_DOUBLE_EQ(s.cpu_utilization, 0.7);
@@ -58,7 +58,7 @@ TEST(Agent, NoisySampleStaysClose) {
   for (int i = 0; i < 100; ++i) {
     const NodeSample s =
         sample_node(pool, 3, Seconds{static_cast<double>(i)}, AgentParams{},
-                    key_at(static_cast<std::uint64_t>(i), 2));
+                    key_at(static_cast<std::uint64_t>(i), 2), true);
     EXPECT_NEAR(s.cpu_utilization, 0.7, 0.06);
     EXPECT_NEAR(s.estimated_power.value(), n.estimated_power().value(),
                 n.estimated_power().value() * 0.1);
@@ -70,8 +70,9 @@ TEST(Agent, NoiseClampsUtilizationToValidRange) {
   p.utilization_noise = 0.5;  // huge noise
   const std::vector<hw::Node> pool = busy_pool();
   for (int i = 0; i < 200; ++i) {
-    const NodeSample s = sample_node(pool, 3, Seconds{0.0}, p,
-                                     key_at(static_cast<std::uint64_t>(i), 3));
+    const NodeSample s =
+        sample_node(pool, 3, Seconds{0.0}, p,
+                    key_at(static_cast<std::uint64_t>(i), 3), true);
     EXPECT_GE(s.cpu_utilization, 0.0);
     EXPECT_LE(s.cpu_utilization, 1.0);
   }
@@ -82,8 +83,9 @@ TEST(Agent, ForeignNodeThrows) {
   std::vector<hw::Node> pool = busy_pool();
   pool.pop_back();
   pool.push_back(busy_node(/*id=*/4));
-  EXPECT_THROW(sample_node(pool, 3, Seconds{0.0}, AgentParams{}, key_at(1)),
-               std::invalid_argument);
+  EXPECT_THROW(
+      sample_node(pool, 3, Seconds{0.0}, AgentParams{}, key_at(1), true),
+      std::invalid_argument);
 }
 
 TEST(Agent, NegativeNoiseThrows) {
@@ -99,7 +101,7 @@ TEST(Agent, ReportsThrottledLevel) {
   std::vector<hw::Node> pool = busy_pool();
   pool[3].set_level(2);
   const NodeSample s =
-      sample_node(pool, 3, Seconds{0.0}, AgentParams{}, key_at(1, 5));
+      sample_node(pool, 3, Seconds{0.0}, AgentParams{}, key_at(1, 5), true);
   EXPECT_EQ(s.level, 2);
 }
 
@@ -109,26 +111,26 @@ TEST(Agent, EstimateUsesCurrentLevel) {
   p.nic_noise = 0.0;
   std::vector<hw::Node> pool = busy_pool();
   const Watts top =
-      sample_node(pool, 3, Seconds{0.0}, p, key_at(1, 6)).estimated_power;
+      sample_node(pool, 3, Seconds{0.0}, p, key_at(1, 6), true).estimated_power;
   pool[3].set_level(0);
   const Watts floor =
-      sample_node(pool, 3, Seconds{1.0}, p, key_at(2, 6)).estimated_power;
+      sample_node(pool, 3, Seconds{1.0}, p, key_at(2, 6), true).estimated_power;
   EXPECT_LT(floor, top);
 }
 
 TEST(Agent, SampleIsAPureFunctionOfNodeAndKey) {
   const std::vector<hw::Node> pool = busy_pool();
   const NodeSample a = sample_node(pool, 3, Seconds{1.0}, AgentParams{},
-                                   key_at(7));
+                                   key_at(7), true);
   const NodeSample b = sample_node(pool, 3, Seconds{1.0}, AgentParams{},
-                                   key_at(7));
+                                   key_at(7), true);
   EXPECT_EQ(a.cpu_utilization, b.cpu_utilization);
   EXPECT_EQ(a.nic_bytes, b.nic_bytes);
   // Another cycle, or another node at the same cycle, draws other noise.
-  EXPECT_NE(sample_node(pool, 3, Seconds{1.0}, AgentParams{}, key_at(8))
+  EXPECT_NE(sample_node(pool, 3, Seconds{1.0}, AgentParams{}, key_at(8), true)
                 .cpu_utilization,
             a.cpu_utilization);
-  EXPECT_NE(sample_node(pool, 2, Seconds{1.0}, AgentParams{}, key_at(7))
+  EXPECT_NE(sample_node(pool, 2, Seconds{1.0}, AgentParams{}, key_at(7), true)
                 .cpu_utilization,
             a.cpu_utilization);
 }
@@ -169,8 +171,9 @@ TEST(Agent, NoiseIsGaussianPerNodeOverCycles) {
     Moments cpu;
     Moments rel;
     for (int i = 0; i < kDraws; ++i) {
-      const NodeSample s = sample_node(pool, id, Seconds{0.0}, p,
-                                       key_at(static_cast<std::uint64_t>(i)));
+      const NodeSample s =
+          sample_node(pool, id, Seconds{0.0}, p,
+                      key_at(static_cast<std::uint64_t>(i)), true);
       cpu.add(s.cpu_utilization - 0.5);
       rel.add(s.nic_bytes.value() / nic - 1.0);
     }

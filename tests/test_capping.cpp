@@ -371,37 +371,55 @@ TEST(Capping, RestoreCommandsComeOutInAscendingIdOrder) {
   EXPECT_TRUE(e.degraded().empty());
 }
 
+// A wide span with few members (a stride shard covers every id in the
+// cluster): iteration steps over whole zero words and still finds every
+// member — at the span's ends, after gaps of every width from 1 to 20 ids,
+// and in the sub-word tail.
+TEST(Capping, SparseMembersOfAWideSpanIterateAscending) {
+  CappingEngine e(tg(3));
+  e.cover_ids(5, 1004);
+  std::vector<hw::NodeId> ids{5};
+  for (hw::NodeId gap = 1; gap <= 20; ++gap) ids.push_back(ids.back() + gap);
+  ids.push_back(1001);
+  ids.push_back(1004);
+  for (auto it = ids.rbegin(); it != ids.rend(); ++it) e.adopt_degraded(*it);
+  EXPECT_EQ(e.degraded().size(), ids.size());
+  EXPECT_EQ(e.checkpoint().degraded, ids);
+
+  CappingEngine none(tg(3));
+  none.cover_ids(0, 1000);
+  EXPECT_EQ(none.degraded().begin(), none.degraded().end());
+}
+
 // Two contexts from two builds: the second lacks node 1's view, so node 1
 // leaves A_degraded on the first cycle that runs against it.
 TEST(Capping, NodeMissingFromARebuiltContextLeavesADegraded) {
   CappingEngine e(tg(3));
   FixedPolicy policy({0, 1});
-  PolicyContext built = make_ctx(2, 9);
-  built.stamp_build();
+  const PolicyContext built = make_ctx(2, 9);
   e.cycle(PowerState::kYellow, policy, built);
   ASSERT_EQ(members(e), (std::set<hw::NodeId>{0, 1}));
 
-  PolicyContext rebuilt = make_ctx(1, 8);
-  rebuilt.stamp_build();
+  const PolicyContext rebuilt = make_ctx(1, 8);
   ASSERT_NE(rebuilt.build_stamp(), built.build_stamp());
   e.cycle(PowerState::kGreen, policy, rebuilt);
   EXPECT_EQ(members(e), (std::set<hw::NodeId>{0}));
 }
 
-// A hand-built context (stamp 0) may change in place between cycles, so
-// the engine prunes against it on every cycle — also one that was stamped
-// and then re-indexed.
-TEST(Capping, HandBuiltContextPrunesEveryCycle) {
+// Re-indexing a context in place gives it a fresh stamp, so the engine
+// prunes against it again on the next cycle.
+TEST(Capping, ReindexedContextIsPrunedAgain) {
   CappingEngine e(tg(3));
   FixedPolicy policy({0, 1, 2});
   PolicyContext ctx = make_ctx(3, 9);
-  ctx.stamp_build();
   e.cycle(PowerState::kYellow, policy, ctx);
   ASSERT_EQ(e.degraded().size(), 3u);
 
+  const std::uint64_t first = ctx.build_stamp();
   ctx.nodes.pop_back();  // node 2's view goes
   ctx.index_nodes();
-  EXPECT_EQ(ctx.build_stamp(), 0u);
+  EXPECT_NE(ctx.build_stamp(), first);
+  EXPECT_NE(ctx.build_stamp(), 0u);
   e.cycle(PowerState::kGreen, policy, ctx);
   EXPECT_EQ(members(e), (std::set<hw::NodeId>{0, 1}));
 
